@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,11 +43,24 @@ class StageError(RuntimeError):
 
 
 def write_atomic(path: Path, text: str) -> None:
-    """Write via temp file + rename in the destination directory."""
+    """Write via a uniquely named temp file + rename in the destination directory.
+
+    Concurrent writers into one directory never share a temp file, and a
+    failed write removes its temp file.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    try:
+        # mkstemp creates the file 0600; give it the mode a plain open would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -163,7 +177,6 @@ PIPELINE_SCHEMA = Schema(
         "cluster.resolution": float,
         "layout.enable": _to_bool,
         "layout.n_neighbors": int,
-        "layout.min_dist": float,
         "layout.epochs": int,
         "layout.negative_samples": int,
         "layout.seed": int,
@@ -188,7 +201,6 @@ PIPELINE_SCHEMA = Schema(
         "cluster.resolution": 1.0,
         "layout.enable": True,
         "layout.n_neighbors": 15,
-        "layout.min_dist": 0.1,
         "layout.epochs": 200,
         "layout.negative_samples": 5,
         "layout.seed": 0,
@@ -387,8 +399,9 @@ def _run_pipeline_stages(values: dict[str, Any], out_dir: Path, clock: "_StageCl
     cluster_seed = values["cluster.seed"]
     cluster_info: dict[str, Any] = {"method": method}
     model = None
+    knn_k = min(values["cluster.knn_k"], embedding.coords.shape[0] - 1)
+    graph = None
     if method == "louvain":
-        knn_k = min(values["cluster.knn_k"], embedding.coords.shape[0] - 1)
         graph = community.knn_graph(embedding.coords, knn_k)
         labels = community.louvain(
             graph, seed=cluster_seed, resolution=values["cluster.resolution"]
@@ -406,14 +419,15 @@ def _run_pipeline_stages(values: dict[str, Any], out_dir: Path, clock: "_StageCl
                 embedding.coords, values["cluster.k_range"],
                 seed=cluster_seed, strategy="bic",
             )
-            chosen = selection.n_clusters
+            model, labels = selection.model, selection.labels
             cluster_info["bic_table"] = [
                 {"k": row.n_clusters, "log_likelihood": row.log_likelihood,
                  "bic": row.bic}
                 for row in selection.diagnostics
             ]
         if method == "gmm":
-            model, labels = mixture.fit_gmm(embedding.coords, chosen, seed=cluster_seed)
+            if model is None:
+                model, labels = mixture.fit_gmm(embedding.coords, chosen, seed=cluster_seed)
             cluster_info["log_likelihood"] = model.log_likelihood
             cluster_info["bic"] = mixture.bic(model, embedding.coords.shape[0])
             write_atomic(out_dir / "model.json",
@@ -428,16 +442,15 @@ def _run_pipeline_stages(values: dict[str, Any], out_dir: Path, clock: "_StageCl
     metrics["stages"]["cluster"] = cluster_info
 
     clock.enter("modularity")
-    knn_k = min(values["cluster.knn_k"], embedding.coords.shape[0] - 1)
-    metrics_graph = community.knn_graph(embedding.coords, knn_k)
-    metrics["modularity_knn20"] = community.modularity(metrics_graph, labels)
+    if graph is None:
+        graph = community.knn_graph(embedding.coords, knn_k)
+    metrics["modularity_knn20"] = community.modularity(graph, labels)
 
     if values["layout.enable"]:
         clock.enter("layout")
         params = layout.LayoutParams(
             n_neighbors=min(values["layout.n_neighbors"],
                             embedding.coords.shape[0] - 1),
-            min_dist=values["layout.min_dist"],
             epochs=values["layout.epochs"],
             negative_samples=values["layout.negative_samples"],
         )
@@ -619,8 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed", type=int, default=None,
                        help="override every stage seed")
-        p.add_argument("--threads", type=int, default=0,
-                       help="0 = deterministic single-thread (only mode implemented)")
 
     p_pipe = sub.add_parser("pipeline", help="run the full pipeline")
     common(p_pipe)
@@ -648,11 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 0) not in (0, 1):
-        print(
-            "note: parallel execution is not implemented; running single-threaded",
-            file=sys.stderr,
-        )
     try:
         return args.func(args)
     except Exception as err:  # noqa: BLE001 - single reporting point

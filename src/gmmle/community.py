@@ -59,16 +59,41 @@ class CellGraph:
         np.add.at(deg, self.edges_j, self.weights)
         return deg
 
-    def neighbor_lists(self):
-        """Adjacency as parallel arrays per node: (neighbors, weights)."""
-        nbr: list[list[int]] = [[] for _ in range(self.n)]
-        wts: list[list[float]] = [[] for _ in range(self.n)]
-        for a, b, w in zip(self.edges_i, self.edges_j, self.weights):
-            nbr[a].append(int(b))
-            wts[a].append(float(w))
-            nbr[b].append(int(a))
-            wts[b].append(float(w))
-        return nbr, wts
+
+def exact_knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Euclidean k nearest neighbours of every row of ``points``.
+
+    ``points`` is a validated float n x d array and 1 <= k < n.  Returns
+    (indices, distances), both n x k, each row ordered by distance, then
+    index; a point is never its own neighbour.
+    """
+    n = points.shape[0]
+    sq_norms = (points**2).sum(axis=1)
+    indices = np.empty((n, k), dtype=np.int64)
+    distances = np.empty((n, k))
+    # rows per block: the squared distances and argpartition's index array
+    # together stay within 16 MB
+    chunk = max(1, min(n, 1_000_000 // n))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        rows = np.arange(stop - start)
+        block = points[start:stop]
+        dist_sq = sq_norms[start:stop, None] - 2.0 * (block @ points.T) + sq_norms[None, :]
+        np.maximum(dist_sq, 0.0, out=dist_sq)
+        dist_sq[rows, start + rows] = np.inf  # exclude self
+        # the k smallest land in columns :k, the (k+1)-th smallest in column k
+        part = np.argpartition(dist_sq, k, axis=1)[:, : k + 1]
+        part_sq = np.take_along_axis(dist_sq, part, axis=1)
+        nearest, nearest_sq = part[:, :k], part_sq[:, :k]
+        # a row whose k-th distance ties the next one has no unique k nearest;
+        # the index tie-break needs a stable sort of the whole row
+        for local in np.flatnonzero(~(nearest_sq.max(axis=1) < part_sq[:, k])):
+            nearest[local] = np.argsort(dist_sq[local], kind="stable")[:k]
+            nearest_sq[local] = dist_sq[local, nearest[local]]
+        order = np.lexsort((nearest, nearest_sq), axis=1)
+        indices[start:stop] = np.take_along_axis(nearest, order, axis=1)
+        distances[start:stop] = np.sqrt(np.take_along_axis(nearest_sq, order, axis=1))
+    return indices, distances
 
 
 def knn_graph(coords, k: int) -> CellGraph:
@@ -83,26 +108,12 @@ def knn_graph(coords, k: int) -> CellGraph:
     if not (1 <= k < n):
         raise ValueError(f"k={k} outside [1, {n - 1}]")
 
-    pairs = set()
-    # chunked O(n^2) scan keeps memory bounded at larger n
-    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
-    sq_norms = (points**2).sum(axis=1)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = points[start:stop]
-        dist_sq = sq_norms[start:stop, None] - 2.0 * (block @ points.T) + sq_norms[None, :]
-        np.maximum(dist_sq, 0.0, out=dist_sq)
-        for local, row in enumerate(dist_sq):
-            i = start + local
-            row[i] = np.inf  # exclude self
-            order = np.lexsort((np.arange(n), row))  # distance, then index
-            for j in order[:k]:
-                pairs.add((min(i, int(j)), max(i, int(j))))
-
-    if pairs:
-        arr = np.array(sorted(pairs), dtype=np.int64)
-        return CellGraph(n, arr[:, 0], arr[:, 1], np.ones(arr.shape[0]))
-    return CellGraph(n, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
+    indices, _ = exact_knn(points, k)
+    heads = np.repeat(np.arange(n), k)
+    tails = indices.ravel()
+    # each undirected pair encoded as i * n + j with i < j; unique also sorts
+    codes = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails))
+    return CellGraph(n, codes // n, codes % n, np.ones(codes.size))
 
 
 def _community_sums(graph: CellGraph, labels: np.ndarray):

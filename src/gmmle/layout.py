@@ -1,19 +1,21 @@
 """Nonlinear 2-D layout of embedded cells (UMAP-style optimization).
 
 A fuzzy neighborhood graph is built from exact k-nearest-neighbor
-distances: each point's weights decay as exp(-(d - rho)/sigma) with rho the
-distance to its nearest neighbor and sigma calibrated per point so the
-weight sum hits log2(k); directed weights merge by the fuzzy union
-a + b - a*b.  The layout then descends a cross-entropy-style objective by
-per-edge stochastic updates: attraction follows the gradient of
+distances (``community.exact_knn``, the search behind the kNN graph too):
+each point's weights decay as exp(-(d - rho)/sigma) with rho the distance
+to its nearest neighbor and sigma calibrated per point so the weight sum
+hits log2(k); directed weights merge by the fuzzy union a + b - a*b.  The
+layout then descends a cross-entropy-style objective by per-edge
+stochastic updates: attraction follows the gradient of
 log(1 + a*d^(2b)) along due edges, repulsion pushes each endpoint away from
 sampled background points.  Updates are applied in deterministic batches
 per epoch with a linearly decaying step, so a fixed seed reproduces the
 layout bit for bit.
 
 The curve constants a=1.577, b=0.8951 are the least-squares fit of
-1/(1 + a*x^(2b)) to the min_dist=0.1 membership target; the test suite
-re-derives them with an independent curve-fit oracle.
+1/(1 + a*x^(2b)) to the min_dist=0.1 membership target; min_dist is not a
+setting, since only a and b enter the layout.  The test suite re-derives
+them with an independent curve-fit oracle.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .community import CellGraph
+from .community import CellGraph, exact_knn
 from .rng import CounterRng
 
 GRADIENT_CLIP = 4.0
@@ -37,7 +40,6 @@ class LayoutDivergedError(RuntimeError):
 @dataclass(frozen=True)
 class LayoutParams:
     n_neighbors: int = 15
-    min_dist: float = 0.1
     epochs: int = 200
     negative_samples: int = 5
     a: float = 1.577
@@ -52,47 +54,29 @@ class Layout2D:
     params: LayoutParams
 
 
-def _knn_with_distances(points: np.ndarray, k: int):
-    """Exact kNN indices and distances, ties broken by index."""
-    n = points.shape[0]
-    sq_norms = (points**2).sum(axis=1)
-    idx = np.empty((n, k), dtype=np.int64)
-    dist = np.empty((n, k))
-    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = points[start:stop]
-        dist_sq = sq_norms[start:stop, None] - 2.0 * (block @ points.T) + sq_norms[None, :]
-        np.maximum(dist_sq, 0.0, out=dist_sq)
-        for local in range(stop - start):
-            i = start + local
-            row = dist_sq[local]
-            row[i] = np.inf
-            order = np.lexsort((np.arange(n), row))[:k]
-            idx[i] = order
-            dist[i] = np.sqrt(row[order])
-    return idx, dist
+def _calibrate_sigma(distances: np.ndarray, target: float) -> np.ndarray:
+    """Per-row binary search for sigma with sum_j exp(-d_ij/sigma_i) == target.
 
-
-def _calibrate_sigma(distances: np.ndarray, target: float) -> float:
-    """Binary search for sigma with sum_j exp(-max(0, d_j)/sigma) == target.
-
-    ``distances`` are already shifted by rho (clamped at 0).  64 iterations
-    or absolute tolerance 1e-5; saturates harmlessly when the target is
-    unreachable (e.g. every distance equal to rho).
+    ``distances`` (n x k) are already shifted by rho (clamped at 0).  Each
+    row stops after 64 iterations or at absolute tolerance 1e-5; a row
+    saturates harmlessly when its target is unreachable (e.g. every
+    distance equal to rho).
     """
-    lo, hi = 0.0, math.inf
-    mid = 1.0
+    n = distances.shape[0]
+    lo, hi, mid = np.zeros(n), np.full(n, np.inf), np.ones(n)
+    active = np.arange(n)
     for _ in range(64):
-        total = float(np.exp(-distances / mid).sum())
-        if abs(total - target) < 1e-5:
+        total = np.exp(-distances[active] / mid[active, None]).sum(axis=1)
+        searching = ~(np.abs(total - target) < 1e-5)
+        active, total = active[searching], total[searching]
+        if active.size == 0:
             break
-        if total > target:
-            hi = mid
-            mid = (lo + hi) / 2.0
-        else:
-            lo = mid
-            mid = mid * 2.0 if math.isinf(hi) else (lo + hi) / 2.0
+        above = total > target
+        hi[active] = np.where(above, mid[active], hi[active])
+        lo[active] = np.where(above, lo[active], mid[active])
+        mid[active] = np.where(
+            np.isinf(hi[active]), mid[active] * 2.0, (lo[active] + hi[active]) / 2.0
+        )
     return mid
 
 
@@ -105,33 +89,23 @@ def fuzzy_graph(coords, n_neighbors: int) -> CellGraph:
     if not (1 <= n_neighbors < n):
         raise ValueError(f"n_neighbors={n_neighbors} outside [1, {n - 1}]")
 
-    idx, dist = _knn_with_distances(points, n_neighbors)
-    rho = dist[:, 0]
-    target = math.log2(n_neighbors)
+    indices, distances = exact_knn(points, n_neighbors)
+    shifted = np.maximum(distances - distances[:, :1], 0.0)
+    sigma = _calibrate_sigma(shifted, math.log2(n_neighbors))
+    weights = np.exp(-shifted / sigma[:, None])
+    weights[shifted <= 0.0] = 1.0  # nearest neighbors always weight 1
 
-    directed: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        shifted = np.maximum(dist[i] - rho[i], 0.0)
-        sigma = _calibrate_sigma(shifted, target)
-        if sigma > 0:
-            weights = np.exp(-shifted / sigma)
-        else:
-            weights = (shifted <= 0.0).astype(float)
-        weights[shifted <= 0.0] = 1.0  # nearest neighbors always weight 1
-        for j, w in zip(idx[i], weights):
-            directed[(i, int(j))] = float(w)
-
-    merged: dict[tuple[int, int], float] = {}
-    for (i, j), w_ij in directed.items():
-        key = (min(i, j), max(i, j))
-        if key in merged:
-            continue
-        w_ji = directed.get((j, i), 0.0)
-        merged[key] = w_ij + w_ji - w_ij * w_ji
-
-    pairs = np.array(sorted(merged), dtype=np.int64)
-    weights = np.array([merged[tuple(p)] for p in pairs])
-    return CellGraph(n, pairs[:, 0], pairs[:, 1], weights)
+    heads = np.repeat(np.arange(n), n_neighbors)
+    tails = indices.ravel()
+    weights = weights.ravel()
+    directed = sp.csr_matrix((weights, (heads, tails)), shape=(n, n))
+    # weight of the reverse edge j -> i, 0 where j does not list i
+    reverse = np.asarray(directed[tails, heads]).ravel()
+    merged = fuzzy_union(weights, reverse)
+    codes, first = np.unique(
+        np.minimum(heads, tails) * n + np.maximum(heads, tails), return_index=True
+    )
+    return CellGraph(n, codes // n, codes % n, merged[first])
 
 
 def fuzzy_union(a: float, b: float) -> float:
@@ -142,32 +116,33 @@ def fuzzy_union(a: float, b: float) -> float:
 def attractive_gradient(head, tail, a: float, b: float) -> np.ndarray:
     """Gradient with respect to ``head`` of log(1 + a * d^(2b)).
 
-    Points away from ``tail``; descent steps move the pair together.
+    ``head`` and ``tail`` are single points or matching m x 2 arrays of
+    pairs.  Points away from ``tail``; descent steps move the pair together.
     Zero at coincident points (the objective is flat-bottomed there for
     the b < 1 regime used here).
     """
-    head = np.asarray(head, dtype=np.float64)
-    tail = np.asarray(tail, dtype=np.float64)
-    delta = head - tail
-    dist_sq = float((delta * delta).sum())
-    if dist_sq <= 0.0:
-        return np.zeros_like(delta)
-    coeff = 2.0 * a * b * dist_sq ** (b - 1.0) / (1.0 + a * dist_sq**b)
-    return coeff * delta
+    delta = np.asarray(head, dtype=np.float64) - np.asarray(tail, dtype=np.float64)
+    dist_sq = (delta * delta).sum(axis=-1)
+    grad = np.zeros_like(delta)
+    moving = dist_sq > 0.0
+    d_sq = dist_sq[moving]
+    coeff = 2.0 * a * b * d_sq ** (b - 1.0) / (1.0 + a * d_sq**b)
+    grad[moving] = coeff[:, None] * delta[moving]
+    return grad
 
 
 def repulsive_push(head, tail, a: float, b: float) -> np.ndarray:
     """Displacement applied to ``head`` to repel it from ``tail``.
 
-    Derived from the negative-sample term of the layout objective with a
-    0.001 squared-distance floor; magnitude depends only on the distance.
+    ``head`` and ``tail`` are single points or matching m x 2 arrays of
+    pairs.  Derived from the negative-sample term of the layout objective
+    with a 0.001 squared-distance floor; magnitude depends only on the
+    distance.
     """
-    head = np.asarray(head, dtype=np.float64)
-    tail = np.asarray(tail, dtype=np.float64)
-    delta = head - tail
-    dist_sq = float((delta * delta).sum())
+    delta = np.asarray(head, dtype=np.float64) - np.asarray(tail, dtype=np.float64)
+    dist_sq = (delta * delta).sum(axis=-1)
     coeff = 2.0 * b / ((REPULSION_FLOOR + dist_sq) * (1.0 + a * dist_sq**b))
-    return coeff * delta
+    return coeff[..., None] * delta
 
 
 def _clip(values: np.ndarray) -> np.ndarray:
@@ -222,15 +197,7 @@ def optimize_layout(
         if due.any():
             h = heads[due]
             t = tails[due]
-            delta = coords[h] - coords[t]
-            dist_sq = (delta * delta).sum(axis=1)
-            attract = np.zeros_like(delta)
-            moving = dist_sq > 0.0
-            coeff = (
-                2.0 * a * b * dist_sq[moving] ** (b - 1.0)
-                / (1.0 + a * dist_sq[moving] ** b)
-            )
-            attract[moving] = _clip(coeff[:, None] * delta[moving])
+            attract = _clip(attractive_gradient(coords[h], coords[t], a, b))
             # descend: pull the pair together from both ends
             np.add.at(coords, h, -alpha * attract)
             np.add.at(coords, t, alpha * attract)
@@ -238,13 +205,9 @@ def optimize_layout(
             for side in (h, t):
                 anchors = np.repeat(side, n_neg)
                 others = rng.integers(n, anchors.size)
-                delta_r = coords[anchors] - coords[others]
-                dist_sq_r = (delta_r * delta_r).sum(axis=1)
-                coeff_r = 2.0 * b / (
-                    (REPULSION_FLOOR + dist_sq_r) * (1.0 + a * dist_sq_r**b)
-                )
-                push = _clip(coeff_r[:, None] * delta_r)
-                coincident = (dist_sq_r == 0.0) & (anchors != others)
+                anchor_xy, other_xy = coords[anchors], coords[others]
+                push = _clip(repulsive_push(anchor_xy, other_xy, a, b))
+                coincident = (anchor_xy == other_xy).all(axis=1) & (anchors != others)
                 push[coincident] = GRADIENT_CLIP  # arbitrary fixed kick apart
                 push[anchors == others] = 0.0
                 np.add.at(coords, anchors, alpha * push)

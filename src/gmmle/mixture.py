@@ -284,6 +284,8 @@ class KDiagnostic:
 class KSelection:
     n_clusters: int
     diagnostics: tuple[KDiagnostic, ...]
+    model: GmmModel  # the fit at n_clusters
+    labels: ClusterLabels
 
 
 def select_k(
@@ -299,7 +301,8 @@ def select_k(
     "bic": argmin BIC over k_values (ties to the smaller K).
     "d_plus_one": one more than the embedding dimension, k_values ignored.
     "fixed": the supplied fixed_k.
-    A (K, logL, BIC) diagnostics row is returned for every fitted K.
+    A (K, logL, BIC) diagnostics row is returned for every fitted K,
+    together with the chosen K's fitted model and labels.
     """
     points = _as_points(coords)
     n = points.shape[0]
@@ -318,8 +321,10 @@ def select_k(
         raise ValueError(f"unknown strategy {strategy!r}")
 
     diagnostics = []
+    fits = {}
     for k in candidates:
-        model, _ = fit_gmm(points, k, seed=seed, cfg=cfg)
+        fits[k] = fit_gmm(points, k, seed=seed, cfg=cfg)
+        model = fits[k][0]
         diagnostics.append(KDiagnostic(k, model.log_likelihood, bic(model, n)))
 
     if strategy == "bic":
@@ -327,7 +332,7 @@ def select_k(
         chosen = best.n_clusters
     else:
         chosen = candidates[0]
-    return KSelection(chosen, tuple(diagnostics))
+    return KSelection(chosen, tuple(diagnostics), *fits[chosen])
 
 
 def labels_to_tsv(cell_ids, labels: ClusterLabels) -> str:

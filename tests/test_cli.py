@@ -1,10 +1,14 @@
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gmmle.cli import ConfigError, main, parse_config_text, PIPELINE_SCHEMA
+from gmmle import community
+from gmmle.cli import ConfigError, main, parse_config_text, PIPELINE_SCHEMA, write_atomic
+from gmmle.community import knn_graph
 from gmmle.simulate import adjusted_rand_index
 
 
@@ -201,10 +205,17 @@ class TestPipelineCommand:
             tmp_path / "s2" / "layout.tsv"
         ).read_bytes()
 
-    def test_louvain_method(self, sim_dir, tmp_path):
+    def test_louvain_method(self, sim_dir, tmp_path, monkeypatch):
         # modularity maximization may legitimately split blocks at the
         # default resolution; at resolution 0.5 the three blocks are the
         # optimum on this fixture
+        built = []
+
+        def counting_knn_graph(coords, k):
+            built.append(k)
+            return knn_graph(coords, k)
+
+        monkeypatch.setattr(community, "knn_graph", counting_knn_graph)
         out = tmp_path / "louv"
         conf_text = (
             PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
@@ -224,6 +235,32 @@ class TestPipelineCommand:
         )
         assert ari >= 0.95
         assert metrics["stages"]["cluster"]["n_clusters"] == 3
+        # Louvain and the modularity metric share one kNN graph
+        assert built == [20]
+
+
+class TestWriteAtomic:
+    def test_leaves_no_temp_file_and_spares_a_foreign_one(self, tmp_path):
+        foreign = tmp_path / "labels.tsv.tmp"
+        foreign.write_text("another writer's data")
+        write_atomic(tmp_path / "labels.tsv", "first")
+        write_atomic(tmp_path / "labels.tsv", "second")
+        assert (tmp_path / "labels.tsv").read_text() == "second"
+        assert foreign.read_text() == "another writer's data"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.tsv", "labels.tsv.tmp"]
+
+    def test_failed_write_removes_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_atomic(tmp_path / "labels.tsv", None)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        previous = os.umask(0o027)
+        try:
+            write_atomic(tmp_path / "labels.tsv", "x")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE((tmp_path / "labels.tsv").stat().st_mode) == 0o640
 
 
 class TestScatterCommand:

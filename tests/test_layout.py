@@ -71,7 +71,7 @@ class TestFuzzyGraph:
         oracle_sigma = 0.5 * (lo + hi)
         assert weight_sum(oracle_sigma) == pytest.approx(target, abs=1e-9)
 
-        got = _calibrate_sigma(shifted, target)
+        (got,) = _calibrate_sigma(shifted[None, :], target)
         assert got == pytest.approx(oracle_sigma, abs=1e-4)
 
     def test_sigma_degenerate_interior_meets_tolerance(self):
@@ -82,7 +82,7 @@ class TestFuzzyGraph:
 
         target = math.log2(4)
         shifted = np.array([0.0, 0.0, 1.0, 1.0])
-        sigma = _calibrate_sigma(shifted, target)
+        (sigma,) = _calibrate_sigma(shifted[None, :], target)
         assert float(np.exp(-shifted / sigma).sum()) == pytest.approx(
             target, abs=1e-5
         )

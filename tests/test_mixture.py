@@ -202,6 +202,11 @@ class TestSelectK:
         selection = select_k(points, range(1, 5), seed=0, strategy="bic")
         assert selection.n_clusters == 2
         assert [row.n_clusters for row in selection.diagnostics] == [1, 2, 3, 4]
+        # the returned winner is the fit a caller would get by refitting
+        model, labels = fit_gmm(points, 2, seed=0)
+        assert model_to_json(selection.model) == model_to_json(model)
+        assert np.array_equal(selection.labels.labels, labels.labels)
+        assert selection.labels.n_clusters == labels.n_clusters
 
     def test_d_plus_one_ignores_range(self):
         rng = CounterRng(41)
