@@ -397,9 +397,9 @@ def _run_pipeline_stages(values: dict[str, Any], out_dir: Path, clock: "_StageCl
     clock.enter("cluster")
     method = values["cluster.method"]
     cluster_seed = values["cluster.seed"]
-    cluster_info: dict[str, Any] = {"method": method}
-    model = None
     knn_k = min(values["cluster.knn_k"], embedding.coords.shape[0] - 1)
+    cluster_info: dict[str, Any] = {"method": method, "knn_k": knn_k}
+    model = None
     graph = None
     if method == "louvain":
         graph = community.knn_graph(embedding.coords, knn_k)
@@ -416,8 +416,7 @@ def _run_pipeline_stages(values: dict[str, Any], out_dir: Path, clock: "_StageCl
             chosen = embedding.dimension + 1
         else:
             selection = mixture.select_k(
-                embedding.coords, values["cluster.k_range"],
-                seed=cluster_seed, strategy="bic",
+                embedding.coords, values["cluster.k_range"], seed=cluster_seed
             )
             model, labels = selection.model, selection.labels
             cluster_info["bic_table"] = [
@@ -444,7 +443,7 @@ def _run_pipeline_stages(values: dict[str, Any], out_dir: Path, clock: "_StageCl
     clock.enter("modularity")
     if graph is None:
         graph = community.knn_graph(embedding.coords, knn_k)
-    metrics["modularity_knn20"] = community.modularity(graph, labels)
+    metrics["modularity_knn"] = community.modularity(graph, labels)
 
     if values["layout.enable"]:
         clock.enter("layout")

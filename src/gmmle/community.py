@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mixture import ClusterLabels
 from .rng import CounterRng
@@ -149,74 +150,52 @@ class LouvainResult:
     level_labels: tuple[np.ndarray, ...] = ()  # flat labels at each level end
 
 
-class _LevelGraph:
-    """Aggregated adjacency with self-loops, in matrix convention:
-    self_loops[c] equals the full double-sum of internal weight."""
-
-    def __init__(self, n, adj, self_loops):
-        self.n = n
-        self.adj = adj  # list[dict[int, float]], no self entries
-        self.self_loops = self_loops
-
-    @classmethod
-    def from_cell_graph(cls, graph: CellGraph) -> "_LevelGraph":
-        adj = [dict() for _ in range(graph.n)]
-        for a, b, w in zip(graph.edges_i, graph.edges_j, graph.weights):
-            a, b, w = int(a), int(b), float(w)
-            adj[a][b] = adj[a].get(b, 0.0) + w
-            adj[b][a] = adj[b].get(a, 0.0) + w
-        return cls(graph.n, adj, np.zeros(graph.n))
-
-    def degrees(self) -> np.ndarray:
-        deg = np.array([sum(nbrs.values()) for nbrs in self.adj])
-        return deg + self.self_loops
-
-    def aggregate(self, labels: np.ndarray) -> "_LevelGraph":
-        n_comms = labels.max() + 1
-        self_loops = np.zeros(n_comms)
-        adj = [dict() for _ in range(n_comms)]
-        for node, nbrs in enumerate(self.adj):
-            a = labels[node]
-            self_loops[a] += self.self_loops[node]
-            for other, w in nbrs.items():
-                b = labels[other]
-                if a == b:
-                    self_loops[a] += w  # both orientations visited -> 2w total
-                elif node < other:
-                    adj[a][b] = adj[a].get(b, 0.0) + w
-                    adj[b][a] = adj[b].get(a, 0.0) + w
-        return _LevelGraph(n_comms, adj, self_loops)
+def _adjacency(graph: CellGraph) -> sp.csr_matrix:
+    """Level-0 symmetric adjacency; duplicate stored edges are summed and
+    zero weights dropped."""
+    upper = sp.csr_matrix(
+        (graph.weights, (graph.edges_i, graph.edges_j)), shape=(graph.n, graph.n)
+    )
+    return (upper + upper.T).tocsr()
 
 
-def _one_level(level: _LevelGraph, rng: CounterRng, resolution: float):
-    """Single-node move phase.
+def _one_level(adj: sp.csr_matrix, rng: CounterRng, resolution: float):
+    """Single-node move phase over a symmetric level adjacency.
 
-    Returns (labels, moved_any, q_incremental) where q_incremental is the
-    level's modularity maintained through per-move bookkeeping; aggregation
-    preserves Q exactly, so at resolution 1 this must equal modularity() of
-    the composed flat labels (asserted by the test suite).
+    The diagonal holds the self-loops in matrix convention: adj[c, c] is the
+    full double-sum of weight inside c.  Returns (labels, moved_any,
+    q_incremental) where q_incremental is the level's modularity maintained
+    through per-move bookkeeping; aggregation preserves Q, so at resolution 1
+    this must equal modularity() of the composed flat labels up to rounding
+    (asserted by the test suite).
     """
-    n = level.n
-    degree = level.degrees()
+    n = adj.shape[0]
+    degree = np.asarray(adj.sum(axis=1)).ravel()
+    self_loops = adj.diagonal()
     total_weight = float(degree.sum())
-    community = np.arange(n)
-    comm_degree = degree.copy()
+    # the move loop is scalar code: plain lists index faster than arrays
+    indptr, indices, weights = adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()
+    degree_of, self_of = degree.tolist(), self_loops.tolist()
+    community = list(range(n))
+    comm_degree = degree.tolist()
     # internal[c]: full double-sum of weight inside c, incl. self-loops
-    internal = level.self_loops.copy()
-    order = rng.permutation(n)
+    internal = self_loops.tolist()
+    order = rng.permutation(n).tolist()
 
     moved_any = False
     # pass cap is a safety valve; strict-improvement moves terminate long before
     for _ in range(200):
         moved_this_pass = False
         for node in order:
-            node = int(node)
-            home = int(community[node])
-            k_node = degree[node]
-            self_node = level.self_loops[node]
+            home = community[node]
+            k_node = degree_of[node]
+            self_node = self_of[node]
             link = {}
-            for other, w in level.adj[node].items():
-                link[int(community[other])] = link.get(int(community[other]), 0.0) + w
+            for pos in range(indptr[node], indptr[node + 1]):
+                other = indices[pos]
+                if other != node:
+                    comm = community[other]
+                    link[comm] = link.get(comm, 0.0) + weights[pos]
 
             comm_degree[home] -= k_node
             internal[home] -= 2.0 * link.get(home, 0.0) + self_node
@@ -247,50 +226,55 @@ def _one_level(level: _LevelGraph, rng: CounterRng, resolution: float):
             break
 
     q_incremental = float(
-        internal.sum() / total_weight
-        - resolution * (comm_degree**2).sum() / (total_weight * total_weight)
+        np.array(internal).sum() / total_weight
+        - resolution * (np.array(comm_degree) ** 2).sum() / (total_weight * total_weight)
     )
-    # renumber to consecutive ids by first occurrence
+    # renumber to consecutive ids in sorted order of the surviving ids
     _, renumbered = np.unique(community, return_inverse=True)
     return renumbered, moved_any, q_incremental
 
 
 def louvain_trace(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> LouvainResult:
     """Louvain with per-level flat modularity recorded."""
-    if graph.n_edges == 0:
+    adj = _adjacency(graph)
+    if adj.nnz == 0:
         return LouvainResult(ClusterLabels(np.arange(graph.n), graph.n), (), ())
-    level = _LevelGraph.from_cell_graph(graph)
     rng = CounterRng(seed)
     flat = np.arange(graph.n)
     trace = []
     level_labels = []
     while True:
-        labels, moved, q_incremental = _one_level(level, rng, resolution)
+        labels, moved, q_incremental = _one_level(adj, rng, resolution)
         if not moved:
             break
         flat = labels[flat]
         trace.append(q_incremental)
         level_labels.append(flat.copy())
-        if labels.max() + 1 == level.n:
+        n_comms = labels.max() + 1
+        if n_comms == adj.shape[0]:
             break
-        level = level.aggregate(labels)
+        # P: node-to-community indicator; P^T A P sums weight between and
+        # within communities (the diagonal collects both orientations)
+        members = sp.csr_matrix(
+            (np.ones(labels.size), (np.arange(labels.size), labels)),
+            shape=(labels.size, n_comms),
+        )
+        adj = (members.T @ adj @ members).tocsr()
 
     # final relabel by first occurrence over node order
-    _, flat = np.unique(flat, return_inverse=True)
-    first_seen = {}
-    remap = np.empty(int(flat.max()) + 1, dtype=np.int64)
-    next_id = 0
-    for lab in flat:
-        if int(lab) not in first_seen:
-            first_seen[int(lab)] = next_id
-            remap[int(lab)] = next_id
-            next_id += 1
-    flat = remap[flat]
-    return LouvainResult(ClusterLabels(flat, next_id), tuple(trace), tuple(level_labels))
+    _, first, flat = np.unique(flat, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return LouvainResult(ClusterLabels(rank[flat], first.size), tuple(trace), tuple(level_labels))
 
 
 def louvain(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> ClusterLabels:
-    """Greedy two-phase modularity maximization; deterministic given seed."""
+    """Greedy two-phase modularity maximization; deterministic given seed.
+
+    Zero-weight edges are dropped before the first move phase, so they never
+    make a neighbour's community a move candidate: the result equals that of
+    the same graph without them.
+    """
     return louvain_trace(graph, seed, resolution).labels
 
 

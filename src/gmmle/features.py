@@ -69,7 +69,7 @@ def select_top_k(scores: list[FeatureScore], k: int) -> np.ndarray:
 
     Features with the -inf sentinel are never selected; if fewer than k
     features have finite scores, all finite ones are selected and a warning
-    is emitted.
+    is emitted.  If none has a finite score, ValueError is raised.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -79,6 +79,12 @@ def select_top_k(scores: list[FeatureScore], k: int) -> np.ndarray:
     finite = np.isfinite(values)
     order = np.argsort(-values, kind="stable")  # stable: ties by lower index
     order = order[finite[order]]
+    if order.size == 0:
+        raise ValueError(
+            f"none of {values.size} features has a finite score: features with"
+            " mean <= 1 or zero variance score -inf; set features.enable = false"
+            " to embed all features"
+        )
     if order.size < k:
         warnings.warn(
             f"only {order.size} features have finite scores; selecting all of them",

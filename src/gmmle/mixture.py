@@ -290,49 +290,30 @@ class KSelection:
 
 def select_k(
     coords,
-    k_values=None,
+    k_values,
     seed: int = 0,
-    strategy: str = "bic",
-    fixed_k: int | None = None,
     cfg: GmmConfig | None = None,
 ) -> KSelection:
-    """Choose the component count.
+    """Choose the component count as the argmin BIC over k_values (ties to
+    the smaller K).
 
-    "bic": argmin BIC over k_values (ties to the smaller K).
-    "d_plus_one": one more than the embedding dimension, k_values ignored.
-    "fixed": the supplied fixed_k.
     A (K, logL, BIC) diagnostics row is returned for every fitted K,
     together with the chosen K's fitted model and labels.
     """
     points = _as_points(coords)
     n = points.shape[0]
-
-    if strategy == "bic":
-        if not k_values:
-            raise ValueError("bic strategy needs a non-empty k range")
-        candidates = sorted(set(int(k) for k in k_values))
-    elif strategy == "d_plus_one":
-        candidates = [points.shape[1] + 1]
-    elif strategy == "fixed":
-        if fixed_k is None:
-            raise ValueError("fixed strategy needs fixed_k")
-        candidates = [int(fixed_k)]
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if not k_values:
+        raise ValueError("bic selection needs a non-empty k range")
 
     diagnostics = []
     fits = {}
-    for k in candidates:
+    for k in sorted(set(int(k) for k in k_values)):
         fits[k] = fit_gmm(points, k, seed=seed, cfg=cfg)
         model = fits[k][0]
         diagnostics.append(KDiagnostic(k, model.log_likelihood, bic(model, n)))
 
-    if strategy == "bic":
-        best = min(diagnostics, key=lambda row: (row.bic, row.n_clusters))
-        chosen = best.n_clusters
-    else:
-        chosen = candidates[0]
-    return KSelection(chosen, tuple(diagnostics), *fits[chosen])
+    best = min(diagnostics, key=lambda row: (row.bic, row.n_clusters))
+    return KSelection(best.n_clusters, tuple(diagnostics), *fits[best.n_clusters])
 
 
 def labels_to_tsv(cell_ids, labels: ClusterLabels) -> str:

@@ -199,9 +199,6 @@ class EmbedPolicy:
     energy_threshold: float = 0.01
     drop_first: bool = True
     scaling_mode: str = "sqrt"  # none | sqrt | linear
-    # 2: share_i = sigma_i^2 / frobenius_sq (exact total); 1: sigma_i over
-    # the sum of computed values (approximate total, documented).
-    share_exponent: int = 2
     seed: int = 0
     svd_tol: float = 1e-10
     start_components: int = 16
@@ -212,8 +209,6 @@ class EmbedPolicy:
             raise ValueError("energy_threshold must lie in (0, 1)")
         if self.scaling_mode not in ("none", "sqrt", "linear"):
             raise ValueError(f"unknown scaling_mode {self.scaling_mode!r}")
-        if self.share_exponent not in (1, 2):
-            raise ValueError("share_exponent must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -233,21 +228,15 @@ class Embedding:
         return self.coords.shape[1]
 
 
-def _shares(sigma: np.ndarray, frobenius_sq: float, exponent: int) -> np.ndarray:
-    if exponent == 2:
-        return sigma**2 / frobenius_sq
-    total = sigma.sum()
-    return sigma / total if total > 0 else np.zeros_like(sigma)
-
-
 def embed(laplacian: NormalizedLaplacian, policy: EmbedPolicy | None = None) -> Embedding:
     """Energy-rule embedding of cells.
 
-    The component count grows (16, 32, ...) until the smallest computed
-    share falls below the threshold; components at or above the threshold
-    are retained.  When ``drop_first`` is set the leading component (the
-    degree direction of a connected graph, carrying no cluster signal) is
-    excluded from the coordinates but recorded.
+    A component's share is sigma_i^2 / ||L||_F^2.  The component count
+    grows (16, 32, ...) until the smallest computed share falls below the
+    threshold; components at or above the threshold are retained.  When
+    ``drop_first`` is set the leading component (the degree direction of a
+    connected graph, carrying no cluster signal) is excluded from the
+    coordinates but recorded.
     """
     policy = policy or EmbedPolicy()
     p, n = laplacian.shape
@@ -262,11 +251,7 @@ def embed(laplacian: NormalizedLaplacian, policy: EmbedPolicy | None = None) -> 
         if top <= 0.0:
             return True
         tight = residuals <= policy.svd_tol * top
-        if policy.share_exponent == 2:
-            upper = (sigma + residuals) ** 2 / frob_sq
-        else:
-            denom = max(float(sigma.sum()), np.finfo(float).tiny)
-            upper = (sigma + residuals) / denom
+        upper = (sigma + residuals) ** 2 / frob_sq
         # components that are provably below threshold need no further
         # refinement; everything else must meet the residual tolerance
         return bool(np.all(tight | (upper < threshold)))
@@ -276,7 +261,7 @@ def embed(laplacian: NormalizedLaplacian, policy: EmbedPolicy | None = None) -> 
         u, sigma, v, _, _ = _subspace_svd(
             laplacian.matrix, m, policy.seed, policy.max_iter, accept
         )
-        shares = _shares(sigma, frob_sq, policy.share_exponent)
+        shares = sigma**2 / frob_sq
         if shares[-1] < threshold or m == rank_cap:
             break
         m = min(2 * m, rank_cap)

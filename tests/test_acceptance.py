@@ -202,13 +202,13 @@ def test_criterion_06_bic_model_selection(sbm_runs):
     blob_a = rng.normal((100, 2))
     blob_b = rng.normal((100, 2)) + [6.0, 0.0]
     two_blobs = np.vstack([blob_a, blob_b])
-    selection = select_k(two_blobs, range(1, 5), seed=0, strategy="bic")
+    selection = select_k(two_blobs, range(1, 5), seed=0)
     assert selection.n_clusters == 2
 
     hits = 0
     fast = GmmConfig(n_init=2)
     for seed, (coords, _) in enumerate(sbm_runs):
-        chosen = select_k(coords, range(2, 6), seed=seed, strategy="bic", cfg=fast)
+        chosen = select_k(coords, range(2, 6), seed=seed, cfg=fast)
         if chosen.n_clusters == 3:
             hits += 1
     assert hits >= 18, f"BIC chose K=3 in only {hits}/20 seeds"

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from gmmle import community
-from gmmle.cli import ConfigError, main, parse_config_text, PIPELINE_SCHEMA, write_atomic
+from gmmle.cli import (
+    ConfigError, PIPELINE_SCHEMA, StageError, main, parse_config_text, run_pipeline,
+    write_atomic,
+)
 from gmmle.community import knn_graph
 from gmmle.simulate import adjusted_rand_index
 
@@ -139,7 +142,8 @@ class TestPipelineCommand:
         assert ari >= 0.95
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["stages"]["cluster"]["n_clusters"] == 3
-        assert "modularity_knn20" in metrics
+        assert "modularity_knn" in metrics
+        assert metrics["stages"]["cluster"]["knn_k"] == 20
         assert (out / "embedding.tsv").exists()
         assert (out / "layout.tsv").exists()
         assert (out / "qc_report.json").exists()
@@ -237,6 +241,39 @@ class TestPipelineCommand:
         assert metrics["stages"]["cluster"]["n_clusters"] == 3
         # Louvain and the modularity metric share one kNN graph
         assert built == [20]
+
+
+    def test_d_plus_one_fits_one_more_component_than_dimensions(self, sim_dir, tmp_path):
+        out = tmp_path / "dp1"
+        conf = write_config(
+            tmp_path, "dp1.conf",
+            PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
+            .replace("cluster.k_strategy = fixed", "cluster.k_strategy = d_plus_one")
+            .replace("layout.enable = true", "layout.enable = false"),
+        )
+        assert main(["pipeline", "--config", conf]) == 0
+        model = json.loads((out / "model.json").read_text())
+        assert model["n_components"] == model["dimension"] + 1
+
+    def test_no_scorable_feature_fails_at_features_stage(self, tmp_path):
+        # 8 features x 10 cells, one count per cell: every feature mean is
+        # below 1, so no feature has a finite overdispersion score
+        mtx = tmp_path / "sparse.mtx"
+        entries = [f"{cell % 8 + 1} {cell + 1} 1" for cell in range(10)]
+        mtx.write_text(
+            "%%MatrixMarket matrix coordinate integer general\n"
+            f"8 10 {len(entries)}\n" + "\n".join(entries) + "\n"
+        )
+        values = PIPELINE_SCHEMA.apply(parse_config_text(
+            f"input.path = {mtx}\nqc.enable = false\nfeatures.top_k = 4\n"
+        ))
+        with pytest.raises(StageError) as caught:
+            run_pipeline(values, tmp_path / "out", None)
+        assert caught.value.stage == "features"
+        message = str(caught.value)
+        assert "none of 8 features has a finite score" in message
+        assert "mean <= 1 or zero variance" in message
+        assert "features.enable = false" in message
 
 
 class TestWriteAtomic:

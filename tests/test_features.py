@@ -101,6 +101,11 @@ class TestSelectTopK:
             mask = select_top_k(scores, 3)
         assert mask.tolist() == [True, False, True, False]
 
+    def test_no_finite_score_rejected(self):
+        scores = self.mk([-math.inf, -math.inf])
+        with pytest.raises(ValueError, match="none of 2 features"):
+            select_top_k(scores, 1)
+
     def test_permutation_equivariance(self):
         values = [3.0, 1.0, 2.0, 5.0, 4.0]
         perm = [4, 2, 0, 1, 3]

@@ -199,7 +199,7 @@ class TestBic:
 class TestSelectK:
     def test_bic_picks_two_blobs(self):
         points = two_blobs(seed=37)
-        selection = select_k(points, range(1, 5), seed=0, strategy="bic")
+        selection = select_k(points, range(1, 5), seed=0)
         assert selection.n_clusters == 2
         assert [row.n_clusters for row in selection.diagnostics] == [1, 2, 3, 4]
         # the returned winner is the fit a caller would get by refitting
@@ -208,23 +208,9 @@ class TestSelectK:
         assert np.array_equal(selection.labels.labels, labels.labels)
         assert selection.labels.n_clusters == labels.n_clusters
 
-    def test_d_plus_one_ignores_range(self):
-        rng = CounterRng(41)
-        points = rng.normal((30, 7))
-        selection = select_k(points, [2, 3], seed=0, strategy="d_plus_one",
-                             cfg=GmmConfig(n_init=1, max_iter=50))
-        assert selection.n_clusters == 8
-
-    def test_fixed(self):
-        rng = CounterRng(43)
-        points = rng.normal((60, 2))
-        selection = select_k(points, seed=0, strategy="fixed", fixed_k=22,
-                             cfg=GmmConfig(n_init=1, max_iter=30))
-        assert selection.n_clusters == 22
-
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
-            select_k(np.zeros((5, 1)) + np.arange(5)[:, None], [], strategy="bic")
+            select_k(np.zeros((5, 1)) + np.arange(5)[:, None], [])
 
 
 class TestSerialization:

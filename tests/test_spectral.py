@@ -231,29 +231,11 @@ class TestEmbed:
             assert np.allclose(reference[:, j] * sign, permuted.coords[:, j],
                                atol=1e-7)
 
-    def test_share_exponent_one_uses_plain_singular_values(self):
-        # sigma = (1, 0.3, 0.05): with exponent 1 the shares are sigma over
-        # the computed sum 1.35, so the third component (3.7%) survives a 1%
-        # threshold that the squared rule would reject
-        rng = np.random.default_rng(43)
-        u, _ = np.linalg.qr(rng.normal(size=(7, 3)))
-        v, _ = np.linalg.qr(rng.normal(size=(5, 3)))
-        dense = (u * np.array([1.0, 0.3, 0.05])) @ v.T
-        lap = raw_container(dense)
-        emb = embed(lap, EmbedPolicy(drop_first=False, share_exponent=1, seed=2))
-        assert emb.dimension == 3
-        total = 1.35
-        assert emb.component_shares == pytest.approx(
-            [1.0 / total, 0.3 / total, 0.05 / total], rel=1e-6
-        )
-
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             EmbedPolicy(energy_threshold=0.0)
         with pytest.raises(ValueError):
             EmbedPolicy(scaling_mode="cubic")
-        with pytest.raises(ValueError):
-            EmbedPolicy(share_exponent=3)
 
     def test_exports(self):
         emb = Embedding(
