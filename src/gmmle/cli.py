@@ -309,6 +309,19 @@ class _StageClock:
         self.timings.pop("done", None)
 
 
+def _layout_params(values: dict[str, Any], n_cells: int | None) -> layout.LayoutParams:
+    """Layout settings from the config; n_neighbors is clamped to n_cells - 1
+    once the cell count is known."""
+    n_neighbors = values["layout.n_neighbors"]
+    if n_cells is not None:
+        n_neighbors = min(n_neighbors, n_cells - 1)
+    return layout.LayoutParams(
+        n_neighbors=n_neighbors,
+        epochs=values["layout.epochs"],
+        negative_samples=values["layout.negative_samples"],
+    )
+
+
 def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | None) -> dict:
     """Execute the staged pipeline; returns the metrics payload.
 
@@ -322,6 +335,11 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
         raise ConfigError("cluster.k_strategy=bic needs cluster.k_range")
     if values["cluster.k_strategy"] == "bic" and values["cluster.method"] != "gmm":
         raise ConfigError("cluster.k_strategy=bic requires cluster.method=gmm")
+    if values["layout.enable"]:
+        try:
+            _layout_params(values, n_cells=None)
+        except ValueError as err:
+            raise ConfigError(f"config key layout.{err}") from None
 
     clock = _StageClock()
     try:
@@ -447,18 +465,18 @@ def _run_pipeline_stages(values: dict[str, Any], out_dir: Path, clock: "_StageCl
 
     if values["layout.enable"]:
         clock.enter("layout")
-        params = layout.LayoutParams(
-            n_neighbors=min(values["layout.n_neighbors"],
-                            embedding.coords.shape[0] - 1),
-            epochs=values["layout.epochs"],
-            negative_samples=values["layout.negative_samples"],
-        )
+        params = _layout_params(values, n_cells=embedding.coords.shape[0])
         fuzzy = layout.fuzzy_graph(embedding.coords, params.n_neighbors)
         layout2d = layout.optimize_layout(
             fuzzy, embedding.coords[:, :2], params, seed=values["layout.seed"]
         )
         write_atomic(out_dir / "layout.tsv",
                      layout.layout_to_tsv(layout2d, counts.cell_ids))
+        metrics["stages"]["layout"] = {
+            "n_neighbors": params.n_neighbors,
+            "fuzzy_edges": fuzzy.n_edges,
+            "edge_visits": layout2d.edge_visits,
+        }
 
     clock.finish()
     metrics["timings_sec"] = clock.timings

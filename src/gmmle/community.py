@@ -55,10 +55,11 @@ class CellGraph:
 
     def degree_vector(self) -> np.ndarray:
         """Weighted degrees D_i (each stored edge contributes to both ends)."""
-        deg = np.zeros(self.n)
-        np.add.at(deg, self.edges_i, self.weights)
-        np.add.at(deg, self.edges_j, self.weights)
-        return deg
+        return np.bincount(
+            np.concatenate((self.edges_i, self.edges_j)),
+            np.concatenate((self.weights, self.weights)),
+            minlength=self.n,
+        )
 
 
 def exact_knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -122,11 +123,11 @@ def _community_sums(graph: CellGraph, labels: np.ndarray):
     deg = graph.degree_vector()
     total_weight = float(deg.sum())  # = 2 * sum of stored weights
     n_comms = labels.max() + 1
-    internal = np.zeros(n_comms)
     same = labels[graph.edges_i] == labels[graph.edges_j]
-    np.add.at(internal, labels[graph.edges_i[same]], graph.weights[same])
-    comm_degree = np.zeros(n_comms)
-    np.add.at(comm_degree, labels, deg)
+    internal = np.bincount(
+        labels[graph.edges_i[same]], graph.weights[same], minlength=n_comms
+    )
+    comm_degree = np.bincount(labels, deg, minlength=n_comms)
     return internal, comm_degree, total_weight
 
 

@@ -40,11 +40,9 @@ def dispersion_scores(counts: CountMatrix) -> list[FeatureScore]:
         raise ValueError("dispersion scores need at least 2 cells")
     csr = counts.csr()
     data = csr.data.astype(np.float64)
-    sums = np.zeros(counts.n_features)
-    sq_sums = np.zeros(counts.n_features)
     rows = np.repeat(np.arange(counts.n_features), np.diff(csr.indptr))
-    np.add.at(sums, rows, data)
-    np.add.at(sq_sums, rows, data * data)
+    sums = np.bincount(rows, data, minlength=counts.n_features)
+    sq_sums = np.bincount(rows, data * data, minlength=counts.n_features)
     # For a constant feature both terms are exactly representable and cancel
     # to 0.0; the clamp only absorbs rounding dust from genuine variation.
     means = sums / n

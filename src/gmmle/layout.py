@@ -12,6 +12,11 @@ sampled background points.  Updates are applied in deterministic batches
 per epoch with a linearly decaying step, so a fixed seed reproduces the
 layout bit for bit.
 
+Each batch is scattered in order: a point's new coordinate is its old one
+plus that batch's updates to it, added one at a time in edge order, the
+same additions ``np.add.at`` makes.  A scatter that summed in another
+order would change the layout in its last bits.
+
 The curve constants a=1.577, b=0.8951 are the least-squares fit of
 1/(1 + a*x^(2b)) to the min_dist=0.1 membership target; min_dist is not a
 setting, since only a and b enter the layout.  The test suite re-derives
@@ -46,12 +51,25 @@ class LayoutParams:
     b: float = 0.8951
     initial_alpha: float = 1.0
 
+    def __post_init__(self):
+        for name, valid, rule in (
+            ("n_neighbors", self.n_neighbors >= 1, ">= 1"),
+            ("epochs", self.epochs >= 1, ">= 1"),
+            ("negative_samples", self.negative_samples >= 0, ">= 0"),
+            ("initial_alpha",
+             math.isfinite(self.initial_alpha) and self.initial_alpha > 0,
+             "finite and > 0"),
+        ):
+            if not valid:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
 
 @dataclass(frozen=True)
 class Layout2D:
     coords: np.ndarray  # n x 2
     seed: int
     params: LayoutParams
+    edge_visits: int  # due edges summed over all epochs
 
 
 def _calibrate_sigma(distances: np.ndarray, target: float) -> np.ndarray:
@@ -113,6 +131,13 @@ def fuzzy_union(a: float, b: float) -> float:
     return a + b - a * b
 
 
+def _norm_sq(delta: np.ndarray) -> np.ndarray:
+    """x*x + y*y over the last axis: the sum a length-2 reduction forms,
+    without the per-call cost of one."""
+    x, y = delta[..., 0], delta[..., 1]
+    return x * x + y * y
+
+
 def attractive_gradient(head, tail, a: float, b: float) -> np.ndarray:
     """Gradient with respect to ``head`` of log(1 + a * d^(2b)).
 
@@ -122,7 +147,7 @@ def attractive_gradient(head, tail, a: float, b: float) -> np.ndarray:
     the b < 1 regime used here).
     """
     delta = np.asarray(head, dtype=np.float64) - np.asarray(tail, dtype=np.float64)
-    dist_sq = (delta * delta).sum(axis=-1)
+    dist_sq = _norm_sq(delta)
     grad = np.zeros_like(delta)
     moving = dist_sq > 0.0
     d_sq = dist_sq[moving]
@@ -140,13 +165,33 @@ def repulsive_push(head, tail, a: float, b: float) -> np.ndarray:
     distance.
     """
     delta = np.asarray(head, dtype=np.float64) - np.asarray(tail, dtype=np.float64)
-    dist_sq = (delta * delta).sum(axis=-1)
+    dist_sq = _norm_sq(delta)
     coeff = 2.0 * b / ((REPULSION_FLOOR + dist_sq) * (1.0 + a * dist_sq**b))
     return coeff[..., None] * delta
 
 
 def _clip(values: np.ndarray) -> np.ndarray:
     return np.clip(values, -GRADIENT_CLIP, GRADIENT_CLIP)
+
+
+def _scatter_add(coords: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
+    """In place ``coords[index[e]] += values[e]`` in order of e, bit for bit
+    as ``np.add.at``.
+
+    Per axis, one ``np.bincount`` whose first n weights are the coordinates:
+    each point's sum is its coordinate, then its updates in index order.
+    The count starts from +0.0, but -0.0 is the additive identity, so a
+    point whose every term is -0.0 is set back to -0.0.
+    """
+    n = coords.shape[0]
+    bins = np.concatenate((np.arange(n), index))
+    for axis in range(coords.shape[1]):
+        terms = np.concatenate((coords[:, axis], values[:, axis]))
+        total = np.bincount(bins, terms, minlength=n)
+        if (total == 0.0).any():
+            signed = bins[(terms != 0.0) | ~np.signbit(terms)]
+            total[np.bincount(signed, minlength=n) == 0] = -0.0
+        coords[:, axis] = total
 
 
 def optimize_layout(
@@ -173,7 +218,7 @@ def optimize_layout(
     if not np.isfinite(coords).all():
         raise ValueError("init contains non-finite coordinates")
     if graph.n_edges == 0:
-        return Layout2D(coords, seed, params)
+        return Layout2D(coords, seed, params, 0)
 
     scale = np.abs(coords).max()
     if scale > 0:
@@ -191,32 +236,41 @@ def optimize_layout(
     rng = CounterRng(seed)
     n_neg = params.negative_samples
 
+    edge_visits = 0
     for epoch in range(params.epochs):
         alpha = params.initial_alpha * (1.0 - epoch / params.epochs)
         due = next_due <= epoch
         if due.any():
             h = heads[due]
             t = tails[due]
-            attract = _clip(attractive_gradient(coords[h], coords[t], a, b))
+            edge_visits += h.size
+            attract = _clip(attractive_gradient(
+                coords.take(h, axis=0), coords.take(t, axis=0), a, b
+            ))
             # descend: pull the pair together from both ends
-            np.add.at(coords, h, -alpha * attract)
-            np.add.at(coords, t, alpha * attract)
+            _scatter_add(coords, np.concatenate((h, t)),
+                         np.concatenate((-alpha * attract, alpha * attract)))
 
             for side in (h, t):
                 anchors = np.repeat(side, n_neg)
                 others = rng.integers(n, anchors.size)
-                anchor_xy, other_xy = coords[anchors], coords[others]
+                anchor_xy = coords.take(anchors, axis=0)
+                other_xy = coords.take(others, axis=0)
                 push = _clip(repulsive_push(anchor_xy, other_xy, a, b))
-                coincident = (anchor_xy == other_xy).all(axis=1) & (anchors != others)
+                coincident = (
+                    (anchor_xy[:, 0] == other_xy[:, 0])
+                    & (anchor_xy[:, 1] == other_xy[:, 1])
+                    & (anchors != others)
+                )
                 push[coincident] = GRADIENT_CLIP  # arbitrary fixed kick apart
                 push[anchors == others] = 0.0
-                np.add.at(coords, anchors, alpha * push)
+                _scatter_add(coords, anchors, alpha * push)
 
             next_due[due] += epochs_per_sample[due]
 
     if not np.isfinite(coords).all():
         raise LayoutDivergedError("layout diverged: non-finite coordinate")
-    return Layout2D(coords, seed, params)
+    return Layout2D(coords, seed, params, edge_visits)
 
 
 def layout_to_tsv(layout: Layout2D, cell_ids) -> str:

@@ -144,6 +144,12 @@ class TestPipelineCommand:
         assert metrics["stages"]["cluster"]["n_clusters"] == 3
         assert "modularity_knn" in metrics
         assert metrics["stages"]["cluster"]["knn_k"] == 20
+        stage = metrics["stages"]["layout"]
+        assert set(stage) == {"n_neighbors", "fuzzy_edges", "edge_visits"}
+        assert stage["n_neighbors"] == 15
+        assert stage["fuzzy_edges"] > 0
+        # every edge is due at least once over 60 epochs
+        assert stage["edge_visits"] >= stage["fuzzy_edges"]
         assert (out / "embedding.tsv").exists()
         assert (out / "layout.tsv").exists()
         assert (out / "qc_report.json").exists()
@@ -186,6 +192,43 @@ class TestPipelineCommand:
         ]
         # values include wall times, but key names and ordering are stable
         assert key_structure(metrics[0]) == key_structure(metrics[1])
+
+    @pytest.mark.parametrize("key, value", [
+        ("layout.epochs", "0"),
+        ("layout.epochs", "-3"),
+        ("layout.negative_samples", "-1"),
+        ("layout.n_neighbors", "0"),
+    ])
+    def test_bad_layout_setting_fails_before_ingest(
+        self, sim_dir, tmp_path, capsys, key, value
+    ):
+        out = tmp_path / "bad_layout"
+        conf = write_config(
+            tmp_path, "bad_layout.conf",
+            PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
+            .replace("layout.epochs = 60\n", "")
+            + f"{key} = {value}\n",
+        )
+        assert main(["pipeline", "--config", conf]) == 1
+        err = capsys.readouterr().err
+        assert f"config key {key} must be" in err
+        assert not (out / "labels.tsv").exists()
+        values = PIPELINE_SCHEMA.apply(parse_config_text(Path(conf).read_text()))
+        # a ConfigError, not a StageError: no stage has started
+        with pytest.raises(ConfigError, match=key):
+            run_pipeline(values, out, None)
+
+    def test_bad_layout_setting_ignored_when_layout_off(self, sim_dir, tmp_path):
+        out = tmp_path / "layout_off"
+        conf = write_config(
+            tmp_path, "layout_off.conf",
+            PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
+            .replace("layout.enable = true", "layout.enable = false")
+            .replace("layout.epochs = 60", "layout.epochs = 0"),
+        )
+        assert main(["pipeline", "--config", conf]) == 0
+        assert not (out / "layout.tsv").exists()
+        assert "layout" not in json.loads((out / "metrics.json").read_text())["stages"]
 
     def test_stage_named_on_failure(self, tmp_path, capsys):
         conf = write_config(

@@ -5,6 +5,7 @@ import pytest
 
 from gmmle.community import (
     CellGraph,
+    _community_sums,
     graph_to_tsv,
     knn_graph,
     louvain,
@@ -130,6 +131,31 @@ class TestModularity:
         graph = graph_from_edges(3, [])
         with pytest.raises(ValueError):
             modularity(graph, ClusterLabels(np.zeros(3, dtype=int), 1))
+
+    def test_sums_equal_add_at_form(self):
+        # same terms added in the same order from 0.0: equal bit for bit
+        rng = CounterRng(9)
+        n, m = 40, 300
+        a = rng.integers(n, m)
+        b = rng.integers(n, m)
+        keep = a != b  # duplicate pairs stay in
+        graph = CellGraph(
+            n, np.minimum(a, b)[keep], np.maximum(a, b)[keep],
+            rng.random(int(keep.sum())) * 3.0,
+        )
+        labels = rng.integers(4, n)
+        deg = np.zeros(n)
+        np.add.at(deg, graph.edges_i, graph.weights)
+        np.add.at(deg, graph.edges_j, graph.weights)
+        assert graph.degree_vector().tobytes() == deg.tobytes()
+        same = labels[graph.edges_i] == labels[graph.edges_j]
+        internal = np.zeros(4)
+        np.add.at(internal, labels[graph.edges_i[same]], graph.weights[same])
+        comm_degree = np.zeros(4)
+        np.add.at(comm_degree, labels, deg)
+        got_internal, got_comm_degree, _ = _community_sums(graph, labels)
+        assert got_internal.tobytes() == internal.tobytes()
+        assert got_comm_degree.tobytes() == comm_degree.tobytes()
 
 
 class TestLouvain:

@@ -70,6 +70,27 @@ class TestDispersionScores:
         [s] = scores_of([[4, 0, 0, 0, 0, 0, 0, 0]])
         assert s.mean == 0.5
 
+    def test_moments_equal_add_at_form(self):
+        dense = np.array([
+            [0, 3, 7, 0, 1, 0, 250],
+            [5, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0],
+            [9, 9, 1, 2, 30, 4, 1],
+        ])
+        counts = CountMatrix.from_dense(dense)
+        csr = counts.csr()
+        data = csr.data.astype(np.float64)
+        rows = np.repeat(np.arange(counts.n_features), np.diff(csr.indptr))
+        sums = np.zeros(counts.n_features)
+        sq_sums = np.zeros(counts.n_features)
+        np.add.at(sums, rows, data)
+        np.add.at(sq_sums, rows, data * data)
+        means = sums / counts.n_cells
+        variances = np.maximum(sq_sums / counts.n_cells - means * means, 0.0)
+        got = dispersion_scores(counts)
+        assert np.array([s.mean for s in got]).tobytes() == means.tobytes()
+        assert np.array([s.variance for s in got]).tobytes() == variances.tobytes()
+
 
 class TestSelectTopK:
     def mk(self, values):

@@ -159,6 +159,27 @@ def test_curve_constants_match_fit_oracle():
     assert params.b == pytest.approx(b_fit, abs=1e-3)
 
 
+class TestLayoutParams:
+    @pytest.mark.parametrize("field, value", [
+        ("n_neighbors", 0),
+        ("epochs", 0),
+        ("epochs", -5),
+        ("negative_samples", -1),
+        ("initial_alpha", 0.0),
+        ("initial_alpha", -1.0),
+        ("initial_alpha", math.inf),
+        ("initial_alpha", math.nan),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            LayoutParams(**{field: value})
+
+    def test_smallest_valid_values_accepted(self):
+        params = LayoutParams(n_neighbors=1, epochs=1, negative_samples=0,
+                              initial_alpha=1e-9)
+        assert params.negative_samples == 0
+
+
 class TestOptimizeLayout:
     def run_layout(self, points, seed=0, **overrides):
         params = LayoutParams(**overrides) if overrides else LayoutParams()
