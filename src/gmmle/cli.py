@@ -322,15 +322,8 @@ def _layout_params(values: dict[str, Any], n_cells: int | None) -> layout.Layout
     )
 
 
-def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | None) -> dict:
-    """Execute the staged pipeline; returns the metrics payload.
-
-    A failure in any stage surfaces as StageError naming the stage;
-    artifacts already written stay in place.
-    """
-    if seed_override is not None:
-        for key in ("spectral.seed", "cluster.seed", "layout.seed"):
-            values[key] = seed_override
+def _check_pipeline_config(values: dict[str, Any]) -> None:
+    """Reject settings that conflict with each other; raises ConfigError."""
     if values["cluster.k_strategy"] == "bic" and "cluster.k_range" not in values:
         raise ConfigError("cluster.k_strategy=bic needs cluster.k_range")
     if values["cluster.k_strategy"] == "bic" and values["cluster.method"] != "gmm":
@@ -340,6 +333,18 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
             _layout_params(values, n_cells=None)
         except ValueError as err:
             raise ConfigError(f"config key layout.{err}") from None
+
+
+def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | None) -> dict:
+    """Execute the staged pipeline; returns the metrics payload.
+
+    A failure in any stage surfaces as StageError naming the stage;
+    artifacts already written stay in place.
+    """
+    if seed_override is not None:
+        for key in ("spectral.seed", "cluster.seed", "layout.seed"):
+            values[key] = seed_override
+    _check_pipeline_config(values)
 
     clock = _StageClock()
     try:
@@ -486,6 +491,8 @@ def _run_pipeline_stages(values: dict[str, Any], out_dir: Path, clock: "_StageCl
 
 def cmd_pipeline(args) -> int:
     values = PIPELINE_SCHEMA.apply(parse_config_text(Path(args.config).read_text()))
+    # before _resolve_out_dir, so a rejected config creates no directory
+    _check_pipeline_config(values)
     out_dir = _resolve_out_dir(values, args.out)
     run_pipeline(values, out_dir, args.seed)
     return 0

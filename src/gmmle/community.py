@@ -113,8 +113,10 @@ def knn_graph(coords, k: int) -> CellGraph:
     indices, _ = exact_knn(points, k)
     heads = np.repeat(np.arange(n), k)
     tails = indices.ravel()
-    # each undirected pair encoded as i * n + j with i < j; unique also sorts
-    codes = np.unique(np.minimum(heads, tails) * n + np.maximum(heads, tails))
+    # each undirected pair encoded as i * n + j with i < j, sorted and
+    # deduplicated (a sort plus neighbour mask; plain np.unique hashes)
+    codes = np.sort(np.minimum(heads, tails) * n + np.maximum(heads, tails))
+    codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
     return CellGraph(n, codes // n, codes % n, np.ones(codes.size))
 
 

@@ -9,6 +9,7 @@ are implicit.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,8 +112,8 @@ class CountMatrix:
                 raise ValueError("feature index out of range")
             if cols.min() < 0 or cols.max() >= n_cells:
                 raise ValueError("cell index out of range")
-            keys = rows * np.int64(n_cells) + cols
-            if np.unique(keys).size != keys.size:
+            keys = np.sort(rows * np.int64(n_cells) + cols)
+            if (keys[1:] == keys[:-1]).any():
                 raise ValueError("duplicate (feature, cell) coordinate")
         matrix = sp.csr_matrix(
             (counts, (rows, cols)), shape=(n_features, n_cells), dtype=np.int64
@@ -196,44 +197,161 @@ def read_matrix_market(path) -> CountMatrix:
     within 1e-9 (some public datasets serialize integers as reals).
     Companion ``<stem>.features.txt`` / ``<stem>.cells.txt`` id files are
     used when present; synthetic ``f0..`` / ``c0..`` ids otherwise.
+
+    The body is parsed in one array pass.  A body that pass does not accept
+    (comment lines, reals, bad or duplicate entries) is parsed again from
+    the top by the line parser, which gives the same result and is the only
+    path that reports errors, with their line numbers.
     """
     path = Path(path)
-    with path.open() as handle:
-        header = handle.readline()
-        if not header.startswith("%%MatrixMarket"):
-            raise MatrixFormatError(f"{path} line 1: missing MatrixMarket header")
-        fields = header.strip().split()
-        if (
-            len(fields) != 5
-            or fields[1] != "matrix"
-            or fields[2] != "coordinate"
-            or fields[3] not in ("integer", "real")
-            or fields[4] != "general"
-        ):
-            raise MatrixFormatError(
-                f"{path} line 1: unsupported header {header.strip()!r}; expected "
-                "'%%MatrixMarket matrix coordinate <integer|real> general'"
-            )
-        line_no = 1
-        size_line = None
-        for line in handle:
-            line_no += 1
-            if line.startswith("%") or not line.strip():
-                continue
-            size_line = line
-            break
-        if size_line is None:
-            raise MatrixFormatError(f"{path}: missing size line")
-        parts = size_line.split()
-        if len(parts) != 3:
-            raise MatrixFormatError(f"{path} line {line_no}: bad size line")
-        try:
-            n_features, n_cells, nnz = (int(p) for p in parts)
-        except ValueError:
-            raise MatrixFormatError(f"{path} line {line_no}: bad size line") from None
-        if n_features <= 0 or n_cells <= 0:
-            raise MatrixFormatError(f"{path} line {line_no}: zero dimensions")
+    matrix = _read_counts_csr(path)
+    n_features, n_cells = matrix.shape
+    feature_path, cell_path = _sidecar_paths(path)
+    feature_ids = (
+        _read_id_file(feature_path, n_features, "feature")
+        if feature_path.exists()
+        else [f"f{i}" for i in range(n_features)]
+    )
+    cell_ids = (
+        _read_id_file(cell_path, n_cells, "cell")
+        if cell_path.exists()
+        else [f"c{j}" for j in range(n_cells)]
+    )
+    return CountMatrix(matrix, feature_ids, cell_ids)
 
+
+# Largest count the array pass accepts: up to 2**53 every integer is a
+# float64, so the line parser's round(float(token)) gives the token's value.
+_EXACT_FLOAT_INT = 2**53
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+@dataclass
+class _Entries:
+    """Parsed coordinate body; zero-based indices in file order."""
+
+    n_features: int
+    n_cells: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    line_numbers: np.ndarray | None  # None from the array pass
+
+
+def _read_counts_csr(path: Path) -> sp.csr_matrix:
+    """Count matrix of a MatrixMarket file; the parsed arrays die on return."""
+    entries = _parse_mm_array(path)
+    if entries is None or _first_duplicate(entries) is not None:
+        entries = _parse_mm_lines(path)
+        dup = _first_duplicate(entries)
+        if dup is not None:
+            raise MatrixFormatError(
+                f"{path} line {entries.line_numbers[dup]}: duplicate coordinate "
+                f"({entries.rows[dup] + 1}, {entries.cols[dup] + 1})"
+            )
+    keep = entries.vals > 0
+    return sp.csr_matrix(
+        (entries.vals[keep], (entries.rows[keep], entries.cols[keep])),
+        shape=(entries.n_features, entries.n_cells),
+        dtype=np.int64,
+    )
+
+
+def _first_duplicate(entries: _Entries) -> int | None:
+    """File position of the first entry repeating an earlier coordinate.
+
+    A plain sort settles the usual no-duplicate case; ``np.unique`` with
+    ``return_index`` (a stable argsort, ≈15x slower on unordered keys such
+    as a column-major file) runs only to locate a duplicate.
+    """
+    keys = entries.rows * np.int64(entries.n_cells) + entries.cols
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
+        return None
+    _, first = np.unique(keys, return_index=True)
+    seen = np.ones(keys.size, dtype=bool)
+    seen[first] = False
+    return int(np.argmax(seen))
+
+
+def _read_mm_size(path: Path, handle) -> tuple[int, int, int, int]:
+    """Header and size line: (n_features, n_cells, nnz, size line number)."""
+    header = handle.readline()
+    if not header.startswith("%%MatrixMarket"):
+        raise MatrixFormatError(f"{path} line 1: missing MatrixMarket header")
+    fields = header.strip().split()
+    if (
+        len(fields) != 5
+        or fields[1] != "matrix"
+        or fields[2] != "coordinate"
+        or fields[3] not in ("integer", "real")
+        or fields[4] != "general"
+    ):
+        raise MatrixFormatError(
+            f"{path} line 1: unsupported header {header.strip()!r}; expected "
+            "'%%MatrixMarket matrix coordinate <integer|real> general'"
+        )
+    line_no = 1
+    size_line = None
+    for line in handle:
+        line_no += 1
+        if line.startswith("%") or not line.strip():
+            continue
+        size_line = line
+        break
+    if size_line is None:
+        raise MatrixFormatError(f"{path}: missing size line")
+    parts = size_line.split()
+    if len(parts) != 3:
+        raise MatrixFormatError(f"{path} line {line_no}: bad size line")
+    try:
+        n_features, n_cells, nnz = (int(p) for p in parts)
+    except ValueError:
+        raise MatrixFormatError(f"{path} line {line_no}: bad size line") from None
+    if n_features <= 0 or n_cells <= 0:
+        raise MatrixFormatError(f"{path} line {line_no}: zero dimensions")
+    # coordinates are unique, so more entries than cells cannot be valid
+    if not 0 <= nnz <= n_features * n_cells:
+        raise MatrixFormatError(
+            f"{path} line {line_no}: {nnz} entries declared for a "
+            f"{n_features}x{n_cells} matrix"
+        )
+    return n_features, n_cells, nnz, line_no
+
+
+def _parse_mm_array(path: Path) -> _Entries | None:
+    """Whole body as one int64 table, or None when the line parser must decide.
+
+    ``np.loadtxt`` reads ASCII-digit integers only, a subset of what the
+    line parser's ``int``/``float`` accept, so whatever it rejects (comments,
+    reals, ``1_0``, ragged rows) goes to the line parser.
+    """
+    with path.open() as handle:
+        n_features, n_cells, nnz, _ = _read_mm_size(path, handle)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(handle, dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            return None
+    if table.size == 0:  # an empty body reads as shape (0, 1)
+        table = table.reshape(0, 3)
+    if table.shape != (nnz, 3):
+        return None
+    rows, cols, vals = table[:, 0] - 1, table[:, 1] - 1, table[:, 2].copy()
+    if nnz and (
+        rows.min() < 0 or rows.max() >= n_features
+        or cols.min() < 0 or cols.max() >= n_cells
+        or vals.min() < 0 or vals.max() > _EXACT_FLOAT_INT
+    ):
+        return None
+    return _Entries(n_features, n_cells, rows, cols, vals, None)
+
+
+def _parse_mm_lines(path: Path) -> _Entries:
+    """Reference parser: one line at a time, errors name their line."""
+    with path.open() as handle:
+        n_features, n_cells, nnz, line_no = _read_mm_size(path, handle)
         rows = np.empty(nnz, dtype=np.int64)
         cols = np.empty(nnz, dtype=np.int64)
         vals = np.empty(nnz, dtype=np.int64)
@@ -261,11 +379,13 @@ def read_matrix_market(path) -> CountMatrix:
                 ) from None
             try:
                 raw = float(parts[2])
-            except ValueError:
+                value = round(raw)  # ValueError on nan, OverflowError on inf
+            except (ValueError, OverflowError):
+                value = None
+            if value is None or value > _INT64_MAX:
                 raise MatrixFormatError(
                     f"{path} line {line_no}: unreadable value {parts[2]!r}"
-                ) from None
-            value = round(raw)
+                )
             if abs(raw - value) > 1e-9:
                 raise MatrixFormatError(
                     f"{path} line {line_no}: non-integral value {parts[2]}"
@@ -286,49 +406,32 @@ def read_matrix_market(path) -> CountMatrix:
             raise MatrixFormatError(
                 f"{path}: declared {nnz} entries but found {k}"
             )
+    return _Entries(n_features, n_cells, rows, cols, vals, entry_lines)
 
-    keys = rows * np.int64(n_cells) + cols
-    uniq, first = np.unique(keys, return_index=True)
-    if uniq.size != keys.size:
-        seen = np.ones(keys.size, dtype=bool)
-        seen[first] = False
-        dup = int(np.argmax(seen))
-        raise MatrixFormatError(
-            f"{path} line {entry_lines[dup]}: duplicate coordinate "
-            f"({rows[dup] + 1}, {cols[dup] + 1})"
-        )
 
-    keep = vals > 0
-    feature_path, cell_path = _sidecar_paths(path)
-    feature_ids = (
-        _read_id_file(feature_path, n_features, "feature")
-        if feature_path.exists()
-        else [f"f{i}" for i in range(n_features)]
-    )
-    cell_ids = (
-        _read_id_file(cell_path, n_cells, "cell")
-        if cell_path.exists()
-        else [f"c{j}" for j in range(n_cells)]
-    )
-    matrix = sp.csr_matrix(
-        (vals[keep], (rows[keep], cols[keep])),
-        shape=(n_features, n_cells),
-        dtype=np.int64,
-    )
-    return CountMatrix(matrix, feature_ids, cell_ids)
+# Entries formatted per slice by matrix_market_text.
+_TEXT_SLICE = 1 << 15
 
 
 def matrix_market_text(counts: CountMatrix) -> str:
     """MatrixMarket coordinate integer serialization, row-major order."""
+    # the CSR is canonical (sorted indices, no duplicates), so COO order is
+    # row-major
     coo = counts.csr().tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [
+    rows, cols = coo.row + 1, coo.col + 1
+    parts = [
         "%%MatrixMarket matrix coordinate integer general",
         f"{counts.n_features} {counts.n_cells} {counts.nnz}",
     ]
-    for idx in order:
-        lines.append(f"{coo.row[idx] + 1} {coo.col[idx] + 1} {coo.data[idx]}")
-    return "\n".join(lines) + "\n"
+    # formatted in slices: whole-matrix lists of Python ints and lines would
+    # hold tens of MB at once
+    for start in range(0, counts.nnz, _TEXT_SLICE):
+        piece = slice(start, start + _TEXT_SLICE)
+        parts.append("\n".join(map(
+            "{} {} {}".format,
+            rows[piece].tolist(), cols[piece].tolist(), coo.data[piece].tolist(),
+        )))
+    return "\n".join(parts) + "\n"
 
 
 def write_matrix_market(counts: CountMatrix, path, write_ids: bool = True) -> None:

@@ -230,6 +230,27 @@ class TestPipelineCommand:
         assert not (out / "layout.tsv").exists()
         assert "layout" not in json.loads((out / "metrics.json").read_text())["stages"]
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("layout.epochs = 60", "layout.epochs = 0", "layout.epochs"),
+        ("cluster.k_strategy = fixed", "cluster.k_strategy = bic", "needs cluster.k_range"),
+        (
+            "cluster.method = gmm\ncluster.k_strategy = fixed",
+            "cluster.method = kmeans\ncluster.k_strategy = bic\ncluster.k_range = 2:4",
+            "requires cluster.method=gmm",
+        ),
+    ], ids=["layout-epochs", "bic-without-range", "bic-without-gmm"])
+    def test_rejected_config_creates_no_out_dir(
+        self, sim_dir, tmp_path, capsys, old, new, message
+    ):
+        out = tmp_path / "runout"
+        text = PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=tmp_path / "unused")
+        assert old in text
+        conf = write_config(tmp_path, "rejected.conf", text.replace(old, new))
+        assert main(["pipeline", "--config", conf, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "unused").exists()
+
     def test_stage_named_on_failure(self, tmp_path, capsys):
         conf = write_config(
             tmp_path, "missing.conf",

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gmmle import core_matrix
 from gmmle.core_matrix import (
     CountMatrix,
     MatrixFormatError,
     degrees,
+    matrix_market_text,
     read_dense_tsv,
     read_matrix_market,
     submatrix,
@@ -68,6 +70,48 @@ class TestMatrixMarket:
         with pytest.raises(MatrixFormatError, match="line 4.*duplicate"):
             read_matrix_market(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "1e19"])
+    def test_unreadable_value_named_with_line(self, tmp_path, value):
+        path = write(
+            tmp_path,
+            "m.mtx",
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n"
+            f"1 1 2\n2 2 {value}\n",
+        )
+        with pytest.raises(MatrixFormatError, match=f"line 4: unreadable value '{value}'"):
+            read_matrix_market(path)
+
+    def test_largest_int64_count_accepted(self, tmp_path):
+        # 2**63 - 1024 is the largest float64 below 2**63; one step up is 1e19's range
+        path = write(
+            tmp_path,
+            "m.mtx",
+            f"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 {2**63 - 1024}\n",
+        )
+        assert read_matrix_market(path).entry_set() == {(0, 0, 2**63 - 1024)}
+
+    # a count above rows x cells would have the line parser allocate for it
+    @pytest.mark.parametrize("nnz", [-1, 5, 10**12])
+    def test_impossible_entry_count_rejected_with_line(self, tmp_path, nnz):
+        path = write(
+            tmp_path,
+            "m.mtx",
+            f"%%MatrixMarket matrix coordinate integer general\n% c\n2 2 {nnz}\n1 1 3\n",
+        )
+        with pytest.raises(
+            MatrixFormatError, match=f"line 3: {nnz} entries declared for a 2x2 matrix"
+        ):
+            read_matrix_market(path)
+
+    def test_every_cell_filled_accepted(self, tmp_path):
+        path = write(
+            tmp_path,
+            "m.mtx",
+            "%%MatrixMarket matrix coordinate integer general\n"
+            "2 2 4\n1 1 1\n1 2 2\n2 1 3\n2 2 4\n",
+        )
+        assert read_matrix_market(path).to_dense().tolist() == [[1, 2], [3, 4]]
+
     def test_index_out_of_bounds(self, tmp_path):
         path = write(
             tmp_path,
@@ -113,6 +157,52 @@ class TestMatrixMarket:
         assert again.entry_set() == cm.entry_set()
         assert again.feature_ids == cm.feature_ids
         assert again.cell_ids == cm.cell_ids
+
+
+def per_entry_matrix_market_text(counts):
+    """The writer as a loop that indexes numpy scalars once per entry."""
+    coo = counts.csr().tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    lines = [
+        "%%MatrixMarket matrix coordinate integer general",
+        f"{counts.n_features} {counts.n_cells} {counts.nnz}",
+    ]
+    for idx in order:
+        lines.append(f"{coo.row[idx] + 1} {coo.col[idx] + 1} {coo.data[idx]}")
+    return "\n".join(lines) + "\n"
+
+
+class TestMatrixMarketText:
+    # slices of 1 and 7 entries put slice boundaries inside and between rows
+    @pytest.mark.parametrize("slice_size", [None, 7, 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bytes_equal_per_entry_loop(self, monkeypatch, seed, slice_size):
+        if slice_size is not None:
+            monkeypatch.setattr(core_matrix, "_TEXT_SLICE", slice_size)
+        rng = np.random.default_rng(seed)
+        dense = rng.poisson(0.7, size=(40, 130)) * rng.integers(1, 10**6, size=(40, 130))
+        dense[3] = 0  # an empty row
+        dense[:, 7] = 0  # an empty column
+        dense[5, 9] = 2**62  # a count beyond 32 bits
+        # entries given in scrambled order, so the CSR's ordering is exercised
+        rows, cols = np.nonzero(dense)
+        perm = rng.permutation(rows.size)
+        cm = CountMatrix.from_entries(
+            40, 130, rows[perm], cols[perm], dense[rows[perm], cols[perm]]
+        )
+        text = matrix_market_text(cm)
+        assert text.encode() == per_entry_matrix_market_text(cm).encode()
+
+    def test_empty_matrix(self):
+        cm = CountMatrix.from_dense(np.zeros((2, 3), dtype=np.int64))
+        assert matrix_market_text(cm) == per_entry_matrix_market_text(cm)
+        assert matrix_market_text(cm).endswith("2 3 0\n")
+
+    def test_submatrix_output(self):
+        rng = np.random.default_rng(4)
+        cm = CountMatrix.from_dense(rng.poisson(1.0, size=(30, 50)))
+        sub = submatrix(cm, rng.random(30) < 0.6, rng.random(50) < 0.6)
+        assert matrix_market_text(sub) == per_entry_matrix_market_text(sub)
 
 
 class TestDenseTsv:

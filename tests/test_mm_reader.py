@@ -1,0 +1,225 @@
+"""The MatrixMarket reader's array pass against its line parser.
+
+`read_matrix_market` parses a body in one `np.loadtxt` pass and hands any
+body that pass does not accept to the line parser.  The line parser is the
+reference: forcing it (by making the array pass decline) must give the same
+CSR arrays, ids and error messages as the public reader.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gmmle import core_matrix
+from gmmle.core_matrix import MatrixFormatError, read_matrix_market
+
+HEADER = "%%MatrixMarket matrix coordinate integer general\n"
+
+
+def outcome(path):
+    """Everything the reader returns, or the message of its format error."""
+    try:
+        cm = read_matrix_market(path)
+    except MatrixFormatError as err:
+        return "error", str(err)
+    csr = cm.csr()
+    return (
+        csr.shape, csr.indptr.dtype, csr.indices.dtype, csr.data.dtype,
+        csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist(),
+        cm.feature_ids, cm.cell_ids,
+    )
+
+
+def line_parser_outcome(path):
+    with mock.patch.object(core_matrix, "_parse_mm_array", return_value=None):
+        return outcome(path)
+
+
+class LineParserCalls:
+    """Counts the line parser's runs while the context is open."""
+
+    def __enter__(self):
+        self.calls = 0
+        real = core_matrix._parse_mm_lines
+
+        def counted(path):
+            self.calls += 1
+            return real(path)
+
+        self._patch = mock.patch.object(core_matrix, "_parse_mm_lines", counted)
+        self._patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._patch.stop()
+
+
+@st.composite
+def valid_files(draw):
+    """A MatrixMarket file the array pass accepts, with its sidecar ids."""
+    n_features = draw(st.integers(1, 6))
+    n_cells = draw(st.integers(1, 7))
+    coords = draw(st.lists(
+        st.tuples(st.integers(0, n_features - 1), st.integers(0, n_cells - 1)),
+        unique=True, max_size=n_features * n_cells,
+    ))
+    values = draw(st.lists(
+        st.one_of(st.integers(0, 30), st.integers(0, 2**53)),
+        min_size=len(coords), max_size=len(coords),
+    ))
+    field = draw(st.sampled_from(["integer", "real"]))
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t "]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    blank = draw(st.sampled_from(["", "\n", "   \n"]))
+    lines = [f"{i + 1}{sep}{j + 1}{sep}{v}" for (i, j), v in zip(coords, values)]
+    body = (blank + newline.join(lines) + newline) if lines else blank
+    text = (
+        f"%%MatrixMarket matrix coordinate {field} general{newline}"
+        f"{n_features} {n_cells} {len(coords)}{newline}{body}"
+    )
+    ids = draw(st.booleans())
+    return text, ids, n_features, n_cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=valid_files())
+def test_array_pass_equals_line_parser_on_valid_files(tmp_path_factory, spec):
+    text, ids, n_features, n_cells = spec
+    tmp = tmp_path_factory.mktemp("valid")
+    path = tmp / "m.mtx"
+    path.write_bytes(text.encode())
+    if ids:
+        (tmp / "m.features.txt").write_text("".join(f"g{i}\n" for i in range(n_features)))
+        (tmp / "m.cells.txt").write_text("".join(f"cell{j}\n" for j in range(n_cells)))
+    with LineParserCalls() as counter:
+        got = outcome(path)
+    assert counter.calls == 0
+    assert got[0] != "error"
+    assert got == line_parser_outcome(path)
+
+
+# Bodies after the header and a "3 4 2" size line.
+UNUSUAL_BODIES = {
+    "comment-lines": "% first\n1 1 5\n% between\n2 3 7\n%\n",
+    "blank-lines": "\n1 1 5\n   \n\n2 3 7\n\n",
+    "crlf": "1 1 5\r\n2 3 7\r\n",
+    "tabs": "1\t1\t5\n2\t3\t7\n",
+    "form-feed-separator": "1\x0c1 5\n2 3\x0c7\n",
+    "plus-sign": "+1 1 +5\n2 +3 7\n",
+    "underscore-digits": "1 1 1_0\n2 3 7\n",
+    "leading-zeros": "01 001 05\n2 3 07\n",
+    "negative-zero-value": "1 1 -0\n2 3 7\n",
+    "float-in-integer-file": "1 1 3.0\n2 3 7\n",
+    "fractional-value": "1 1 3.5\n2 3 7\n",
+    "float-index": "1.0 1 3\n2 3 7\n",
+    "exponent-value": "1 1 1e1\n2 3 7\n",
+    "non-ascii-digits": "١ 1 5\n2 3 7\n",
+    "fullwidth-digit-value": "1 1 ５\n2 3 7\n",
+    "too-many-entries": "1 1 5\n2 3 7\n3 4 1\n",
+    "too-few-entries": "1 1 5\n",
+    "no-entries": "",
+    "ragged-row": "1 1 5\n2 3\n",
+    "four-fields": "1 1 5 6\n2 3 7\n",
+    "trailing-hash-comment": "1 1 5 # c\n2 3 7\n",
+    "glued-hash-comment": "1 1 5#c\n2 3 7\n",
+    "duplicate": "2 3 5\n2 3 7\n",
+    "row-out-of-range": "4 1 5\n2 3 7\n",
+    "col-out-of-range": "1 5 5\n2 3 7\n",
+    "zero-index": "0 1 5\n2 3 7\n",
+    "index-beyond-int64": f"{2**63} 1 5\n2 3 7\n",
+    "negative-value": "1 1 -5\n2 3 7\n",
+    "value-2**53": f"1 1 {2**53}\n2 3 7\n",
+    "value-2**53+1": f"1 1 {2**53 + 1}\n2 3 7\n",
+    "value-int64-max": f"1 1 {2**63 - 1}\n2 3 7\n",
+    "value-nan": "1 1 nan\n2 3 7\n",
+    "value-inf": "1 1 inf\n2 3 7\n",
+    "value-1e19": "1 1 1e19\n2 3 7\n",
+    "zero-value": "1 1 0\n2 3 7\n",
+    "no-final-newline": "1 1 5\n2 3 7",
+}
+
+
+@pytest.mark.parametrize("field", ["integer", "real"])
+@pytest.mark.parametrize("body", list(UNUSUAL_BODIES.values()), ids=list(UNUSUAL_BODIES))
+def test_unusual_body_same_outcome_as_line_parser(tmp_path, field, body):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(
+        f"%%MatrixMarket matrix coordinate {field} general\n3 4 2\n{body}".encode()
+    )
+    assert outcome(path) == line_parser_outcome(path)
+
+
+def test_unusual_bodies_cover_both_outcomes(tmp_path):
+    """Some cases read, others fail, so the comparison above checks both."""
+    results = []
+    for body in UNUSUAL_BODIES.values():
+        path = tmp_path / "m.mtx"
+        path.write_bytes(f"{HEADER}3 4 2\n{body}".encode())
+        results.append(outcome(path)[0] == "error")
+    assert 5 <= sum(results) <= len(results) - 5
+
+
+TOKENS = [
+    "1", "2", "3", "0", "00", "-1", "+1", "-0", "1_0", "3.0", "2.5", "1e0",
+    "%", "#", "nan", "1e19", "٣", str(2**53 + 1), str(2**63),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.sampled_from(TOKENS), min_size=0, max_size=4), max_size=5
+    ),
+    sep=st.sampled_from([" ", "\t", "\x0c", " \t"]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    field=st.sampled_from(["integer", "real"]),
+    nnz=st.integers(0, 5),
+)
+def test_fuzzed_body_same_outcome_as_line_parser(
+    tmp_path_factory, rows, sep, newline, field, nnz
+):
+    path = tmp_path_factory.mktemp("fuzz") / "m.mtx"
+    body = "".join(sep.join(tokens) + newline for tokens in rows)
+    path.write_bytes(
+        f"%%MatrixMarket matrix coordinate {field} general{newline}"
+        f"3 3 {nnz}{newline}{body}".encode()
+    )
+    assert outcome(path) == line_parser_outcome(path)
+
+
+def test_array_pass_serves_plain_file_and_line_parser_comments(tmp_path):
+    plain = tmp_path / "plain.mtx"
+    plain.write_text(f"{HEADER}3 4 2\n1 1 5\n2 3 7\n")
+    commented = tmp_path / "commented.mtx"
+    commented.write_text(f"{HEADER}3 4 2\n1 1 5\n% note\n2 3 7\n")
+    with LineParserCalls() as counter:
+        plain_result = outcome(plain)
+    assert counter.calls == 0
+    with LineParserCalls() as counter:
+        commented_result = outcome(commented)
+    assert counter.calls == 1
+    assert plain_result == commented_result
+
+
+def test_error_names_line_after_array_pass_declines(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(f"{HEADER}% c\n3 4 3\n1 1 5\n\n2 3 7\n2 3 1\n")
+    with pytest.raises(MatrixFormatError, match=r"line 7: duplicate coordinate \(2, 3\)"):
+        read_matrix_market(path)
+
+
+def test_simulated_matrix_round_trip(tmp_path):
+    """A written matrix reads back through the array pass unchanged."""
+    rng = np.random.default_rng(11)
+    dense = rng.poisson(0.8, size=(60, 90))
+    cm = core_matrix.CountMatrix.from_dense(dense)
+    path = tmp_path / "sim.mtx"
+    core_matrix.write_matrix_market(cm, path)
+    with LineParserCalls() as counter:
+        again = read_matrix_market(path)
+    assert counter.calls == 0
+    assert np.array_equal(again.to_dense(), dense)
+    assert again.feature_ids == cm.feature_ids and again.cell_ids == cm.cell_ids
