@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -189,10 +189,6 @@ PIPELINE_SCHEMA = Schema(
         "features.enable": True,
         "features.top_k": 2000,
         "spectral.variant": "normalized",
-        "spectral.energy_threshold": 0.01,
-        "spectral.drop_first": True,
-        "spectral.scaling": "sqrt",
-        "spectral.seed": 0,
         "cluster.method": "gmm",
         "cluster.k_strategy": "fixed",
         "cluster.k": 8,
@@ -200,9 +196,6 @@ PIPELINE_SCHEMA = Schema(
         "cluster.knn_k": 20,
         "cluster.resolution": 1.0,
         "layout.enable": True,
-        "layout.n_neighbors": 15,
-        "layout.epochs": 200,
-        "layout.negative_samples": 5,
         "layout.seed": 0,
     },
 )
@@ -255,23 +248,63 @@ VALIDATE_SCHEMA = Schema(
 )
 
 
-def _build_qc_config(values: dict[str, Any]) -> qc.QcConfig:
+# the one stage-config field whose key is not "<section>.<field name>"
+_KEY_SUFFIX = {"scaling_mode": "scaling"}
+
+
+def _stage_config(cls, values: dict[str, Any], section: str):
+    """``cls`` built from the ``<section>.*`` keys present in ``values``.
+
+    A field without a key keeps its dataclass default.  The stage
+    dataclasses start each range error with the field name, so the
+    ConfigError names the key.
+    """
     kwargs = {}
-    mapping = {
-        "qc.min_cells_per_feature": "min_cells_per_feature",
-        "qc.min_features_per_cell": "min_features_per_cell",
-        "qc.max_top_share": "max_top_share",
-        "qc.top_share_exclude": "top_share_exclude",
-        "qc.max_mito_share": "max_mito_share",
-        "qc.mito_prefix": "mito_prefix",
-        "qc.max_ribo_share": "max_ribo_share",
-        "qc.ribo_prefixes": "ribo_prefixes",
-        "qc.cell_stats_on_raw": "cell_stats_on_raw",
-    }
-    for key, attr in mapping.items():
+    for f in fields(cls):
+        key = f"{section}.{_KEY_SUFFIX.get(f.name, f.name)}"
         if key in values:
-            kwargs[attr] = values[key]
-    return qc.QcConfig(**kwargs)
+            kwargs[f.name] = values[key]
+    try:
+        return cls(**kwargs)
+    except ValueError as err:
+        raise ConfigError(f"config key {section}.{err}") from None
+
+
+def build_stage_configs(
+    values: dict[str, Any],
+) -> tuple[qc.QcConfig | None, spectral.EmbedPolicy, layout.LayoutParams | None]:
+    """Check the settings of every stage the config enables and build the
+    (QC config, embed policy, layout params) triple, None for a disabled
+    stage; raises ConfigError naming the key.  Needs no I/O, so callers run
+    it before creating a directory or reading input.
+    """
+    qc_config = _stage_config(qc.QcConfig, values, "qc") if values["qc.enable"] else None
+    policy = _stage_config(spectral.EmbedPolicy, values, "spectral")
+
+    strategy = values["cluster.k_strategy"]
+    if strategy == "bic" and "cluster.k_range" not in values:
+        raise ConfigError("cluster.k_strategy=bic needs cluster.k_range")
+    if strategy == "bic" and values["cluster.method"] != "gmm":
+        raise ConfigError("cluster.k_strategy=bic requires cluster.method=gmm")
+    at_least_one = ["cluster.knn_k"]
+    if values["features.enable"]:
+        at_least_one.append("features.top_k")
+    if strategy == "fixed" and values["cluster.method"] != "louvain":
+        at_least_one.append("cluster.k")
+    for key in at_least_one:
+        if values[key] < 1:
+            raise ConfigError(f"config key {key} must be >= 1, got {values[key]!r}")
+    if strategy == "bic" and min(values["cluster.k_range"], default=0) < 1:
+        raise ConfigError(
+            "config key cluster.k_range must hold values >= 1, "
+            f"got {values['cluster.k_range']!r}"
+        )
+
+    layout_params = (
+        _stage_config(layout.LayoutParams, values, "layout")
+        if values["layout.enable"] else None
+    )
+    return qc_config, policy, layout_params
 
 
 def _read_input(values: dict[str, Any]) -> core_matrix.CountMatrix:
@@ -284,12 +317,21 @@ def _read_input(values: dict[str, Any]) -> core_matrix.CountMatrix:
 
 
 def _resolve_out_dir(values: dict[str, Any], override: str | None) -> Path:
+    """The output directory path; each command creates it once its config
+    checks have passed."""
     target = override or values.get("output.directory")
     if target is None:
         raise ConfigError("no output directory (set output.directory or pass --out)")
-    out = Path(target)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(target)
+
+
+def _write_counts(out_dir: Path, stem: str, counts: core_matrix.CountMatrix) -> None:
+    """``<stem>.mtx`` plus the id sidecars that read_matrix_market looks for."""
+    path = out_dir / f"{stem}.mtx"
+    write_atomic(path, core_matrix.matrix_market_text(counts))
+    feature_path, cell_path = core_matrix._sidecar_paths(path)
+    write_atomic(feature_path, "\n".join(counts.feature_ids) + "\n")
+    write_atomic(cell_path, "\n".join(counts.cell_ids) + "\n")
 
 
 class _StageClock:
@@ -309,51 +351,28 @@ class _StageClock:
         self.timings.pop("done", None)
 
 
-def _layout_params(values: dict[str, Any], n_cells: int | None) -> layout.LayoutParams:
-    """Layout settings from the config; n_neighbors is clamped to n_cells - 1
-    once the cell count is known."""
-    n_neighbors = values["layout.n_neighbors"]
-    if n_cells is not None:
-        n_neighbors = min(n_neighbors, n_cells - 1)
-    return layout.LayoutParams(
-        n_neighbors=n_neighbors,
-        epochs=values["layout.epochs"],
-        negative_samples=values["layout.negative_samples"],
-    )
-
-
-def _check_pipeline_config(values: dict[str, Any]) -> None:
-    """Reject settings that conflict with each other; raises ConfigError."""
-    if values["cluster.k_strategy"] == "bic" and "cluster.k_range" not in values:
-        raise ConfigError("cluster.k_strategy=bic needs cluster.k_range")
-    if values["cluster.k_strategy"] == "bic" and values["cluster.method"] != "gmm":
-        raise ConfigError("cluster.k_strategy=bic requires cluster.method=gmm")
-    if values["layout.enable"]:
-        try:
-            _layout_params(values, n_cells=None)
-        except ValueError as err:
-            raise ConfigError(f"config key layout.{err}") from None
-
-
 def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | None) -> dict:
     """Execute the staged pipeline; returns the metrics payload.
 
+    A rejected setting raises ConfigError before ``out_dir`` is created.
     A failure in any stage surfaces as StageError naming the stage;
     artifacts already written stay in place.
     """
     if seed_override is not None:
         for key in ("spectral.seed", "cluster.seed", "layout.seed"):
             values[key] = seed_override
-    _check_pipeline_config(values)
+    configs = build_stage_configs(values)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     clock = _StageClock()
     try:
-        return _run_pipeline_stages(values, out_dir, clock)
+        return _run_pipeline_stages(values, configs, out_dir, clock)
     except Exception as err:
         raise StageError(clock.current, err) from err
 
 
-def _run_pipeline_stages(values: dict[str, Any], out_dir: Path, clock: "_StageClock") -> dict:
+def _run_pipeline_stages(values: dict[str, Any], configs, out_dir: Path, clock) -> dict:
+    qc_config, policy, layout_params = configs
     metrics: dict[str, Any] = {"stages": {}}
 
     clock.enter("ingest")
@@ -363,8 +382,7 @@ def _run_pipeline_stages(values: dict[str, Any], out_dir: Path, clock: "_StageCl
     }
 
     clock.enter("qc")
-    if values["qc.enable"]:
-        qc_config = _build_qc_config(values)
+    if qc_config is not None:
         counts, report = qc.run_qc(counts, qc_config)
         write_atomic(out_dir / "qc_report.json", report.to_json())
         metrics["stages"]["qc"] = {
@@ -399,12 +417,6 @@ def _run_pipeline_stages(values: dict[str, Any], out_dir: Path, clock: "_StageCl
         lap = spectral.random_walk_laplacian(counts)
     else:
         lap = spectral.adjacency_embedding_matrix(counts)
-    policy = spectral.EmbedPolicy(
-        energy_threshold=values["spectral.energy_threshold"],
-        drop_first=values["spectral.drop_first"],
-        scaling_mode=values["spectral.scaling"],
-        seed=values["spectral.seed"],
-    )
     embedding = spectral.embed(lap, policy)
     write_atomic(out_dir / "embedding.tsv",
                  spectral.embedding_to_tsv(embedding, counts.cell_ids))
@@ -468,9 +480,11 @@ def _run_pipeline_stages(values: dict[str, Any], out_dir: Path, clock: "_StageCl
         graph = community.knn_graph(embedding.coords, knn_k)
     metrics["modularity_knn"] = community.modularity(graph, labels)
 
-    if values["layout.enable"]:
+    if layout_params is not None:
         clock.enter("layout")
-        params = _layout_params(values, n_cells=embedding.coords.shape[0])
+        params = replace(layout_params, n_neighbors=min(
+            layout_params.n_neighbors, embedding.coords.shape[0] - 1
+        ))
         fuzzy = layout.fuzzy_graph(embedding.coords, params.n_neighbors)
         layout2d = layout.optimize_layout(
             fuzzy, embedding.coords[:, :2], params, seed=values["layout.seed"]
@@ -491,10 +505,7 @@ def _run_pipeline_stages(values: dict[str, Any], out_dir: Path, clock: "_StageCl
 
 def cmd_pipeline(args) -> int:
     values = PIPELINE_SCHEMA.apply(parse_config_text(Path(args.config).read_text()))
-    # before _resolve_out_dir, so a rejected config creates no directory
-    _check_pipeline_config(values)
-    out_dir = _resolve_out_dir(values, args.out)
-    run_pipeline(values, out_dir, args.seed)
+    run_pipeline(values, _resolve_out_dir(values, args.out), args.seed)
     return 0
 
 
@@ -511,11 +522,8 @@ def cmd_simulate(args) -> int:
         cell_total=values["sbm.cell_total"],
     )
     sample = simulate.sample_sbm(config)
-    write_atomic(out_dir / "counts.mtx", core_matrix.matrix_market_text(sample.matrix))
-    write_atomic(out_dir / "counts.features.txt",
-                 "\n".join(sample.matrix.feature_ids) + "\n")
-    write_atomic(out_dir / "counts.cells.txt",
-                 "\n".join(sample.matrix.cell_ids) + "\n")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_counts(out_dir, "counts", sample.matrix)
     write_atomic(out_dir / "truth_cells.tsv",
                  mixture.labels_to_tsv(sample.matrix.cell_ids, sample.cell_labels))
     gene_lines = ["feature_id\tblock"]
@@ -582,15 +590,12 @@ def cmd_scatter(args) -> int:
 
 def cmd_qc(args) -> int:
     values = QC_SCHEMA.apply(parse_config_text(Path(args.config).read_text()))
+    qc_config = _stage_config(qc.QcConfig, values, "qc")
     out_dir = _resolve_out_dir(values, args.out)
-    counts = _read_input(values)
-    filtered, report = qc.run_qc(counts, _build_qc_config(values))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    filtered, report = qc.run_qc(_read_input(values), qc_config)
     write_atomic(out_dir / "qc_report.json", report.to_json())
-    write_atomic(out_dir / "filtered.mtx", core_matrix.matrix_market_text(filtered))
-    write_atomic(out_dir / "filtered.features.txt",
-                 "\n".join(filtered.feature_ids) + "\n")
-    write_atomic(out_dir / "filtered.cells.txt",
-                 "\n".join(filtered.cell_ids) + "\n")
+    _write_counts(out_dir, "filtered", filtered)
     return 0
 
 
@@ -598,7 +603,11 @@ def cmd_validate(args) -> int:
     from . import validate as validate_mod
 
     values = VALIDATE_SCHEMA.apply(parse_config_text(Path(args.config).read_text()))
+    gating = "validate.gate_positive" in values or "validate.gate_negative" in values
+    if gating and "validate.gate_cluster" not in values:
+        raise ConfigError("gating needs validate.gate_cluster")
     out_dir = _resolve_out_dir(values, args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     counts = _read_input(values)
     label_rows = _read_tsv_rows(Path(values["validate.labels_path"]))
     if label_rows and label_rows[0][:1] == ["cell_id"]:
@@ -624,9 +633,7 @@ def cmd_validate(args) -> int:
     write_atomic(out_dir / "marker_ratios.tsv",
                  validate_mod.ratio_table_to_tsv(table))
 
-    if "validate.gate_positive" in values or "validate.gate_negative" in values:
-        if "validate.gate_cluster" not in values:
-            raise ConfigError("gating needs validate.gate_cluster")
+    if gating:
         cluster_cells = np.flatnonzero(
             labels.labels == values["validate.gate_cluster"]
         )
@@ -654,15 +661,17 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="key=value config file")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override every stage seed")
 
     p_pipe = sub.add_parser("pipeline", help="run the full pipeline")
     common(p_pipe)
+    p_pipe.add_argument("--seed", type=int, default=None,
+                        help="override every stage seed")
     p_pipe.set_defaults(func=cmd_pipeline)
 
     p_sim = sub.add_parser("simulate", help="sample a block-model matrix")
     common(p_sim)
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help="override sbm.seed")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_scatter = sub.add_parser("scatter", help="SVG scatter of a layout")

@@ -279,10 +279,3 @@ def louvain(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> Cluster
     the same graph without them.
     """
     return louvain_trace(graph, seed, resolution).labels
-
-
-def graph_to_tsv(graph: CellGraph) -> str:
-    lines = ["i\tj\tweight"]
-    for a, b, w in zip(graph.edges_i, graph.edges_j, graph.weights):
-        lines.append(f"{a}\t{b}\t{w:.10g}")
-    return "\n".join(lines) + "\n"

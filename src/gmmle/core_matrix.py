@@ -35,7 +35,7 @@ class CountMatrix:
     after construction; all pipeline operations return new objects.
     """
 
-    def __init__(self, matrix: sp.spmatrix, feature_ids, cell_ids, validate: bool = True):
+    def __init__(self, matrix: sp.spmatrix, feature_ids, cell_ids):
         csr = sp.csr_matrix(matrix, dtype=np.int64, copy=True)
         csr.sum_duplicates()
         csr.eliminate_zeros()
@@ -43,17 +43,14 @@ class CountMatrix:
         n_features, n_cells = csr.shape
         feature_ids = tuple(str(i) for i in feature_ids)
         cell_ids = tuple(str(i) for i in cell_ids)
-        if validate:
-            if len(feature_ids) != n_features:
-                raise ValueError(
-                    f"{len(feature_ids)} feature ids for {n_features} rows"
-                )
-            if len(cell_ids) != n_cells:
-                raise ValueError(f"{len(cell_ids)} cell ids for {n_cells} columns")
-            _check_unique(feature_ids, "feature")
-            _check_unique(cell_ids, "cell")
-            if csr.nnz and csr.data.min() <= 0:
-                raise ValueError("counts must be strictly positive integers")
+        if len(feature_ids) != n_features:
+            raise ValueError(f"{len(feature_ids)} feature ids for {n_features} rows")
+        if len(cell_ids) != n_cells:
+            raise ValueError(f"{len(cell_ids)} cell ids for {n_cells} columns")
+        _check_unique(feature_ids, "feature")
+        _check_unique(cell_ids, "cell")
+        if csr.nnz and csr.data.min() <= 0:
+            raise ValueError("counts must be strictly positive integers")
         self._csr = csr
         self._csc = None
         self.feature_ids = feature_ids
@@ -434,14 +431,13 @@ def matrix_market_text(counts: CountMatrix) -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_matrix_market(counts: CountMatrix, path, write_ids: bool = True) -> None:
+def write_matrix_market(counts: CountMatrix, path) -> None:
     """Write MatrixMarket coordinate integer format plus id sidecar files."""
     path = Path(path)
     path.write_text(matrix_market_text(counts))
-    if write_ids:
-        feature_path, cell_path = _sidecar_paths(path)
-        feature_path.write_text("\n".join(counts.feature_ids) + "\n")
-        cell_path.write_text("\n".join(counts.cell_ids) + "\n")
+    feature_path, cell_path = _sidecar_paths(path)
+    feature_path.write_text("\n".join(counts.feature_ids) + "\n")
+    cell_path.write_text("\n".join(counts.cell_ids) + "\n")
 
 
 def read_dense_tsv(path) -> CountMatrix:

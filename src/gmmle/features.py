@@ -94,10 +94,3 @@ def select_top_k(scores: list[FeatureScore], k: int) -> np.ndarray:
     mask = np.zeros(values.size, dtype=bool)
     mask[chosen] = True
     return mask
-
-
-def scores_to_tsv(feature_ids, scores: list[FeatureScore]) -> str:
-    lines = ["feature_id\tmean\tvariance\tscore"]
-    for fid, s in zip(feature_ids, scores):
-        lines.append(f"{fid}\t{s.mean:.10g}\t{s.variance:.10g}\t{s.score:.10g}")
-    return "\n".join(lines) + "\n"

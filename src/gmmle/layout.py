@@ -67,8 +67,6 @@ class LayoutParams:
 @dataclass(frozen=True)
 class Layout2D:
     coords: np.ndarray  # n x 2
-    seed: int
-    params: LayoutParams
     edge_visits: int  # due edges summed over all epochs
 
 
@@ -218,7 +216,7 @@ def optimize_layout(
     if not np.isfinite(coords).all():
         raise ValueError("init contains non-finite coordinates")
     if graph.n_edges == 0:
-        return Layout2D(coords, seed, params, 0)
+        return Layout2D(coords, 0)
 
     scale = np.abs(coords).max()
     if scale > 0:
@@ -270,7 +268,7 @@ def optimize_layout(
 
     if not np.isfinite(coords).all():
         raise LayoutDivergedError("layout diverged: non-finite coordinate")
-    return Layout2D(coords, seed, params, edge_visits)
+    return Layout2D(coords, edge_visits)
 
 
 def layout_to_tsv(layout: Layout2D, cell_ids) -> str:

@@ -46,10 +46,14 @@ class KmeansResult:
     inertia: float
 
 
+# EM stops when the log-likelihood moves by at most _EM_REL_TOL * max(1, |logL|)
+_EM_MAX_ITER = 500
+_EM_REL_TOL = 1e-8
+_KMEANS_MAX_ITER = 300
+
+
 @dataclass(frozen=True)
 class GmmConfig:
-    max_iter: int = 500
-    rel_tol: float = 1e-8
     ridge: float = 1e-6
     n_init: int = 5
 
@@ -108,7 +112,7 @@ def _all_pairs_dist_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=2)
 
 
-def fit_kmeans(coords, n_clusters: int, seed: int = 0, max_iter: int = 300) -> KmeansResult:
+def fit_kmeans(coords, n_clusters: int, seed: int = 0) -> KmeansResult:
     """Lloyd iterations from a k-means++ start until the assignment is a
     fixed point; deterministic for a fixed seed."""
     points = _as_points(coords)
@@ -119,7 +123,7 @@ def fit_kmeans(coords, n_clusters: int, seed: int = 0, max_iter: int = 300) -> K
     centers = _plus_plus_centers(points, n_clusters, rng)
 
     labels = np.full(n, -1, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         dist_sq = _all_pairs_dist_sq(points, centers)
         new_labels = dist_sq.argmin(axis=1)  # ties to lowest index
         # re-seed any emptied cluster at the point farthest from its center
@@ -186,12 +190,12 @@ def _fit_gmm_once(points: np.ndarray, n_components: int, seed: int, cfg: GmmConf
 
     history: list[float] = []
     converged = False
-    for _ in range(cfg.max_iter):
+    for _ in range(_EM_MAX_ITER):
         log_resp, point_log_density = log_responsibilities(
             points, weights, means, covariances
         )
         log_likelihood = float(point_log_density.sum())
-        if history and abs(log_likelihood - history[-1]) <= cfg.rel_tol * max(
+        if history and abs(log_likelihood - history[-1]) <= _EM_REL_TOL * max(
             1.0, abs(log_likelihood)
         ):
             history.append(log_likelihood)

@@ -33,8 +33,9 @@ class QcConfig:
     cell_stats_on_raw: bool = False
 
     def __post_init__(self):
-        if self.min_cells_per_feature < 0 or self.min_features_per_cell < 0:
-            raise ValueError("count thresholds must be >= 0")
+        for name in ("min_cells_per_feature", "min_features_per_cell"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         for name in ("max_top_share", "max_mito_share", "max_ribo_share"):
             value = getattr(self, name)
             if value is not None and not (0.0 < value <= 1.0):

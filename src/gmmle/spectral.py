@@ -25,6 +25,10 @@ from .core_matrix import CountMatrix, degrees
 from .rng import CounterRng
 
 _OVERSAMPLE = 10
+# every residual must be within this fraction of the leading singular value
+_SVD_TOL = 1e-10
+_MAX_ITER = 1000
+_START_COMPONENTS = 16
 
 
 class ZeroDegreeError(ValueError):
@@ -46,7 +50,7 @@ class EmbeddingDimensionError(ValueError):
 
 @dataclass(frozen=True)
 class NormalizedLaplacian:
-    """Rescaled count matrix plus the scales used to build it.
+    """Rescaled count matrix.
 
     ``variant`` records the rescaling: "normalized" (symmetric degree
     normalization), "random_walk" (row-stochastic), or "adjacency" (no
@@ -55,8 +59,6 @@ class NormalizedLaplacian:
     """
 
     matrix: sp.csr_matrix
-    row_scale: np.ndarray
-    col_scale: np.ndarray
     frobenius_sq: float
     variant: str = "normalized"
 
@@ -67,7 +69,7 @@ class NormalizedLaplacian:
 
 def _require_positive_degrees(counts: CountMatrix) -> tuple[np.ndarray, np.ndarray]:
     deg = degrees(counts)
-    if deg.row_degrees.min(initial=1) <= 0 or (deg.row_degrees == 0).any():
+    if (deg.row_degrees == 0).any():
         idx = int(np.argmax(deg.row_degrees == 0))
         raise ZeroDegreeError(
             f"feature {counts.feature_ids[idx]!r} has zero total count"
@@ -86,9 +88,7 @@ def normalized_laplacian(counts: CountMatrix) -> NormalizedLaplacian:
     coo = counts.csr().tocoo()
     data = coo.data * row_scale[coo.row] * col_scale[coo.col]
     matrix = sp.csr_matrix((data, (coo.row, coo.col)), shape=counts.shape)
-    return NormalizedLaplacian(
-        matrix, row_scale, col_scale, float(np.sum(data * data)), "normalized"
-    )
+    return NormalizedLaplacian(matrix, float(np.sum(data * data)), "normalized")
 
 
 def random_walk_laplacian(counts: CountMatrix) -> NormalizedLaplacian:
@@ -98,22 +98,15 @@ def random_walk_laplacian(counts: CountMatrix) -> NormalizedLaplacian:
     coo = counts.csr().tocoo()
     data = coo.data * row_scale[coo.row]
     matrix = sp.csr_matrix((data, (coo.row, coo.col)), shape=counts.shape)
-    return NormalizedLaplacian(
-        matrix, row_scale, np.ones(counts.n_cells), float(np.sum(data * data)),
-        "random_walk",
-    )
+    return NormalizedLaplacian(matrix, float(np.sum(data * data)), "random_walk")
 
 
 def adjacency_embedding_matrix(counts: CountMatrix) -> NormalizedLaplacian:
     """The raw counts as a float matrix, for adjacency-space embedding."""
-    row_deg, col_deg = _require_positive_degrees(counts)
+    _require_positive_degrees(counts)
     matrix = counts.csr().astype(np.float64)
     return NormalizedLaplacian(
-        matrix,
-        np.ones(counts.n_features),
-        np.ones(counts.n_cells),
-        float(np.sum(matrix.data * matrix.data)),
-        "adjacency",
+        matrix, float(np.sum(matrix.data * matrix.data)), "adjacency"
     )
 
 
@@ -169,9 +162,9 @@ def _subspace_svd(matrix, n_components, seed, max_iter, accept):
 def truncated_svd(
     laplacian: NormalizedLaplacian,
     k: int,
-    tol: float = 1e-10,
+    tol: float = _SVD_TOL,
     seed: int = 0,
-    max_iter: int = 1000,
+    max_iter: int = _MAX_ITER,
 ):
     """Top-k singular triplets of the rescaled matrix.
 
@@ -200,9 +193,6 @@ class EmbedPolicy:
     drop_first: bool = True
     scaling_mode: str = "sqrt"  # none | sqrt | linear
     seed: int = 0
-    svd_tol: float = 1e-10
-    start_components: int = 16
-    max_iter: int = 1000
 
     def __post_init__(self):
         if not (0.0 < self.energy_threshold < 1.0):
@@ -250,16 +240,16 @@ def embed(laplacian: NormalizedLaplacian, policy: EmbedPolicy | None = None) -> 
         top = sigma[0]
         if top <= 0.0:
             return True
-        tight = residuals <= policy.svd_tol * top
+        tight = residuals <= _SVD_TOL * top
         upper = (sigma + residuals) ** 2 / frob_sq
         # components that are provably below threshold need no further
         # refinement; everything else must meet the residual tolerance
         return bool(np.all(tight | (upper < threshold)))
 
-    m = min(policy.start_components, rank_cap)
+    m = min(_START_COMPONENTS, rank_cap)
     while True:
         u, sigma, v, _, _ = _subspace_svd(
-            laplacian.matrix, m, policy.seed, policy.max_iter, accept
+            laplacian.matrix, m, policy.seed, _MAX_ITER, accept
         )
         shares = sigma**2 / frob_sq
         if shares[-1] < threshold or m == rank_cap:

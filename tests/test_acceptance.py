@@ -126,9 +126,7 @@ def test_criterion_03_svd_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     dense = rng.random((60, 40)) * (rng.random((60, 40)) < 0.3)
-    lap = NormalizedLaplacian(
-        sp.csr_matrix(dense), np.ones(60), np.ones(40), float((dense**2).sum()), "raw"
-    )
+    lap = NormalizedLaplacian(sp.csr_matrix(dense), float((dense**2).sum()), "raw")
     _, values, right = truncated_svd(lap, 10, seed=11)
     oracle = np.linalg.svd(dense, compute_uv=False)[:10]
     assert np.abs(values - oracle).max() < 1e-8

@@ -8,8 +8,8 @@ import pytest
 
 from gmmle import community
 from gmmle.cli import (
-    ConfigError, PIPELINE_SCHEMA, StageError, main, parse_config_text, run_pipeline,
-    write_atomic,
+    ConfigError, PIPELINE_SCHEMA, StageError, build_stage_configs, main,
+    parse_config_text, run_pipeline, write_atomic,
 )
 from gmmle.community import knn_graph
 from gmmle.simulate import adjusted_rand_index
@@ -86,12 +86,13 @@ class TestConfigParsing:
 
     def test_defaults_mirror_documented_values(self):
         values = PIPELINE_SCHEMA.apply(parse_config_text("input.path = x\n"))
+        _, policy, layout_params = build_stage_configs(values)
         assert values["features.top_k"] == 2000
-        assert values["spectral.energy_threshold"] == 0.01
-        assert values["spectral.drop_first"] is True
-        assert values["spectral.scaling"] == "sqrt"
-        assert values["layout.n_neighbors"] == 15
-        assert values["layout.epochs"] == 200
+        assert policy.energy_threshold == 0.01
+        assert policy.drop_first is True
+        assert policy.scaling_mode == "sqrt"
+        assert layout_params.n_neighbors == 15
+        assert layout_params.epochs == 200
 
 
 class TestSimulateCommand:
@@ -238,7 +239,29 @@ class TestPipelineCommand:
             "cluster.method = kmeans\ncluster.k_strategy = bic\ncluster.k_range = 2:4",
             "requires cluster.method=gmm",
         ),
-    ], ids=["layout-epochs", "bic-without-range", "bic-without-gmm"])
+        ("qc.max_top_share = 1.0", "qc.max_top_share = 0", "config key qc.max_top_share"),
+        (
+            "features.top_k = 120",
+            "features.top_k = 120\nspectral.energy_threshold = 0",
+            "config key spectral.energy_threshold",
+        ),
+        (
+            "features.top_k = 120",
+            "features.top_k = 120\nspectral.energy_threshold = 1.5",
+            "config key spectral.energy_threshold",
+        ),
+        ("features.top_k = 120", "features.top_k = 0", "config key features.top_k"),
+        ("cluster.k = 3", "cluster.k = 0", "config key cluster.k "),
+        ("cluster.k = 3", "cluster.k = 3\ncluster.knn_k = 0", "config key cluster.knn_k"),
+        (
+            "cluster.k_strategy = fixed",
+            "cluster.k_strategy = bic\ncluster.k_range = 0:3",
+            "config key cluster.k_range",
+        ),
+    ], ids=[
+        "layout-epochs", "bic-without-range", "bic-without-gmm", "qc-top-share",
+        "energy-zero", "energy-above-one", "top-k", "cluster-k", "knn-k", "k-range",
+    ])
     def test_rejected_config_creates_no_out_dir(
         self, sim_dir, tmp_path, capsys, old, new, message
     ):
@@ -427,9 +450,31 @@ class TestQcCommand:
         assert report["features_out"] == 2
         assert (tmp_path / "q" / "filtered.mtx").exists()
 
+    def test_rejected_setting_creates_no_out_dir(self, tmp_path, capsys):
+        mtx = tmp_path / "m.mtx"
+        mtx.write_text(
+            "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 5\n2 2 4\n"
+        )
+        conf = write_config(
+            tmp_path, "qc.conf",
+            f"input.path = {mtx}\nqc.max_top_share = 0\n"
+            f"output.directory = {tmp_path / 'q'}\n",
+        )
+        assert main(["qc", "--config", conf]) == 1
+        assert "config key qc.max_top_share" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
+
+
+@pytest.mark.parametrize("command", ["qc", "validate"])
+def test_seed_offered_only_where_read(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as caught:
+        main([command, "--config", str(tmp_path / "any.conf"), "--seed", "1"])
+    assert caught.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
 
 class TestValidateCommand:
-    def test_typing_and_gating(self, tmp_path):
+    def write_inputs(self, tmp_path, gating):
         mtx = tmp_path / "m.mtx"
         # 4 features x 4 cells: A markers rows 1-2, B markers rows 3-4
         mtx.write_text(
@@ -445,9 +490,14 @@ class TestValidateCommand:
         conf = write_config(
             tmp_path, "val.conf",
             f"input.path = {mtx}\nvalidate.labels_path = {labels}\n"
-            f"validate.panels_path = {panels}\n"
-            "validate.gate_positive = a1,a2\nvalidate.gate_cluster = 0\n"
+            f"validate.panels_path = {panels}\n{gating}"
             f"output.directory = {tmp_path / 'v'}\n",
+        )
+        return conf
+
+    def test_typing_and_gating(self, tmp_path):
+        conf = self.write_inputs(
+            tmp_path, "validate.gate_positive = a1,a2\nvalidate.gate_cluster = 0\n"
         )
         assert main(["validate", "--config", conf]) == 0
         types = (tmp_path / "v" / "cluster_types.tsv").read_text().splitlines()
@@ -455,3 +505,9 @@ class TestValidateCommand:
         gated = (tmp_path / "v" / "gated_cells.tsv").read_text().splitlines()
         assert gated == ["cell_id", "w", "x"]
         assert (tmp_path / "v" / "marker_ratios.tsv").exists()
+
+    def test_gating_without_cluster_creates_no_out_dir(self, tmp_path, capsys):
+        conf = self.write_inputs(tmp_path, "validate.gate_positive = a1,a2\n")
+        assert main(["validate", "--config", conf]) == 1
+        assert "gating needs validate.gate_cluster" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()

@@ -6,7 +6,6 @@ import pytest
 from gmmle.community import (
     CellGraph,
     _community_sums,
-    graph_to_tsv,
     knn_graph,
     louvain,
     louvain_trace,
@@ -291,9 +290,3 @@ class TestKnnGraph:
         rng = CounterRng(31)
         graph = knn_graph(rng.normal((10, 3)), 3)
         assert (graph.weights == 1.0).all()
-
-
-def test_graph_tsv_export():
-    graph = graph_from_edges(3, [(0, 1), (1, 2)], [1.5, 2.0])
-    text = graph_to_tsv(graph)
-    assert text.splitlines() == ["i\tj\tweight", "0\t1\t1.5", "1\t2\t2"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gmmle.core_matrix import CountMatrix
-from gmmle.features import FeatureScore, dispersion_scores, scores_to_tsv, select_top_k
+from gmmle.features import FeatureScore, dispersion_scores, select_top_k
 
 
 def scores_of(dense):
@@ -133,12 +133,3 @@ class TestSelectTopK:
         base = select_top_k(self.mk(values), 2)
         permuted = select_top_k(self.mk([values[p] for p in perm]), 2)
         assert [base[p] for p in perm] == permuted.tolist()
-
-
-def test_tsv_export():
-    cm = CountMatrix.from_dense([[0, 4], [5, 5]], feature_ids=["a", "b"])
-    text = scores_to_tsv(cm.feature_ids, dispersion_scores(cm))
-    lines = text.strip().split("\n")
-    assert lines[0] == "feature_id\tmean\tvariance\tscore"
-    assert lines[1].startswith("a\t2\t4\t2")
-    assert lines[2].startswith("b\t5\t0\t-inf")

@@ -87,8 +87,7 @@ class TestTruncatedSvd:
         rng = np.random.default_rng(7)
         dense = rng.random((60, 40)) * (rng.random((60, 40)) < 0.3)
         lap = NormalizedLaplacian(
-            sp.csr_matrix(dense), np.ones(60), np.ones(40),
-            float((dense**2).sum()), "raw",
+            sp.csr_matrix(dense), float((dense**2).sum()), "raw",
         )
         left, values, right = truncated_svd(lap, 10, seed=11)
         oracle = np.linalg.svd(dense, compute_uv=False)[:10]
@@ -136,8 +135,6 @@ def raw_container(dense):
     dense = np.asarray(dense, dtype=float)
     return NormalizedLaplacian(
         sp.csr_matrix(dense),
-        np.ones(dense.shape[0]),
-        np.ones(dense.shape[1]),
         float((dense**2).sum()),
         "raw",
     )
