@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -219,9 +220,11 @@ QC_SCHEMA = Schema(
         key: conv
         for key, conv in PIPELINE_SCHEMA.converters.items()
         if key.startswith(("input.", "qc.")) or key == "output.directory"
+        # qc.enable switches the pipeline's QC stage; `gmmle qc` always filters
+        if key != "qc.enable"
     },
     required=("input.path",),
-    defaults={"input.format": "matrix_market", "qc.enable": True},
+    defaults={"input.format": "matrix_market"},
 )
 
 VALIDATE_SCHEMA = Schema(
@@ -299,6 +302,13 @@ def build_stage_configs(
             "config key cluster.k_range must hold values >= 1, "
             f"got {values['cluster.k_range']!r}"
         )
+    resolution = values["cluster.resolution"]
+    if values["cluster.method"] == "louvain" and not (
+        math.isfinite(resolution) and resolution > 0
+    ):
+        raise ConfigError(
+            f"config key cluster.resolution must be finite and > 0, got {resolution!r}"
+        )
 
     layout_params = (
         _stage_config(layout.LayoutParams, values, "layout")
@@ -307,11 +317,17 @@ def build_stage_configs(
     return qc_config, policy, layout_params
 
 
-def _read_input(values: dict[str, Any]) -> core_matrix.CountMatrix:
+def _input_path(values: dict[str, Any]) -> Path:
+    """``input.path``, checked to exist; each command checks it before it
+    creates the output directory."""
     path = Path(values["input.path"])
     if not path.exists():
         raise ConfigError(f"input.path does not exist: {path}")
-    if values["input.format"] == "matrix_market":
+    return path
+
+
+def _read_input(path: Path, input_format: str) -> core_matrix.CountMatrix:
+    if input_format == "matrix_market":
         return core_matrix.read_matrix_market(path)
     return core_matrix.read_dense_tsv(path)
 
@@ -362,21 +378,24 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
         for key in ("spectral.seed", "cluster.seed", "layout.seed"):
             values[key] = seed_override
     configs = build_stage_configs(values)
+    input_path = _input_path(values)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     clock = _StageClock()
     try:
-        return _run_pipeline_stages(values, configs, out_dir, clock)
+        return _run_pipeline_stages(values, configs, input_path, out_dir, clock)
     except Exception as err:
         raise StageError(clock.current, err) from err
 
 
-def _run_pipeline_stages(values: dict[str, Any], configs, out_dir: Path, clock) -> dict:
+def _run_pipeline_stages(
+    values: dict[str, Any], configs, input_path: Path, out_dir: Path, clock
+) -> dict:
     qc_config, policy, layout_params = configs
     metrics: dict[str, Any] = {"stages": {}}
 
     clock.enter("ingest")
-    counts = _read_input(values)
+    counts = _read_input(input_path, values["input.format"])
     metrics["stages"]["ingest"] = {
         "n_features": counts.n_features, "n_cells": counts.n_cells,
     }
@@ -591,9 +610,10 @@ def cmd_scatter(args) -> int:
 def cmd_qc(args) -> int:
     values = QC_SCHEMA.apply(parse_config_text(Path(args.config).read_text()))
     qc_config = _stage_config(qc.QcConfig, values, "qc")
+    input_path = _input_path(values)
     out_dir = _resolve_out_dir(values, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    filtered, report = qc.run_qc(_read_input(values), qc_config)
+    filtered, report = qc.run_qc(_read_input(input_path, values["input.format"]), qc_config)
     write_atomic(out_dir / "qc_report.json", report.to_json())
     _write_counts(out_dir, "filtered", filtered)
     return 0
@@ -606,9 +626,10 @@ def cmd_validate(args) -> int:
     gating = "validate.gate_positive" in values or "validate.gate_negative" in values
     if gating and "validate.gate_cluster" not in values:
         raise ConfigError("gating needs validate.gate_cluster")
+    input_path = _input_path(values)
     out_dir = _resolve_out_dir(values, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    counts = _read_input(values)
+    counts = _read_input(input_path, values["input.format"])
     label_rows = _read_tsv_rows(Path(values["validate.labels_path"]))
     if label_rows and label_rows[0][:1] == ["cell_id"]:
         label_rows = label_rows[1:]

@@ -7,13 +7,17 @@ Modularity of a labeling C over a weighted symmetric graph is
 with A the symmetric adjacency (both orientations of every stored edge),
 D_i its row sums and W the grand total, so each undirected edge counts
 twice and diagonal expected-weight terms are included.  Louvain greedily
-maximizes Q by single-node moves followed by graph aggregation; it is a
-baseline to compare against likelihood-based clustering, not a replica of
-any particular toolchain.
+maximizes Q by single-node moves followed by graph aggregation.  A level's
+moves revisit only nodes whose neighbourhood changed, from a work queue,
+and a full sweep that moves nothing closes the level (fast local moving,
+V. A. Traag, arXiv:1503.01322).  It is a baseline to compare against
+likelihood-based clustering, not a replica of any particular toolchain.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +155,9 @@ class LouvainResult:
     labels: ClusterLabels
     level_modularity: tuple[float, ...]  # incrementally maintained Q per level
     level_labels: tuple[np.ndarray, ...] = ()  # flat labels at each level end
+    # node visits of every move phase run, including a last one that moved
+    # nothing
+    level_visits: tuple[int, ...] = ()
 
 
 def _adjacency(graph: CellGraph) -> sp.csr_matrix:
@@ -166,16 +173,35 @@ def _one_level(adj: sp.csr_matrix, rng: CounterRng, resolution: float):
     """Single-node move phase over a symmetric level adjacency.
 
     The diagonal holds the self-loops in matrix convention: adj[c, c] is the
-    full double-sum of weight inside c.  Returns (labels, moved_any,
-    q_incremental) where q_incremental is the level's modularity maintained
-    through per-move bookkeeping; aggregation preserves Q, so at resolution 1
-    this must equal modularity() of the composed flat labels up to rounding
-    (asserted by the test suite).
+    full double-sum of weight inside c.  Each visit moves a node to the
+    neighbouring community of strictly largest modularity gain, or leaves
+    it home.
+
+    Visits follow a work queue (Traag's fast local moving,
+    arXiv:1503.01322).  The queue starts as the seeded permutation; after a
+    node moves, its neighbours outside its new community that are not yet
+    queued join the back, in ascending id (the rows are sorted once per
+    level, so the storage order of an aggregated adjacency cannot change the
+    schedule).  When the queue runs dry, one full sweep in the seeded order
+    follows, its moves enqueuing neighbours the same way.  A move changes
+    the degree totals of two communities and so the gains of nodes that are
+    not its neighbours; the closing sweep is what guarantees that the level
+    ends with no strict single-node gain left: it ends after a sweep that
+    moved nothing (or after 200 rounds of queue plus sweep).
+
+    Returns (labels, moved_any, q_incremental, visits) where q_incremental
+    is the level's modularity maintained through per-move bookkeeping;
+    aggregation preserves Q, so at resolution 1 this must equal
+    modularity() of the composed flat labels up to rounding (asserted by
+    the test suite), and visits counts the node visits made.
     """
     n = adj.shape[0]
+    adj.sort_indices()
     degree = np.asarray(adj.sum(axis=1)).ravel()
     self_loops = adj.diagonal()
     total_weight = float(degree.sum())
+    two_res = 2.0 * resolution
+    ww = total_weight * total_weight
     # the move loop is scalar code: plain lists index faster than arrays
     indptr, indices, weights = adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()
     degree_of, self_of = degree.tolist(), self_loops.tolist()
@@ -184,61 +210,83 @@ def _one_level(adj: sp.csr_matrix, rng: CounterRng, resolution: float):
     # internal[c]: full double-sum of weight inside c, incl. self-loops
     internal = self_loops.tolist()
     order = rng.permutation(n).tolist()
+    queue = deque(order)
+    queued = [True] * n
+
+    def visit(node: int) -> bool:
+        """Move ``node`` to its best community; True if it left home."""
+        home = community[node]
+        k_node = degree_of[node]
+        self_node = self_of[node]
+        start, stop = indptr[node], indptr[node + 1]
+        link = {}
+        for other, weight in zip(indices[start:stop], weights[start:stop]):
+            if other != node:
+                comm = community[other]
+                link[comm] = link.get(comm, 0.0) + weight
+
+        comm_degree[home] -= k_node
+        internal[home] -= 2.0 * link.get(home, 0.0) + self_node
+
+        # gain of joining community c, relative to staying isolated; strict
+        # improvement only, so an exact tie keeps the home community (no
+        # churn) or the smallest-id earlier candidate
+        best_comm = home
+        best_gain = (
+            2.0 * link.get(home, 0.0) / total_weight
+            - two_res * comm_degree[home] * k_node / ww
+        )
+        for comm in sorted(link):
+            gain = 2.0 * link[comm] / total_weight - two_res * comm_degree[comm] * k_node / ww
+            if gain > best_gain:
+                best_comm, best_gain = comm, gain
+
+        comm_degree[best_comm] += k_node
+        internal[best_comm] += 2.0 * link.get(best_comm, 0.0) + self_node
+        if best_comm == home:
+            return False
+        community[node] = best_comm
+        for other in indices[start:stop]:
+            if not queued[other] and community[other] != best_comm:
+                queued[other] = True
+                queue.append(other)
+        return True
 
     moved_any = False
-    # pass cap is a safety valve; strict-improvement moves terminate long before
+    visits = 0
+    # the round cap is a safety valve; strict-improvement moves terminate
+    # long before
     for _ in range(200):
-        moved_this_pass = False
+        while queue:
+            node = queue.popleft()
+            queued[node] = False
+            moved_any |= visit(node)
+            visits += 1
+        moved_in_sweep = False
         for node in order:
-            home = community[node]
-            k_node = degree_of[node]
-            self_node = self_of[node]
-            link = {}
-            for pos in range(indptr[node], indptr[node + 1]):
-                other = indices[pos]
-                if other != node:
-                    comm = community[other]
-                    link[comm] = link.get(comm, 0.0) + weights[pos]
-
-            comm_degree[home] -= k_node
-            internal[home] -= 2.0 * link.get(home, 0.0) + self_node
-
-            # gain of joining community c, relative to staying isolated
-            def gain(comm: int) -> float:
-                return (
-                    2.0 * link.get(comm, 0.0) / total_weight
-                    - 2.0 * resolution * comm_degree[comm] * k_node
-                    / (total_weight * total_weight)
-                )
-
-            # strict improvement only, so an exact tie keeps the home
-            # community (no churn) or the smallest-id earlier candidate
-            best_comm, best_gain = home, gain(home)
-            for comm in sorted(link):
-                g = gain(comm)
-                if g > best_gain:
-                    best_comm, best_gain = comm, g
-
-            comm_degree[best_comm] += k_node
-            internal[best_comm] += 2.0 * link.get(best_comm, 0.0) + self_node
-            if best_comm != home:
-                community[node] = best_comm
-                moved_this_pass = True
-                moved_any = True
-        if not moved_this_pass:
+            moved_in_sweep |= visit(node)
+        visits += n
+        if not moved_in_sweep:
             break
+        moved_any = True
 
     q_incremental = float(
         np.array(internal).sum() / total_weight
-        - resolution * (np.array(comm_degree) ** 2).sum() / (total_weight * total_weight)
+        - resolution * (np.array(comm_degree) ** 2).sum() / ww
     )
     # renumber to consecutive ids in sorted order of the surviving ids
     _, renumbered = np.unique(community, return_inverse=True)
-    return renumbered, moved_any, q_incremental
+    return renumbered, moved_any, q_incremental, visits
 
 
 def louvain_trace(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> LouvainResult:
-    """Louvain with per-level flat modularity recorded."""
+    """Louvain with per-level flat modularity and node visits recorded.
+
+    ``resolution`` must be finite and > 0.  Each level's move phase follows
+    the work queue described in ``_one_level``.
+    """
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution!r}")
     adj = _adjacency(graph)
     if adj.nnz == 0:
         return LouvainResult(ClusterLabels(np.arange(graph.n), graph.n), (), ())
@@ -246,8 +294,10 @@ def louvain_trace(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> L
     flat = np.arange(graph.n)
     trace = []
     level_labels = []
+    level_visits = []
     while True:
-        labels, moved, q_incremental = _one_level(adj, rng, resolution)
+        labels, moved, q_incremental, visits = _one_level(adj, rng, resolution)
+        level_visits.append(visits)
         if not moved:
             break
         flat = labels[flat]
@@ -268,11 +318,20 @@ def louvain_trace(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> L
     _, first, flat = np.unique(flat, return_index=True, return_inverse=True)
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
-    return LouvainResult(ClusterLabels(rank[flat], first.size), tuple(trace), tuple(level_labels))
+    return LouvainResult(
+        ClusterLabels(rank[flat], first.size),
+        tuple(trace),
+        tuple(level_labels),
+        tuple(level_visits),
+    )
 
 
 def louvain(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> ClusterLabels:
     """Greedy two-phase modularity maximization; deterministic given seed.
+
+    Each level moves single nodes, from a work queue closed by full sweeps
+    (see ``_one_level``), until no move strictly raises modularity, then
+    aggregates every community into one node.
 
     Zero-weight edges are dropped before the first move phase, so they never
     make a neighbour's community a move candidate: the result equals that of

@@ -208,6 +208,15 @@ def optimize_layout(
     uniformly sampled points.  Per-component updates are clipped to +/-4
     and scaled by a learning rate decaying linearly from initial_alpha
     to 0.  Deterministic for a fixed seed.
+
+    A sampled point equal to its anchor (but not the anchor itself) gets a
+    fixed kick apart; the anchor sampling itself gets no push.  Both tests
+    run only on rows whose clipped push is exactly (0, 0).  Equal finite
+    points give delta = (0, 0) and so a zero push, so every row the tests
+    select is among those, and the layout is the one that testing every
+    row gives.  Those rows are few: the push coefficient is at least ~1 at
+    small distances, so between distinct points the push is zero only at
+    distances far beyond the layout's scale, where it underflows.
     """
     params = params or LayoutParams()
     coords = np.array(init, dtype=np.float64, copy=True)
@@ -237,10 +246,10 @@ def optimize_layout(
     edge_visits = 0
     for epoch in range(params.epochs):
         alpha = params.initial_alpha * (1.0 - epoch / params.epochs)
-        due = next_due <= epoch
-        if due.any():
-            h = heads[due]
-            t = tails[due]
+        due = np.flatnonzero(next_due <= epoch)
+        if due.size:
+            h = heads.take(due)
+            t = tails.take(due)
             edge_visits += h.size
             attract = _clip(attractive_gradient(
                 coords.take(h, axis=0), coords.take(t, axis=0), a, b
@@ -255,16 +264,20 @@ def optimize_layout(
                 anchor_xy = coords.take(anchors, axis=0)
                 other_xy = coords.take(others, axis=0)
                 push = _clip(repulsive_push(anchor_xy, other_xy, a, b))
-                coincident = (
-                    (anchor_xy[:, 0] == other_xy[:, 0])
-                    & (anchor_xy[:, 1] == other_xy[:, 1])
-                    & (anchors != others)
-                )
-                push[coincident] = GRADIENT_CLIP  # arbitrary fixed kick apart
-                push[anchors == others] = 0.0
+                # only a zero push can come from coincident points
+                still = np.flatnonzero((push[:, 0] == 0.0) & (push[:, 1] == 0.0))
+                if still.size:
+                    same = (
+                        (anchor_xy[still, 0] == other_xy[still, 0])
+                        & (anchor_xy[still, 1] == other_xy[still, 1])
+                    )
+                    sampled_self = anchors.take(still) == others.take(still)
+                    # arbitrary fixed kick apart
+                    push[still[same & ~sampled_self]] = GRADIENT_CLIP
+                    push[still[sampled_self]] = 0.0
                 _scatter_add(coords, anchors, alpha * push)
 
-            next_due[due] += epochs_per_sample[due]
+            next_due[due] += epochs_per_sample.take(due)
 
     if not np.isfinite(coords).all():
         raise LayoutDivergedError("layout diverged: non-finite coordinate")

@@ -258,9 +258,20 @@ class TestPipelineCommand:
             "cluster.k_strategy = bic\ncluster.k_range = 0:3",
             "config key cluster.k_range",
         ),
+    ] + [
+        (
+            "cluster.method = gmm",
+            f"cluster.method = louvain\ncluster.resolution = {resolution}",
+            "config key cluster.resolution must be finite and > 0",
+        )
+        for resolution in ("nan", "inf", "0", "-1")
+    ] + [
+        ("counts.mtx", "nope.mtx", "input.path does not exist"),
     ], ids=[
         "layout-epochs", "bic-without-range", "bic-without-gmm", "qc-top-share",
         "energy-zero", "energy-above-one", "top-k", "cluster-k", "knn-k", "k-range",
+        "resolution-nan", "resolution-inf", "resolution-zero", "resolution-negative",
+        "missing-input",
     ])
     def test_rejected_config_creates_no_out_dir(
         self, sim_dir, tmp_path, capsys, old, new, message
@@ -464,6 +475,31 @@ class TestQcCommand:
         assert "config key qc.max_top_share" in capsys.readouterr().err
         assert not (tmp_path / "q").exists()
 
+    def test_missing_input_creates_no_out_dir(self, tmp_path, capsys):
+        conf = write_config(
+            tmp_path, "qc.conf",
+            f"input.path = {tmp_path / 'nope.mtx'}\n"
+            f"output.directory = {tmp_path / 'q'}\n",
+        )
+        assert main(["qc", "--config", conf]) == 1
+        assert "input.path does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
+
+    def test_enable_key_rejected(self, tmp_path, capsys):
+        # qc.enable switches QC inside `pipeline`; `qc` always filters
+        mtx = tmp_path / "m.mtx"
+        mtx.write_text(
+            "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 5\n2 2 4\n"
+        )
+        conf = write_config(
+            tmp_path, "qc.conf",
+            f"input.path = {mtx}\nqc.enable = false\n"
+            f"output.directory = {tmp_path / 'q'}\n",
+        )
+        assert main(["qc", "--config", conf]) == 1
+        assert "qc.enable" in capsys.readouterr().err
+        assert not (tmp_path / "q").exists()
+
 
 @pytest.mark.parametrize("command", ["qc", "validate"])
 def test_seed_offered_only_where_read(tmp_path, capsys, command):
@@ -510,4 +546,11 @@ class TestValidateCommand:
         conf = self.write_inputs(tmp_path, "validate.gate_positive = a1,a2\n")
         assert main(["validate", "--config", conf]) == 1
         assert "gating needs validate.gate_cluster" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
+    def test_missing_input_creates_no_out_dir(self, tmp_path, capsys):
+        conf = self.write_inputs(tmp_path, "")
+        (tmp_path / "m.mtx").unlink()
+        assert main(["validate", "--config", conf]) == 1
+        assert "input.path does not exist" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()

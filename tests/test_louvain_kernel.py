@@ -1,18 +1,33 @@
-"""Louvain over sparse level adjacencies, checked against the list-of-dicts
-level graph it replaced: same labels and per-level labels, and the same
-incrementally maintained modularity.
+"""Louvain over sparse level adjacencies, checked against a list-of-dicts
+level graph: same labels and per-level labels, the same node visits, and
+the same incrementally maintained modularity.
+
+The reference runs the same queue schedule as the kernel; the sweep
+schedule the kernel used before it is kept as ``sweep_one_level``, to show
+that the queue visits fewer nodes and that the change of schedule changes
+labels.  A brute-force oracle checks, on every fixture, that no single
+node move strictly improves modularity at the end of any level.
 
 The modularity is bit for bit equal where every partial sum of edge weights
 is exact (unit or dyadic weights, as the pipeline's kNN graph has).  On
 general real weights the sparse aggregation and row sums add the same terms
 in another order, so there it agrees to rounding only."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gmmle.community import CellGraph, knn_graph, louvain, louvain_trace
 from gmmle.layout import fuzzy_graph
 from gmmle.rng import CounterRng
+
+# A move "strictly improves" Q when Q after it exceeds Q before by more than
+# this.  Fixed before the oracle first ran: on the unit-weight blob graph
+# every change of Q is a multiple of 1/W^2 ~ 2.3e-10, and on the small
+# fuzzy graphs rounding of a from-scratch Q stays near 1e-15.
+OPTIMALITY_TOL = 1e-12
 
 
 class ReferenceLevelGraph:
@@ -54,71 +69,128 @@ class ReferenceLevelGraph:
         return ReferenceLevelGraph(n_comms, adj, self_loops)
 
 
-def reference_one_level(level, rng, resolution):
-    n = level.n
-    degree = level.degrees()
-    total_weight = float(degree.sum())
-    community = np.arange(n)
-    comm_degree = degree.copy()
-    internal = level.self_loops.copy()
-    order = rng.permutation(n)
+class ReferenceMoves:
+    """Move-phase state of one level; ``visit`` is the single-node move
+    both schedules make."""
 
+    def __init__(self, level, resolution):
+        self.level = level
+        self.resolution = resolution
+        self.degree = level.degrees()
+        self.total_weight = float(self.degree.sum())
+        self.community = np.arange(level.n)
+        self.comm_degree = self.degree.copy()
+        self.internal = level.self_loops.copy()
+        self.visits = 0
+
+    def visit(self, node):
+        """Move ``node`` to its best community; True if it left home."""
+        self.visits += 1
+        community, comm_degree, internal = self.community, self.comm_degree, self.internal
+        total_weight, resolution = self.total_weight, self.resolution
+        home = int(community[node])
+        k_node = self.degree[node]
+        self_node = self.level.self_loops[node]
+        link = {}
+        for other, w in self.level.adj[node].items():
+            link[int(community[other])] = link.get(int(community[other]), 0.0) + w
+
+        comm_degree[home] -= k_node
+        internal[home] -= 2.0 * link.get(home, 0.0) + self_node
+
+        def gain(comm):
+            return (
+                2.0 * link.get(comm, 0.0) / total_weight
+                - 2.0 * resolution * comm_degree[comm] * k_node
+                / (total_weight * total_weight)
+            )
+
+        best_comm, best_gain = home, gain(home)
+        for comm in sorted(link):
+            g = gain(comm)
+            if g > best_gain:
+                best_comm, best_gain = comm, g
+
+        comm_degree[best_comm] += k_node
+        internal[best_comm] += 2.0 * link.get(best_comm, 0.0) + self_node
+        if best_comm == home:
+            return False
+        community[node] = best_comm
+        return True
+
+    def result(self, moved_any):
+        total_weight = self.total_weight
+        q_incremental = float(
+            self.internal.sum() / total_weight
+            - self.resolution * (self.comm_degree**2).sum() / (total_weight * total_weight)
+        )
+        _, renumbered = np.unique(self.community, return_inverse=True)
+        return renumbered, moved_any, q_incremental, self.visits
+
+
+def sweep_one_level(level, rng, resolution):
+    """The former schedule: full passes in the seeded order until one
+    moves nothing."""
+    moves = ReferenceMoves(level, resolution)
+    order = rng.permutation(level.n)
     moved_any = False
     for _ in range(200):
         moved_this_pass = False
         for node in order:
-            node = int(node)
-            home = int(community[node])
-            k_node = degree[node]
-            self_node = level.self_loops[node]
-            link = {}
-            for other, w in level.adj[node].items():
-                link[int(community[other])] = link.get(int(community[other]), 0.0) + w
-
-            comm_degree[home] -= k_node
-            internal[home] -= 2.0 * link.get(home, 0.0) + self_node
-
-            def gain(comm):
-                return (
-                    2.0 * link.get(comm, 0.0) / total_weight
-                    - 2.0 * resolution * comm_degree[comm] * k_node
-                    / (total_weight * total_weight)
-                )
-
-            best_comm, best_gain = home, gain(home)
-            for comm in sorted(link):
-                g = gain(comm)
-                if g > best_gain:
-                    best_comm, best_gain = comm, g
-
-            comm_degree[best_comm] += k_node
-            internal[best_comm] += 2.0 * link.get(best_comm, 0.0) + self_node
-            if best_comm != home:
-                community[node] = best_comm
+            if moves.visit(int(node)):
                 moved_this_pass = True
                 moved_any = True
         if not moved_this_pass:
             break
-
-    q_incremental = float(
-        internal.sum() / total_weight
-        - resolution * (comm_degree**2).sum() / (total_weight * total_weight)
-    )
-    _, renumbered = np.unique(community, return_inverse=True)
-    return renumbered, moved_any, q_incremental
+    return moves.result(moved_any)
 
 
-def reference_louvain_trace(graph, seed=0, resolution=1.0):
-    """Returns (flat labels, n_clusters, level modularity, level labels)."""
+def queue_one_level(level, rng, resolution):
+    """The kernel's schedule: a FIFO seeded with the seeded order; a moved
+    node's neighbours outside its new community join it in ascending id
+    unless already waiting; when it runs dry, one full sweep in the seeded
+    order, whose moves enqueue the same way; the level ends after a sweep
+    that moved nothing."""
+    moves = ReferenceMoves(level, resolution)
+    order = [int(node) for node in rng.permutation(level.n)]
+    queue = deque(order)
+    waiting = set(order)
+
+    def visit(node):
+        if not moves.visit(node):
+            return False
+        for other in sorted(level.adj[node]):
+            if other not in waiting and moves.community[other] != moves.community[node]:
+                waiting.add(other)
+                queue.append(other)
+        return True
+
+    moved_any = False
+    for _ in range(200):
+        while queue:
+            node = queue.popleft()
+            waiting.discard(node)
+            moved_any |= visit(node)
+        if not any([visit(node) for node in order]):
+            break
+        moved_any = True
+    return moves.result(moved_any)
+
+
+def reference_louvain_trace(graph, seed=0, resolution=1.0, one_level=queue_one_level):
+    """Returns (flat labels, n_clusters, level modularity, level labels,
+    level visits)."""
     if graph.n_edges == 0:
-        return np.arange(graph.n), graph.n, (), ()
+        return np.arange(graph.n), graph.n, (), (), ()
     level = ReferenceLevelGraph.from_cell_graph(graph)
     rng = CounterRng(seed)
     flat = np.arange(graph.n)
     trace = []
     level_labels = []
+    level_visits = []
     while True:
-        labels, moved, q_incremental = reference_one_level(level, rng, resolution)
+        labels, moved, q_incremental, visits = one_level(level, rng, resolution)
+        level_visits.append(visits)
         if not moved:
             break
         flat = labels[flat]
@@ -137,12 +209,62 @@ def reference_louvain_trace(graph, seed=0, resolution=1.0):
             first_seen[int(lab)] = next_id
             remap[int(lab)] = next_id
             next_id += 1
-    return remap[flat], next_id, tuple(trace), tuple(level_labels)
+    return remap[flat], next_id, tuple(trace), tuple(level_labels), tuple(level_visits)
+
+
+def flat_modularity(graph, labels, resolution):
+    """Q at ``resolution`` of flat node labels, from scratch."""
+    degree = graph.degree_vector()
+    total_weight = degree.sum()
+    same = labels[graph.edges_i] == labels[graph.edges_j]
+    observed = 2.0 * graph.weights[same].sum() / total_weight
+    comm_degree = np.bincount(labels, degree)
+    return observed - resolution * (comm_degree**2).sum() / (total_weight * total_weight)
+
+
+def assert_no_improving_move(graph, groups, partition, resolution):
+    """No group of nodes (a node of the level graph) moved whole into a
+    community of ``partition`` that it has an edge into raises Q by more
+    than OPTIMALITY_TOL.
+
+    Those are the moves Louvain makes.  A move into a community without
+    such an edge, or into a new empty one, is not a Louvain move, and at
+    resolution < 1 one can raise Q (seen on the fuzzy fixtures, under the
+    former sweep schedule too).
+    """
+    upper = sp.csr_matrix(
+        (np.ones(graph.n_edges), (graph.edges_i, graph.edges_j)), shape=(graph.n, graph.n)
+    )
+    adjacency = (upper + upper.T).tocsr()
+    q_before = flat_modularity(graph, partition, resolution)
+    for group in np.unique(groups):
+        members = np.flatnonzero(groups == group)
+        home = partition[members[0]]
+        assert (partition[members] == home).all()
+        for target in set(partition[adjacency[members].indices].tolist()):
+            if target == home:
+                continue
+            moved = partition.copy()
+            moved[members] = target
+            gain = flat_modularity(graph, moved, resolution) - q_before
+            assert gain <= OPTIMALITY_TOL, (group, home, target, gain)
+
+
+def assert_locally_optimal(graph, result, resolution):
+    """The brute-force oracle at the end of every level, including a last
+    move phase that moved nothing."""
+    groups = np.arange(graph.n)
+    ends = list(result.level_labels)
+    if len(result.level_visits) > len(result.level_labels):
+        ends.append(ends[-1] if ends else groups)
+    for partition in ends:
+        assert_no_improving_move(graph, groups, partition, resolution)
+        groups = partition
 
 
 def assert_matches_reference(graph, seed=0, resolution=1.0, exact=True):
     got = louvain_trace(graph, seed=seed, resolution=resolution)
-    labels, n_clusters, trace, level_labels = reference_louvain_trace(
+    labels, n_clusters, trace, level_labels, level_visits = reference_louvain_trace(
         graph, seed, resolution
     )
     assert np.array_equal(got.labels.labels, labels)
@@ -154,6 +276,8 @@ def assert_matches_reference(graph, seed=0, resolution=1.0, exact=True):
     assert len(got.level_labels) == len(level_labels)
     for mine, theirs in zip(got.level_labels, level_labels):
         assert np.array_equal(mine, theirs)
+    assert got.level_visits == level_visits
+    assert_locally_optimal(graph, got, resolution)
     return got
 
 
@@ -172,6 +296,39 @@ def blob_knn_graph():
 def test_blob_knn_graph_matches_reference(blob_knn_graph, resolution):
     result = assert_matches_reference(blob_knn_graph, seed=7, resolution=resolution)
     assert len(result.level_modularity) >= 2
+
+
+@pytest.fixture(scope="module")
+def blob_sweep_results(blob_knn_graph):
+    return {
+        resolution: reference_louvain_trace(
+            blob_knn_graph, 7, resolution, one_level=sweep_one_level
+        )
+        for resolution in (0.5, 1.0)
+    }
+
+
+def test_queue_visits_fewer_nodes_than_sweeps(blob_knn_graph, blob_sweep_results):
+    for resolution, sweep in blob_sweep_results.items():
+        queue = louvain_trace(blob_knn_graph, seed=7, resolution=resolution)
+        assert queue.level_visits[0] < sweep[4][0]
+
+
+def test_schedule_change_changes_labels(blob_knn_graph, blob_sweep_results):
+    # the queue and the former sweeps reach different local optima here,
+    # so the schedule is not a no-op
+    differs = [
+        not np.array_equal(louvain(blob_knn_graph, seed=7, resolution=resolution).labels,
+                           sweep[0])
+        for resolution, sweep in blob_sweep_results.items()
+    ]
+    assert any(differs)
+
+
+@pytest.mark.parametrize("resolution", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_resolution_rejected(blob_knn_graph, resolution):
+    with pytest.raises(ValueError, match="resolution must be finite and > 0"):
+        louvain(blob_knn_graph, seed=7, resolution=resolution)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -223,9 +380,11 @@ def test_zero_weight_edges_are_dropped():
         graph = CellGraph(n, pairs[:, 0], pairs[:, 1], weights)
         nonzero = weights > 0
         pruned = CellGraph(n, pairs[nonzero, 0], pairs[nonzero, 1], weights[nonzero])
-        got, want = louvain(graph, seed=trial), louvain(pruned, seed=trial)
+        got, traced = louvain(graph, seed=trial), louvain_trace(pruned, seed=trial)
+        want = traced.labels
         assert np.array_equal(got.labels, want.labels)
         assert got.n_clusters == want.n_clusters
+        assert_locally_optimal(pruned, traced, 1.0)
         old_rule_differs += not np.array_equal(
             reference_louvain_trace(graph, trial)[0], want.labels
         )
