@@ -530,16 +530,10 @@ def cmd_pipeline(args) -> int:
 
 def cmd_simulate(args) -> int:
     values = SIMULATE_SCHEMA.apply(parse_config_text(Path(args.config).read_text()))
+    if args.seed is not None:
+        values["sbm.seed"] = args.seed
+    config = _stage_config(simulate.SbmConfig, values, "sbm")
     out_dir = _resolve_out_dir(values, args.out)
-    seed = args.seed if args.seed is not None else values["sbm.seed"]
-    config = simulate.SbmConfig(
-        rates=values["sbm.rates"],
-        gene_block_sizes=values["sbm.gene_block_sizes"],
-        cell_block_sizes=values["sbm.cell_block_sizes"],
-        seed=seed,
-        mode=values["sbm.mode"],
-        cell_total=values["sbm.cell_total"],
-    )
     sample = simulate.sample_sbm(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_counts(out_dir, "counts", sample.matrix)

@@ -83,13 +83,6 @@ class CountMatrix:
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
-    def entry_set(self) -> set[tuple[int, int, int]]:
-        coo = self._csr.tocoo()
-        return {
-            (int(i), int(j), int(v))
-            for i, j, v in zip(coo.row, coo.col, coo.data)
-        }
-
     @classmethod
     def from_entries(
         cls,

@@ -14,8 +14,20 @@ finalizer (all arithmetic modulo 2**64):
     z ^= z >> 31
 
 Independent streams for parallel work are derived by re-keying
-(:meth:`CounterRng.derive`), never by splitting counter ranges.  Fixed
-output vectors are pinned in ``tests/test_rng.py``.
+(:meth:`CounterRng.derive`), never by splitting counter ranges.  Child
+``j`` of a stream with key ``key`` has the key
+
+    key_j = mix64((key + (j + 1) * DERIVE_GAMMA) mod 2**64)
+
+so output ``i`` of child ``j`` is ``mix64(key_j + (i + 1) * GAMMA)``, a pure
+function of ``(key, j, i)``.  :meth:`CounterRng.derive_random` evaluates it
+for a run of children at once as one 2-D uint64 array (numpy's wrapping
+uint64 arithmetic is the ``mod 2**64``).  Fixed output vectors are pinned in
+``tests/test_rng.py``.
+
+Poisson counts come from one CDF table per rate (:func:`poisson_cdf`),
+searched by :func:`poisson_invert`; see ``poisson_cdf`` for why this
+equals the classic one-uniform inversion loop bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +40,8 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 # Distinct odd constant used only for deriving child stream keys.
 DERIVE_GAMMA = 0xBB67AE8584CAA73B
+# Above this rate exp(-rate) underflows and the inversion is no longer exact.
+POISSON_MAX_RATE = 700.0
 
 _U = np.uint64
 
@@ -45,6 +59,44 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> _U(30))) * _U(0xBF58476D1FD49E4E)
     z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
     return z ^ (z >> _U(31))
+
+
+def _unit_float(raw: np.ndarray) -> np.ndarray:
+    """Top 53 bits of each uint64 as a float64 in [0, 1)."""
+    return (raw >> _U(11)).astype(np.float64) * 2.0 ** -53
+
+
+def poisson_cdf(lam: float) -> np.ndarray:
+    """CDF table of the Poisson inversion at rate ``lam``.
+
+    Entry k is ``cum_k``, built by the inversion recurrence: ``cum_0 =
+    prob_0 = exp(-lam)``, then ``prob_k = prob_{k-1} * (lam / k)`` and
+    ``cum_k = cum_{k-1} + prob_k`` for k < ``cap = int(lam + 40 sqrt(lam)
+    + 60)``.  The inversion of a uniform ``u`` is the first k < cap with
+    ``u <= cum_k``, and cap if there is none.  ``cum`` never decreases, so
+    that is ``np.searchsorted(table, u, side="left")`` (:func:`poisson_invert`);
+    each entry is made by the same IEEE operations in the same order as
+    the loop makes it, so the counts are the loop's bit for bit.
+    """
+    if lam < 0.0 or not math.isfinite(lam):
+        raise ValueError(f"Poisson rate must be finite and >= 0, got {lam}")
+    if lam > POISSON_MAX_RATE:
+        raise ValueError(
+            f"Poisson rate {lam} above {POISSON_MAX_RATE:g}, the limit of exact inversion"
+        )
+    cap = int(lam + 40.0 * math.sqrt(lam) + 60.0)
+    prob = cum = math.exp(-lam)
+    table = [cum]
+    for k in range(1, cap):
+        prob *= lam / k
+        cum += prob
+        table.append(cum)
+    return np.array(table)
+
+
+def poisson_invert(table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Poisson counts of the uniforms ``u`` by a :func:`poisson_cdf` table."""
+    return np.searchsorted(table, u, side="left")
 
 
 class CounterRng:
@@ -66,6 +118,17 @@ class CounterRng:
         child_key = mix64((self.key + (stream_id + 1) * DERIVE_GAMMA) & MASK64)
         return CounterRng(0, _key=child_key)
 
+    def derive_random(self, first: int, count: int, size: int) -> np.ndarray:
+        """Uniforms of ``count`` child streams as one (count, size) array.
+
+        Row r equals ``self.derive(first + r).random(size)``; does not
+        advance self.
+        """
+        ids = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+        keys = _mix64_array(_U(self.key) + ids * _U(DERIVE_GAMMA))
+        offsets = np.arange(1, size + 1, dtype=np.uint64) * _U(GAMMA)
+        return _unit_float(_mix64_array(keys[:, None] + offsets))
+
     def _raw(self, n: int) -> np.ndarray:
         counters = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
@@ -80,8 +143,7 @@ class CounterRng:
             return float(self.uint64(1)[0] >> _U(11)) * 2.0 ** -53
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
-        out = (self.uint64(n) >> _U(11)).astype(np.float64) * 2.0 ** -53
-        return out.reshape(shape)
+        return _unit_float(self.uint64(n)).reshape(shape)
 
     def integers(self, bound: int, size: int | tuple[int, ...] | None = None):
         """Uniform integers in [0, bound) by 64-bit modulo.
@@ -113,28 +175,11 @@ class CounterRng:
         return out.reshape(shape)
 
     def poisson(self, lam: float, size: int) -> np.ndarray:
-        """Poisson counts by CDF inversion; one uniform per variate.
+        """Poisson counts by CDF inversion (:func:`poisson_cdf`); one uniform
+        per variate.
 
-        Exact for lam up to ~700 (where exp(-lam) underflows); larger rates
-        are out of scope and rejected.
+        Exact for lam up to POISSON_MAX_RATE (where exp(-lam) underflows);
+        larger rates are out of scope and rejected before any draw.
         """
-        if lam < 0.0 or not math.isfinite(lam):
-            raise ValueError(f"Poisson rate must be finite and >= 0, got {lam}")
-        if lam > 700.0:
-            raise ValueError(f"Poisson rate {lam} too large for exact inversion")
-        u = self.random(size)
-        counts = np.zeros(size, dtype=np.int64)
-        if lam == 0.0:
-            return counts
-        prob = np.full(size, math.exp(-lam))
-        cum = prob.copy()
-        # u < 1 guarantees termination; cap guards fp stagnation.
-        cap = int(lam + 40.0 * math.sqrt(lam) + 60.0)
-        for _ in range(cap):
-            active = u > cum
-            if not active.any():
-                break
-            counts[active] += 1
-            prob[active] *= lam / counts[active]
-            cum[active] += prob[active]
-        return counts
+        table = poisson_cdf(lam)
+        return poisson_invert(table, self.random(size))

@@ -10,7 +10,19 @@ is exactly that multinomial).
 
 Sampling uses one derived counter-RNG stream per cell, so results are
 reproducible bit-for-bit across platforms and independent of evaluation
-order.
+order.  Cell ``j`` reads the stream ``root.derive(j)`` of the root
+``CounterRng(seed)``: in poisson mode its uniform ``i`` inverts the count of
+gene ``i``; in multinomial mode its first ``cell_total`` uniforms are the
+trials.  A chunk of consecutive cells inside one cell block draws all its
+uniforms as one 2-D array (``CounterRng.derive_random``).  Poisson counts
+are searched in one CDF table per distinct rate (``rng.poisson_cdf``,
+``rng.poisson_invert``), which equals the one-uniform inversion loop bit
+for bit; rates above ``rng.POISSON_MAX_RATE`` are rejected by ``SbmConfig``.
+A chunk holds at most ``_CHUNK_ELEMENTS`` uniforms and counts (cells x
+genes, or cells x ``cell_total`` if larger), at least one cell, so the
+working memory stays a few MB beside the matrix itself.  Chunks arrive in
+cell order with each cell's genes ascending, so they are stacked straight
+into CSC arrays with no sort.
 """
 
 from __future__ import annotations
@@ -18,10 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core_matrix import CountMatrix
 from .mixture import ClusterLabels
-from .rng import CounterRng
+from .rng import POISSON_MAX_RATE, CounterRng, poisson_cdf, poisson_invert
+
+# Cells x draws (or genes) sampled per chunk: bounds the uniforms and counts
+# held at once (a few MB) whatever the matrix shape.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -31,9 +48,10 @@ class SbmConfig:
     cell_block_sizes: tuple[int, ...]
     seed: int = 0
     mode: str = "poisson"  # poisson | multinomial
-    cell_total: int | None = None  # required for multinomial mode
+    cell_total: int | None = None  # multinomial mode only, where it is required
 
     def __post_init__(self):
+        # each message starts with the field name, so the CLI names the key
         rates = np.asarray(self.rates, dtype=np.float64)
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "gene_block_sizes", tuple(int(s) for s in self.gene_block_sizes))
@@ -47,12 +65,27 @@ class SbmConfig:
             )
         if not np.isfinite(rates).all() or (rates < 0).any():
             raise ValueError("rates must be finite and non-negative")
-        if any(s <= 0 for s in self.gene_block_sizes + self.cell_block_sizes):
-            raise ValueError("block sizes must be positive")
+        for name in ("gene_block_sizes", "cell_block_sizes"):
+            sizes = getattr(self, name)
+            if not sizes or any(s <= 0 for s in sizes):
+                raise ValueError(f"{name} must be one or more positive sizes, got {sizes!r}")
         if self.mode not in ("poisson", "multinomial"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "multinomial" and (self.cell_total is None or self.cell_total < 0):
-            raise ValueError("multinomial mode needs a non-negative cell_total")
+            raise ValueError(f"mode must be poisson or multinomial, got {self.mode!r}")
+        if self.mode == "multinomial":
+            if self.cell_total is None or self.cell_total < 0:
+                raise ValueError("cell_total must be >= 0 in multinomial mode")
+            return
+        if self.cell_total is not None:
+            raise ValueError(
+                f"cell_total applies only to mode multinomial, got {self.cell_total!r} "
+                "with mode poisson"
+            )
+        if (rates > POISSON_MAX_RATE).any():
+            g, c = np.argwhere(rates > POISSON_MAX_RATE)[0]
+            raise ValueError(
+                f"rates entry (gene block {g}, cell block {c}) = {rates[g, c]:g} is above "
+                f"{POISSON_MAX_RATE:g}, the largest Poisson rate sampled exactly"
+            )
 
     @property
     def n_genes(self) -> int:
@@ -74,61 +107,101 @@ def _block_of(sizes: tuple[int, ...]) -> np.ndarray:
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
+def _bounds(sizes: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(start, stop) index range of each contiguous block."""
+    ends = np.cumsum(sizes).tolist()
+    return list(zip([0] + ends[:-1], ends))
+
+
+def _cells_per_chunk(config: SbmConfig) -> int:
+    """Cells per chunk: as many as keep (cells x per-cell draws or genes)
+    within _CHUNK_ELEMENTS, at least one."""
+    per_cell = config.n_genes
+    if config.mode == "multinomial":
+        per_cell = max(per_cell, config.cell_total)
+    return max(1, _CHUNK_ELEMENTS // per_cell)
+
+
 def sample_sbm(config: SbmConfig) -> SbmSample:
     """Draw one matrix; blocks are contiguous index ranges, labels returned."""
-    gene_block = _block_of(config.gene_block_sizes)
-    cell_block = _block_of(config.cell_block_sizes)
     p, n = config.n_genes, config.n_cells
-    root = CounterRng(config.seed)
-
-    rows, cols, vals = [], [], []
-    for j in range(n):
-        cell_rng = root.derive(j)
-        if config.mode == "poisson":
-            counts = _poisson_column(cell_rng, config.rates[:, cell_block[j]],
-                                     config.gene_block_sizes)
-        else:
-            counts = _multinomial_column(
-                cell_rng, config.rates[gene_block, cell_block[j]], config.cell_total
-            )
-        nz = np.flatnonzero(counts)
-        rows.append(nz)
-        cols.append(np.full(nz.size, j, dtype=np.int64))
-        vals.append(counts[nz])
-
-    matrix = CountMatrix.from_entries(
-        p, n,
-        np.concatenate(rows) if rows else [],
-        np.concatenate(cols) if cols else [],
-        np.concatenate(vals) if vals else [],
+    matrix = CountMatrix(
+        _csc_from_cell_chunks(_count_chunks(config), p, n),
         feature_ids=[f"g{i}" for i in range(p)],
         cell_ids=[f"c{j}" for j in range(n)],
     )
     return SbmSample(
         matrix,
-        ClusterLabels(cell_block, len(config.cell_block_sizes)),
-        ClusterLabels(gene_block, len(config.gene_block_sizes)),
+        ClusterLabels(_block_of(config.cell_block_sizes), len(config.cell_block_sizes)),
+        ClusterLabels(_block_of(config.gene_block_sizes), len(config.gene_block_sizes)),
     )
 
 
-def _poisson_column(rng: CounterRng, block_rates: np.ndarray, gene_block_sizes) -> np.ndarray:
-    parts = [
-        rng.poisson(float(rate), size)
-        for rate, size in zip(block_rates, gene_block_sizes)
-    ]
-    return np.concatenate(parts)
+def _count_chunks(config: SbmConfig):
+    """Yield the (cells, genes) int64 counts of each chunk, in cell order.
+
+    A chunk never spans two cell blocks, so one rate column serves it.
+    """
+    root = CounterRng(config.seed)
+    step = _cells_per_chunk(config)
+    if config.mode == "poisson":
+        cdf = {lam: poisson_cdf(lam) for lam in set(config.rates.ravel().tolist())}
+        gene_ranges = _bounds(config.gene_block_sizes)
+    else:
+        gene_block = _block_of(config.gene_block_sizes)
+    for c, (start, stop) in enumerate(_bounds(config.cell_block_sizes)):
+        spans = [(first, min(step, stop - first)) for first in range(start, stop, step)]
+        if config.mode == "poisson":
+            block_tables = [cdf[lam] for lam in config.rates[:, c].tolist()]
+            yield from _poisson_chunks(root, spans, block_tables, gene_ranges)
+        else:
+            yield from _multinomial_chunks(
+                root, spans, config.rates[gene_block, c], config.cell_total
+            )
 
 
-def _multinomial_column(rng: CounterRng, gene_rates: np.ndarray, total: int) -> np.ndarray:
+def _poisson_chunks(root: CounterRng, spans, block_tables, gene_ranges):
+    p = gene_ranges[-1][1]
+    for first, m in spans:
+        u = root.derive_random(first, m, p)
+        counts = np.empty((m, p), dtype=np.int64)
+        for (g0, g1), table in zip(gene_ranges, block_tables):
+            counts[:, g0:g1] = poisson_invert(table, u[:, g0:g1])
+        yield counts
+
+
+def _multinomial_chunks(root: CounterRng, spans, gene_rates: np.ndarray, total: int):
+    p = gene_rates.size
     rate_sum = gene_rates.sum()
-    counts = np.zeros(gene_rates.size, dtype=np.int64)
-    if total == 0 or rate_sum <= 0.0:
-        return counts
+    if rate_sum <= 0.0:
+        for _, m in spans:
+            yield np.zeros((m, p), dtype=np.int64)
+        return
     # each of the `total` trials lands in the gene bin containing its uniform
     edges = np.cumsum(gene_rates) / rate_sum
-    draws = np.searchsorted(edges, rng.random(total), side="right")
-    np.add.at(counts, np.minimum(draws, gene_rates.size - 1), 1)
-    return counts
+    for first, m in spans:
+        bins = np.searchsorted(edges, root.derive_random(first, m, total), side="right")
+        np.minimum(bins, p - 1, out=bins)
+        bins += (np.arange(m) * p)[:, None]
+        yield np.bincount(bins.ravel(), minlength=m * p).reshape(m, p)
+
+
+def _csc_from_cell_chunks(chunks, p: int, n: int) -> sp.csc_matrix:
+    """CSC (genes x cells) from count chunks that arrive in cell order; each
+    cell's nonzeros are already in ascending gene order, so no sort is run."""
+    # p * n bounds both the gene indices and the entry count
+    index_dtype = np.int32 if p * n < 2**31 else np.int64
+    indices, data, per_cell = [], [], []
+    for counts in chunks:
+        flat = np.flatnonzero(counts)
+        indices.append((flat % p).astype(index_dtype))
+        data.append(counts.ravel()[flat])
+        per_cell.append(np.count_nonzero(counts, axis=1))
+    indptr = np.zeros(n + 1, dtype=index_dtype)
+    np.cumsum(np.concatenate(per_cell), out=indptr[1:])
+    return sp.csc_matrix(
+        (np.concatenate(data), np.concatenate(indices), indptr), shape=(p, n)
+    )
 
 
 def _comb2(x: np.ndarray) -> int:

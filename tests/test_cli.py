@@ -56,6 +56,18 @@ def sim_dir(tmp_path_factory):
     return tmp / "data"
 
 
+def write_sparse_8x10(tmp_path):
+    """8 features x 10 cells, one count per cell: every feature mean is
+    below 1, so no feature has a finite overdispersion score."""
+    mtx = tmp_path / "sparse.mtx"
+    entries = [f"{cell % 8 + 1} {cell + 1} 1" for cell in range(10)]
+    mtx.write_text(
+        "%%MatrixMarket matrix coordinate integer general\n"
+        f"8 10 {len(entries)}\n" + "\n".join(entries) + "\n"
+    )
+    return mtx
+
+
 def read_labels(path):
     rows = [line.split("\t") for line in Path(path).read_text().splitlines()[1:]]
     return {cid: int(lab) for cid, lab in rows}
@@ -124,6 +136,20 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", conf]) == 0
         text = (tmp_path / "z" / "counts.mtx").read_text()
         assert text.splitlines()[1] == "5 5 0"
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("sbm.seed = 0", "sbm.seed = 0\nsbm.cell_total = 7",
+         "config key sbm.cell_total applies only to mode multinomial"),
+        ("0.5,0.5,5", "0.5,0.5,700.5",
+         "config key sbm.rates entry (gene block 2, cell block 2) = 700.5 is above 700"),
+    ], ids=["cell-total-in-poisson-mode", "rate-above-700"])
+    def test_rejected_setting_creates_no_out_dir(self, tmp_path, capsys, old, new, message):
+        text = SIM_CONF.format(out=tmp_path / "data")
+        assert old in text
+        conf = write_config(tmp_path, "bad.conf", text.replace(old, new))
+        assert main(["simulate", "--config", conf]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
 
 class TestPipelineCommand:
@@ -286,12 +312,27 @@ class TestPipelineCommand:
         assert not (tmp_path / "unused").exists()
 
     def test_stage_named_on_failure(self, tmp_path, capsys):
+        # the 8 x 10 input of test_no_scorable_feature_fails_at_features_stage
+        # passes every config check and fails inside the features stage
+        mtx = write_sparse_8x10(tmp_path)
+        conf = write_config(
+            tmp_path, "sparse.conf",
+            f"input.path = {mtx}\nqc.enable = false\nfeatures.top_k = 4\n"
+            f"output.directory = {tmp_path / 'r'}\n",
+        )
+        assert main(["pipeline", "--config", conf]) == 1
+        err = capsys.readouterr().err
+        assert "stage 'features'" in err
+        assert "none of 8 features has a finite score" in err
+
+    def test_missing_input_named_on_stderr(self, tmp_path, capsys):
         conf = write_config(
             tmp_path, "missing.conf",
             PIPE_CONF.format(mtx=tmp_path / "nope.mtx", out=tmp_path / "r"),
         )
         assert main(["pipeline", "--config", conf]) == 1
         err = capsys.readouterr().err
+        assert "input.path does not exist" in err
         assert "nope.mtx" in err
 
     def test_seed_override_changes_layout(self, sim_dir, tmp_path):
@@ -354,14 +395,7 @@ class TestPipelineCommand:
         assert model["n_components"] == model["dimension"] + 1
 
     def test_no_scorable_feature_fails_at_features_stage(self, tmp_path):
-        # 8 features x 10 cells, one count per cell: every feature mean is
-        # below 1, so no feature has a finite overdispersion score
-        mtx = tmp_path / "sparse.mtx"
-        entries = [f"{cell % 8 + 1} {cell + 1} 1" for cell in range(10)]
-        mtx.write_text(
-            "%%MatrixMarket matrix coordinate integer general\n"
-            f"8 10 {len(entries)}\n" + "\n".join(entries) + "\n"
-        )
+        mtx = write_sparse_8x10(tmp_path)
         values = PIPELINE_SCHEMA.apply(parse_config_text(
             f"input.path = {mtx}\nqc.enable = false\nfeatures.top_k = 4\n"
         ))

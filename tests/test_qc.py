@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import entry_set
 from gmmle.core_matrix import CountMatrix
 from gmmle.qc import EmptyMatrixError, QcConfig, QcReport, filter_cells, filter_features, run_qc
 
@@ -153,7 +154,7 @@ class TestRunQc:
         cfg = QcConfig(min_cells_per_feature=1, min_features_per_cell=1,
                        max_top_share=1.0, max_mito_share=None, max_ribo_share=None)
         out, report = run_qc(cm, cfg)
-        assert out.entry_set() == cm.entry_set()
+        assert entry_set(out) == entry_set(cm)
         assert report.features_removed_low_cell_count == 0
         assert report.cells_removed == 0
 

@@ -11,7 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from gmmle.rng import DERIVE_GAMMA, GAMMA, MASK64, CounterRng, mix64
+from conftest import reference_poisson
+from gmmle.rng import (
+    DERIVE_GAMMA, GAMMA, MASK64, CounterRng, mix64, poisson_cdf, poisson_invert,
+)
 
 M1 = 0xBF58476D1FD49E4E
 M2 = 0x94D049BB133111EB
@@ -123,3 +126,62 @@ def test_poisson_matches_scalar_reference():
 def test_poisson_rejects_huge_rate():
     with pytest.raises(ValueError):
         CounterRng(0).poisson(1e4, 3)
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf, 700.5])
+def test_poisson_rejects_bad_rate_before_drawing(lam):
+    rng = CounterRng(0)
+    with pytest.raises(ValueError, match="Poisson rate"):
+        rng.poisson(lam, 3)
+    assert rng.counter == 0
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-9, 0.013, 0.5, 2.5, 5.0, 37.0, 699.9, 700.0])
+def test_poisson_matches_inversion_loop(lam):
+    got = CounterRng(29).poisson(lam, 5000)
+    assert got.tolist() == reference_poisson(CounterRng(29).random(5000), lam).tolist()
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-9, 0.5, 5.0, 699.9])
+def test_poisson_table_matches_loop_at_the_edges(lam):
+    # uniforms on and next to every table entry, plus both ends of [0, 1):
+    # the loop's `u > cum` must agree with searchsorted's side="left" there
+    table = poisson_cdf(lam)
+    assert table.size == int(lam + 40.0 * math.sqrt(lam) + 60.0)
+    assert (np.diff(table) >= 0).all()
+    near = np.concatenate([table, np.nextafter(table, 0.0), np.nextafter(table, 2.0)])
+    u = np.concatenate([[0.0, 1.0 - 2.0**-53], near[near < 1.0]])
+    assert poisson_invert(table, u).tolist() == reference_poisson(u, lam).tolist()
+
+
+def test_poisson_cap_reached_when_cum_stalls():
+    # at lam = 699.9 the table tops out below the largest uniform 1 - 2**-53,
+    # so that uniform inverts to cap in both the loop and the table
+    table = poisson_cdf(699.9)
+    u = np.array([1.0 - 2.0**-53])
+    assert table[-1] < u[0]
+    assert reference_poisson(u, 699.9).tolist() == [table.size]
+    assert poisson_invert(table, u).tolist() == [table.size]
+
+
+@pytest.mark.parametrize(
+    "first,count,size", [(0, 1, 1), (0, 5, 17), (3, 4, 0), (7, 0, 5), (1000, 3, 64)]
+)
+def test_derive_random_rows_are_derived_streams(first, count, size):
+    root = CounterRng(41)
+    root.uint64(9)  # the root's own counter plays no part in its children
+    block = root.derive_random(first, count, size)
+    assert block.shape == (count, size) and block.dtype == np.float64
+    for r in range(count):
+        assert block[r].tolist() == root.derive(first + r).random(size).tolist()
+    assert root.counter == 9
+
+
+def test_derive_random_wraps_like_the_reference():
+    # keys near 2**64 exercise the uint64 wrap of key + id * DERIVE_GAMMA
+    root = CounterRng(0, _key=MASK64 - 5)
+    block = root.derive_random(2**40, 3, 4)
+    for r in range(3):
+        key = _mix64_reference((MASK64 - 5 + (2**40 + r + 1) * DERIVE_GAMMA) & MASK64)
+        raw = [_mix64_reference((key + (i + 1) * GAMMA) & MASK64) for i in range(4)]
+        assert block[r].tolist() == [(v >> 11) * 2.0**-53 for v in raw]
