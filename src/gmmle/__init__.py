@@ -8,7 +8,7 @@ and a UMAP-style 2-D layout (UMAP-LE) round out the pipeline, with a
 block-model simulator providing ground truth for verification.
 """
 
-from .community import CellGraph, knn_graph, louvain, modularity
+from .community import CellGraph, exact_knn, knn_graph, louvain, modularity
 from .core_matrix import (
     CountMatrix,
     DegreeVectors,
@@ -75,6 +75,7 @@ __all__ = [
     "degrees",
     "dispersion_scores",
     "embed",
+    "exact_knn",
     "filter_cells",
     "filter_features",
     "fit_gmm",

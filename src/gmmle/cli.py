@@ -448,15 +448,21 @@ def _run_pipeline_stages(
         "component_shares": [float(s) for s in embedding.component_shares],
     }
 
+    clock.enter("neighbours")
+    n_cells = embedding.coords.shape[0]
+    knn_k = min(values["cluster.knn_k"], n_cells - 1)
+    n_neighbors = 0
+    if layout_params is not None:
+        n_neighbors = min(layout_params.n_neighbors, n_cells - 1)
+    indices, distances = community.exact_knn(embedding.coords, max(knn_k, n_neighbors))
+    graph = community.knn_graph(indices[:, :knn_k])
+
     clock.enter("cluster")
     method = values["cluster.method"]
     cluster_seed = values["cluster.seed"]
-    knn_k = min(values["cluster.knn_k"], embedding.coords.shape[0] - 1)
     cluster_info: dict[str, Any] = {"method": method, "knn_k": knn_k}
     model = None
-    graph = None
     if method == "louvain":
-        graph = community.knn_graph(embedding.coords, knn_k)
         labels = community.louvain(
             graph, seed=cluster_seed, resolution=values["cluster.resolution"]
         )
@@ -495,16 +501,12 @@ def _run_pipeline_stages(
     metrics["stages"]["cluster"] = cluster_info
 
     clock.enter("modularity")
-    if graph is None:
-        graph = community.knn_graph(embedding.coords, knn_k)
     metrics["modularity_knn"] = community.modularity(graph, labels)
 
     if layout_params is not None:
         clock.enter("layout")
-        params = replace(layout_params, n_neighbors=min(
-            layout_params.n_neighbors, embedding.coords.shape[0] - 1
-        ))
-        fuzzy = layout.fuzzy_graph(embedding.coords, params.n_neighbors)
+        params = replace(layout_params, n_neighbors=n_neighbors)
+        fuzzy = layout.fuzzy_graph(indices[:, :n_neighbors], distances[:, :n_neighbors])
         layout2d = layout.optimize_layout(
             fuzzy, embedding.coords[:, :2], params, seed=values["layout.seed"]
         )

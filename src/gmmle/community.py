@@ -66,14 +66,22 @@ class CellGraph:
         )
 
 
-def exact_knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Euclidean k nearest neighbours of every row of ``points``.
+def exact_knn(coords, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Euclidean k nearest neighbours of every row of ``coords``.
 
-    ``points`` is a validated float n x d array and 1 <= k < n.  Returns
-    (indices, distances), both n x k, each row ordered by distance, then
-    index; a point is never its own neighbour.
+    ``coords`` is n x d and 1 <= k < n.  Returns (indices, distances), both
+    n x k, each row ordered by distance, then index; a point is never its
+    own neighbour.  The distance blocks do not depend on k, so the first m
+    columns of a search at k equal a search at m <= k, bit for bit: one
+    search serves every graph built on the same points.
     """
+    points = np.asarray(coords, dtype=np.float64)
+    if points.ndim != 2:
+        raise ValueError("coordinates must be n x d")
     n = points.shape[0]
+    if not (1 <= k < n):
+        raise ValueError(f"k={k} outside [1, {n - 1}]")
+
     sq_norms = (points**2).sum(axis=1)
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k))
@@ -102,26 +110,32 @@ def exact_knn(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return indices, distances
 
 
-def knn_graph(coords, k: int) -> CellGraph:
-    """Exact Euclidean k-nearest-neighbour graph, symmetrized by union.
+def _symmetrized(indices: np.ndarray, weights: np.ndarray) -> CellGraph:
+    """Undirected graph of the edges i -> indices[i, c], weights[i, c].
 
-    Distance ties break by index; edges carry unit weight.
+    Pairs are coded min * n + max and grouped by a stable sort.  A pair
+    listed from both ends merges as a + b - a*b, exactly commutative in
+    IEEE; one listed once keeps w, since w + 0 - w*0 == w.
     """
-    points = np.asarray(coords, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError("coordinates must be n x d")
-    n = points.shape[0]
-    if not (1 <= k < n):
-        raise ValueError(f"k={k} outside [1, {n - 1}]")
-
-    indices, _ = exact_knn(points, k)
+    n, k = indices.shape
     heads = np.repeat(np.arange(n), k)
     tails = indices.ravel()
-    # each undirected pair encoded as i * n + j with i < j, sorted and
-    # deduplicated (a sort plus neighbour mask; plain np.unique hashes)
-    codes = np.sort(np.minimum(heads, tails) * n + np.maximum(heads, tails))
-    codes = codes[np.r_[True, codes[1:] != codes[:-1]]]
-    return CellGraph(n, codes // n, codes % n, np.ones(codes.size))
+    codes = np.minimum(heads, tails) * n + np.maximum(heads, tails)
+    order = np.argsort(codes, kind="stable")
+    codes, directed = codes[order], weights.ravel()[order]
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    first = directed[starts]
+    second = np.zeros_like(first)
+    both = np.flatnonzero(np.diff(np.r_[starts, codes.size]) == 2)
+    second[both] = directed[starts[both] + 1]
+    pairs = codes[starts]
+    return CellGraph(n, pairs // n, pairs % n, first + second - first * second)
+
+
+def knn_graph(indices: np.ndarray) -> CellGraph:
+    """k-nearest-neighbour graph from ``exact_knn`` indices (n x k),
+    symmetrized by union; edges carry unit weight."""
+    return _symmetrized(indices, np.ones(indices.shape))
 
 
 def _community_sums(graph: CellGraph, labels: np.ndarray):

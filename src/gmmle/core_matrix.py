@@ -399,35 +399,42 @@ def _parse_mm_lines(path: Path) -> _Entries:
     return _Entries(n_features, n_cells, rows, cols, vals, entry_lines)
 
 
-# Entries formatted per slice by matrix_market_text.
+# Entries formatted per slice by _matrix_market_pieces.
 _TEXT_SLICE = 1 << 15
 
 
-def matrix_market_text(counts: CountMatrix) -> str:
-    """MatrixMarket coordinate integer serialization, row-major order."""
+def _matrix_market_pieces(counts: CountMatrix):
+    """MatrixMarket text in newline-terminated pieces: the header, then
+    one piece per slice of entries."""
+    yield (
+        "%%MatrixMarket matrix coordinate integer general\n"
+        f"{counts.n_features} {counts.n_cells} {counts.nnz}\n"
+    )
     # the CSR is canonical (sorted indices, no duplicates), so COO order is
     # row-major
     coo = counts.csr().tocoo()
     rows, cols = coo.row + 1, coo.col + 1
-    parts = [
-        "%%MatrixMarket matrix coordinate integer general",
-        f"{counts.n_features} {counts.n_cells} {counts.nnz}",
-    ]
     # formatted in slices: whole-matrix lists of Python ints and lines would
     # hold tens of MB at once
     for start in range(0, counts.nnz, _TEXT_SLICE):
         piece = slice(start, start + _TEXT_SLICE)
-        parts.append("\n".join(map(
-            "{} {} {}".format,
+        yield "".join(map(
+            "{} {} {}\n".format,
             rows[piece].tolist(), cols[piece].tolist(), coo.data[piece].tolist(),
-        )))
-    return "\n".join(parts) + "\n"
+        ))
+
+
+def matrix_market_text(counts: CountMatrix) -> str:
+    """MatrixMarket coordinate integer serialization, row-major order."""
+    return "".join(_matrix_market_pieces(counts))
 
 
 def write_matrix_market(counts: CountMatrix, path) -> None:
-    """Write MatrixMarket coordinate integer format plus id sidecar files."""
+    """Write MatrixMarket coordinate integer format, slice by slice, plus
+    id sidecar files."""
     path = Path(path)
-    path.write_text(matrix_market_text(counts))
+    with path.open("w") as handle:
+        handle.writelines(_matrix_market_pieces(counts))
     feature_path, cell_path = _sidecar_paths(path)
     feature_path.write_text("\n".join(counts.feature_ids) + "\n")
     cell_path.write_text("\n".join(counts.cell_ids) + "\n")

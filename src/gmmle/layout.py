@@ -17,10 +17,11 @@ plus that batch's updates to it, added one at a time in edge order, the
 same additions ``np.add.at`` makes.  A scatter that summed in another
 order would change the layout in its last bits.
 
-The curve constants a=1.577, b=0.8951 are the least-squares fit of
-1/(1 + a*x^(2b)) to the min_dist=0.1 membership target; min_dist is not a
-setting, since only a and b enter the layout.  The test suite re-derives
-them with an independent curve-fit oracle.
+The curve constants CURVE_A = 1.577 and CURVE_B = 0.8951 are the
+least-squares fit of 1/(1 + a*x^(2b)) to the min_dist=0.1 membership
+target; min_dist is not a setting, since only a and b enter the layout.
+The test suite re-derives them with an independent curve-fit oracle.  The
+step starts at INITIAL_ALPHA.
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .community import CellGraph, exact_knn
+from .community import CellGraph, _symmetrized
 from .rng import CounterRng
 
 GRADIENT_CLIP = 4.0
 REPULSION_FLOOR = 0.001
+CURVE_A = 1.577
+CURVE_B = 0.8951
+INITIAL_ALPHA = 1.0
 
 
 class LayoutDivergedError(RuntimeError):
@@ -47,18 +50,12 @@ class LayoutParams:
     n_neighbors: int = 15
     epochs: int = 200
     negative_samples: int = 5
-    a: float = 1.577
-    b: float = 0.8951
-    initial_alpha: float = 1.0
 
     def __post_init__(self):
         for name, valid, rule in (
             ("n_neighbors", self.n_neighbors >= 1, ">= 1"),
             ("epochs", self.epochs >= 1, ">= 1"),
             ("negative_samples", self.negative_samples >= 0, ">= 0"),
-            ("initial_alpha",
-             math.isfinite(self.initial_alpha) and self.initial_alpha > 0,
-             "finite and > 0"),
         ):
             if not valid:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -96,37 +93,14 @@ def _calibrate_sigma(distances: np.ndarray, target: float) -> np.ndarray:
     return mid
 
 
-def fuzzy_graph(coords, n_neighbors: int) -> CellGraph:
-    """Weighted neighborhood graph with fuzzy-union symmetrization."""
-    points = np.asarray(coords, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError("coordinates must be n x d")
-    n = points.shape[0]
-    if not (1 <= n_neighbors < n):
-        raise ValueError(f"n_neighbors={n_neighbors} outside [1, {n - 1}]")
-
-    indices, distances = exact_knn(points, n_neighbors)
+def fuzzy_graph(indices: np.ndarray, distances: np.ndarray) -> CellGraph:
+    """Weighted neighborhood graph from ``exact_knn`` output (both n x k),
+    symmetrized by the fuzzy union a + b - a*b."""
     shifted = np.maximum(distances - distances[:, :1], 0.0)
-    sigma = _calibrate_sigma(shifted, math.log2(n_neighbors))
+    sigma = _calibrate_sigma(shifted, math.log2(indices.shape[1]))
     weights = np.exp(-shifted / sigma[:, None])
     weights[shifted <= 0.0] = 1.0  # nearest neighbors always weight 1
-
-    heads = np.repeat(np.arange(n), n_neighbors)
-    tails = indices.ravel()
-    weights = weights.ravel()
-    directed = sp.csr_matrix((weights, (heads, tails)), shape=(n, n))
-    # weight of the reverse edge j -> i, 0 where j does not list i
-    reverse = np.asarray(directed[tails, heads]).ravel()
-    merged = fuzzy_union(weights, reverse)
-    codes, first = np.unique(
-        np.minimum(heads, tails) * n + np.maximum(heads, tails), return_index=True
-    )
-    return CellGraph(n, codes // n, codes % n, merged[first])
-
-
-def fuzzy_union(a: float, b: float) -> float:
-    """Symmetrization of two directed memberships: a + b - a*b."""
-    return a + b - a * b
+    return _symmetrized(indices, weights)
 
 
 def _norm_sq(delta: np.ndarray) -> np.ndarray:
@@ -206,7 +180,7 @@ def optimize_layout(
     epochs; each visit attracts both endpoints along the gradient of
     log(1 + a*d^(2b)) and repels each endpoint from ``negative_samples``
     uniformly sampled points.  Per-component updates are clipped to +/-4
-    and scaled by a learning rate decaying linearly from initial_alpha
+    and scaled by a learning rate decaying linearly from INITIAL_ALPHA
     to 0.  Deterministic for a fixed seed.
 
     A sampled point equal to its anchor (but not the anchor itself) gets a
@@ -232,7 +206,7 @@ def optimize_layout(
         coords *= 10.0 / scale
 
     n = graph.n
-    a, b = params.a, params.b
+    a, b = CURVE_A, CURVE_B
     heads = graph.edges_i
     tails = graph.edges_j
     weights = graph.weights
@@ -245,7 +219,7 @@ def optimize_layout(
 
     edge_visits = 0
     for epoch in range(params.epochs):
-        alpha = params.initial_alpha * (1.0 - epoch / params.epochs)
+        alpha = INITIAL_ALPHA * (1.0 - epoch / params.epochs)
         due = np.flatnonzero(next_due <= epoch)
         if due.size:
             h = heads.take(due)

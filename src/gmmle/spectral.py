@@ -50,17 +50,13 @@ class EmbeddingDimensionError(ValueError):
 
 @dataclass(frozen=True)
 class NormalizedLaplacian:
-    """Rescaled count matrix.
-
-    ``variant`` records the rescaling: "normalized" (symmetric degree
-    normalization), "random_walk" (row-stochastic), or "adjacency" (no
-    rescaling, as used for adjacency-space embedding).  ``frobenius_sq`` is
-    the sum of squared stored entries.
+    """Rescaled count matrix: symmetric degree normalization, row-stochastic,
+    or none (adjacency-space embedding).  ``frobenius_sq`` is the sum of
+    squared stored entries.
     """
 
     matrix: sp.csr_matrix
     frobenius_sq: float
-    variant: str = "normalized"
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -80,34 +76,32 @@ def _require_positive_degrees(counts: CountMatrix) -> tuple[np.ndarray, np.ndarr
     return deg.row_degrees.astype(np.float64), deg.col_degrees.astype(np.float64)
 
 
+def _rescaled(counts: CountMatrix, row_scale, col_scale) -> NormalizedLaplacian:
+    """X[i, j] * row_scale[i] * col_scale[j], scaling a float copy of the
+    canonical CSR's data; a scale of ones is exact, since x * 1.0 == x."""
+    matrix = counts.csr().astype(np.float64)
+    row_of_entry = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    matrix.data *= row_scale[row_of_entry]
+    matrix.data *= col_scale[matrix.indices]
+    return NormalizedLaplacian(matrix, float(np.sum(matrix.data * matrix.data)))
+
+
 def normalized_laplacian(counts: CountMatrix) -> NormalizedLaplacian:
     """L[i, j] = X[i, j] / sqrt(D_i * D_j); requires positive degrees."""
     row_deg, col_deg = _require_positive_degrees(counts)
-    row_scale = 1.0 / np.sqrt(row_deg)
-    col_scale = 1.0 / np.sqrt(col_deg)
-    coo = counts.csr().tocoo()
-    data = coo.data * row_scale[coo.row] * col_scale[coo.col]
-    matrix = sp.csr_matrix((data, (coo.row, coo.col)), shape=counts.shape)
-    return NormalizedLaplacian(matrix, float(np.sum(data * data)), "normalized")
+    return _rescaled(counts, 1.0 / np.sqrt(row_deg), 1.0 / np.sqrt(col_deg))
 
 
 def random_walk_laplacian(counts: CountMatrix) -> NormalizedLaplacian:
     """Row-stochastic rescaling X[i, j] / D_i."""
-    row_deg, _ = _require_positive_degrees(counts)
-    row_scale = 1.0 / row_deg
-    coo = counts.csr().tocoo()
-    data = coo.data * row_scale[coo.row]
-    matrix = sp.csr_matrix((data, (coo.row, coo.col)), shape=counts.shape)
-    return NormalizedLaplacian(matrix, float(np.sum(data * data)), "random_walk")
+    row_deg, col_deg = _require_positive_degrees(counts)
+    return _rescaled(counts, 1.0 / row_deg, np.ones_like(col_deg))
 
 
 def adjacency_embedding_matrix(counts: CountMatrix) -> NormalizedLaplacian:
     """The raw counts as a float matrix, for adjacency-space embedding."""
-    _require_positive_degrees(counts)
-    matrix = counts.csr().astype(np.float64)
-    return NormalizedLaplacian(
-        matrix, float(np.sum(matrix.data * matrix.data)), "adjacency"
-    )
+    row_deg, col_deg = _require_positive_degrees(counts)
+    return _rescaled(counts, np.ones_like(row_deg), np.ones_like(col_deg))
 
 
 def _orient_signs(u: np.ndarray, v: np.ndarray) -> None:

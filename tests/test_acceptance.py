@@ -16,7 +16,7 @@ import pytest
 import scipy.sparse as sp
 
 from gmmle.cli import main
-from gmmle.community import CellGraph, knn_graph, modularity
+from gmmle.community import CellGraph, exact_knn, modularity
 from gmmle.core_matrix import CountMatrix
 from gmmle.features import dispersion_scores
 from gmmle.layout import LayoutParams, attractive_gradient, fuzzy_graph, optimize_layout
@@ -126,7 +126,7 @@ def test_criterion_03_svd_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     dense = rng.random((60, 40)) * (rng.random((60, 40)) < 0.3)
-    lap = NormalizedLaplacian(sp.csr_matrix(dense), float((dense**2).sum()), "raw")
+    lap = NormalizedLaplacian(sp.csr_matrix(dense), float((dense**2).sum()))
     _, values, right = truncated_svd(lap, 10, seed=11)
     oracle = np.linalg.svd(dense, compute_uv=False)[:10]
     assert np.abs(values - oracle).max() < 1e-8
@@ -247,7 +247,7 @@ def test_criterion_07_layout_properties():
     centers = np.array([[0.0, 0.0, 0.0], [8.0, 0.0, 0.0], [0.0, 8.0, 0.0]])
     rng = CounterRng(17)
     points = np.vstack([c + rng.normal((67, 3)) for c in centers])[:200]
-    graph = fuzzy_graph(points, 15)
+    graph = fuzzy_graph(*exact_knn(points, 15))
     layout_a = optimize_layout(graph, points[:, :2], LayoutParams(), seed=3)
     layout_b = optimize_layout(graph, points[:, :2], LayoutParams(), seed=3)
     assert np.array_equal(layout_a.coords, layout_b.coords)

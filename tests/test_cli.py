@@ -1,6 +1,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ from gmmle.cli import (
     ConfigError, PIPELINE_SCHEMA, StageError, build_stage_configs, main,
     parse_config_text, run_pipeline, write_atomic,
 )
-from gmmle.community import knn_graph
+from gmmle.community import exact_knn, knn_graph
 from gmmle.simulate import adjusted_rand_index
 
 
@@ -354,9 +356,9 @@ class TestPipelineCommand:
         # optimum on this fixture
         built = []
 
-        def counting_knn_graph(coords, k):
-            built.append(k)
-            return knn_graph(coords, k)
+        def counting_knn_graph(indices):
+            built.append(indices.shape[1])
+            return knn_graph(indices)
 
         monkeypatch.setattr(community, "knn_graph", counting_knn_graph)
         out = tmp_path / "louv"
@@ -380,6 +382,31 @@ class TestPipelineCommand:
         assert metrics["stages"]["cluster"]["n_clusters"] == 3
         # Louvain and the modularity metric share one kNN graph
         assert built == [20]
+
+    @pytest.mark.parametrize("n_neighbors, searched_k", [(25, 25), (10, 20)])
+    def test_one_search_serves_both_graphs(
+        self, sim_dir, tmp_path, monkeypatch, n_neighbors, searched_k
+    ):
+        searches = []
+
+        def counting_exact_knn(coords, k):
+            searches.append(k)
+            return exact_knn(coords, k)
+
+        monkeypatch.setattr(community, "exact_knn", counting_exact_knn)
+        out = tmp_path / "one"
+        conf_text = (
+            PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
+            .replace("cluster.method = gmm", "cluster.method = louvain")
+            + f"cluster.knn_k = 20\nlayout.n_neighbors = {n_neighbors}\n"
+        )
+        conf = write_config(tmp_path, "one.conf", conf_text)
+        assert main(["pipeline", "--config", conf]) == 0
+        assert searches == [searched_k]
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["stages"]["cluster"]["knn_k"] == 20
+        assert metrics["stages"]["layout"]["n_neighbors"] == n_neighbors
+        assert "neighbours" in metrics["timings_sec"]
 
 
     def test_d_plus_one_fits_one_more_component_than_dimensions(self, sim_dir, tmp_path):
@@ -406,6 +433,42 @@ class TestPipelineCommand:
         assert "none of 8 features has a finite score" in message
         assert "mean <= 1 or zero variance" in message
         assert "features.enable = false" in message
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+class TestTracedPipeline:
+    """bench/traced_pipeline.py wraps pipeline functions by module attribute;
+    a pipeline that stopped calling one would fail the benchmark's span
+    coverage check."""
+
+    def traced_spans(self, sim_dir, tmp_path, replacements):
+        conf_text = PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=tmp_path / "out")
+        for old, new in replacements:
+            conf_text = conf_text.replace(old, new)
+        conf = write_config(tmp_path, "traced.conf", conf_text)
+        spans_path = tmp_path / "spans.json"
+        subprocess.run(
+            [sys.executable, str(REPO / "bench" / "traced_pipeline.py"), str(spans_path),
+             "pipeline", "--config", conf],
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")), check=True, timeout=300,
+        )
+        return {span["name"] for span in json.loads(spans_path.read_text())}
+
+    def test_louvain_with_layout(self, sim_dir, tmp_path):
+        names = self.traced_spans(sim_dir, tmp_path, [
+            ("cluster.method = gmm", "cluster.method = louvain\ncluster.resolution = 0.5"),
+        ])
+        assert {"community.knn_graph", "community.louvain_trace",
+                "layout.fuzzy_graph"} <= names
+
+    def test_gmm_without_layout(self, sim_dir, tmp_path):
+        names = self.traced_spans(sim_dir, tmp_path, [
+            ("layout.enable = true", "layout.enable = false"),
+        ])
+        assert "community.knn_graph" in names
+        assert not [name for name in names if name.startswith("layout.")]
 
 
 class TestWriteAtomic:

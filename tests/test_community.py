@@ -6,6 +6,7 @@ import pytest
 from gmmle.community import (
     CellGraph,
     _community_sums,
+    exact_knn,
     knn_graph,
     louvain,
     louvain_trace,
@@ -260,19 +261,19 @@ class TestLouvain:
 class TestKnnGraph:
     def test_three_collinear_points(self):
         coords = np.array([[0.0], [1.0], [2.0]])
-        graph = knn_graph(coords, 1)
+        graph = knn_graph(exact_knn(coords, 1)[0])
         edges = set(zip(graph.edges_i.tolist(), graph.edges_j.tolist()))
         assert edges == {(0, 1), (1, 2)}
 
     def test_complete_when_k_is_n_minus_1(self):
         rng = CounterRng(29)
         coords = rng.normal((6, 2))
-        graph = knn_graph(coords, 5)
+        graph = knn_graph(exact_knn(coords, 5)[0])
         assert graph.n_edges == 15
 
     def test_duplicate_points_tie_break_by_index(self):
         coords = np.array([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
-        graph = knn_graph(coords, 1)
+        graph = knn_graph(exact_knn(coords, 1)[0])
         edges = set(zip(graph.edges_i.tolist(), graph.edges_j.tolist()))
         # p1 and p2 prefer the lowest-index duplicate p0; p0 prefers p1;
         # p3 ties across all three and takes p0
@@ -282,11 +283,13 @@ class TestKnnGraph:
     def test_k_out_of_range(self):
         coords = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            knn_graph(coords, 3)
+            exact_knn(coords, 3)
         with pytest.raises(ValueError):
-            knn_graph(coords, 0)
+            exact_knn(coords, 0)
+        with pytest.raises(ValueError, match="n x d"):
+            exact_knn(np.zeros(3), 1)
 
     def test_unit_weights(self):
         rng = CounterRng(31)
-        graph = knn_graph(rng.normal((10, 3)), 3)
+        graph = knn_graph(exact_knn(rng.normal((10, 3)), 3)[0])
         assert (graph.weights == 1.0).all()

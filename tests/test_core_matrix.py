@@ -177,7 +177,7 @@ class TestMatrixMarketText:
     # slices of 1 and 7 entries put slice boundaries inside and between rows
     @pytest.mark.parametrize("slice_size", [None, 7, 1])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bytes_equal_per_entry_loop(self, monkeypatch, seed, slice_size):
+    def test_bytes_equal_per_entry_loop(self, monkeypatch, tmp_path, seed, slice_size):
         if slice_size is not None:
             monkeypatch.setattr(core_matrix, "_TEXT_SLICE", slice_size)
         rng = np.random.default_rng(seed)
@@ -193,11 +193,16 @@ class TestMatrixMarketText:
         )
         text = matrix_market_text(cm)
         assert text.encode() == per_entry_matrix_market_text(cm).encode()
+        # the writer streams the same slices to the file
+        write_matrix_market(cm, tmp_path / "m.mtx")
+        assert (tmp_path / "m.mtx").read_bytes() == text.encode()
 
-    def test_empty_matrix(self):
+    def test_empty_matrix(self, tmp_path):
         cm = CountMatrix.from_dense(np.zeros((2, 3), dtype=np.int64))
         assert matrix_market_text(cm) == per_entry_matrix_market_text(cm)
         assert matrix_market_text(cm).endswith("2 3 0\n")
+        write_matrix_market(cm, tmp_path / "m.mtx")
+        assert (tmp_path / "m.mtx").read_text() == matrix_market_text(cm)
 
     def test_submatrix_output(self):
         rng = np.random.default_rng(4)

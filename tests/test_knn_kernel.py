@@ -134,15 +134,30 @@ def test_kernel_matches_reference(name):
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_search_sliced_to_fewer_neighbours_equals_search_at_that_count(name):
+    # the pipeline searches once at K and slices for each graph
+    points = FIXTURES[name]()
+    ks = k_values(points)
+    big_idx, big_dist = exact_knn(points, max(ks))
+    for k in range(1, max(ks) + 1):
+        idx, dist = exact_knn(points, k)
+        assert np.array_equal(big_idx[:, :k], idx), k
+        assert np.array_equal(big_dist[:, :k], dist), k
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_knn_graph_matches_reference(name):
     points = FIXTURES[name]()
     for k in k_values(points):
-        assert_same_graph(knn_graph(points, k), reference_knn_graph(points, k))
+        idx, _ = exact_knn(points, k)
+        assert_same_graph(knn_graph(idx), reference_knn_graph(points, k))
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_fuzzy_graph_matches_reference(name):
     points = FIXTURES[name]()
     for k in k_values(points):
-        assert_same_graph(fuzzy_graph(points, k), reference_fuzzy_graph(points, k))
+        assert_same_graph(
+            fuzzy_graph(*exact_knn(points, k)), reference_fuzzy_graph(points, k)
+        )
 

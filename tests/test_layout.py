@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import curve_fit
 
-from gmmle.community import CellGraph
+from gmmle.community import CellGraph, _symmetrized, exact_knn
 from gmmle.layout import (
+    CURVE_A,
+    CURVE_B,
     LayoutParams,
     attractive_gradient,
     fuzzy_graph,
-    fuzzy_union,
     layout_to_tsv,
     optimize_layout,
     repulsive_push,
@@ -28,14 +29,22 @@ def three_clusters(seed=0, per_cluster=67, n_total=200, dim=3, sep=8.0):
 
 class TestFuzzyGraph:
     def test_union_formula_values(self):
-        assert fuzzy_union(0.5, 0.5) == pytest.approx(0.75)
-        assert fuzzy_union(1.0, 0.0) == pytest.approx(1.0)
-        assert fuzzy_union(0.0, 0.0) == 0.0
+        # points 0 and 1 list each other; point 2 lists 0, which does not
+        # list it back
+        indices = np.array([[1], [0], [0]])
+        for weights, want in (
+            ([0.5, 0.5, 1.0], {(0, 1): 0.75, (0, 2): 1.0}),
+            ([0.0, 0.0, 0.25], {(0, 1): 0.0, (0, 2): 0.25}),
+            ([1.0, 0.0, 0.0], {(0, 1): 1.0, (0, 2): 0.0}),
+        ):
+            graph = _symmetrized(indices, np.array(weights)[:, None])
+            pairs = zip(graph.edges_i.tolist(), graph.edges_j.tolist())
+            assert dict(zip(pairs, graph.weights.tolist())) == want
 
     def test_nearest_neighbor_weight_is_one(self):
         rng = CounterRng(3)
         points = rng.normal((30, 2))
-        graph = fuzzy_graph(points, 5)
+        graph = fuzzy_graph(*exact_knn(points, 5))
         # for every point, the edge to its nearest neighbor must carry the
         # fuzzy union of 1 with something, i.e. exactly 1
         dist = ((points[:, None] - points[None]) ** 2).sum(axis=2)
@@ -89,12 +98,12 @@ class TestFuzzyGraph:
 
     def test_identical_points_all_weights_one(self):
         points = np.zeros((6, 2))
-        graph = fuzzy_graph(points, 3)
+        graph = fuzzy_graph(*exact_knn(points, 3))
         assert (graph.weights == 1.0).all()
 
     def test_rejects_bad_neighbor_count(self):
         with pytest.raises(ValueError):
-            fuzzy_graph(np.zeros((4, 2)), 4)
+            exact_knn(np.zeros((4, 2)), 4)
 
 
 class TestGradients:
@@ -154,9 +163,8 @@ def test_curve_constants_match_fit_oracle():
     xv = np.linspace(0.0, 3.0 * spread, 300)
     yv = np.where(xv < min_dist, 1.0, np.exp(-(xv - min_dist) / spread))
     (a_fit, b_fit), _ = curve_fit(lambda x, a, b: 1.0 / (1.0 + a * x ** (2.0 * b)), xv, yv)
-    params = LayoutParams()
-    assert params.a == pytest.approx(a_fit, abs=1e-3)
-    assert params.b == pytest.approx(b_fit, abs=1e-3)
+    assert CURVE_A == pytest.approx(a_fit, abs=1e-3)
+    assert CURVE_B == pytest.approx(b_fit, abs=1e-3)
 
 
 class TestLayoutParams:
@@ -165,18 +173,13 @@ class TestLayoutParams:
         ("epochs", 0),
         ("epochs", -5),
         ("negative_samples", -1),
-        ("initial_alpha", 0.0),
-        ("initial_alpha", -1.0),
-        ("initial_alpha", math.inf),
-        ("initial_alpha", math.nan),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             LayoutParams(**{field: value})
 
     def test_smallest_valid_values_accepted(self):
-        params = LayoutParams(n_neighbors=1, epochs=1, negative_samples=0,
-                              initial_alpha=1e-9)
+        params = LayoutParams(n_neighbors=1, epochs=1, negative_samples=0)
         assert params.negative_samples == 0
 
 
@@ -184,7 +187,7 @@ class TestOptimizeLayout:
     def run_layout(self, points, seed=0, **overrides):
         params = LayoutParams(**overrides) if overrides else LayoutParams()
         n_neighbors = min(params.n_neighbors, points.shape[0] - 1)
-        graph = fuzzy_graph(points, n_neighbors)
+        graph = fuzzy_graph(*exact_knn(points, n_neighbors))
         return optimize_layout(graph, points[:, :2], params, seed=seed)
 
     def test_two_blobs_stay_separated(self):
@@ -239,7 +242,7 @@ class TestOptimizeLayout:
         assert np.array_equal(layout.coords, init)
 
     def test_init_shape_checked(self):
-        graph = fuzzy_graph(np.arange(10.0)[:, None], 3)
+        graph = fuzzy_graph(*exact_knn(np.arange(10.0)[:, None], 3))
         with pytest.raises(ValueError):
             optimize_layout(graph, np.zeros((10, 3)))
 

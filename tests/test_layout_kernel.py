@@ -5,9 +5,12 @@ counts too) and the same gradient helpers."""
 import numpy as np
 import pytest
 
-from gmmle.community import CellGraph
+from gmmle.community import CellGraph, exact_knn
 from gmmle.layout import (
+    CURVE_A,
+    CURVE_B,
     GRADIENT_CLIP,
+    INITIAL_ALPHA,
     REPULSION_FLOOR,
     LayoutParams,
     attractive_gradient,
@@ -47,7 +50,7 @@ def reference_optimize_layout(graph, init, params, seed):
     if scale > 0:
         coords *= 10.0 / scale
     n = graph.n
-    a, b = params.a, params.b
+    a, b = CURVE_A, CURVE_B
     positive = graph.weights > 0
     heads = graph.edges_i[positive]
     tails = graph.edges_j[positive]
@@ -58,7 +61,7 @@ def reference_optimize_layout(graph, init, params, seed):
     n_neg = params.negative_samples
     edge_visits = kicks = self_samples = 0
     for epoch in range(params.epochs):
-        alpha = params.initial_alpha * (1.0 - epoch / params.epochs)
+        alpha = INITIAL_ALPHA * (1.0 - epoch / params.epochs)
         due = next_due <= epoch
         if due.any():
             h = heads[due]
@@ -123,7 +126,7 @@ FIXTURES = {
 def test_layout_matches_add_at_reference(name, negative_samples, seed):
     make, n_neighbors, epochs = FIXTURES[name]
     points = make()
-    graph = fuzzy_graph(points, n_neighbors)
+    graph = fuzzy_graph(*exact_knn(points, n_neighbors))
     params = LayoutParams(
         n_neighbors=n_neighbors, epochs=epochs, negative_samples=negative_samples
     )
@@ -169,7 +172,7 @@ def gradient_inputs():
     ],
 )
 def test_gradient_helpers_match_reduction_formula(helper, reference):
-    a, b = LayoutParams().a, LayoutParams().b
+    a, b = CURVE_A, CURVE_B
     heads, tails = gradient_inputs()
     got = helper(heads, tails, a, b)
     assert got.tobytes() == reference(heads, tails, a, b).tobytes()

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gmmle.community import CellGraph, knn_graph, louvain, louvain_trace
+from gmmle.community import CellGraph, exact_knn, knn_graph, louvain, louvain_trace
 from gmmle.layout import fuzzy_graph
 from gmmle.rng import CounterRng
 
@@ -289,7 +289,7 @@ def four_blobs(n, seed):
 
 @pytest.fixture(scope="module")
 def blob_knn_graph():
-    return knn_graph(four_blobs(2500, seed=7), 20)
+    return knn_graph(exact_knn(four_blobs(2500, seed=7), 20)[0])
 
 
 @pytest.mark.parametrize("resolution", [0.5, 1.0])
@@ -336,7 +336,7 @@ def test_weighted_fuzzy_graphs_match_reference(seed):
     rng = CounterRng(100 + seed)
     n = 20 + 10 * (seed % 4)
     points = rng.normal((n, 3))
-    graph = fuzzy_graph(points, 4 + seed % 5)
+    graph = fuzzy_graph(*exact_knn(points, 4 + seed % 5))
     for resolution in (0.5, 1.0, 2.0):
         assert_matches_reference(graph, seed=seed, resolution=resolution, exact=False)
 

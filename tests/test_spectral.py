@@ -86,9 +86,7 @@ class TestTruncatedSvd:
     def test_dense_oracle_60x40(self):
         rng = np.random.default_rng(7)
         dense = rng.random((60, 40)) * (rng.random((60, 40)) < 0.3)
-        lap = NormalizedLaplacian(
-            sp.csr_matrix(dense), float((dense**2).sum()), "raw",
-        )
+        lap = NormalizedLaplacian(sp.csr_matrix(dense), float((dense**2).sum()))
         left, values, right = truncated_svd(lap, 10, seed=11)
         oracle = np.linalg.svd(dense, compute_uv=False)[:10]
         assert np.abs(values - oracle).max() < 1e-8
@@ -133,11 +131,7 @@ class TestTruncatedSvd:
 
 def raw_container(dense):
     dense = np.asarray(dense, dtype=float)
-    return NormalizedLaplacian(
-        sp.csr_matrix(dense),
-        float((dense**2).sum()),
-        "raw",
-    )
+    return NormalizedLaplacian(sp.csr_matrix(dense), float((dense**2).sum()))
 
 
 class TestEmbed:
