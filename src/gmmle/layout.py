@@ -12,10 +12,20 @@ sampled background points.  Updates are applied in deterministic batches
 per epoch with a linearly decaying step, so a fixed seed reproduces the
 layout bit for bit.
 
-Each batch is scattered in order: a point's new coordinate is its old one
-plus that batch's updates to it, added one at a time in edge order, the
-same additions ``np.add.at`` makes.  A scatter that summed in another
-order would change the layout in its last bits.
+The epoch runs on 1-D component arrays: the x and y coordinates (length
+n) and, per batch of pairs, dx, dy, the squared distance and the force
+components (length m).  A pair array kept as m x 2 would make every
+elementwise step a broadcast whose inner loop has length 2, which costs
+several times the arithmetic.  The forces are computed by the same code
+that the public ``attractive_gradient`` and ``repulsive_push`` wrap, so
+each formula exists once.  Each batch is scattered in order, one
+``np.bincount`` per axis: a point's new coordinate is its old one plus
+that batch's updates to it, added one at a time in edge order, the same
+additions ``np.add.at`` makes on an n x 2 array.  Every step is the same
+IEEE operation on the same operands, in the same order, as that
+``np.add.at`` loop (``tests/test_layout_kernel.py`` keeps it as the
+reference), so the layout is the same bit for bit.  A scatter that summed
+in another order would change the layout in its last bits.
 
 The curve constants CURVE_A = 1.577 and CURVE_B = 0.8951 are the
 least-squares fit of 1/(1 + a*x^(2b)) to the min_dist=0.1 membership
@@ -103,11 +113,46 @@ def fuzzy_graph(indices: np.ndarray, distances: np.ndarray) -> CellGraph:
     return _symmetrized(indices, weights)
 
 
-def _norm_sq(delta: np.ndarray) -> np.ndarray:
-    """x*x + y*y over the last axis: the sum a length-2 reduction forms,
-    without the per-call cost of one."""
-    x, y = delta[..., 0], delta[..., 1]
-    return x * x + y * y
+def _attraction(dx: np.ndarray, dy: np.ndarray, a: float, b: float):
+    """Components of the gradient of log(1 + a * d^(2b)) for pair offsets
+    ``(dx, dy)``, one pair per element; exactly +0.0 where the points
+    coincide."""
+    dist_sq = dx * dx + dy * dy
+    gx = np.zeros_like(dx)
+    gy = np.zeros_like(dy)
+    moving = dist_sq > 0.0
+    d_sq = dist_sq[moving]
+    coeff = 2.0 * a * b * d_sq ** (b - 1.0) / (1.0 + a * d_sq**b)
+    gx[moving] = coeff * dx[moving]
+    gy[moving] = coeff * dy[moving]
+    return gx, gy
+
+
+def _push(dx: np.ndarray, dy: np.ndarray, a: float, b: float):
+    """Components of the repulsion for pair offsets ``(dx, dy)``, written
+    over ``dx`` and ``dy``.
+
+    The coefficient 2b / ((REPULSION_FLOOR + d^2) * (1 + a * d^(2b))) is
+    built in place, one step per operation of the formula; IEEE addition
+    and multiplication commute exactly, so its bits are the formula's.
+    """
+    dist_sq = dx * dx
+    dist_sq += dy * dy
+    curve = dist_sq**b
+    curve *= a
+    curve += 1.0
+    dist_sq += REPULSION_FLOOR
+    dist_sq *= curve
+    coeff = 2.0 * b / dist_sq
+    dx *= coeff
+    dy *= coeff
+    return dx, dy
+
+
+def _pairwise(force, head, tail, a: float, b: float) -> np.ndarray:
+    """``force`` on points or matching m x 2 arrays, stacked back to that shape."""
+    delta = np.asarray(head, dtype=np.float64) - np.asarray(tail, dtype=np.float64)
+    return np.stack(force(delta[..., 0], delta[..., 1], a, b), axis=-1)
 
 
 def attractive_gradient(head, tail, a: float, b: float) -> np.ndarray:
@@ -116,16 +161,10 @@ def attractive_gradient(head, tail, a: float, b: float) -> np.ndarray:
     ``head`` and ``tail`` are single points or matching m x 2 arrays of
     pairs.  Points away from ``tail``; descent steps move the pair together.
     Zero at coincident points (the objective is flat-bottomed there for
-    the b < 1 regime used here).
+    the b < 1 regime used here).  The layout epoch runs the same
+    per-component code (``_attraction``).
     """
-    delta = np.asarray(head, dtype=np.float64) - np.asarray(tail, dtype=np.float64)
-    dist_sq = _norm_sq(delta)
-    grad = np.zeros_like(delta)
-    moving = dist_sq > 0.0
-    d_sq = dist_sq[moving]
-    coeff = 2.0 * a * b * d_sq ** (b - 1.0) / (1.0 + a * d_sq**b)
-    grad[moving] = coeff[:, None] * delta[moving]
-    return grad
+    return _pairwise(_attraction, head, tail, a, b)
 
 
 def repulsive_push(head, tail, a: float, b: float) -> np.ndarray:
@@ -134,36 +173,34 @@ def repulsive_push(head, tail, a: float, b: float) -> np.ndarray:
     ``head`` and ``tail`` are single points or matching m x 2 arrays of
     pairs.  Derived from the negative-sample term of the layout objective
     with a 0.001 squared-distance floor; magnitude depends only on the
-    distance.
+    distance.  The layout epoch runs the same per-component code
+    (``_push``).
     """
-    delta = np.asarray(head, dtype=np.float64) - np.asarray(tail, dtype=np.float64)
-    dist_sq = _norm_sq(delta)
-    coeff = 2.0 * b / ((REPULSION_FLOOR + dist_sq) * (1.0 + a * dist_sq**b))
-    return coeff[..., None] * delta
+    return _pairwise(_push, head, tail, a, b)
 
 
-def _clip(values: np.ndarray) -> np.ndarray:
-    return np.clip(values, -GRADIENT_CLIP, GRADIENT_CLIP)
+def _clip(*components: np.ndarray) -> None:
+    for values in components:
+        np.clip(values, -GRADIENT_CLIP, GRADIENT_CLIP, out=values)
 
 
-def _scatter_add(coords: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
-    """In place ``coords[index[e]] += values[e]`` in order of e, bit for bit
-    as ``np.add.at``.
+def _scatter_add(coord: np.ndarray, bins: np.ndarray, *updates: np.ndarray):
+    """``coord`` with ``coord[index[e]] += update[e]`` applied in order of e,
+    bit for bit as ``np.add.at``; ``bins`` is ``concat(arange(n), index)``
+    and ``updates`` are consecutive pieces of the update vector.
 
-    Per axis, one ``np.bincount`` whose first n weights are the coordinates:
-    each point's sum is its coordinate, then its updates in index order.
-    The count starts from +0.0, but -0.0 is the additive identity, so a
-    point whose every term is -0.0 is set back to -0.0.
+    One ``np.bincount`` whose first n weights are the coordinates: each
+    point's sum is its coordinate, then its updates in index order.  The
+    count starts from +0.0, but -0.0 is the additive identity, so a point
+    whose every term is -0.0 is set back to -0.0.
     """
-    n = coords.shape[0]
-    bins = np.concatenate((np.arange(n), index))
-    for axis in range(coords.shape[1]):
-        terms = np.concatenate((coords[:, axis], values[:, axis]))
-        total = np.bincount(bins, terms, minlength=n)
-        if (total == 0.0).any():
-            signed = bins[(terms != 0.0) | ~np.signbit(terms)]
-            total[np.bincount(signed, minlength=n) == 0] = -0.0
-        coords[:, axis] = total
+    n = coord.size
+    terms = np.concatenate((coord, *updates))
+    total = np.bincount(bins, terms, minlength=n)
+    if (total == 0.0).any():
+        signed = bins[(terms != 0.0) | ~np.signbit(terms)]
+        total[np.bincount(signed, minlength=n) == 0] = -0.0
+    return total
 
 
 def optimize_layout(
@@ -181,7 +218,8 @@ def optimize_layout(
     log(1 + a*d^(2b)) and repels each endpoint from ``negative_samples``
     uniformly sampled points.  Per-component updates are clipped to +/-4
     and scaled by a learning rate decaying linearly from INITIAL_ALPHA
-    to 0.  Deterministic for a fixed seed.
+    to 0.  Deterministic for a fixed seed.  Edges of weight 0 are never
+    due; a graph with no positive weight returns ``init`` unchanged.
 
     A sampled point equal to its anchor (but not the anchor itself) gets a
     fixed kick apart; the anchor sampling itself gets no push.  Both tests
@@ -198,7 +236,8 @@ def optimize_layout(
         raise ValueError(f"init must be {graph.n} x 2")
     if not np.isfinite(coords).all():
         raise ValueError("init contains non-finite coordinates")
-    if graph.n_edges == 0:
+    positive = graph.weights > 0
+    if not positive.any():
         return Layout2D(coords, 0)
 
     scale = np.abs(coords).max()
@@ -207,15 +246,16 @@ def optimize_layout(
 
     n = graph.n
     a, b = CURVE_A, CURVE_B
-    heads = graph.edges_i
-    tails = graph.edges_j
-    weights = graph.weights
-    positive = weights > 0
-    heads, tails, weights = heads[positive], tails[positive], weights[positive]
+    heads = graph.edges_i[positive]
+    tails = graph.edges_j[positive]
+    weights = graph.weights[positive]
     epochs_per_sample = weights.max() / weights
     next_due = epochs_per_sample.copy()
     rng = CounterRng(seed)
     n_neg = params.negative_samples
+    points = np.arange(n)
+    x = coords[:, 0].copy()
+    y = coords[:, 1].copy()
 
     edge_visits = 0
     for epoch in range(params.epochs):
@@ -225,34 +265,41 @@ def optimize_layout(
             h = heads.take(due)
             t = tails.take(due)
             edge_visits += h.size
-            attract = _clip(attractive_gradient(
-                coords.take(h, axis=0), coords.take(t, axis=0), a, b
-            ))
+            gx, gy = _attraction(x.take(h) - x.take(t), y.take(h) - y.take(t), a, b)
+            _clip(gx, gy)
             # descend: pull the pair together from both ends
-            _scatter_add(coords, np.concatenate((h, t)),
-                         np.concatenate((-alpha * attract, alpha * attract)))
+            bins = np.concatenate((points, h, t))
+            x = _scatter_add(x, bins, -alpha * gx, alpha * gx)
+            y = _scatter_add(y, bins, -alpha * gy, alpha * gy)
 
-            for side in (h, t):
+            # both sides' samples in one draw: the same counters in the same order
+            samples = rng.integers(n, 2 * h.size * n_neg)
+            for side, others in zip((h, t), np.split(samples, 2)):
                 anchors = np.repeat(side, n_neg)
-                others = rng.integers(n, anchors.size)
-                anchor_xy = coords.take(anchors, axis=0)
-                other_xy = coords.take(others, axis=0)
-                push = _clip(repulsive_push(anchor_xy, other_xy, a, b))
+                xa, ya = x.take(anchors), y.take(anchors)
+                xo, yo = x.take(others), y.take(others)
+                px, py = _push(xa - xo, ya - yo, a, b)
+                _clip(px, py)
                 # only a zero push can come from coincident points
-                still = np.flatnonzero((push[:, 0] == 0.0) & (push[:, 1] == 0.0))
+                still = np.flatnonzero(px == 0.0)
+                still = still[py.take(still) == 0.0]
                 if still.size:
-                    same = (
-                        (anchor_xy[still, 0] == other_xy[still, 0])
-                        & (anchor_xy[still, 1] == other_xy[still, 1])
-                    )
+                    same = (xa[still] == xo[still]) & (ya[still] == yo[still])
                     sampled_self = anchors.take(still) == others.take(still)
                     # arbitrary fixed kick apart
-                    push[still[same & ~sampled_self]] = GRADIENT_CLIP
-                    push[still[sampled_self]] = 0.0
-                _scatter_add(coords, anchors, alpha * push)
+                    kicked = still[same & ~sampled_self]
+                    px[kicked] = py[kicked] = GRADIENT_CLIP
+                    unpushed = still[sampled_self]
+                    px[unpushed] = py[unpushed] = 0.0
+                px *= alpha
+                py *= alpha
+                bins = np.concatenate((points, anchors))
+                x = _scatter_add(x, bins, px)
+                y = _scatter_add(y, bins, py)
 
             next_due[due] += epochs_per_sample.take(due)
 
+    coords = np.column_stack((x, y))
     if not np.isfinite(coords).all():
         raise LayoutDivergedError("layout diverged: non-finite coordinate")
     return Layout2D(coords, edge_visits)

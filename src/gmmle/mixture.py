@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
 from .rng import CounterRng
 
@@ -148,6 +146,11 @@ def log_responsibilities(points, weights, means, covariances):
 
     Returns (log_resp, point_log_density); stable log-sum-exp throughout.
     """
+    # imported here, not at module level: every gmmle process imports this
+    # module, and these two take about 0.2 s to load in runs that fit no mixture
+    from scipy.linalg import solve_triangular
+    from scipy.special import logsumexp
+
     points = _as_points(points)
     n, d = points.shape
     n_components = len(weights)

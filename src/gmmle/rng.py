@@ -55,10 +55,20 @@ def mix64(value: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer; uint64 in, uint64 out."""
-    z = (z ^ (z >> _U(30))) * _U(0xBF58476D1FD49E4E)
-    z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
-    return z ^ (z >> _U(31))
+    """Vectorized SplitMix64 finalizer; uint64 in, a new uint64 array out.
+
+    The first shift makes the output array, so ``z`` is never written; the
+    later steps run in place on it and one scratch array.
+    """
+    out = z >> _U(30)
+    out ^= z
+    out *= _U(0xBF58476D1FD49E4E)
+    shifted = out >> _U(27)
+    out ^= shifted
+    out *= _U(0x94D049BB133111EB)
+    np.right_shift(out, _U(31), out=shifted)
+    out ^= shifted
+    return out
 
 
 def _unit_float(raw: np.ndarray) -> np.ndarray:
@@ -125,14 +135,19 @@ class CounterRng:
         advance self.
         """
         ids = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-        keys = _mix64_array(_U(self.key) + ids * _U(DERIVE_GAMMA))
-        offsets = np.arange(1, size + 1, dtype=np.uint64) * _U(GAMMA)
+        ids *= _U(DERIVE_GAMMA)
+        ids += _U(self.key)
+        keys = _mix64_array(ids)
+        offsets = np.arange(1, size + 1, dtype=np.uint64)
+        offsets *= _U(GAMMA)
         return _unit_float(_mix64_array(keys[:, None] + offsets))
 
     def _raw(self, n: int) -> np.ndarray:
         counters = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        return _mix64_array(_U(self.key) + counters * _U(GAMMA))
+        counters *= _U(GAMMA)
+        counters += _U(self.key)
+        return _mix64_array(counters)
 
     def uint64(self, n: int) -> np.ndarray:
         return self._raw(int(n))
@@ -156,7 +171,10 @@ class CounterRng:
             return int(self.uint64(1)[0] % _U(bound))
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
-        return (self.uint64(n) % _U(bound)).astype(np.int64).reshape(shape)
+        raw = self.uint64(n)
+        np.remainder(raw, _U(bound), out=raw)
+        # the same bits astype(np.int64) gives, without the copy
+        return raw.view(np.int64).reshape(shape)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic shuffle of range(n) by sorting random 64-bit keys."""

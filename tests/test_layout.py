@@ -241,6 +241,13 @@ class TestOptimizeLayout:
         layout = optimize_layout(graph, init, seed=0)
         assert np.array_equal(layout.coords, init)
 
+    def test_all_zero_weight_graph_returns_init(self):
+        graph = CellGraph(3, np.array([0, 1]), np.array([1, 2]), np.zeros(2))
+        init = np.arange(6.0).reshape(3, 2)
+        layout = optimize_layout(graph, init, seed=0)
+        assert np.array_equal(layout.coords, init)
+        assert layout.edge_visits == 0
+
     def test_init_shape_checked(self):
         graph = fuzzy_graph(*exact_knn(np.arange(10.0)[:, None], 3))
         with pytest.raises(ValueError):

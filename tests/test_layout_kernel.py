@@ -59,7 +59,7 @@ def reference_optimize_layout(graph, init, params, seed):
     next_due = epochs_per_sample.copy()
     rng = CounterRng(seed)
     n_neg = params.negative_samples
-    edge_visits = kicks = self_samples = 0
+    edge_visits = kicks = self_samples = coincident_edges = 0
     for epoch in range(params.epochs):
         alpha = INITIAL_ALPHA * (1.0 - epoch / params.epochs)
         due = next_due <= epoch
@@ -67,6 +67,7 @@ def reference_optimize_layout(graph, init, params, seed):
             h = heads[due]
             t = tails[due]
             edge_visits += h.size
+            coincident_edges += int((coords[h] == coords[t]).all(axis=1).sum())
             attract = clip(reference_attractive_gradient(coords[h], coords[t], a, b))
             np.add.at(coords, h, -alpha * attract)
             np.add.at(coords, t, alpha * attract)
@@ -82,7 +83,7 @@ def reference_optimize_layout(graph, init, params, seed):
                 self_samples += int((anchors == others).sum())
                 np.add.at(coords, anchors, alpha * push)
             next_due[due] += epochs_per_sample[due]
-    return coords, edge_visits, kicks, self_samples
+    return coords, edge_visits, kicks, self_samples, coincident_edges
 
 
 def blobs_4d():
@@ -131,7 +132,7 @@ def test_layout_matches_add_at_reference(name, negative_samples, seed):
         n_neighbors=n_neighbors, epochs=epochs, negative_samples=negative_samples
     )
     init = points[:, :2]
-    expected, visits, kicks, self_samples = reference_optimize_layout(
+    expected, visits, kicks, self_samples, coincident_edges = reference_optimize_layout(
         graph, init, params, seed
     )
     got = optimize_layout(graph, init, params, seed=seed)
@@ -140,6 +141,8 @@ def test_layout_matches_add_at_reference(name, negative_samples, seed):
     # the fixtures reach the branches they are there for
     if name == "duplicated" and negative_samples:
         assert kicks > 0 and self_samples > 0
+    if name == "duplicated":
+        assert coincident_edges > 0  # due edges with zero attraction
     if name == "signed_zero":
         x = expected[:, 0]
         assert (x == 0.0).all() and np.signbit(x).any() and not np.signbit(x).all()

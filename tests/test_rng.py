@@ -13,7 +13,8 @@ import pytest
 
 from conftest import reference_poisson
 from gmmle.rng import (
-    DERIVE_GAMMA, GAMMA, MASK64, CounterRng, mix64, poisson_cdf, poisson_invert,
+    DERIVE_GAMMA, GAMMA, MASK64, CounterRng, _mix64_array, mix64, poisson_cdf,
+    poisson_invert,
 )
 
 M1 = 0xBF58476D1FD49E4E
@@ -43,6 +44,20 @@ FROZEN_SEED0 = [
 def test_mix64_matches_reference():
     for z in [0, 1, 2**63, MASK64, 0x123456789ABCDEF0]:
         assert mix64(z) == _mix64_reference(z)
+
+
+def test_mix64_array_matches_reference_and_keeps_its_input():
+    values = [0, 1, 2**63, MASK64, 0x123456789ABCDEF0]
+    z = np.array(values, dtype=np.uint64)
+    assert _mix64_array(z).tolist() == [_mix64_reference(v) for v in values]
+    assert z.tolist() == values
+
+
+@pytest.mark.parametrize("bound", [7, 2**40])
+def test_integers_are_the_stream_modulo_bound(bound):
+    got = CounterRng(3).integers(bound, 50)
+    assert got.dtype == np.int64
+    assert got.tolist() == [v % bound for v in _stream_reference(3, 50)]
 
 
 def test_frozen_vector_seed0():
