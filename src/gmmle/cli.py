@@ -23,7 +23,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -43,8 +43,10 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write via a uniquely named temp file + rename in the destination directory.
+def write_atomic(path: Path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of string pieces written in
+    turn, via a uniquely named temp file + rename in the destination
+    directory.
 
     Concurrent writers into one directory never share a temp file, and a
     failed write removes its temp file.
@@ -57,7 +59,7 @@ def write_atomic(path: Path, text: str) -> None:
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -344,7 +346,7 @@ def _resolve_out_dir(values: dict[str, Any], override: str | None) -> Path:
 def _write_counts(out_dir: Path, stem: str, counts: core_matrix.CountMatrix) -> None:
     """``<stem>.mtx`` plus the id sidecars that read_matrix_market looks for."""
     path = out_dir / f"{stem}.mtx"
-    write_atomic(path, core_matrix.matrix_market_text(counts))
+    write_atomic(path, core_matrix._matrix_market_pieces(counts))
     feature_path, cell_path = core_matrix._sidecar_paths(path)
     write_atomic(feature_path, "\n".join(counts.feature_ids) + "\n")
     write_atomic(cell_path, "\n".join(counts.cell_ids) + "\n")
@@ -454,7 +456,11 @@ def _run_pipeline_stages(
     n_neighbors = 0
     if layout_params is not None:
         n_neighbors = min(layout_params.n_neighbors, n_cells - 1)
-    indices, distances = community.exact_knn(embedding.coords, max(knn_k, n_neighbors))
+    search_k = max(knn_k, n_neighbors)
+    indices, distances = community.exact_knn(embedding.coords, search_k)
+    metrics["stages"]["neighbours"] = {
+        "k": search_k, "path": community._knn_source(*embedding.coords.shape),
+    }
     graph = community.knn_graph(indices[:, :knn_k])
 
     clock.enter("cluster")

@@ -1,5 +1,14 @@
 """Cell-cell graphs, the modularity statistic, and Louvain clustering.
 
+Every cell graph starts from one exact k-nearest-neighbour search,
+``exact_knn``, with one ranking definition and two candidate sources.  The
+distance is the direct one: squared coordinate differences summed in
+column order.  Candidates come from bounded-memory Gram blocks or, above a
+measured size, from a k-d tree (Friedman, Bentley & Finkel, ACM TOMS 1977);
+a row whose candidates cannot be shown to hold its k nearest, rounding
+included, is ranked by a scan of all points.  The result is the same bit
+for bit whatever the source or the block size.
+
 Modularity of a labeling C over a weighted symmetric graph is
 
     Q(C) = (1/W) * sum_ij (A_ij - D_i * D_j / W) * [label(i) == label(j)]
@@ -66,48 +75,144 @@ class CellGraph:
         )
 
 
+# Searches over at least this many points, in at most _TREE_MAX_DIM
+# dimensions, take their candidates from a k-d tree, smaller ones from Gram
+# blocks.  At d = 4, k = 20 and in a fresh process (so the tree pays the
+# ~0.12 s first import of scipy.spatial), both take ~0.27 s at 7k points;
+# at 5k the Gram scan is 0.18 s against 0.26 s, at 10k 0.71 s against 0.29 s.
+_TREE_MIN_POINTS = 7000
+# a k-d tree prunes less as the dimension grows: on unclustered Gaussian
+# points at 10k-20k it only ties the Gram scan at d = 8 and is 3-5 times
+# slower from d = 12
+_TREE_MAX_DIM = 8
+# float64 entries of the one Gram block buffer (1 MB)
+_BLOCK_ENTRIES = 1 << 17
+# candidates each source returns beyond k + 1, so that ties and near-ties
+# at the k-th distance rarely send a row to the full scan
+_MARGIN = 8
+
+
+def _knn_source(n_points: int, dim: int) -> str:
+    """Where ``exact_knn`` takes its candidates from: 'tree' or 'gram'."""
+    if n_points >= _TREE_MIN_POINTS and dim <= _TREE_MAX_DIM:
+        return "tree"
+    return "gram"
+
+
+def _sq_distances(columns: np.ndarray, rows, cols) -> np.ndarray:
+    """Squared Euclidean distances between the points ``rows`` and ``cols``
+    (broadcasting index arrays): the squared coordinate differences summed
+    in column order.  ``columns`` is the d x n transpose of the points.
+    Every distance ``exact_knn`` returns and ranks by is made here."""
+    total = np.zeros(np.broadcast_shapes(np.shape(rows), np.shape(cols)))
+    for column in columns:
+        diff = column[rows] - column[cols]
+        total += diff * diff
+    return total
+
+
+def _gram_candidates(points: np.ndarray, n_cand: int, tol: float):
+    """Each row's ``n_cand`` smallest Gram-form squared distances
+    |x_i|^2 + |x_j|^2 - 2 x_i.x_j (the point itself may be among them),
+    and for each row a lower bound on the true squared distance of every
+    point left out.
+
+    Rows go through one block buffer, so no rows x n array outlives its
+    block.  In any summation order the Gram form is off the true value by
+    at most (d + 2) u (|x_i| + |x_j|)^2, u the unit roundoff, which the
+    slack bounds with room to spare.
+    """
+    n = points.shape[0]
+    sq = np.einsum("ij,ij->i", points, points)
+    slack = 2.0 * tol * (sq + sq.max())
+    rows_per_block = max(1, min(n, _BLOCK_ENTRIES // n))
+    buf = np.empty((rows_per_block, n))
+    cand = np.empty((n, n_cand), dtype=np.int64)
+    lower = np.empty(n)
+    for start in range(0, n, rows_per_block):
+        stop = min(start + rows_per_block, n)
+        block = buf[: stop - start]
+        np.matmul(points[start:stop], points.T, out=block)
+        block *= -2.0
+        block += sq[start:stop, None]
+        block += sq
+        # the n_cand smallest land in columns :n_cand; the one in column
+        # n_cand is the smallest value of any point left out
+        part = np.argpartition(block, n_cand, axis=1)
+        cand[start:stop] = part[:, :n_cand]
+        lower[start:stop] = np.take_along_axis(block, part[:, n_cand : n_cand + 1], axis=1)[:, 0]
+        del part
+    return cand, lower - slack
+
+
+def _tree_candidates(points: np.ndarray, n_cand: int, tol: float):
+    """Each row's ``n_cand`` nearest points by a k-d tree (the point itself
+    may be among them), and for each row a lower bound on the true squared
+    distance of every point left out.
+
+    The tree ranks by rounded direct differences too, so a point it left
+    out lies no nearer than its last returned distance, up to rounding.
+    """
+    from scipy.spatial import cKDTree
+
+    dist, cand = cKDTree(points).query(points, k=n_cand)
+    return cand, dist[:, -1] ** 2 * (1.0 - tol)
+
+
 def exact_knn(coords, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact Euclidean k nearest neighbours of every row of ``coords``.
 
-    ``coords`` is n x d and 1 <= k < n.  Returns (indices, distances), both
-    n x k, each row ordered by distance, then index; a point is never its
-    own neighbour.  The distance blocks do not depend on k, so the first m
-    columns of a search at k equal a search at m <= k, bit for bit: one
-    search serves every graph built on the same points.
+    ``coords`` is n x d with finite entries and 1 <= k < n.  Returns
+    (indices, distances), both n x k, each row ordered by distance, then
+    index; a point is never its own neighbour.  Every distance is the
+    square root of the squared coordinate differences summed in column
+    order, so the first m columns of a search at k equal a search at
+    m <= k, bit for bit: one search serves every graph built on the same
+    points.
+
+    Candidates, k + 1 + a margin per row, come from Gram blocks or, for
+    large low-dimensional inputs, from a k-d tree (``scipy.spatial`` is
+    imported only then); either way they are ranked by the distances above.
+    A row is kept only if its k-th distance lies strictly below what any
+    point outside its candidates could reach, rounding included; any other
+    row (ties at the k-th distance, duplicates) is ranked by a scan of all
+    points.  So the result does not depend on the candidate source or on
+    the block size.
     """
     points = np.asarray(coords, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("coordinates must be n x d")
-    n = points.shape[0]
+    n, d = points.shape
     if not (1 <= k < n):
         raise ValueError(f"k={k} outside [1, {n - 1}]")
+    if not np.isfinite(points).all():
+        raise ValueError("coordinates must be finite")
 
-    sq_norms = (points**2).sum(axis=1)
-    indices = np.empty((n, k), dtype=np.int64)
-    distances = np.empty((n, k))
-    # rows per block: the squared distances and argpartition's index array
-    # together stay within 16 MB
-    chunk = max(1, min(n, 1_000_000 // n))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        rows = np.arange(stop - start)
-        block = points[start:stop]
-        dist_sq = sq_norms[start:stop, None] - 2.0 * (block @ points.T) + sq_norms[None, :]
-        np.maximum(dist_sq, 0.0, out=dist_sq)
-        dist_sq[rows, start + rows] = np.inf  # exclude self
-        # the k smallest land in columns :k, the (k+1)-th smallest in column k
-        part = np.argpartition(dist_sq, k, axis=1)[:, : k + 1]
-        part_sq = np.take_along_axis(dist_sq, part, axis=1)
-        nearest, nearest_sq = part[:, :k], part_sq[:, :k]
-        # a row whose k-th distance ties the next one has no unique k nearest;
-        # the index tie-break needs a stable sort of the whole row
-        for local in np.flatnonzero(~(nearest_sq.max(axis=1) < part_sq[:, k])):
-            nearest[local] = np.argsort(dist_sq[local], kind="stable")[:k]
-            nearest_sq[local] = dist_sq[local, nearest[local]]
-        order = np.lexsort((nearest, nearest_sq), axis=1)
-        indices[start:stop] = np.take_along_axis(nearest, order, axis=1)
-        distances[start:stop] = np.sqrt(np.take_along_axis(nearest_sq, order, axis=1))
-    return indices, distances
+    # bounds the relative rounding of a d-term sum of squares, (d + 2) u,
+    # with room to spare
+    tol = 4.0 * (d + 4) * np.finfo(np.float64).eps
+    n_cand = min(n, k + 1 + _MARGIN)
+    if n_cand == n:
+        cand, lower = np.broadcast_to(np.arange(n), (n, n)), np.full(n, np.inf)
+    elif _knn_source(n, d) == "tree":
+        cand, lower = _tree_candidates(points, n_cand, tol)
+    else:
+        cand, lower = _gram_candidates(points, n_cand, tol)
+
+    columns = np.ascontiguousarray(points.T)
+    rows = np.arange(n)[:, None]
+    sq = _sq_distances(columns, rows, cand)
+    sq[cand == rows] = np.inf  # a point is never its own neighbour
+    order = np.lexsort((cand, sq), axis=1)[:, :k]
+    indices = np.take_along_axis(cand, order, axis=1)
+    sq = np.take_along_axis(sq, order, axis=1)
+    everyone = np.arange(n)
+    for i in np.flatnonzero(~(sq[:, -1] < lower * (1.0 - tol))):
+        row = _sq_distances(columns, i, everyone)
+        row[i] = np.inf
+        indices[i] = np.argsort(row, kind="stable")[:k]
+        sq[i] = row[indices[i]]
+    return indices, np.sqrt(sq)
 
 
 def _symmetrized(indices: np.ndarray, weights: np.ndarray) -> CellGraph:

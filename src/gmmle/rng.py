@@ -191,13 +191,3 @@ class CounterRng:
         angle = (2.0 * math.pi) * u2
         out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
         return out.reshape(shape)
-
-    def poisson(self, lam: float, size: int) -> np.ndarray:
-        """Poisson counts by CDF inversion (:func:`poisson_cdf`); one uniform
-        per variate.
-
-        Exact for lam up to POISSON_MAX_RATE (where exp(-lam) underflows);
-        larger rates are out of scope and rejected before any draw.
-        """
-        table = poisson_cdf(lam)
-        return poisson_invert(table, self.random(size))

@@ -38,3 +38,13 @@ def reference_poisson(u: np.ndarray, lam: float) -> np.ndarray:
         prob[active] *= lam / counts[active]
         cum[active] += prob[active]
     return counts
+
+
+def counter_poisson(rng, lam: float, size: int) -> np.ndarray:
+    """``size`` Poisson counts at rate ``lam`` from the generator ``rng`` by
+    CDF inversion, one uniform per count; the rate is checked before any
+    draw.  The sampler's draw, outside its block structure."""
+    from gmmle.rng import poisson_cdf, poisson_invert
+
+    table = poisson_cdf(lam)
+    return poisson_invert(table, rng.random(size))

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmmle import community
+from gmmle import community, spectral
 from gmmle.cli import (
     ConfigError, PIPELINE_SCHEMA, StageError, build_stage_configs, main,
     parse_config_text, run_pipeline, write_atomic,
@@ -173,6 +173,8 @@ class TestPipelineCommand:
         assert metrics["stages"]["cluster"]["n_clusters"] == 3
         assert "modularity_knn" in metrics
         assert metrics["stages"]["cluster"]["knn_k"] == 20
+        # one search at max(knn_k, n_neighbors), candidates from Gram blocks
+        assert metrics["stages"]["neighbours"] == {"k": 20, "path": "gram"}
         stage = metrics["stages"]["layout"]
         assert set(stage) == {"n_neighbors", "fuzzy_edges", "edge_visits"}
         assert stage["n_neighbors"] == 15
@@ -327,6 +329,26 @@ class TestPipelineCommand:
         assert "stage 'features'" in err
         assert "none of 8 features has a finite score" in err
 
+    def test_non_finite_embedding_fails_at_neighbours_stage(
+        self, sim_dir, tmp_path, monkeypatch, capsys
+    ):
+        real_embed = spectral.embed
+
+        def embed_with_nan(*args, **kwargs):
+            embedding = real_embed(*args, **kwargs)
+            embedding.coords[7, 0] = np.nan
+            return embedding
+
+        monkeypatch.setattr(spectral, "embed", embed_with_nan)
+        conf = write_config(
+            tmp_path, "nan.conf",
+            PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=tmp_path / "nan"),
+        )
+        assert main(["pipeline", "--config", conf]) == 1
+        err = capsys.readouterr().err
+        assert "stage 'neighbours'" in err
+        assert "coordinates must be finite" in err
+
     def test_missing_input_named_on_stderr(self, tmp_path, capsys):
         conf = write_config(
             tmp_path, "missing.conf",
@@ -404,6 +426,7 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", conf]) == 0
         assert searches == [searched_k]
         metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["stages"]["neighbours"]["k"] == searched_k
         assert metrics["stages"]["cluster"]["knn_k"] == 20
         assert metrics["stages"]["layout"]["n_neighbors"] == n_neighbors
         assert "neighbours" in metrics["timings_sec"]
@@ -485,6 +508,18 @@ class TestWriteAtomic:
         with pytest.raises(TypeError):
             write_atomic(tmp_path / "labels.tsv", None)
         assert list(tmp_path.iterdir()) == []
+
+    def test_pieces_streamed_and_a_failing_source_leaves_nothing(self, tmp_path):
+        write_atomic(tmp_path / "m.mtx", (f"{i}\n" for i in range(3)))
+        assert (tmp_path / "m.mtx").read_text() == "0\n1\n2\n"
+
+        def broken():
+            yield "partial\n"
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_atomic(tmp_path / "n.mtx", broken())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mtx"]
 
     def test_file_mode_follows_umask(self, tmp_path):
         previous = os.umask(0o027)

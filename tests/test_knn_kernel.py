@@ -1,36 +1,68 @@
-"""The shared exact-kNN kernel and the two graphs built on it, checked bit for
-bit against the per-row reference implementations they replaced."""
+"""The shared exact-kNN kernel and the two graphs built on it.
+
+The kernel must equal a brute-force direct-difference oracle exactly, in
+indices and distance bytes, whichever candidate source it uses and however
+its Gram blocks are cut.  The Gram-ranked kernel it replaced is kept here as
+the neighbour-set reference: its distances carry the Gram expansion's
+rounding, so it is compared by neighbour sets and a relative distance bound.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
+from gmmle import community, core_matrix, features, spectral, simulate
 from gmmle.community import CellGraph, exact_knn, knn_graph
 from gmmle.layout import fuzzy_graph
 from gmmle.rng import CounterRng
 
 
 def reference_knn(points, k):
-    """Per-row lexsort over chunked Gram-block distances, ties broken by index."""
-    n = points.shape[0]
-    sq_norms = (points**2).sum(axis=1)
+    """Brute-force oracle: for each point, the squared differences to every
+    point summed one column after another, the point itself excluded, and
+    the k smallest taken in (distance, index) order: every point up to the
+    k-th smallest value, in index order, sorted stably by value."""
+    n, d = points.shape
     idx = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
-    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
+    for i in range(n):
+        row = np.zeros(n)
+        for col in range(d):
+            row = row + (points[:, col] - points[i, col]) ** 2
+        row[i] = np.inf
+        near = np.flatnonzero(row <= np.partition(row, k - 1)[k - 1])
+        order = near[np.argsort(row[near], kind="stable")[:k]]
+        idx[i] = order
+        dist[i] = np.sqrt(row[order])
+    return idx, dist
+
+
+def gram_knn(coords, k):
+    """The Gram-ranked kernel that exact_knn replaced, as it was."""
+    points = np.asarray(coords, dtype=np.float64)
+    n = points.shape[0]
+    sq_norms = (points**2).sum(axis=1)
+    indices = np.empty((n, k), dtype=np.int64)
+    distances = np.empty((n, k))
+    chunk = max(1, min(n, 1_000_000 // n))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
+        rows = np.arange(stop - start)
         block = points[start:stop]
         dist_sq = sq_norms[start:stop, None] - 2.0 * (block @ points.T) + sq_norms[None, :]
         np.maximum(dist_sq, 0.0, out=dist_sq)
-        for local in range(stop - start):
-            i = start + local
-            row = dist_sq[local]
-            row[i] = np.inf
-            order = np.lexsort((np.arange(n), row))[:k]
-            idx[i] = order
-            dist[i] = np.sqrt(row[order])
-    return idx, dist
+        dist_sq[rows, start + rows] = np.inf
+        part = np.argpartition(dist_sq, k, axis=1)[:, : k + 1]
+        part_sq = np.take_along_axis(dist_sq, part, axis=1)
+        nearest, nearest_sq = part[:, :k], part_sq[:, :k]
+        for local in np.flatnonzero(~(nearest_sq.max(axis=1) < part_sq[:, k])):
+            nearest[local] = np.argsort(dist_sq[local], kind="stable")[:k]
+            nearest_sq[local] = dist_sq[local, nearest[local]]
+        order = np.lexsort((nearest, nearest_sq), axis=1)
+        indices[start:stop] = np.take_along_axis(nearest, order, axis=1)
+        distances[start:stop] = np.sqrt(np.take_along_axis(nearest_sq, order, axis=1))
+    return indices, distances
 
 
 def reference_knn_graph(points, k):
@@ -86,7 +118,7 @@ def reference_fuzzy_graph(points, n_neighbors):
 
 
 def blobs():
-    # 1200 points span two distance blocks of the kernel
+    # 1200 points span 12 Gram blocks of the kernel
     rng = CounterRng(5)
     centers = np.array([[0.0, 0, 0, 0], [6, 0, 0, 0], [0, 6, 0, 0], [0, 0, 6, 6]])
     return np.vstack([c + rng.normal((300, 4)) for c in centers])
@@ -94,7 +126,7 @@ def blobs():
 
 def duplicated():
     # every point five times, so each row's k-th distance ties; 1050 points
-    # span two distance blocks
+    # span 9 Gram blocks
     return np.repeat(CounterRng(11).normal((210, 3)), 5, axis=0)
 
 
@@ -106,7 +138,58 @@ def all_zero():
     return np.zeros((30, 2))
 
 
+def line():
+    # d = 1 with ties on both sides of most points and repeated values
+    return (np.arange(90) % 37 // 2).astype(float)[:, None]
+
+
+def far_from_origin():
+    # close neighbours far from the origin, where the Gram form rounds worst
+    return 1e4 + CounterRng(3).normal((400, 3)) * 1e-3
+
+
+def crowded():
+    # 200 copies of one point among 200 others, shuffled: far more tied
+    # points than candidates, so which of them a source returns is arbitrary
+    rng = CounterRng(8)
+    return np.vstack([np.zeros((200, 2)), rng.normal((200, 2))])[rng.permutation(400)]
+
+
 FIXTURES = {"blobs": blobs, "duplicated": duplicated, "lattice": lattice, "all_zero": all_zero}
+# inputs only the oracle comparison covers
+MORE_FIXTURES = {"line": line, "far_from_origin": far_from_origin, "crowded": crowded}
+
+
+def bench_shaped():
+    """2500 x 4 spectral embedding of a 300 x 2500 five-block Poisson draw,
+    top 200 features, the shape of the benchmark's input."""
+    rates = np.where(np.eye(5, dtype=bool), 5.0, 0.5)
+    sample = simulate.sample_sbm(simulate.SbmConfig(rates, (60,) * 5, (500,) * 5, seed=7))
+    counts = sample.matrix
+    mask = features.select_top_k(features.dispersion_scores(counts), 200)
+    counts = core_matrix.submatrix(counts, mask, np.ones(counts.n_cells, dtype=bool))
+    return spectral.embed(spectral.normalized_laplacian(counts), spectral.EmbedPolicy()).coords
+
+
+@pytest.fixture(params=["gram", "tree"])
+def source(request, monkeypatch):
+    """Force exact_knn's candidate source; yields the list of sources run."""
+    ran = []
+    for name in ("gram", "tree"):
+        original = getattr(community, f"_{name}_candidates")
+
+        def spy(*args, _name=name, _original=original):
+            ran.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(community, f"_{name}_candidates", spy)
+    monkeypatch.setattr(community, "_TREE_MIN_POINTS", 0 if request.param == "tree" else 10**9)
+    yield request.param, ran
+
+
+def assert_same_search(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert got[1].tobytes() == want[1].tobytes()
 
 
 def assert_same_graph(got, want):
@@ -130,7 +213,67 @@ def test_kernel_matches_reference(name):
         idx, dist = exact_knn(points, k)
         want_idx, want_dist = reference_knn(points, k)
         assert np.array_equal(idx, want_idx), k
-        assert np.array_equal(dist, want_dist), k
+        assert dist.tobytes() == want_dist.tobytes(), k
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + sorted(MORE_FIXTURES))
+def test_either_source_matches_oracle_bytes(name, source):
+    path, ran = source
+    points = {**FIXTURES, **MORE_FIXTURES}[name]()
+    n = points.shape[0]
+    for k in (1, 5, 20, n - 1):
+        assert_same_search(exact_knn(points, k), reference_knn(points, k))
+    # k = n - 1 makes every point a candidate, which needs no source
+    assert set(ran) == {path}
+
+
+@pytest.mark.parametrize("side", [-1, 0])
+def test_matches_oracle_either_side_of_the_threshold(side):
+    n = community._TREE_MIN_POINTS + side
+    points = np.round(CounterRng(41).normal((n, 2)), 2)  # rounded: many ties
+    assert community._knn_source(n, 2) == ("gram" if side < 0 else "tree")
+    assert_same_search(exact_knn(points, 6), reference_knn(points, 6))
+
+
+def test_tree_only_up_to_the_dimension_cap():
+    n = community._TREE_MIN_POINTS
+    assert community._knn_source(n, community._TREE_MAX_DIM) == "tree"
+    assert community._knn_source(n, community._TREE_MAX_DIM + 1) == "gram"
+
+
+@pytest.mark.parametrize("name", ["blobs", "duplicated", "lattice"])
+def test_bytes_independent_of_block_size_and_source(name, monkeypatch):
+    points = FIXTURES[name]()
+    n = points.shape[0]
+    want = exact_knn(points, 20)
+    # one row per block, 7 rows (prime, leaving a partial last block), all rows
+    for rows in (1, 7, n):
+        monkeypatch.setattr(community, "_BLOCK_ENTRIES", rows * n)
+        assert_same_search(exact_knn(points, 20), want)
+    monkeypatch.setattr(community, "_TREE_MIN_POINTS", 0)
+    assert_same_search(exact_knn(points, 20), want)
+
+
+@pytest.mark.parametrize("make", [blobs, bench_shaped], ids=["blobs", "bench_shaped"])
+def test_same_neighbour_sets_as_gram_kernel(make):
+    # bound fixed before the first run; measured 1.1e-11 on the benchmark
+    # input and at most 1.4e-8 at 50k cells
+    rel_bound = 1e-9
+    points = make()
+    idx, dist = exact_knn(points, 20)
+    old_idx, old_dist = gram_knn(points, 20)
+    assert all(set(a) == set(b) for a, b in zip(idx.tolist(), old_idx.tolist()))
+    assert np.all(np.abs(dist - old_dist) <= rel_bound * dist)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_rejected_before_any_source(bad, source):
+    _, ran = source
+    points = CounterRng(2).normal((50, 3))
+    points[7, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        exact_knn(points, 5)
+    assert ran == []
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
