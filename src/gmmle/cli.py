@@ -458,9 +458,7 @@ def _run_pipeline_stages(
         n_neighbors = min(layout_params.n_neighbors, n_cells - 1)
     search_k = max(knn_k, n_neighbors)
     indices, distances = community.exact_knn(embedding.coords, search_k)
-    metrics["stages"]["neighbours"] = {
-        "k": search_k, "path": community._knn_source(*embedding.coords.shape),
-    }
+    metrics["stages"]["neighbours"] = {"k": search_k}
     graph = community.knn_graph(indices[:, :knn_k])
 
     clock.enter("cluster")

@@ -1,13 +1,11 @@
 """Cell-cell graphs, the modularity statistic, and Louvain clustering.
 
 Every cell graph starts from one exact k-nearest-neighbour search,
-``exact_knn``, with one ranking definition and two candidate sources.  The
-distance is the direct one: squared coordinate differences summed in
-column order.  Candidates come from bounded-memory Gram blocks or, above a
-measured size, from a k-d tree (Friedman, Bentley & Finkel, ACM TOMS 1977);
-a row whose candidates cannot be shown to hold its k nearest, rounding
-included, is ranked by a scan of all points.  The result is the same bit
-for bit whatever the source or the block size.
+``exact_knn``.  The distance is the direct one: squared coordinate
+differences summed in column order.  Candidates come from bounded-memory
+Gram blocks; a row whose candidates cannot be shown to hold its k nearest,
+rounding included, is ranked by a scan of all points.  The result is the
+same bit for bit whatever the block size.
 
 Modularity of a labeling C over a weighted symmetric graph is
 
@@ -75,28 +73,12 @@ class CellGraph:
         )
 
 
-# Searches over at least this many points, in at most _TREE_MAX_DIM
-# dimensions, take their candidates from a k-d tree, smaller ones from Gram
-# blocks.  At d = 4, k = 20 and in a fresh process (so the tree pays the
-# ~0.12 s first import of scipy.spatial), both take ~0.27 s at 7k points;
-# at 5k the Gram scan is 0.18 s against 0.26 s, at 10k 0.71 s against 0.29 s.
-_TREE_MIN_POINTS = 7000
-# a k-d tree prunes less as the dimension grows: on unclustered Gaussian
-# points at 10k-20k it only ties the Gram scan at d = 8 and is 3-5 times
-# slower from d = 12
-_TREE_MAX_DIM = 8
-# float64 entries of the one Gram block buffer (1 MB)
+# float64 entries of the one Gram block buffer (1 MB), and of the blocks
+# the candidates are ranked in
 _BLOCK_ENTRIES = 1 << 17
-# candidates each source returns beyond k + 1, so that ties and near-ties
-# at the k-th distance rarely send a row to the full scan
+# candidates each row takes beyond k + 1, so that ties and near-ties at the
+# k-th distance rarely send a row to the full scan
 _MARGIN = 8
-
-
-def _knn_source(n_points: int, dim: int) -> str:
-    """Where ``exact_knn`` takes its candidates from: 'tree' or 'gram'."""
-    if n_points >= _TREE_MIN_POINTS and dim <= _TREE_MAX_DIM:
-        return "tree"
-    return "gram"
 
 
 def _sq_distances(columns: np.ndarray, rows, cols) -> np.ndarray:
@@ -113,16 +95,20 @@ def _sq_distances(columns: np.ndarray, rows, cols) -> np.ndarray:
 
 def _gram_candidates(points: np.ndarray, n_cand: int, tol: float):
     """Each row's ``n_cand`` smallest Gram-form squared distances
-    |x_i|^2 + |x_j|^2 - 2 x_i.x_j (the point itself may be among them),
+    |c_i|^2 + |c_j|^2 - 2 c_i.c_j (the point itself may be among them),
     and for each row a lower bound on the true squared distance of every
     point left out.
 
-    Rows go through one block buffer, so no rows x n array outlives its
-    block.  In any summation order the Gram form is off the true value by
-    at most (d + 2) u (|x_i| + |x_j|)^2, u the unit roundoff, which the
-    slack bounds with room to spare.
+    c are the points centred on their mean: that leaves each difference
+    as it was, up to one rounding per coordinate, and keeps the norms, and
+    so the rounding, small for points far from the origin.  In any
+    summation order the Gram form is then off the true value by at most
+    (d + 4) u (|c_i| + |c_j|)^2, u the unit roundoff, which the slack
+    bounds with room to spare.  Rows go through one block buffer, so no
+    rows x n array outlives its block.
     """
     n = points.shape[0]
+    points = points - points.mean(axis=0)
     sq = np.einsum("ij,ij->i", points, points)
     slack = 2.0 * tol * (sq + sq.max())
     rows_per_block = max(1, min(n, _BLOCK_ENTRIES // n))
@@ -145,20 +131,6 @@ def _gram_candidates(points: np.ndarray, n_cand: int, tol: float):
     return cand, lower - slack
 
 
-def _tree_candidates(points: np.ndarray, n_cand: int, tol: float):
-    """Each row's ``n_cand`` nearest points by a k-d tree (the point itself
-    may be among them), and for each row a lower bound on the true squared
-    distance of every point left out.
-
-    The tree ranks by rounded direct differences too, so a point it left
-    out lies no nearer than its last returned distance, up to rounding.
-    """
-    from scipy.spatial import cKDTree
-
-    dist, cand = cKDTree(points).query(points, k=n_cand)
-    return cand, dist[:, -1] ** 2 * (1.0 - tol)
-
-
 def exact_knn(coords, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact Euclidean k nearest neighbours of every row of ``coords``.
 
@@ -170,14 +142,12 @@ def exact_knn(coords, k: int) -> tuple[np.ndarray, np.ndarray]:
     m <= k, bit for bit: one search serves every graph built on the same
     points.
 
-    Candidates, k + 1 + a margin per row, come from Gram blocks or, for
-    large low-dimensional inputs, from a k-d tree (``scipy.spatial`` is
-    imported only then); either way they are ranked by the distances above.
-    A row is kept only if its k-th distance lies strictly below what any
-    point outside its candidates could reach, rounding included; any other
-    row (ties at the k-th distance, duplicates) is ranked by a scan of all
-    points.  So the result does not depend on the candidate source or on
-    the block size.
+    Candidates, k + 1 + a margin per row, come from Gram blocks and are
+    ranked by the distances above.  A row is kept only if its k-th
+    distance lies strictly below what any point outside its candidates
+    could reach, rounding included; any other row (ties at the k-th
+    distance, duplicates) is ranked by a scan of all points.  So the
+    result does not depend on the block size.
     """
     points = np.asarray(coords, dtype=np.float64)
     if points.ndim != 2:
@@ -194,18 +164,24 @@ def exact_knn(coords, k: int) -> tuple[np.ndarray, np.ndarray]:
     n_cand = min(n, k + 1 + _MARGIN)
     if n_cand == n:
         cand, lower = np.broadcast_to(np.arange(n), (n, n)), np.full(n, np.inf)
-    elif _knn_source(n, d) == "tree":
-        cand, lower = _tree_candidates(points, n_cand, tol)
     else:
         cand, lower = _gram_candidates(points, n_cand, tol)
 
     columns = np.ascontiguousarray(points.T)
-    rows = np.arange(n)[:, None]
-    sq = _sq_distances(columns, rows, cand)
-    sq[cand == rows] = np.inf  # a point is never its own neighbour
-    order = np.lexsort((cand, sq), axis=1)[:, :k]
-    indices = np.take_along_axis(cand, order, axis=1)
-    sq = np.take_along_axis(sq, order, axis=1)
+    indices = np.empty((n, k), dtype=np.int64)
+    sq = np.empty((n, k))
+    # ranked in blocks of rows too, so that the temporaries of the ranking
+    # stay near the block buffer's size
+    rows_per_block = max(1, _BLOCK_ENTRIES // n_cand)
+    for start in range(0, n, rows_per_block):
+        stop = min(start + rows_per_block, n)
+        rows = np.arange(start, stop)[:, None]
+        block = cand[start:stop]
+        block_sq = _sq_distances(columns, rows, block)
+        block_sq[block == rows] = np.inf  # a point is never its own neighbour
+        order = np.lexsort((block, block_sq), axis=1)[:, :k]
+        indices[start:stop] = np.take_along_axis(block, order, axis=1)
+        sq[start:stop] = np.take_along_axis(block_sq, order, axis=1)
     everyone = np.arange(n)
     for i in np.flatnonzero(~(sq[:, -1] < lower * (1.0 - tol))):
         row = _sq_distances(columns, i, everyone)

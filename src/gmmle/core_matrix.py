@@ -424,11 +424,6 @@ def _matrix_market_pieces(counts: CountMatrix):
         ))
 
 
-def matrix_market_text(counts: CountMatrix) -> str:
-    """MatrixMarket coordinate integer serialization, row-major order."""
-    return "".join(_matrix_market_pieces(counts))
-
-
 def write_matrix_market(counts: CountMatrix, path) -> None:
     """Write MatrixMarket coordinate integer format, slice by slice, plus
     id sidecar files."""

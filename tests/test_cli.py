@@ -173,8 +173,8 @@ class TestPipelineCommand:
         assert metrics["stages"]["cluster"]["n_clusters"] == 3
         assert "modularity_knn" in metrics
         assert metrics["stages"]["cluster"]["knn_k"] == 20
-        # one search at max(knn_k, n_neighbors), candidates from Gram blocks
-        assert metrics["stages"]["neighbours"] == {"k": 20, "path": "gram"}
+        # one search at max(knn_k, n_neighbors)
+        assert metrics["stages"]["neighbours"] == {"k": 20}
         stage = metrics["stages"]["layout"]
         assert set(stage) == {"n_neighbors", "fuzzy_edges", "edge_visits"}
         assert stage["n_neighbors"] == 15

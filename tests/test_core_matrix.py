@@ -9,7 +9,6 @@ from gmmle.core_matrix import (
     CountMatrix,
     MatrixFormatError,
     degrees,
-    matrix_market_text,
     read_dense_tsv,
     read_matrix_market,
     submatrix,
@@ -158,6 +157,11 @@ class TestMatrixMarket:
         assert entry_set(again) == entry_set(cm)
         assert again.feature_ids == cm.feature_ids
         assert again.cell_ids == cm.cell_ids
+
+
+def matrix_market_text(counts):
+    """The MatrixMarket text the writers stream, joined."""
+    return "".join(core_matrix._matrix_market_pieces(counts))
 
 
 def per_entry_matrix_market_text(counts):

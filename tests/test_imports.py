@@ -2,9 +2,7 @@
 
 scipy.linalg and scipy.special take ~0.2 s to import and only mixture fits
 use them, so they are imported inside ``mixture.log_responsibilities``;
-scipy.spatial is loaded only by neighbour searches large enough to take
-their candidates from a k-d tree (``community._TREE_MIN_POINTS`` points and
-up), inside ``community._tree_candidates``.  A top-level import of any of
+scipy.spatial is not needed by any stage.  A top-level import of any of
 them would add its load time to every run.
 """
 

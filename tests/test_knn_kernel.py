@@ -1,10 +1,10 @@
 """The shared exact-kNN kernel and the two graphs built on it.
 
 The kernel must equal a brute-force direct-difference oracle exactly, in
-indices and distance bytes, whichever candidate source it uses and however
-its Gram blocks are cut.  The Gram-ranked kernel it replaced is kept here as
-the neighbour-set reference: its distances carry the Gram expansion's
-rounding, so it is compared by neighbour sets and a relative distance bound.
+indices and distance bytes, however its Gram blocks are cut.  The
+Gram-ranked kernel it replaced is kept here as the neighbour-set reference:
+its distances carry the Gram expansion's rounding, so it is compared by
+neighbour sets and a relative distance bound.
 """
 
 import math
@@ -144,7 +144,8 @@ def line():
 
 
 def far_from_origin():
-    # close neighbours far from the origin, where the Gram form rounds worst
+    # close neighbours far from the origin, where a Gram form of the
+    # uncentred points rounds worst
     return 1e4 + CounterRng(3).normal((400, 3)) * 1e-3
 
 
@@ -171,20 +172,34 @@ def bench_shaped():
     return spectral.embed(spectral.normalized_laplacian(counts), spectral.EmbedPolicy()).coords
 
 
-@pytest.fixture(params=["gram", "tree"])
-def source(request, monkeypatch):
-    """Force exact_knn's candidate source; yields the list of sources run."""
-    ran = []
-    for name in ("gram", "tree"):
-        original = getattr(community, f"_{name}_candidates")
+@pytest.fixture
+def gram_calls(monkeypatch):
+    """The shapes of the points exact_knn passes to its Gram candidate
+    source, one per call."""
+    calls = []
+    original = community._gram_candidates
 
-        def spy(*args, _name=name, _original=original):
-            ran.append(_name)
-            return _original(*args)
+    def spy(*args):
+        calls.append(args[0].shape)
+        return original(*args)
 
-        monkeypatch.setattr(community, f"_{name}_candidates", spy)
-    monkeypatch.setattr(community, "_TREE_MIN_POINTS", 0 if request.param == "tree" else 10**9)
-    yield request.param, ran
+    monkeypatch.setattr(community, "_gram_candidates", spy)
+    return calls
+
+
+@pytest.fixture
+def scanned_rows(monkeypatch):
+    """Rows exact_knn ranks by a scan of all points."""
+    rows = []
+    original = community._sq_distances
+
+    def spy(columns, row, cols):
+        if np.ndim(row) == 0:
+            rows.append(int(row))
+        return original(columns, row, cols)
+
+    monkeypatch.setattr(community, "_sq_distances", spy)
+    return rows
 
 
 def assert_same_search(got, want):
@@ -217,32 +232,17 @@ def test_kernel_matches_reference(name):
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES) + sorted(MORE_FIXTURES))
-def test_either_source_matches_oracle_bytes(name, source):
-    path, ran = source
+def test_matches_oracle_bytes(name, gram_calls):
     points = {**FIXTURES, **MORE_FIXTURES}[name]()
     n = points.shape[0]
     for k in (1, 5, 20, n - 1):
         assert_same_search(exact_knn(points, k), reference_knn(points, k))
-    # k = n - 1 makes every point a candidate, which needs no source
-    assert set(ran) == {path}
-
-
-@pytest.mark.parametrize("side", [-1, 0])
-def test_matches_oracle_either_side_of_the_threshold(side):
-    n = community._TREE_MIN_POINTS + side
-    points = np.round(CounterRng(41).normal((n, 2)), 2)  # rounded: many ties
-    assert community._knn_source(n, 2) == ("gram" if side < 0 else "tree")
-    assert_same_search(exact_knn(points, 6), reference_knn(points, 6))
-
-
-def test_tree_only_up_to_the_dimension_cap():
-    n = community._TREE_MIN_POINTS
-    assert community._knn_source(n, community._TREE_MAX_DIM) == "tree"
-    assert community._knn_source(n, community._TREE_MAX_DIM + 1) == "gram"
+    # k = n - 1 makes every point a candidate, which needs no Gram block
+    assert len(gram_calls) == 3
 
 
 @pytest.mark.parametrize("name", ["blobs", "duplicated", "lattice"])
-def test_bytes_independent_of_block_size_and_source(name, monkeypatch):
+def test_bytes_independent_of_block_size(name, monkeypatch):
     points = FIXTURES[name]()
     n = points.shape[0]
     want = exact_knn(points, 20)
@@ -250,8 +250,16 @@ def test_bytes_independent_of_block_size_and_source(name, monkeypatch):
     for rows in (1, 7, n):
         monkeypatch.setattr(community, "_BLOCK_ENTRIES", rows * n)
         assert_same_search(exact_knn(points, 20), want)
-    monkeypatch.setattr(community, "_TREE_MIN_POINTS", 0)
-    assert_same_search(exact_knn(points, 20), want)
+
+
+@pytest.mark.parametrize("make", [far_from_origin, blobs, bench_shaped],
+                         ids=["far_from_origin", "blobs", "bench_shaped"])
+def test_untied_rows_need_no_scan(make, scanned_rows):
+    # the Gram rounding bound follows the spread of the points, not their
+    # distance from the origin, so rows without near-ties are settled by
+    # their candidates alone
+    exact_knn(make(), 20)
+    assert scanned_rows == []
 
 
 @pytest.mark.parametrize("make", [blobs, bench_shaped], ids=["blobs", "bench_shaped"])
@@ -267,13 +275,12 @@ def test_same_neighbour_sets_as_gram_kernel(make):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_coordinates_rejected_before_any_source(bad, source):
-    _, ran = source
+def test_non_finite_coordinates_rejected_before_any_candidate(bad, gram_calls):
     points = CounterRng(2).normal((50, 3))
     points[7, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         exact_knn(points, 5)
-    assert ran == []
+    assert gram_calls == []
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
