@@ -107,11 +107,15 @@ def _to_int_list(raw: str) -> tuple[int, ...]:
 
 
 def _to_k_range(raw: str) -> tuple[int, ...]:
-    """Either "2,3,4" or "2:6" (inclusive)."""
+    """Either "2,3,4" or "2:6" (inclusive); an empty range is rejected."""
     if ":" in raw:
         lo, hi = raw.split(":", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return _to_int_list(raw)
+        values = tuple(range(int(lo), int(hi) + 1))
+    else:
+        values = _to_int_list(raw)
+    if not values:
+        raise ValueError(f"empty range {raw!r}")
+    return values
 
 
 def _to_rates(raw: str) -> np.ndarray:
@@ -299,7 +303,7 @@ def build_stage_configs(
     for key in at_least_one:
         if values[key] < 1:
             raise ConfigError(f"config key {key} must be >= 1, got {values[key]!r}")
-    if strategy == "bic" and min(values["cluster.k_range"], default=0) < 1:
+    if strategy == "bic" and min(values["cluster.k_range"]) < 1:
         raise ConfigError(
             "config key cluster.k_range must hold values >= 1, "
             f"got {values['cluster.k_range']!r}"
@@ -414,17 +418,11 @@ def _run_pipeline_stages(
     if values["features.enable"]:
         scores = features.dispersion_scores(counts)
         mask = features.select_top_k(scores, values["features.top_k"])
-        counts = core_matrix.submatrix(
-            counts, mask, np.ones(counts.n_cells, dtype=bool)
-        )
-        col_deg = np.asarray(counts.csr().sum(axis=0)).ravel()
+        # cells whose entire signal sits in unselected features cannot be
+        # embedded; drop them and record the count
+        col_deg = mask.astype(np.int64) @ counts.csr()
         empty_cells = int((col_deg == 0).sum())
-        if empty_cells:
-            # cells whose entire signal sat in unselected features cannot be
-            # embedded; drop them and record the count
-            counts = core_matrix.submatrix(
-                counts, np.ones(counts.n_features, dtype=bool), col_deg > 0
-            )
+        counts = core_matrix.submatrix(counts, mask, col_deg > 0)
         metrics["stages"]["features"] = {
             "n_features": counts.n_features, "n_cells": counts.n_cells,
             "cells_dropped_empty": empty_cells,
@@ -562,9 +560,27 @@ PALETTE = (
 )
 
 
-def _read_tsv_rows(path: Path) -> list[list[str]]:
-    lines = path.read_text().splitlines()
-    return [line.split("\t") for line in lines if line.strip()]
+def _read_tsv_rows(path: Path) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of every non-blank line but a ``cell_id`` header."""
+    lines = enumerate(path.read_text().splitlines(), start=1)
+    rows = [(line_no, line.split("\t")) for line_no, line in lines if line.strip()]
+    return rows[1:] if rows and rows[0][1][0] == "cell_id" else rows
+
+
+def _read_labels(path: Path) -> dict[str, int]:
+    """Cell id -> cluster of a labels TSV; a row that is not an id and an
+    integer, or repeats an id, raises ValueError naming its line."""
+    labels: dict[str, int] = {}
+    for line_no, row in _read_tsv_rows(path):
+        try:
+            cell, raw = row
+            cluster = int(raw)
+        except ValueError:
+            raise ValueError(f"{path} line {line_no}: expected 'cell_id<TAB>cluster'") from None
+        if cell in labels:
+            raise ValueError(f"{path} line {line_no}: repeated cell id {cell!r}")
+        labels[cell] = cluster
+    return labels
 
 
 def scatter_svg(layout_rows, label_by_cell) -> str:
@@ -591,15 +607,10 @@ def scatter_svg(layout_rows, label_by_cell) -> str:
 
 
 def cmd_scatter(args) -> int:
-    layout_rows = _read_tsv_rows(Path(args.layout))
-    label_rows = _read_tsv_rows(Path(args.labels))
-    if layout_rows and layout_rows[0][:1] == ["cell_id"]:
-        layout_rows = layout_rows[1:]
-    if label_rows and label_rows[0][:1] == ["cell_id"]:
-        label_rows = label_rows[1:]
+    layout_rows = [row for _, row in _read_tsv_rows(Path(args.layout))]
     if not layout_rows:
         raise ValueError("empty layout input")
-    label_by_cell = {row[0]: int(row[1]) for row in label_rows}
+    label_by_cell = _read_labels(Path(args.labels))
     layout_cells = {row[0] for row in layout_rows}
     if layout_cells != set(label_by_cell):
         raise ValueError("cell id sets of layout and labels differ")
@@ -630,10 +641,7 @@ def cmd_validate(args) -> int:
     out_dir = _resolve_out_dir(values, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = _read_input(input_path, values["input.format"])
-    label_rows = _read_tsv_rows(Path(values["validate.labels_path"]))
-    if label_rows and label_rows[0][:1] == ["cell_id"]:
-        label_rows = label_rows[1:]
-    label_by_cell = {row[0]: int(row[1]) for row in label_rows}
+    label_by_cell = _read_labels(Path(values["validate.labels_path"]))
     missing = [cid for cid in counts.cell_ids if cid not in label_by_cell]
     if missing:
         raise ValueError(f"labels missing for {len(missing)} cells, e.g. {missing[:3]}")

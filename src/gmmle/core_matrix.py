@@ -36,7 +36,14 @@ class CountMatrix:
     """
 
     def __init__(self, matrix: sp.spmatrix, feature_ids, cell_ids):
-        csr = sp.csr_matrix(matrix, dtype=np.int64, copy=True)
+        csr = sp.csr_matrix(matrix, copy=True)
+        if csr.dtype.kind not in "biu":
+            # values the int64 cast would change: non-finite, fractional, too large
+            exact = (np.abs(csr.data) < 2.0**63) & (np.floor(csr.data) == csr.data)
+            if not exact.all():
+                bad = float(csr.data[np.argmin(exact)])
+                raise ValueError(f"counts must be finite integers, got {bad!r}")
+        csr = csr.astype(np.int64, copy=False)
         csr.sum_duplicates()
         csr.eliminate_zeros()
         csr.sort_indices()
@@ -84,46 +91,15 @@ class CountMatrix:
         return self._csr.toarray()
 
     @classmethod
-    def from_entries(
-        cls,
-        n_features: int,
-        n_cells: int,
-        rows,
-        cols,
-        counts,
-        feature_ids=None,
-        cell_ids=None,
-    ) -> "CountMatrix":
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        counts = np.asarray(counts, dtype=np.int64)
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n_features:
-                raise ValueError("feature index out of range")
-            if cols.min() < 0 or cols.max() >= n_cells:
-                raise ValueError("cell index out of range")
-            keys = np.sort(rows * np.int64(n_cells) + cols)
-            if (keys[1:] == keys[:-1]).any():
-                raise ValueError("duplicate (feature, cell) coordinate")
-        matrix = sp.csr_matrix(
-            (counts, (rows, cols)), shape=(n_features, n_cells), dtype=np.int64
-        )
-        if feature_ids is None:
-            feature_ids = [f"f{i}" for i in range(n_features)]
-        if cell_ids is None:
-            cell_ids = [f"c{j}" for j in range(n_cells)]
-        return cls(matrix, feature_ids, cell_ids)
-
-    @classmethod
     def from_dense(cls, array, feature_ids=None, cell_ids=None) -> "CountMatrix":
         arr = np.asarray(array)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        rows, cols = np.nonzero(arr)
-        return cls.from_entries(
-            arr.shape[0], arr.shape[1], rows, cols, arr[rows, cols],
-            feature_ids=feature_ids, cell_ids=cell_ids,
-        )
+        if feature_ids is None:
+            feature_ids = [f"f{i}" for i in range(arr.shape[0])]
+        if cell_ids is None:
+            cell_ids = [f"c{j}" for j in range(arr.shape[1])]
+        return cls(arr, feature_ids, cell_ids)
 
 
 @dataclass(frozen=True)
@@ -156,7 +132,10 @@ def submatrix(counts: CountMatrix, feature_mask, cell_mask) -> CountMatrix:
         raise ValueError("empty result: no features selected")
     if not cell_mask.any():
         raise ValueError("empty result: no cells selected")
-    sliced = counts.csr()[feature_mask][:, cell_mask]
+    if feature_mask.all() and cell_mask.all():
+        return counts  # immutable, so the restriction to everything is itself
+    sliced = counts.csr()[feature_mask]
+    sliced = sliced if cell_mask.all() else sliced[:, cell_mask]
     fids = [fid for fid, keep in zip(counts.feature_ids, feature_mask) if keep]
     cids = [cid for cid, keep in zip(counts.cell_ids, cell_mask) if keep]
     return CountMatrix(sliced, fids, cids)
@@ -485,7 +464,8 @@ def read_dense_tsv(path) -> CountMatrix:
                 rows.append(offset)
                 cols.append(j)
                 vals.append(value)
-    return CountMatrix.from_entries(
-        len(feature_ids), n_cells, rows, cols, vals,
-        feature_ids=feature_ids, cell_ids=cell_ids,
+    matrix = sp.csr_matrix(
+        (np.array(vals, dtype=np.int64), (rows, cols)),
+        shape=(len(feature_ids), n_cells),
     )
+    return CountMatrix(matrix, feature_ids, cell_ids)

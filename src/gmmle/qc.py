@@ -3,9 +3,12 @@
 Features are dropped when expressed in too few cells; cells are dropped
 when they express too few features, when a single (non-excluded) feature
 dominates their counts, or when mitochondrial / ribosomal transcripts take
-too large a share.  Filtering runs features-first, then cells on the
-feature-filtered matrix, once each, with no iteration to a joint fixed
-point, so results are reproducible functions of the input and configuration.
+too large a share.  Filtering runs features-first, then cells, once each,
+with no iteration to a joint fixed point, so results are reproducible
+functions of the input and configuration.  The per-cell statistics count
+the features that pass the feature filter (every input feature with
+``cell_stats_on_raw``) and are read in place from the input matrix, which
+is then restricted once, to the passing features and cells.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ class QcConfig:
     mito_prefix: str = "MT-"
     max_ribo_share: float | None = 0.50
     ribo_prefixes: tuple[str, ...] = ("RPS", "RPL")
-    # When True, cell shares/totals are computed on the raw matrix instead
-    # of the feature-filtered one.
+    # When True, the per-cell statistics count every input feature, not
+    # only the features that pass the feature filter.
     cell_stats_on_raw: bool = False
 
     def __post_init__(self):
@@ -103,18 +106,6 @@ def _prefix_mask(ids, prefixes) -> np.ndarray:
     )
 
 
-def _max_count_per_cell(counts: CountMatrix, row_mask: np.ndarray) -> np.ndarray:
-    """Column-wise maximum over the rows selected by row_mask."""
-    csc = counts.csc()[row_mask]
-    out = np.zeros(counts.n_cells, dtype=np.int64)
-    indptr = csc.indptr
-    data = csc.data
-    nonempty = np.flatnonzero(np.diff(indptr))
-    if nonempty.size:
-        out[nonempty] = np.maximum.reduceat(data, indptr[nonempty])
-    return out
-
-
 def filter_cells(counts: CountMatrix, cfg: QcConfig, report: QcReport | None = None) -> np.ndarray:
     """Mask of cells passing all enabled per-cell rules.
 
@@ -122,17 +113,36 @@ def filter_cells(counts: CountMatrix, cfg: QcConfig, report: QcReport | None = N
     is removed.  A zero-total cell fails the min-features rule, never a
     division.
     """
-    csc = counts.csc()
-    features_per_cell = np.diff(csc.indptr)
-    totals = np.asarray(csc.sum(axis=0)).ravel().astype(np.int64)
+    return _passing_cells(counts, cfg, np.ones(counts.n_features, dtype=bool), report)
+
+
+def _passing_cells(
+    counts: CountMatrix, cfg: QcConfig, rows: np.ndarray, report: QcReport | None
+) -> np.ndarray:
+    """filter_cells with every per-cell statistic counting only the features
+    in the mask ``rows``, read in place from the CSR."""
+    csr = counts.csr()
+    row_nnz = np.diff(csr.indptr)
+
+    def column_sums(row_mask: np.ndarray) -> np.ndarray:
+        # exact int64 sums over the masked rows, with no per-entry temporary
+        return row_mask.astype(np.int64) @ csr
+
+    features_per_cell = np.bincount(
+        csr.indices[np.repeat(rows, row_nnz)], minlength=counts.n_cells
+    )
+    totals = column_sums(rows)
     safe_totals = np.where(totals > 0, totals, 1).astype(np.float64)
 
     ok_min_features = features_per_cell >= cfg.min_features_per_cell
 
-    excluded = np.array(
-        [fid in set(cfg.top_share_exclude) for fid in counts.feature_ids], dtype=bool
+    exclude = set(cfg.top_share_exclude)
+    candidates = rows & np.array(
+        [fid not in exclude for fid in counts.feature_ids], dtype=bool
     )
-    top_counts = _max_count_per_cell(counts, ~excluded)
+    in_top = np.repeat(candidates, row_nnz)
+    top_counts = np.zeros(counts.n_cells, dtype=np.int64)
+    np.maximum.at(top_counts, csr.indices[in_top], csr.data[in_top])
     # Denominator is always the full cell total; the exclusion list only
     # removes candidates for the numerator's maximum.
     ok_top_share = (top_counts / safe_totals) < cfg.max_top_share
@@ -140,14 +150,12 @@ def filter_cells(counts: CountMatrix, cfg: QcConfig, report: QcReport | None = N
     ok_mito = np.ones(counts.n_cells, dtype=bool)
     if cfg.max_mito_share is not None:
         mito_rows = _prefix_mask(counts.feature_ids, (cfg.mito_prefix,))
-        mito_totals = np.asarray(csc[mito_rows].sum(axis=0)).ravel()
-        ok_mito = (mito_totals / safe_totals) < cfg.max_mito_share
+        ok_mito = (column_sums(rows & mito_rows) / safe_totals) < cfg.max_mito_share
 
     ok_ribo = np.ones(counts.n_cells, dtype=bool)
     if cfg.max_ribo_share is not None:
         ribo_rows = _prefix_mask(counts.feature_ids, tuple(cfg.ribo_prefixes))
-        ribo_totals = np.asarray(csc[ribo_rows].sum(axis=0)).ravel()
-        ok_ribo = (ribo_totals / safe_totals) < cfg.max_ribo_share
+        ok_ribo = (column_sums(rows & ribo_rows) / safe_totals) < cfg.max_ribo_share
 
     if report is not None:
         report.cells_failed_min_features = int((~ok_min_features).sum())
@@ -171,14 +179,12 @@ def run_qc(counts: CountMatrix, cfg: QcConfig | None = None) -> tuple[CountMatri
         report.cell_mask = np.zeros(counts.n_cells, dtype=bool)
         raise EmptyMatrixError("QC removed every feature", report)
 
-    filtered = submatrix(counts, feature_mask, np.ones(counts.n_cells, dtype=bool))
-    stats_matrix = counts if cfg.cell_stats_on_raw else filtered
-    cell_mask = filter_cells(stats_matrix, cfg, report)
+    stats_rows = np.ones_like(feature_mask) if cfg.cell_stats_on_raw else feature_mask
+    cell_mask = _passing_cells(counts, cfg, stats_rows, report)
     report.cell_mask = cell_mask
     report.cells_removed = int((~cell_mask).sum())
     report.cells_out = int(cell_mask.sum())
     if report.cells_out == 0:
         raise EmptyMatrixError("QC removed every cell", report)
 
-    result = submatrix(filtered, np.ones(filtered.n_features, dtype=bool), cell_mask)
-    return result, report
+    return submatrix(counts, feature_mask, cell_mask), report

@@ -3,14 +3,15 @@ import os
 import stat
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gmmle import community, spectral
+from gmmle import community, core_matrix, layout, qc, spectral
 from gmmle.cli import (
-    ConfigError, PIPELINE_SCHEMA, StageError, build_stage_configs, main,
+    _KEY_SUFFIX, ConfigError, PIPELINE_SCHEMA, StageError, build_stage_configs, main,
     parse_config_text, run_pipeline, write_atomic,
 )
 from gmmle.community import exact_knn, knn_graph
@@ -288,6 +289,16 @@ class TestPipelineCommand:
             "cluster.k_strategy = bic\ncluster.k_range = 0:3",
             "config key cluster.k_range",
         ),
+        (
+            "cluster.k_strategy = fixed",
+            "cluster.k_strategy = bic\ncluster.k_range = 5:2",
+            "config key 'cluster.k_range': empty range '5:2'",
+        ),
+        (
+            "cluster.k_strategy = fixed",
+            "cluster.k_strategy = bic\ncluster.k_range = ,",
+            "config key 'cluster.k_range': empty range ','",
+        ),
     ] + [
         (
             "cluster.method = gmm",
@@ -300,6 +311,7 @@ class TestPipelineCommand:
     ], ids=[
         "layout-epochs", "bic-without-range", "bic-without-gmm", "qc-top-share",
         "energy-zero", "energy-above-one", "top-k", "cluster-k", "knn-k", "k-range",
+        "k-range-empty", "k-range-empty-list",
         "resolution-nan", "resolution-inf", "resolution-zero", "resolution-negative",
         "missing-input",
     ])
@@ -314,6 +326,24 @@ class TestPipelineCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "unused").exists()
+
+    def test_one_restriction_per_stage(self, sim_dir, tmp_path, monkeypatch):
+        callers = []
+        restrict = core_matrix.submatrix
+
+        def spy(*args):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return restrict(*args)
+
+        # qc imports submatrix by name, so both module attributes are wrapped
+        monkeypatch.setattr(core_matrix, "submatrix", spy)
+        monkeypatch.setattr(qc, "submatrix", spy)
+        conf = write_config(
+            tmp_path, "spy.conf",
+            PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=tmp_path / "spy"),
+        )
+        assert main(["pipeline", "--config", conf]) == 0
+        assert callers == ["gmmle.qc", "gmmle.cli"]
 
     def test_stage_named_on_failure(self, tmp_path, capsys):
         # the 8 x 10 input of test_no_scorable_feature_fails_at_features_stage
@@ -564,6 +594,20 @@ class TestScatterCommand:
         assert main(["scatter", str(layout_path), str(labels_path), str(out)]) == 1
         assert "differ" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows, message", [
+        ("c0\t0\nc1\nc2\t0\n", "line 3: expected 'cell_id<TAB>cluster'"),
+        ("c0\t0\nc1\tone\nc2\t0\n", "line 3: expected 'cell_id<TAB>cluster'"),
+        ("c0\t0\nc1\t1\t7\nc2\t0\n", "line 3: expected 'cell_id<TAB>cluster'"),
+        ("c0\t0\nc1\t1\nc0\t1\nc2\t0\n", "line 4: repeated cell id 'c0'"),
+    ], ids=["one-field", "non-integer", "three-fields", "repeated-id"])
+    def test_malformed_labels_rejected(self, tmp_path, capsys, rows, message):
+        layout_path, labels_path = self.write_inputs(tmp_path)
+        labels_path.write_text("cell_id\tcluster\n" + rows)
+        out = tmp_path / "x.svg"
+        assert main(["scatter", str(layout_path), str(labels_path), str(out)]) == 1
+        assert f"error: {labels_path} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_input_rejected(self, tmp_path, capsys):
         layout_path = tmp_path / "layout.tsv"
         layout_path.write_text("cell_id\tx\ty\n")
@@ -686,3 +730,64 @@ class TestValidateCommand:
         assert main(["validate", "--config", conf]) == 1
         assert "input.path does not exist" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        ("w\t0\nx\ny\t1\nz\t1\n", "line 3: expected 'cell_id<TAB>cluster'"),
+        ("w\t0\nx\t0\nw\t1\ny\t1\nz\t1\n", "line 4: repeated cell id 'w'"),
+    ], ids=["one-field", "repeated-id"])
+    def test_malformed_labels_rejected(self, tmp_path, capsys, rows, message):
+        conf = self.write_inputs(tmp_path, "")
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("cell_id\tcluster\n" + rows)
+        assert main(["validate", "--config", conf]) == 1
+        assert f"error: {labels} {message}" in capsys.readouterr().err
+        assert not (tmp_path / "v" / "cluster_types.tsv").exists()
+
+
+# stage dataclass of each config section whose defaults live on the class
+_STAGE_CLASSES = {"qc": qc.QcConfig, "spectral": spectral.EmbedPolicy,
+                  "layout": layout.LayoutParams}
+
+
+def _effective_default(key):
+    """The value a pipeline key takes when the config omits it, or None."""
+    if key in PIPELINE_SCHEMA.defaults:
+        return PIPELINE_SCHEMA.defaults[key]
+    section, name = key.split(".", 1)
+    cls = _STAGE_CLASSES.get(section)
+    for f in fields(cls) if cls else ():
+        if _KEY_SUFFIX.get(f.name, f.name) == name:
+            return f.default
+    return None
+
+
+def readme_pipeline_keys():
+    """(key, default cell) of each row of README's pipeline key table."""
+    lines = (REPO / "README.md").read_text().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, default = (cell.strip() for cell in line.strip("|").split("|")[:2])
+        rows.append((key.strip("`"), default))
+    return rows
+
+
+class TestReadmeConfigTable:
+    def test_keys_match_the_schema(self):
+        keys = [key for key, _ in readme_pipeline_keys()]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(PIPELINE_SCHEMA.converters)
+
+    def test_defaults_match_the_effective_defaults(self):
+        for key, default in readme_pipeline_keys():
+            effective = _effective_default(key)
+            if default == "(required)":
+                assert key in PIPELINE_SCHEMA.required, key
+            elif default == "(none)":
+                assert effective is None and key not in PIPELINE_SCHEMA.required, key
+            else:
+                assert default.startswith("`") and default.endswith("`"), key
+                literal = default.strip("`")
+                assert PIPELINE_SCHEMA.converters[key](literal) == effective, key

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,8 +193,12 @@ class TestMatrixMarketText:
         # entries given in scrambled order, so the CSR's ordering is exercised
         rows, cols = np.nonzero(dense)
         perm = rng.permutation(rows.size)
-        cm = CountMatrix.from_entries(
-            40, 130, rows[perm], cols[perm], dense[rows[perm], cols[perm]]
+        cm = CountMatrix(
+            sp.coo_matrix(
+                (dense[rows[perm], cols[perm]], (rows[perm], cols[perm])), shape=(40, 130)
+            ),
+            [f"f{i}" for i in range(40)],
+            [f"c{j}" for j in range(130)],
         )
         text = matrix_market_text(cm)
         assert text.encode() == per_entry_matrix_market_text(cm).encode()
@@ -284,6 +289,11 @@ class TestDegreesAndSubmatrix:
         assert entry_set(sub) == entry_set(cm)
         assert sub.feature_ids == cm.feature_ids
 
+    def test_submatrix_all_true_masks_return_the_argument(self):
+        cm = CountMatrix.from_dense([[1, 0], [0, 2]])
+        assert submatrix(cm, [True, True], [True, True]) is cm
+        assert submatrix(cm, [True, False], [True, True]) is not cm
+
     def test_submatrix_single_row(self):
         cm = CountMatrix.from_dense([[1, 0], [0, 2]])
         sub = submatrix(cm, [True, False], [True, True])
@@ -320,14 +330,19 @@ class TestDegreesAndSubmatrix:
 
 
 class TestValidation:
-    def test_duplicate_entries_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            CountMatrix.from_entries(2, 2, [0, 0], [0, 0], [1, 2])
-
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="not unique"):
             CountMatrix.from_dense([[1, 0], [0, 1]], feature_ids=["a", "a"])
 
-    def test_index_range_enforced(self):
-        with pytest.raises(ValueError, match="out of range"):
-            CountMatrix.from_entries(2, 2, [5], [0], [1])
+    @pytest.mark.parametrize("bad", [0.5, 2.7, np.nan, np.inf, -np.inf, 2.0**63])
+    def test_non_integral_counts_rejected(self, bad):
+        # the int64 cast would truncate these (0.5 -> 0, 2.7 -> 2) or wrap them
+        with pytest.raises(ValueError, match="counts must be finite integers"):
+            CountMatrix.from_dense([[bad, 2.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="counts must be finite integers"):
+            CountMatrix(sp.csr_matrix([[0.0, bad]]), ["f"], ["a", "b"])
+
+    def test_integral_floats_accepted(self):
+        cm = CountMatrix.from_dense([[3.0, 0.0], [1.0, 2.0**52]])
+        assert cm.csr().dtype == np.int64
+        assert entry_set(cm) == {(0, 0, 3), (1, 0, 1), (1, 1, 2**52)}

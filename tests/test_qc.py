@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import entry_set
-from gmmle.core_matrix import CountMatrix
+from gmmle.core_matrix import CountMatrix, submatrix
 from gmmle.qc import EmptyMatrixError, QcConfig, QcReport, filter_cells, filter_features, run_qc
 
 
@@ -220,3 +220,152 @@ class TestConfigValidation:
     def test_negative_counts(self):
         with pytest.raises(ValueError):
             QcConfig(min_cells_per_feature=-1)
+
+
+# run_qc as it was before the cell statistics were read in place: the cell
+# rules run on a feature-filtered copy (or the input, with
+# cell_stats_on_raw), through row slices of its CSC, and the result is cut
+# from that copy.  Kept as the oracle of the one-restriction run_qc.
+def _reference_max_count_per_cell(counts, row_mask):
+    csc = counts.csc()[row_mask]
+    out = np.zeros(counts.n_cells, dtype=np.int64)
+    nonempty = np.flatnonzero(np.diff(csc.indptr))
+    if nonempty.size:
+        out[nonempty] = np.maximum.reduceat(csc.data, csc.indptr[nonempty])
+    return out
+
+
+def _reference_filter_cells(counts, cfg, report):
+    csc = counts.csc()
+    features_per_cell = np.diff(csc.indptr)
+    totals = np.asarray(csc.sum(axis=0)).ravel().astype(np.int64)
+    safe_totals = np.where(totals > 0, totals, 1).astype(np.float64)
+    ok_min_features = features_per_cell >= cfg.min_features_per_cell
+    excluded = np.array(
+        [fid in set(cfg.top_share_exclude) for fid in counts.feature_ids], dtype=bool
+    )
+    top_counts = _reference_max_count_per_cell(counts, ~excluded)
+    ok_top_share = (top_counts / safe_totals) < cfg.max_top_share
+    ok_mito = np.ones(counts.n_cells, dtype=bool)
+    if cfg.max_mito_share is not None:
+        mito_rows = np.array([i.startswith(cfg.mito_prefix) for i in counts.feature_ids], dtype=bool)
+        mito_totals = np.asarray(csc[mito_rows].sum(axis=0)).ravel()
+        ok_mito = (mito_totals / safe_totals) < cfg.max_mito_share
+    ok_ribo = np.ones(counts.n_cells, dtype=bool)
+    if cfg.max_ribo_share is not None:
+        ribo_rows = np.array(
+            [any(i.startswith(p) for p in cfg.ribo_prefixes) for i in counts.feature_ids],
+            dtype=bool,
+        )
+        ribo_totals = np.asarray(csc[ribo_rows].sum(axis=0)).ravel()
+        ok_ribo = (ribo_totals / safe_totals) < cfg.max_ribo_share
+    report.cells_failed_min_features = int((~ok_min_features).sum())
+    report.cells_failed_top_share = int((~ok_top_share).sum())
+    report.cells_failed_mito_share = int((~ok_mito).sum())
+    report.cells_failed_ribo_share = int((~ok_ribo).sum())
+    return ok_min_features & ok_top_share & ok_mito & ok_ribo
+
+
+def reference_run_qc(counts, cfg):
+    report = QcReport(features_in=counts.n_features, cells_in=counts.n_cells)
+    feature_mask = filter_features(counts, cfg)
+    report.feature_mask = feature_mask
+    report.features_removed_low_cell_count = int((~feature_mask).sum())
+    report.features_out = int(feature_mask.sum())
+    if report.features_out == 0:
+        report.cell_mask = np.zeros(counts.n_cells, dtype=bool)
+        raise EmptyMatrixError("QC removed every feature", report)
+    filtered = submatrix(counts, feature_mask, np.ones(counts.n_cells, dtype=bool))
+    stats_matrix = counts if cfg.cell_stats_on_raw else filtered
+    cell_mask = _reference_filter_cells(stats_matrix, cfg, report)
+    report.cell_mask = cell_mask
+    report.cells_removed = int((~cell_mask).sum())
+    report.cells_out = int(cell_mask.sum())
+    if report.cells_out == 0:
+        raise EmptyMatrixError("QC removed every cell", report)
+    result = submatrix(filtered, np.ones(filtered.n_features, dtype=bool), cell_mask)
+    return result, report
+
+
+ID_POOL = ("MALAT1", "MT-CO1", "MT-ND2", "RPS3", "RPL7", "RPLP0", "g0", "g1", "g2", "g3")
+
+
+def random_qc_case(seed):
+    """A small count matrix with mito, ribo and excluded ids, and a QC
+    config drawn so that every rule sometimes removes cells."""
+    rng = np.random.default_rng(seed)
+    n_features, n_cells = rng.integers(1, 13), rng.integers(1, 16)
+    dense = rng.poisson(rng.gamma(0.7, 2.0, size=(n_features, 1)), size=(n_features, n_cells))
+    dense[rng.random(dense.shape) < rng.random()] = 0
+    pool = list(ID_POOL) + [f"x{i}" for i in range(n_features)]
+    ids = [str(i) for i in rng.choice(pool, size=n_features, replace=False)]
+
+    def share():
+        return None if rng.random() < 0.3 else float(rng.choice([0.05, 0.2, 0.5, 1.0]))
+
+    cfg = QcConfig(
+        min_cells_per_feature=int(rng.integers(0, 4)),
+        min_features_per_cell=int(rng.integers(0, 5)),
+        max_top_share=float(rng.choice([0.2, 0.4, 0.6, 1.0])),
+        top_share_exclude=tuple(rng.choice(["MALAT1", "g0", "RPS3"], size=rng.integers(0, 3), replace=False)),
+        max_mito_share=share(),
+        max_ribo_share=share(),
+        ribo_prefixes=("RPS", "RPL") if rng.random() < 0.7 else ("RPL",),
+        cell_stats_on_raw=bool(rng.random() < 0.5),
+    )
+    return CountMatrix.from_dense(dense, feature_ids=ids), cfg
+
+
+def qc_outcome(run, counts, cfg):
+    """Report text plus the result's CSR arrays and ids, or the report of
+    the EmptyMatrixError."""
+    try:
+        out, report = run(counts, cfg)
+    except EmptyMatrixError as err:
+        return ("empty", str(err), err.report.to_json())
+    csr = out.csr()
+    return (
+        report.to_json(), csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist(),
+        str(csr.data.dtype), out.feature_ids, out.cell_ids,
+    )
+
+
+class TestOneRestriction:
+    def test_equals_the_two_slice_reference(self):
+        outcomes = set()
+        for seed in range(300):
+            counts, cfg = random_qc_case(seed)
+            got = qc_outcome(run_qc, counts, cfg)
+            assert got == qc_outcome(reference_run_qc, counts, cfg), seed
+            outcomes.add(got[1] if got[0] == "empty" else "kept")
+        # the fixtures reach both empty results as well as kept matrices
+        assert outcomes == {"kept", "QC removed every feature", "QC removed every cell"}
+
+    def test_every_rule_removes_cells_in_the_fuzz(self):
+        tallies = np.zeros(4, dtype=int)
+        for seed in range(300):
+            counts, cfg = random_qc_case(seed)
+            try:
+                _, report = run_qc(counts, cfg)
+            except EmptyMatrixError as err:
+                report = err.report
+            tallies += [
+                report.cells_failed_min_features, report.cells_failed_top_share,
+                report.cells_failed_mito_share, report.cells_failed_ribo_share,
+            ]
+        assert (tallies > 0).all()
+
+    def test_filter_cells_counts_every_feature(self):
+        for seed in range(50):
+            counts, cfg = random_qc_case(seed)
+            got, expected = QcReport(), QcReport()
+            mask = filter_cells(counts, cfg, got)
+            assert np.array_equal(mask, _reference_filter_cells(counts, cfg, expected))
+            assert got.to_json() == expected.to_json()
+
+    def test_input_kept_whole_is_returned_uncopied(self):
+        cm = CountMatrix.from_dense([[2, 3], [4, 1]])
+        cfg = QcConfig(min_cells_per_feature=1, min_features_per_cell=1,
+                       max_top_share=1.0, max_mito_share=None, max_ribo_share=None)
+        out, _ = run_qc(cm, cfg)
+        assert out is cm

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,7 @@ def assert_same_csr(a, b):
 
 # The per-cell sampler that chunked sampling replaced, kept as its oracle:
 # one derived stream per cell, Poisson by the element-wise inversion loop,
-# entries assembled through from_entries.
+# entries assembled as one COO matrix.
 def reference_sample_sbm(config):
     gene_block = np.repeat(np.arange(len(config.gene_block_sizes)), config.gene_block_sizes)
     cell_block = np.repeat(np.arange(len(config.cell_block_sizes)), config.cell_block_sizes)
@@ -52,11 +53,11 @@ def reference_sample_sbm(config):
         cols.append(np.full(nz.size, j, dtype=np.int64))
         vals.append(counts[nz])
 
-    matrix = CountMatrix.from_entries(
-        p, n,
-        np.concatenate(rows) if rows else [],
-        np.concatenate(cols) if cols else [],
-        np.concatenate(vals) if vals else [],
+    matrix = CountMatrix(
+        sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(p, n),
+        ),
         feature_ids=[f"g{i}" for i in range(p)],
         cell_ids=[f"c{j}" for j in range(n)],
     )
