@@ -307,7 +307,9 @@ def random_qc_case(seed):
         min_cells_per_feature=int(rng.integers(0, 4)),
         min_features_per_cell=int(rng.integers(0, 5)),
         max_top_share=float(rng.choice([0.2, 0.4, 0.6, 1.0])),
-        top_share_exclude=tuple(rng.choice(["MALAT1", "g0", "RPS3"], size=rng.integers(0, 3), replace=False)),
+        top_share_exclude=tuple(
+            str(i) for i in rng.choice(["MALAT1", "g0", "RPS3"], size=rng.integers(0, 3), replace=False)
+        ),
         max_mito_share=share(),
         max_ribo_share=share(),
         ribo_prefixes=("RPS", "RPL") if rng.random() < 0.7 else ("RPL",),
