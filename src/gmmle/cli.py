@@ -356,21 +356,41 @@ def _write_counts(out_dir: Path, stem: str, counts: core_matrix.CountMatrix) -> 
     write_atomic(cell_path, "\n".join(counts.cell_ids) + "\n")
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size so far (``VmHWM``) in MB, or
+    None where ``/proc/self/status`` cannot be read."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024, 1)
+    except OSError:
+        pass
+    return None
+
+
 class _StageClock:
+    """Wall time of each stage, and the process's peak RSS at its end."""
+
     def __init__(self):
         self.timings: dict[str, float] = {}
+        self.peak_rss_mb: dict[str, float] = {}
         self.current: str = "setup"
         self._started = time.perf_counter()
 
     def enter(self, stage: str) -> None:
         now = time.perf_counter()
         self.timings[self.current] = round(now - self._started, 6)
+        peak = _peak_rss_mb()
+        if peak is not None:
+            self.peak_rss_mb[self.current] = peak
         self.current = stage
         self._started = now
 
     def finish(self) -> None:
         self.enter("done")
         self.timings.pop("done", None)
+        self.peak_rss_mb.pop("done", None)
 
 
 def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | None) -> dict:
@@ -522,6 +542,8 @@ def _run_pipeline_stages(
 
     clock.finish()
     metrics["timings_sec"] = clock.timings
+    if clock.peak_rss_mb:
+        metrics["peak_rss_mb"] = clock.peak_rss_mb
     write_atomic(out_dir / "metrics.json", json.dumps(metrics, indent=2))
     return metrics
 

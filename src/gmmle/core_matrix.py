@@ -26,6 +26,20 @@ def _check_unique(ids, kind: str):
         raise ValueError(f"{kind} ids are not unique")
 
 
+def _checked_ids(shape, feature_ids, cell_ids) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Ids as str tuples, one per row and per column, each set unique."""
+    n_features, n_cells = shape
+    feature_ids = tuple(str(i) for i in feature_ids)
+    cell_ids = tuple(str(i) for i in cell_ids)
+    if len(feature_ids) != n_features:
+        raise ValueError(f"{len(feature_ids)} feature ids for {n_features} rows")
+    if len(cell_ids) != n_cells:
+        raise ValueError(f"{len(cell_ids)} cell ids for {n_cells} columns")
+    _check_unique(feature_ids, "feature")
+    _check_unique(cell_ids, "cell")
+    return feature_ids, cell_ids
+
+
 class CountMatrix:
     """Immutable sparse matrix of strictly positive integer counts.
 
@@ -47,17 +61,24 @@ class CountMatrix:
         csr.sum_duplicates()
         csr.eliminate_zeros()
         csr.sort_indices()
-        n_features, n_cells = csr.shape
-        feature_ids = tuple(str(i) for i in feature_ids)
-        cell_ids = tuple(str(i) for i in cell_ids)
-        if len(feature_ids) != n_features:
-            raise ValueError(f"{len(feature_ids)} feature ids for {n_features} rows")
-        if len(cell_ids) != n_cells:
-            raise ValueError(f"{len(cell_ids)} cell ids for {n_cells} columns")
-        _check_unique(feature_ids, "feature")
-        _check_unique(cell_ids, "cell")
+        feature_ids, cell_ids = _checked_ids(csr.shape, feature_ids, cell_ids)
         if csr.nnz and csr.data.min() <= 0:
             raise ValueError("counts must be strictly positive integers")
+        self._adopt(csr, feature_ids, cell_ids)
+
+    @classmethod
+    def _from_canonical(cls, csr: sp.csr_matrix, feature_ids, cell_ids) -> "CountMatrix":
+        """Wrap a CSR that is already canonical, without copying it.
+
+        The caller guarantees int64 data, all strictly positive, sorted
+        indices and no duplicates: what ``__init__`` would make of it.
+        Only the ids are checked.
+        """
+        self = cls.__new__(cls)
+        self._adopt(csr, *_checked_ids(csr.shape, feature_ids, cell_ids))
+        return self
+
+    def _adopt(self, csr: sp.csr_matrix, feature_ids, cell_ids) -> None:
         self._csr = csr
         self._csc = None
         self.feature_ids = feature_ids
@@ -138,7 +159,8 @@ def submatrix(counts: CountMatrix, feature_mask, cell_mask) -> CountMatrix:
     sliced = sliced if cell_mask.all() else sliced[:, cell_mask]
     fids = [fid for fid, keep in zip(counts.feature_ids, feature_mask) if keep]
     cids = [cid for cid, keep in zip(counts.cell_ids, cell_mask) if keep]
-    return CountMatrix(sliced, fids, cids)
+    # slicing a canonical CSR by masks keeps it canonical
+    return CountMatrix._from_canonical(sliced, fids, cids)
 
 
 def _sidecar_paths(path: Path) -> tuple[Path, Path]:
@@ -167,7 +189,10 @@ def read_matrix_market(path) -> CountMatrix:
     Companion ``<stem>.features.txt`` / ``<stem>.cells.txt`` id files are
     used when present; synthetic ``f0..`` / ``c0..`` ids otherwise.
 
-    The body is parsed in one array pass.  A body that pass does not accept
+    The body is parsed by an array pass, chunk by chunk.  Entries in
+    strictly increasing row-major order (the order ``write_matrix_market``
+    writes) become the CSR directly; any other order goes through the
+    duplicate check and a COO build.  A body the array pass does not accept
     (comment lines, reals, bad or duplicate entries) is parsed again from
     the top by the line parser, which gives the same result and is the only
     path that reports errors, with their line numbers.
@@ -186,13 +211,49 @@ def read_matrix_market(path) -> CountMatrix:
         if cell_path.exists()
         else [f"c{j}" for j in range(n_cells)]
     )
-    return CountMatrix(matrix, feature_ids, cell_ids)
+    return CountMatrix._from_canonical(matrix, feature_ids, cell_ids)
 
 
 # Largest count the array pass accepts: up to 2**53 every integer is a
 # float64, so the line parser's round(float(token)) gives the token's value.
 _EXACT_FLOAT_INT = 2**53
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+# Characters of text read per chunk by the array passes.  A chunk's text,
+# lines and parsed table are transient; at this size they stay a small
+# share of any matrix large enough for memory to matter.
+_CHUNK_CHARS = 1 << 16
+
+
+def _index_dtype(n_features: int, n_cells: int, nnz: int):
+    """The index dtype scipy gives a CSR of this shape and size."""
+    return np.int32 if max(n_features, n_cells, nnz) <= np.iinfo(np.int32).max else np.int64
+
+
+def _text_chunks(handle):
+    """Successive runs of whole lines from a text handle, ≈_CHUNK_CHARS
+    characters each; every run but the last ends in a newline."""
+    carry = ""
+    while piece := handle.read(_CHUNK_CHARS):
+        piece = carry + piece
+        cut = piece.rfind("\n") + 1
+        carry = piece[cut:]
+        if cut:
+            yield piece[:cut]
+    if carry:
+        yield carry
+
+
+def _load_chunk(lines: list[str], **options) -> np.ndarray:
+    """``np.loadtxt`` of one chunk's lines as a 2-D int64 table; blank lines
+    read as no rows.  Raises ValueError on any token or row it cannot read.
+
+    Only plain ASCII may reach it: ``np.loadtxt`` reads some non-ASCII
+    characters as digits (``"3\\u01fe"`` as 492) where ``int`` rejects them.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None, **options)
 
 
 @dataclass
@@ -208,8 +269,11 @@ class _Entries:
 
 
 def _read_counts_csr(path: Path) -> sp.csr_matrix:
-    """Count matrix of a MatrixMarket file; the parsed arrays die on return."""
+    """Canonical count CSR of a MatrixMarket file; the parsed arrays die on
+    return."""
     entries = _parse_mm_array(path)
+    if isinstance(entries, sp.csr_matrix):
+        return entries
     if entries is None or _first_duplicate(entries) is not None:
         entries = _parse_mm_lines(path)
         dup = _first_duplicate(entries)
@@ -219,6 +283,7 @@ def _read_counts_csr(path: Path) -> sp.csr_matrix:
                 f"({entries.rows[dup] + 1}, {entries.cols[dup] + 1})"
             )
     keep = entries.vals > 0
+    # the COO build sums duplicates, so its result is canonical
     return sp.csr_matrix(
         (entries.vals[keep], (entries.rows[keep], entries.cols[keep])),
         shape=(entries.n_features, entries.n_cells),
@@ -288,33 +353,77 @@ def _read_mm_size(path: Path, handle) -> tuple[int, int, int, int]:
     return n_features, n_cells, nnz, line_no
 
 
-def _parse_mm_array(path: Path) -> _Entries | None:
-    """Whole body as one int64 table, or None when the line parser must decide.
+def _parse_mm_array(path: Path) -> sp.csr_matrix | _Entries | None:
+    """Body parsed chunk by chunk into nnz-length arrays, or None when the
+    line parser must decide.
 
-    ``np.loadtxt`` reads ASCII-digit integers only, a subset of what the
-    line parser's ``int``/``float`` accept, so whatever it rejects (comments,
-    reals, ``1_0``, ragged rows) goes to the line parser.
+    On plain ASCII ``np.loadtxt`` reads digit integers only, a subset of
+    what the line parser's ``int``/``float`` accept, so whatever it rejects
+    (comments, reals, ``1_0``, ragged rows) goes to the line parser, as does
+    any chunk with a non-ASCII character.  While the entries
+    run in strictly increasing row-major order only per-row counts are
+    kept, and the result is a canonical CSR (strict order rules out
+    duplicates).  From the first entry out of that order on, rows are
+    stored too and the result is the entries.
     """
     with path.open() as handle:
         n_features, n_cells, nnz, _ = _read_mm_size(path, handle)
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(handle, dtype=np.int64, ndmin=2, comments=None)
-        except ValueError:
-            return None
-    if table.size == 0:  # an empty body reads as shape (0, 1)
-        table = table.reshape(0, 3)
-    if table.shape != (nnz, 3):
+        index_dtype = _index_dtype(n_features, n_cells, nnz)
+        cols = np.empty(nnz, dtype=index_dtype)
+        vals = np.empty(nnz, dtype=np.int64)
+        row_counts = np.zeros(n_features, dtype=np.int64)
+        rows = None  # allocated at the first entry out of row-major order
+        last = (0, -1)  # (row, col) of the previous entry while in order
+        k = 0
+        for text in _text_chunks(handle):
+            if not text.isascii():
+                return None
+            try:
+                table = _load_chunk(text.split("\n"))
+            except ValueError:
+                return None
+            if table.size == 0:  # blank lines read as shape (0, 1)
+                continue
+            end = k + table.shape[0]
+            if table.shape[1] != 3 or end > nnz:
+                return None
+            r, c, v = table[:, 0] - 1, table[:, 1] - 1, table[:, 2]
+            if (
+                r.min() < 0 or r.max() >= n_features
+                or c.min() < 0 or c.max() >= n_cells
+                or v.min() < 0 or v.max() > _EXACT_FLOAT_INT
+            ):
+                return None
+            if rows is None and _continues_row_major(last, r, c):
+                # r is sorted, so the counts cover only rows r[0]..r[-1]
+                row_counts[r[0]:r[-1] + 1] += np.bincount(r - r[0])
+                last = (r[-1], c[-1])
+            else:
+                if rows is None:
+                    rows = np.empty(nnz, dtype=index_dtype)
+                    rows[:k] = np.repeat(np.arange(n_features, dtype=index_dtype), row_counts)
+                rows[k:end] = r
+            cols[k:end] = c
+            vals[k:end] = v
+            k = end
+    if k != nnz:
         return None
-    rows, cols, vals = table[:, 0] - 1, table[:, 1] - 1, table[:, 2].copy()
-    if nnz and (
-        rows.min() < 0 or rows.max() >= n_features
-        or cols.min() < 0 or cols.max() >= n_cells
-        or vals.min() < 0 or vals.max() > _EXACT_FLOAT_INT
-    ):
-        return None
-    return _Entries(n_features, n_cells, rows, cols, vals, None)
+    if rows is not None:
+        return _Entries(n_features, n_cells, rows, cols, vals, None)
+    indptr = np.zeros(n_features + 1, dtype=index_dtype)
+    np.cumsum(row_counts, out=indptr[1:])
+    csr = sp.csr_matrix((vals, cols, indptr), shape=(n_features, n_cells))
+    csr.eliminate_zeros()  # in place: explicit zeros are not counts
+    return csr
+
+
+def _continues_row_major(last: tuple[int, int], rows: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether the entries, after the entry at ``last``, keep strictly
+    increasing (row, col) order.  Compares pairs, so no key can overflow."""
+    rows = np.concatenate(([last[0]], rows))
+    cols = np.concatenate(([last[1]], cols))
+    row_step = np.diff(rows)
+    return bool(((row_step > 0) | ((row_step == 0) & (np.diff(cols) > 0))).all())
 
 
 def _parse_mm_lines(path: Path) -> _Entries:
@@ -418,9 +527,79 @@ def read_dense_tsv(path) -> CountMatrix:
     """Read a dense TSV: first row cell ids, first column feature ids.
 
     A corner label in the header row is tolerated.  Only non-zero body
-    entries are stored.
+    entries are stored.  The body is parsed by an array pass, chunk by
+    chunk; a file that pass does not accept is parsed again from the top by
+    the line parser, which gives the same result and is the only path that
+    reports errors, with their line numbers.
     """
     path = Path(path)
+    parsed = _parse_tsv_array(path)
+    if parsed is None:
+        parsed = _parse_tsv_lines(path)
+    return CountMatrix._from_canonical(*parsed)
+
+
+# ASCII characters on which the TSV array pass and line parser part ways:
+# line breaks that str.splitlines, and so the line parser, splits at, and
+# the unit separator, which np.loadtxt strips from a number and int rejects.
+_TSV_ODD_ASCII = "\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _parse_tsv_array(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]] | None:
+    """(canonical CSR, feature ids, cell ids) of a dense TSV, parsed chunk
+    by chunk; None when the line parser must decide.
+
+    A chunk's feature ids are the text before each line's first tab, and
+    its counts one ``np.loadtxt`` over the other fields.  Its nonzeros, in
+    row-major order, are appended to the CSR arrays.  On plain ASCII
+    ``np.loadtxt`` accepts a subset of the integers that ``int`` does, so
+    whatever it rejects goes to the line parser, as does any ragged row,
+    negative count, non-ASCII text or odd control character.
+    """
+    header = None
+    feature_ids: list[str] = []
+    row_nnz, indices, data = [], [], []
+    with path.open() as handle:
+        for text in _text_chunks(handle):
+            if not text.isascii() or any(c in text for c in _TSV_ODD_ASCII):
+                return None
+            lines = [line for line in text.split("\n") if line.strip()]
+            if header is None and lines:
+                header = lines.pop(0).split("\t")
+            if not lines:
+                continue
+            if not feature_ids:  # the first body line sets the width
+                n_cells = lines[0].count("\t")
+                if n_cells == 0 or len(header) not in (n_cells, n_cells + 1):
+                    return None
+            if any(line.count("\t") != n_cells for line in lines):
+                return None
+            try:
+                table = _load_chunk(lines, delimiter="\t", usecols=range(1, n_cells + 1))
+            except ValueError:
+                return None
+            if table.min() < 0:
+                return None
+            feature_ids.extend(line.partition("\t")[0] for line in lines)
+            nonzero = np.flatnonzero(table)
+            row_nnz.append(np.count_nonzero(table, axis=1))
+            indices.append((nonzero % n_cells).astype(_index_dtype(0, n_cells, 0)))
+            data.append(table.ravel()[nonzero])
+    if not feature_ids:
+        return None
+    # one list at a time, so its blocks are freed before the next is joined
+    data = np.concatenate(data)
+    index_dtype = _index_dtype(len(feature_ids), n_cells, data.size)
+    indices = np.concatenate(indices).astype(index_dtype, copy=False)
+    indptr = np.zeros(len(feature_ids) + 1, dtype=index_dtype)
+    np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(feature_ids), n_cells))
+    cell_ids = header[1:] if len(header) == n_cells + 1 else header
+    return matrix, feature_ids, cell_ids
+
+
+def _parse_tsv_lines(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]]:
+    """Reference parser: one token at a time, errors name their line."""
     lines = path.read_text().splitlines()
     lines = [line for line in lines if line.strip() != ""]
     if len(lines) < 2:
@@ -460,12 +639,17 @@ def read_dense_tsv(path) -> CountMatrix:
                 raise MatrixFormatError(
                     f"{path} line {line_no}: negative count {token}"
                 )
+            if value > _INT64_MAX:
+                raise MatrixFormatError(
+                    f"{path} line {line_no}: count {token} does not fit in int64"
+                )
             if value:
                 rows.append(offset)
                 cols.append(j)
                 vals.append(value)
+    # the COO build sums duplicates, so its result is canonical
     matrix = sp.csr_matrix(
         (np.array(vals, dtype=np.int64), (rows, cols)),
         shape=(len(feature_ids), n_cells),
     )
-    return CountMatrix(matrix, feature_ids, cell_ids)
+    return matrix, feature_ids, cell_ids

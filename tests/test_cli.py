@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmmle import community, core_matrix, layout, qc, spectral
+from gmmle import cli, community, core_matrix, layout, qc, spectral
 from gmmle.cli import (
     _KEY_SUFFIX, ConfigError, PIPELINE_SCHEMA, StageError, build_stage_configs, main,
     parse_config_text, run_pipeline, write_atomic,
@@ -486,6 +486,40 @@ class TestPipelineCommand:
         assert "none of 8 features has a finite score" in message
         assert "mean <= 1 or zero variance" in message
         assert "features.enable = false" in message
+
+    def test_peak_rss_recorded_per_stage(self, sim_dir, tmp_path):
+        out = tmp_path / "peaks"
+        conf = write_config(
+            tmp_path, "peaks.conf", PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
+        )
+        assert main(["pipeline", "--config", conf]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        if cli._peak_rss_mb() is None:
+            pytest.skip("/proc/self/status cannot be read here")
+        peaks = metrics["peak_rss_mb"]
+        assert list(peaks) == list(metrics["timings_sec"])
+        # a high-water mark: it never falls from one stage to the next
+        values = list(peaks.values())
+        assert values[0] > 0 and values == sorted(values)
+
+    def test_peak_rss_left_out_where_proc_cannot_be_read(
+        self, sim_dir, tmp_path, monkeypatch
+    ):
+        def unreadable(*args, **kwargs):
+            raise PermissionError("no /proc here")
+
+        with monkeypatch.context() as patch:
+            patch.setattr("builtins.open", unreadable)
+            assert cli._peak_rss_mb() is None
+        monkeypatch.setattr(cli, "_peak_rss_mb", lambda: None)
+        out = tmp_path / "no_proc"
+        conf = write_config(
+            tmp_path, "no_proc.conf", PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
+        )
+        assert main(["pipeline", "--config", conf]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert "peak_rss_mb" not in metrics
+        assert "ingest" in metrics["timings_sec"]
 
 
 REPO = Path(__file__).resolve().parent.parent

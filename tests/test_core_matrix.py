@@ -329,6 +329,47 @@ class TestDegreesAndSubmatrix:
         assert degrees(sub).total == expected
 
 
+    def test_submatrix_keeps_canonical_csr_uncopied_by_constructor(self):
+        rng = np.random.default_rng(2)
+        for _ in range(40):
+            dense = rng.poisson(0.6, size=(rng.integers(2, 12), rng.integers(2, 12)))
+            cm = CountMatrix.from_dense(dense)
+            fmask = rng.random(cm.n_features) < 0.7
+            cmask = rng.random(cm.n_cells) < 0.7
+            fmask[0] = cmask[0] = True
+            for masks in ((fmask, cmask), (fmask, np.ones_like(cmask)), (np.ones_like(fmask), cmask)):
+                sub = submatrix(cm, *masks).csr()
+                assert is_canonical(sub)
+                assert np.array_equal(sub.toarray(), dense[np.ix_(*masks)])
+                copied = CountMatrix(sub, range(sub.shape[0]), range(sub.shape[1])).csr()
+                for got, want in zip(
+                    (sub.indptr, sub.indices, sub.data),
+                    (copied.indptr, copied.indices, copied.data),
+                ):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_from_canonical_wraps_without_copy(self):
+        csr = CountMatrix.from_dense([[1, 0], [0, 2]]).csr()
+        wrapped = CountMatrix._from_canonical(csr, ["a", "b"], ["x", "y"])
+        assert wrapped.csr() is csr
+        assert wrapped.feature_ids == ("a", "b") and wrapped.cell_ids == ("x", "y")
+        with pytest.raises(ValueError, match="feature ids are not unique"):
+            CountMatrix._from_canonical(csr, ["a", "a"], ["x", "y"])
+        with pytest.raises(ValueError, match="1 cell ids for 2 columns"):
+            CountMatrix._from_canonical(csr, ["a", "b"], ["x"])
+
+
+def is_canonical(csr) -> bool:
+    """Sorted column indices with no repeats in every row, positive int64
+    data; checked on a fresh matrix, so no cached scipy flag answers."""
+    fresh = sp.csr_matrix((csr.data, csr.indices, csr.indptr), shape=csr.shape)
+    return (
+        fresh.has_canonical_format
+        and csr.data.dtype == np.int64
+        and bool((csr.data > 0).all())
+    )
+
+
 class TestValidation:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="not unique"):

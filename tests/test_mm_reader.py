@@ -6,6 +6,7 @@ reference: forcing it (by making the array pass decline) must give the same
 CSR arrays, ids and error messages as the public reader.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -223,3 +224,55 @@ def test_simulated_matrix_round_trip(tmp_path):
     assert counter.calls == 0
     assert np.array_equal(again.to_dense(), dense)
     assert again.feature_ids == cm.feature_ids and again.cell_ids == cm.cell_ids
+
+
+def block_counts(n_features=300, n_cells=2500, n_blocks=5, seed=5):
+    """Poisson counts at rate 5 inside diagonal blocks and 0.5 elsewhere:
+    ≈385k nonzeros at the default shape."""
+    rng = np.random.default_rng(seed)
+    gene_block = np.arange(n_features) * n_blocks // n_features
+    cell_block = np.arange(n_cells) * n_blocks // n_cells
+    rates = np.where(gene_block[:, None] == cell_block[None, :], 5.0, 0.5)
+    return core_matrix.CountMatrix.from_dense(rng.poisson(rates))
+
+
+def traced_peak(read, path):
+    """(result, tracemalloc peak in bytes) of one read."""
+    tracemalloc.start()
+    try:
+        result = read(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def csr_bytes(counts):
+    csr = counts.csr()
+    return csr.indptr.nbytes + csr.indices.nbytes + csr.data.nbytes
+
+
+def test_read_peak_memory_bounded_by_csr_size(tmp_path):
+    """The chunked array pass holds the CSR it builds plus one chunk; the
+    whole-body table it replaced peaked at 5.75x the CSR on this file."""
+    counts = block_counts()
+    path = tmp_path / "block.mtx"
+    core_matrix.write_matrix_market(counts, path)
+    with LineParserCalls() as counter:
+        again, peak = traced_peak(read_matrix_market, path)
+    assert counter.calls == 0
+    assert 370_000 < again.nnz < 400_000
+    assert peak <= 3 * csr_bytes(again)
+
+
+@pytest.mark.parametrize("char", ["\u01fe", "\u04ff", "\u0903", "\xa0", "\u0663"])
+@pytest.mark.parametrize("template", ["1 1 3{}\n2 3 7\n", "1 {}1 3\n2 3 7\n", "1 1 3\n2 3 7\n%{}\n"])
+def test_non_ascii_body_same_outcome_as_line_parser(tmp_path, char, template):
+    """np.loadtxt reads some non-ASCII characters as digits ("3\u01fe" as
+    492), so a body with any non-ASCII character goes to the line parser."""
+    path = tmp_path / "m.mtx"
+    path.write_bytes(f"{HEADER}3 4 2\n{template.format(char)}".encode())
+    with LineParserCalls() as counter:
+        got = outcome(path)
+    assert counter.calls == 1
+    assert got == line_parser_outcome(path)
