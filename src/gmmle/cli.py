@@ -15,6 +15,7 @@ leaves a truncated file under a final name.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -369,28 +370,20 @@ def _peak_rss_mb() -> float | None:
     return None
 
 
-class _StageClock:
-    """Wall time of each stage, and the process's peak RSS at its end."""
-
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-        self.peak_rss_mb: dict[str, float] = {}
-        self.current: str = "setup"
-        self._started = time.perf_counter()
-
-    def enter(self, stage: str) -> None:
-        now = time.perf_counter()
-        self.timings[self.current] = round(now - self._started, 6)
-        peak = _peak_rss_mb()
-        if peak is not None:
-            self.peak_rss_mb[self.current] = peak
-        self.current = stage
-        self._started = now
-
-    def finish(self) -> None:
-        self.enter("done")
-        self.timings.pop("done", None)
-        self.peak_rss_mb.pop("done", None)
+@contextlib.contextmanager
+def _stage(name: str, timings: dict[str, float], peaks: dict[str, float]):
+    """Run the block as pipeline stage ``name``: any exception is re-raised
+    as StageError naming it; its wall time and the peak RSS at its end are
+    recorded under ``name``."""
+    started = time.perf_counter()
+    try:
+        yield
+    except Exception as err:
+        raise StageError(name, err) from err
+    timings[name] = round(time.perf_counter() - started, 6)
+    peak = _peak_rss_mb()
+    if peak is not None:
+        peaks[name] = peak
 
 
 def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | None) -> dict:
@@ -403,147 +396,136 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
     if seed_override is not None:
         for key in ("spectral.seed", "cluster.seed", "layout.seed"):
             values[key] = seed_override
-    configs = build_stage_configs(values)
+    qc_config, policy, layout_params = build_stage_configs(values)
     input_path = _input_path(values)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    clock = _StageClock()
-    try:
-        return _run_pipeline_stages(values, configs, input_path, out_dir, clock)
-    except Exception as err:
-        raise StageError(clock.current, err) from err
-
-
-def _run_pipeline_stages(
-    values: dict[str, Any], configs, input_path: Path, out_dir: Path, clock
-) -> dict:
-    qc_config, policy, layout_params = configs
     metrics: dict[str, Any] = {"stages": {}}
+    timings: dict[str, float] = {}
+    peaks: dict[str, float] = {}
 
-    clock.enter("ingest")
-    counts = _read_input(input_path, values["input.format"])
-    metrics["stages"]["ingest"] = {
-        "n_features": counts.n_features, "n_cells": counts.n_cells,
-    }
-
-    clock.enter("qc")
-    if qc_config is not None:
-        counts, report = qc.run_qc(counts, qc_config)
-        write_atomic(out_dir / "qc_report.json", report.to_json())
-        metrics["stages"]["qc"] = {
+    with _stage("ingest", timings, peaks):
+        counts = _read_input(input_path, values["input.format"])
+        metrics["stages"]["ingest"] = {
             "n_features": counts.n_features, "n_cells": counts.n_cells,
         }
 
-    clock.enter("features")
-    if values["features.enable"]:
-        scores = features.dispersion_scores(counts)
-        mask = features.select_top_k(scores, values["features.top_k"])
-        # cells whose entire signal sits in unselected features cannot be
-        # embedded; drop them and record the count
-        col_deg = mask.astype(np.int64) @ counts.csr()
-        empty_cells = int((col_deg == 0).sum())
-        counts = core_matrix.submatrix(counts, mask, col_deg > 0)
-        metrics["stages"]["features"] = {
-            "n_features": counts.n_features, "n_cells": counts.n_cells,
-            "cells_dropped_empty": empty_cells,
-        }
+    with _stage("qc", timings, peaks):
+        if qc_config is not None:
+            counts, report = qc.run_qc(counts, qc_config)
+            write_atomic(out_dir / "qc_report.json", report.to_json())
+            metrics["stages"]["qc"] = {
+                "n_features": counts.n_features, "n_cells": counts.n_cells,
+            }
 
-    clock.enter("spectral")
-    variant = values["spectral.variant"]
-    if variant == "normalized":
-        lap = spectral.normalized_laplacian(counts)
-    elif variant == "random_walk":
-        lap = spectral.random_walk_laplacian(counts)
-    else:
-        lap = spectral.adjacency_embedding_matrix(counts)
-    embedding = spectral.embed(lap, policy)
-    write_atomic(out_dir / "embedding.tsv",
-                 spectral.embedding_to_tsv(embedding, counts.cell_ids))
-    write_atomic(out_dir / "embedding.json",
-                 spectral.embedding_sidecar_json(embedding))
-    metrics["stages"]["spectral"] = {
-        "variant": variant,
-        "dimension": embedding.dimension,
-        "singular_values": [float(s) for s in embedding.singular_values],
-        "component_shares": [float(s) for s in embedding.component_shares],
-    }
+    with _stage("features", timings, peaks):
+        if values["features.enable"]:
+            scores = features.dispersion_scores(counts)
+            mask = features.select_top_k(scores, values["features.top_k"])
+            # cells whose entire signal sits in unselected features cannot be
+            # embedded; drop them and record the count
+            col_deg = mask.astype(np.int64) @ counts.csr()
+            empty_cells = int((col_deg == 0).sum())
+            counts = core_matrix.submatrix(counts, mask, col_deg > 0)
+            metrics["stages"]["features"] = {
+                "n_features": counts.n_features, "n_cells": counts.n_cells,
+                "cells_dropped_empty": empty_cells,
+            }
 
-    clock.enter("neighbours")
-    n_cells = embedding.coords.shape[0]
-    knn_k = min(values["cluster.knn_k"], n_cells - 1)
-    n_neighbors = 0
-    if layout_params is not None:
-        n_neighbors = min(layout_params.n_neighbors, n_cells - 1)
-    search_k = max(knn_k, n_neighbors)
-    indices, distances = community.exact_knn(embedding.coords, search_k)
-    metrics["stages"]["neighbours"] = {"k": search_k}
-    graph = community.knn_graph(indices[:, :knn_k])
-
-    clock.enter("cluster")
-    method = values["cluster.method"]
-    cluster_seed = values["cluster.seed"]
-    cluster_info: dict[str, Any] = {"method": method, "knn_k": knn_k}
-    model = None
-    if method == "louvain":
-        labels = community.louvain(
-            graph, seed=cluster_seed, resolution=values["cluster.resolution"]
-        )
-        cluster_info["n_clusters"] = labels.n_clusters
-        cluster_info["resolution"] = values["cluster.resolution"]
-    else:
-        strategy = values["cluster.k_strategy"]
-        if strategy == "fixed":
-            chosen = values["cluster.k"]
-        elif strategy == "d_plus_one":
-            chosen = embedding.dimension + 1
+    with _stage("spectral", timings, peaks):
+        variant = values["spectral.variant"]
+        if variant == "normalized":
+            lap = spectral.normalized_laplacian(counts)
+        elif variant == "random_walk":
+            lap = spectral.random_walk_laplacian(counts)
         else:
-            selection = mixture.select_k(
-                embedding.coords, values["cluster.k_range"], seed=cluster_seed
+            lap = spectral.adjacency_embedding_matrix(counts)
+        embedding = spectral.embed(lap, policy)
+        write_atomic(out_dir / "embedding.tsv",
+                     spectral.embedding_to_tsv(embedding, counts.cell_ids))
+        write_atomic(out_dir / "embedding.json",
+                     spectral.embedding_sidecar_json(embedding))
+        metrics["stages"]["spectral"] = {
+            "variant": variant,
+            "dimension": embedding.dimension,
+            "singular_values": [float(s) for s in embedding.singular_values],
+            "component_shares": [float(s) for s in embedding.component_shares],
+        }
+
+    with _stage("neighbours", timings, peaks):
+        n_cells = embedding.coords.shape[0]
+        knn_k = min(values["cluster.knn_k"], n_cells - 1)
+        n_neighbors = 0
+        if layout_params is not None:
+            n_neighbors = min(layout_params.n_neighbors, n_cells - 1)
+        search_k = max(knn_k, n_neighbors)
+        indices, distances = community.exact_knn(embedding.coords, search_k)
+        metrics["stages"]["neighbours"] = {"k": search_k}
+        graph = community.knn_graph(indices[:, :knn_k])
+
+    with _stage("cluster", timings, peaks):
+        method = values["cluster.method"]
+        cluster_seed = values["cluster.seed"]
+        cluster_info: dict[str, Any] = {"method": method, "knn_k": knn_k}
+        model = None
+        if method == "louvain":
+            labels = community.louvain(
+                graph, seed=cluster_seed, resolution=values["cluster.resolution"]
             )
-            model, labels = selection.model, selection.labels
-            cluster_info["bic_table"] = [
-                {"k": row.n_clusters, "log_likelihood": row.log_likelihood,
-                 "bic": row.bic}
-                for row in selection.diagnostics
-            ]
-        if method == "gmm":
-            if model is None:
-                model, labels = mixture.fit_gmm(embedding.coords, chosen, seed=cluster_seed)
-            cluster_info["log_likelihood"] = model.log_likelihood
-            cluster_info["bic"] = mixture.bic(model, embedding.coords.shape[0])
-            write_atomic(out_dir / "model.json",
-                         mixture.model_to_json(model, embedding.coords.shape[0]))
+            cluster_info["n_clusters"] = labels.n_clusters
+            cluster_info["resolution"] = values["cluster.resolution"]
         else:
-            labels = mixture.fit_kmeans(
-                embedding.coords, chosen, seed=cluster_seed
-            ).labels
-        cluster_info["n_clusters"] = labels.n_clusters
-    write_atomic(out_dir / "labels.tsv",
-                 mixture.labels_to_tsv(counts.cell_ids, labels))
-    metrics["stages"]["cluster"] = cluster_info
+            strategy = values["cluster.k_strategy"]
+            if strategy == "fixed":
+                chosen = values["cluster.k"]
+            elif strategy == "d_plus_one":
+                chosen = embedding.dimension + 1
+            else:
+                selection = mixture.select_k(
+                    embedding.coords, values["cluster.k_range"], seed=cluster_seed
+                )
+                model, labels = selection.model, selection.labels
+                cluster_info["bic_table"] = [
+                    {"k": row.n_clusters, "log_likelihood": row.log_likelihood,
+                     "bic": row.bic}
+                    for row in selection.diagnostics
+                ]
+            if method == "gmm":
+                if model is None:
+                    model, labels = mixture.fit_gmm(embedding.coords, chosen, seed=cluster_seed)
+                cluster_info["log_likelihood"] = model.log_likelihood
+                cluster_info["bic"] = mixture.bic(model, embedding.coords.shape[0])
+                write_atomic(out_dir / "model.json",
+                             mixture.model_to_json(model, embedding.coords.shape[0]))
+            else:
+                labels = mixture.fit_kmeans(
+                    embedding.coords, chosen, seed=cluster_seed
+                ).labels
+            cluster_info["n_clusters"] = labels.n_clusters
+        write_atomic(out_dir / "labels.tsv",
+                     mixture.labels_to_tsv(counts.cell_ids, labels))
+        metrics["stages"]["cluster"] = cluster_info
 
-    clock.enter("modularity")
-    metrics["modularity_knn"] = community.modularity(graph, labels)
+    with _stage("modularity", timings, peaks):
+        metrics["modularity_knn"] = community.modularity(graph, labels)
 
     if layout_params is not None:
-        clock.enter("layout")
-        params = replace(layout_params, n_neighbors=n_neighbors)
-        fuzzy = layout.fuzzy_graph(indices[:, :n_neighbors], distances[:, :n_neighbors])
-        layout2d = layout.optimize_layout(
-            fuzzy, embedding.coords[:, :2], params, seed=values["layout.seed"]
-        )
-        write_atomic(out_dir / "layout.tsv",
-                     layout.layout_to_tsv(layout2d, counts.cell_ids))
-        metrics["stages"]["layout"] = {
-            "n_neighbors": params.n_neighbors,
-            "fuzzy_edges": fuzzy.n_edges,
-            "edge_visits": layout2d.edge_visits,
-        }
+        with _stage("layout", timings, peaks):
+            params = replace(layout_params, n_neighbors=n_neighbors)
+            fuzzy = layout.fuzzy_graph(indices[:, :n_neighbors], distances[:, :n_neighbors])
+            layout2d = layout.optimize_layout(
+                fuzzy, embedding.coords[:, :2], params, seed=values["layout.seed"]
+            )
+            write_atomic(out_dir / "layout.tsv",
+                         layout.layout_to_tsv(layout2d, counts.cell_ids))
+            metrics["stages"]["layout"] = {
+                "n_neighbors": params.n_neighbors,
+                "fuzzy_edges": fuzzy.n_edges,
+                "edge_visits": layout2d.edge_visits,
+            }
 
-    clock.finish()
-    metrics["timings_sec"] = clock.timings
-    if clock.peak_rss_mb:
-        metrics["peak_rss_mb"] = clock.peak_rss_mb
+    metrics["timings_sec"] = timings
+    if peaks:
+        metrics["peak_rss_mb"] = peaks
     write_atomic(out_dir / "metrics.json", json.dumps(metrics, indent=2))
     return metrics
 
@@ -590,8 +572,9 @@ def _read_tsv_rows(path: Path) -> list[tuple[int, list[str]]]:
 
 
 def _read_labels(path: Path) -> dict[str, int]:
-    """Cell id -> cluster of a labels TSV; a row that is not an id and an
-    integer, or repeats an id, raises ValueError naming its line."""
+    """Cell id -> cluster of a labels TSV; a row that is not an id and a
+    non-negative integer, or repeats an id, raises ValueError naming its
+    line."""
     labels: dict[str, int] = {}
     for line_no, row in _read_tsv_rows(path):
         try:
@@ -599,6 +582,8 @@ def _read_labels(path: Path) -> dict[str, int]:
             cluster = int(raw)
         except ValueError:
             raise ValueError(f"{path} line {line_no}: expected 'cell_id<TAB>cluster'") from None
+        if cluster < 0:
+            raise ValueError(f"{path} line {line_no}: negative cluster id {cluster}")
         if cell in labels:
             raise ValueError(f"{path} line {line_no}: repeated cell id {cell!r}")
         labels[cell] = cluster

@@ -43,10 +43,10 @@ def _checked_ids(shape, feature_ids, cell_ids) -> tuple[tuple[str, ...], tuple[s
 class CountMatrix:
     """Immutable sparse matrix of strictly positive integer counts.
 
-    Both compressed orientations are exposed (`csr`, `csc`) because row
-    operations (feature filters) and column operations (cell filters,
-    per-cell scaling) are both hot paths.  Instances must not be mutated
-    after construction; all pipeline operations return new objects.
+    Stored as one canonical CSR (`csr`): feature filters slice its rows,
+    and per-cell statistics are gathered over its column indices.
+    Instances must not be mutated after construction; all pipeline
+    operations return new objects.
     """
 
     def __init__(self, matrix: sp.spmatrix, feature_ids, cell_ids):
@@ -80,7 +80,6 @@ class CountMatrix:
 
     def _adopt(self, csr: sp.csr_matrix, feature_ids, cell_ids) -> None:
         self._csr = csr
-        self._csc = None
         self.feature_ids = feature_ids
         self.cell_ids = cell_ids
 
@@ -102,11 +101,6 @@ class CountMatrix:
 
     def csr(self) -> sp.csr_matrix:
         return self._csr
-
-    def csc(self) -> sp.csc_matrix:
-        if self._csc is None:
-            self._csc = self._csr.tocsc()
-        return self._csc
 
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
@@ -349,6 +343,15 @@ def _read_mm_size(path: Path, handle) -> tuple[int, int, int, int]:
         raise MatrixFormatError(
             f"{path} line {line_no}: {nnz} entries declared for a "
             f"{n_features}x{n_cells} matrix"
+        )
+    # each entry takes at least "i j v" and a line break (none after the
+    # last), so a count the file cannot hold is refused before any array
+    # is sized by it
+    size = path.stat().st_size
+    if nnz > (size + 1) // 6:
+        raise MatrixFormatError(
+            f"{path} line {line_no}: {nnz} entries declared, more than a "
+            f"file of {size} bytes can hold"
         )
     return n_features, n_cells, nnz, line_no
 
@@ -600,13 +603,17 @@ def _parse_tsv_array(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]] |
 
 def _parse_tsv_lines(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]]:
     """Reference parser: one token at a time, errors name their line."""
-    lines = path.read_text().splitlines()
-    lines = [line for line in lines if line.strip() != ""]
+    # (line number, text) of every non-blank line, numbered as in the file
+    lines = [
+        (line_no, line)
+        for line_no, line in enumerate(path.read_text().splitlines(), start=1)
+        if line.strip() != ""
+    ]
     if len(lines) < 2:
         raise MatrixFormatError(f"{path}: zero dimensions (header or body missing)")
-    header = lines[0].split("\t")
-    body = [line.split("\t") for line in lines[1:]]
-    width = len(body[0])
+    header_line_no, header = lines[0][0], lines[0][1].split("\t")
+    body = [(line_no, line.split("\t")) for line_no, line in lines[1:]]
+    width = len(body[0][1])
     if width < 2:
         raise MatrixFormatError(f"{path}: zero dimensions (no data columns)")
     n_cells = width - 1
@@ -616,13 +623,13 @@ def _parse_tsv_lines(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]]:
         cell_ids = header
     else:
         raise MatrixFormatError(
-            f"{path} line 1: header has {len(header)} fields for {n_cells} data columns"
+            f"{path} line {header_line_no}: header has {len(header)} fields "
+            f"for {n_cells} data columns"
         )
 
     feature_ids = []
     rows, cols, vals = [], [], []
-    for offset, parts in enumerate(body):
-        line_no = offset + 2
+    for offset, (line_no, parts) in enumerate(body):
         if len(parts) != width:
             raise MatrixFormatError(
                 f"{path} line {line_no}: ragged row ({len(parts)} fields, expected {width})"

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmmle import cli, community, core_matrix, layout, qc, spectral
+from gmmle import cli, community, core_matrix, features, layout, mixture, qc, spectral
 from gmmle.cli import (
     _KEY_SUFFIX, ConfigError, PIPELINE_SCHEMA, StageError, build_stage_configs, main,
     parse_config_text, run_pipeline, write_atomic,
@@ -487,6 +487,54 @@ class TestPipelineCommand:
         assert "mean <= 1 or zero variance" in message
         assert "features.enable = false" in message
 
+    # the first library call of each stage, in run order
+    @pytest.mark.parametrize("stage, module, name", [
+        ("ingest", core_matrix, "read_matrix_market"),
+        ("qc", qc, "run_qc"),
+        ("features", features, "dispersion_scores"),
+        ("spectral", spectral, "normalized_laplacian"),
+        ("neighbours", community, "exact_knn"),
+        ("cluster", mixture, "fit_gmm"),
+        ("modularity", community, "modularity"),
+        ("layout", layout, "fuzzy_graph"),
+    ])
+    def test_failure_names_its_stage(self, sim_dir, tmp_path, monkeypatch, stage, module, name):
+        injected = RuntimeError("injected")
+
+        def fail(*args, **kwargs):
+            raise injected
+
+        monkeypatch.setattr(module, name, fail)
+        out = tmp_path / "out"
+        values = PIPELINE_SCHEMA.apply(parse_config_text(
+            PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
+        ))
+        with pytest.raises(StageError) as caught:
+            run_pipeline(values, out, None)
+        assert caught.value.stage == stage
+        assert caught.value.cause is injected
+        assert str(caught.value) == f"stage {stage!r}: injected"
+        assert not (out / "metrics.json").exists()
+
+    def test_metrics_write_failure_names_no_stage(self, sim_dir, tmp_path, monkeypatch):
+        real_write = cli.write_atomic
+
+        def fail_on_metrics(path, text):
+            if path.name == "metrics.json":
+                raise OSError("disk full")
+            real_write(path, text)
+
+        monkeypatch.setattr(cli, "write_atomic", fail_on_metrics)
+        out = tmp_path / "out"
+        values = PIPELINE_SCHEMA.apply(parse_config_text(
+            PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
+        ))
+        # every stage has finished: the error is the write's own
+        with pytest.raises(OSError) as caught:
+            run_pipeline(values, out, None)
+        assert str(caught.value) == "disk full"
+        assert (out / "layout.tsv").exists()
+
     def test_peak_rss_recorded_per_stage(self, sim_dir, tmp_path):
         out = tmp_path / "peaks"
         conf = write_config(
@@ -633,7 +681,8 @@ class TestScatterCommand:
         ("c0\t0\nc1\tone\nc2\t0\n", "line 3: expected 'cell_id<TAB>cluster'"),
         ("c0\t0\nc1\t1\t7\nc2\t0\n", "line 3: expected 'cell_id<TAB>cluster'"),
         ("c0\t0\nc1\t1\nc0\t1\nc2\t0\n", "line 4: repeated cell id 'c0'"),
-    ], ids=["one-field", "non-integer", "three-fields", "repeated-id"])
+        ("c0\t0\nc1\t-1\nc2\t0\n", "line 3: negative cluster id -1"),
+    ], ids=["one-field", "non-integer", "three-fields", "repeated-id", "negative-cluster"])
     def test_malformed_labels_rejected(self, tmp_path, capsys, rows, message):
         layout_path, labels_path = self.write_inputs(tmp_path)
         labels_path.write_text("cell_id\tcluster\n" + rows)
@@ -768,7 +817,8 @@ class TestValidateCommand:
     @pytest.mark.parametrize("rows, message", [
         ("w\t0\nx\ny\t1\nz\t1\n", "line 3: expected 'cell_id<TAB>cluster'"),
         ("w\t0\nx\t0\nw\t1\ny\t1\nz\t1\n", "line 4: repeated cell id 'w'"),
-    ], ids=["one-field", "repeated-id"])
+        ("w\t0\nx\t-1\ny\t1\nz\t1\n", "line 3: negative cluster id -1"),
+    ], ids=["one-field", "repeated-id", "negative-cluster"])
     def test_malformed_labels_rejected(self, tmp_path, capsys, rows, message):
         conf = self.write_inputs(tmp_path, "")
         labels = tmp_path / "labels.tsv"

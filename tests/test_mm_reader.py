@@ -212,6 +212,48 @@ def test_error_names_line_after_array_pass_declines(tmp_path):
         read_matrix_market(path)
 
 
+def test_entry_count_the_file_cannot_hold_rejected(tmp_path):
+    """Refused from the size line, before either parser sizes its arrays
+    by it (10**12 entries would be 7.28 TiB of int64)."""
+    path = tmp_path / "m.mtx"
+    path.write_text(f"{HEADER}100000000 100000000 1000000000000\n1 1 1\n")
+    message = (
+        f"{path} line 2: 1000000000000 entries declared, more than a file of "
+        f"{path.stat().st_size} bytes can hold"
+    )
+    assert outcome(path) == ("error", message)
+    assert line_parser_outcome(path) == ("error", message)
+
+
+# every coordinate single-digit, 5 characters and a line break per entry
+# but the last: the densest body a valid file can have
+PACKED_ENTRIES = [f"{i} {j} {(i * j) % 9 + 1}" for i in range(1, 10) for j in range(1, 10)]
+
+
+def test_tightest_packed_file_reads(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text(f"{HEADER}9 9 81\n" + "\n".join(PACKED_ENTRIES))
+    assert outcome(path) == line_parser_outcome(path)
+    assert read_matrix_market(path).nnz == 81
+
+
+def test_entry_count_bound_is_one_entry_per_six_bytes(tmp_path):
+    path = tmp_path / "m.mtx"
+
+    def declare(nnz):  # two-digit counts, so the file size stays the same
+        path.write_text(f"{HEADER}99 99 {nnz}\n" + "\n".join(PACKED_ENTRIES))
+        return path.stat().st_size
+
+    most = (declare(10) + 1) // 6
+    declare(most)
+    assert outcome(path) == ("error", f"{path}: declared {most} entries but found 81")
+    size = declare(most + 1)
+    assert outcome(path) == (
+        "error",
+        f"{path} line 2: {most + 1} entries declared, more than a file of {size} bytes can hold",
+    )
+
+
 def test_simulated_matrix_round_trip(tmp_path):
     """A written matrix reads back through the array pass unchanged."""
     rng = np.random.default_rng(11)

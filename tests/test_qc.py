@@ -227,7 +227,7 @@ class TestConfigValidation:
 # cell_stats_on_raw), through row slices of its CSC, and the result is cut
 # from that copy.  Kept as the oracle of the one-restriction run_qc.
 def _reference_max_count_per_cell(counts, row_mask):
-    csc = counts.csc()[row_mask]
+    csc = counts.csr().tocsc()[row_mask]
     out = np.zeros(counts.n_cells, dtype=np.int64)
     nonempty = np.flatnonzero(np.diff(csc.indptr))
     if nonempty.size:
@@ -236,7 +236,7 @@ def _reference_max_count_per_cell(counts, row_mask):
 
 
 def _reference_filter_cells(counts, cfg, report):
-    csc = counts.csc()
+    csc = counts.csr().tocsc()
     features_per_cell = np.diff(csc.indptr)
     totals = np.asarray(csc.sum(axis=0)).ravel().astype(np.int64)
     safe_totals = np.where(totals > 0, totals, 1).astype(np.float64)

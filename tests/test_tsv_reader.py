@@ -152,6 +152,9 @@ UNUSUAL_FILES = {
     "empty-feature-id": "id\tA\tB\n\t0\t1\n",
     "non-ascii-read-as-digit": "id\tA\tB\ng1\t3\u01fe\t1\n",
     "non-ascii-ids": "id\tcellé\tB\ngène\t0\t1\n",
+    "blank-lines-before-bad-token": "id\tA\n\n\ng1\tx\n",
+    "blank-lines-before-bad-header": "\n\nx\tid\tA\tB\ng1\t0\t1\n",
+    "blank-line-before-ragged-row": "id\tA\tB\ng1\t0\t1\n\ng2\t2\n",
 }
 
 
@@ -171,6 +174,23 @@ def test_unusual_files_cover_both_outcomes(tmp_path):
         path.write_bytes(text.encode())
         results.append(isinstance(outcome(path)[0], str))
     assert 10 <= sum(results) <= len(results) - 10
+
+
+# errors of the cases above that follow blank lines, numbered as in the file
+LINE_ERRORS_AFTER_BLANKS = {
+    "blank-lines-before-bad-token": "line 4: non-integer token 'x'",
+    "blank-lines-before-bad-header": "line 3: header has 4 fields for 2 data columns",
+    "blank-line-before-ragged-row": "line 4: ragged row (2 fields, expected 3)",
+}
+
+
+@pytest.mark.parametrize("chunk_chars", CHUNK_SIZES)
+@pytest.mark.parametrize("name", list(LINE_ERRORS_AFTER_BLANKS))
+def test_error_names_line_as_numbered_in_file(tmp_path, name, chunk_chars):
+    path = tmp_path / "m.tsv"
+    path.write_bytes(UNUSUAL_FILES[name].encode())
+    message = LINE_ERRORS_AFTER_BLANKS[name]
+    assert outcome(path, chunk_chars) == ("MatrixFormatError", f"{path} {message}")
 
 
 TOKENS = [
