@@ -28,7 +28,7 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from . import community, core_matrix, features, layout, mixture, qc, simulate, spectral
+from . import community, core_matrix, features, layout, mixture, qc, simulate, spectral, validate
 
 
 class ConfigError(ValueError):
@@ -594,8 +594,9 @@ def scatter_svg(layout_rows, label_by_cell) -> str:
     """Deterministic SVG: one circle per cell, palette cycled by cluster."""
     xs = np.array([float(r[1]) for r in layout_rows])
     ys = np.array([float(r[2]) for r in layout_rows])
-    span_x = xs.max() - xs.min() or 1.0
-    span_y = ys.max() - ys.min() or 1.0
+    x_min, y_min = xs.min(), ys.min()
+    span_x = xs.max() - x_min or 1.0
+    span_y = ys.max() - y_min or 1.0
     size, margin = 600.0, 30.0
     scale = min((size - 2 * margin) / span_x, (size - 2 * margin) / span_y)
     parts = [
@@ -603,11 +604,10 @@ def scatter_svg(layout_rows, label_by_cell) -> str:
         f'height="{size:.0f}" viewBox="0 0 {size:.0f} {size:.0f}">',
         f'<rect width="{size:.0f}" height="{size:.0f}" fill="white"/>',
     ]
-    for row in layout_rows:
-        cell, x, y = row[0], float(row[1]), float(row[2])
-        cx = margin + (x - xs.min()) * scale
-        cy = size - margin - (y - ys.min()) * scale  # y up
-        color = PALETTE[label_by_cell[cell] % len(PALETTE)]
+    for row, x, y in zip(layout_rows, xs, ys):
+        cx = margin + (x - x_min) * scale
+        cy = size - margin - (y - y_min) * scale  # y up
+        color = PALETTE[label_by_cell[row[0]] % len(PALETTE)]
         parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -638,8 +638,6 @@ def cmd_qc(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from . import validate as validate_mod
-
     values = VALIDATE_SCHEMA.apply(parse_config_text(Path(args.config).read_text()))
     gating = "validate.gate_positive" in values or "validate.gate_negative" in values
     if gating and "validate.gate_cluster" not in values:
@@ -648,32 +646,33 @@ def cmd_validate(args) -> int:
     out_dir = _resolve_out_dir(values, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = _read_input(input_path, values["input.format"])
-    label_by_cell = _read_labels(Path(values["validate.labels_path"]))
+    labels_path = Path(values["validate.labels_path"])
+    label_by_cell = _read_labels(labels_path)
     missing = [cid for cid in counts.cell_ids if cid not in label_by_cell]
     if missing:
         raise ValueError(f"labels missing for {len(missing)} cells, e.g. {missing[:3]}")
-    labels = mixture.ClusterLabels(
-        np.array([label_by_cell[cid] for cid in counts.cell_ids]),
-        max(label_by_cell.values()) + 1,
-    )
-    panels = validate_mod.panels_from_tsv(
-        Path(values["validate.panels_path"]).read_text()
-    )
-    assignment = validate_mod.assign_cluster_types(counts, labels, panels)
+    matrix_cells = set(counts.cell_ids)
+    stray = [cid for cid in label_by_cell if cid not in matrix_cells]
+    if stray:
+        raise ValueError(f"{labels_path} has labels for {len(stray)} cells not in the matrix, "
+                         f"e.g. {stray[:3]}")
+    cluster_ids = np.array([label_by_cell[cid] for cid in counts.cell_ids])
+    labels = mixture.ClusterLabels(cluster_ids, int(cluster_ids.max()) + 1)
+    panels = validate.panels_from_tsv(Path(values["validate.panels_path"]).read_text())
+    assignment = validate.assign_cluster_types(counts, labels, panels)
     assign_lines = ["cluster\tcell_type"]
     assign_lines += [f"{c}\t{assignment[c]}" for c in sorted(assignment)]
     write_atomic(out_dir / "cluster_types.tsv", "\n".join(assign_lines) + "\n")
-    table = validate_mod.marker_ratio_table(
-        counts, labels, panels, denominator=values["validate.denominator"]
+    table = validate.marker_ratio_table(
+        counts, labels, panels, assignment, denominator=values["validate.denominator"]
     )
-    write_atomic(out_dir / "marker_ratios.tsv",
-                 validate_mod.ratio_table_to_tsv(table))
+    write_atomic(out_dir / "marker_ratios.tsv", validate.ratio_table_to_tsv(table))
 
     if gating:
         cluster_cells = np.flatnonzero(
             labels.labels == values["validate.gate_cluster"]
         )
-        gated = validate_mod.gate_cells(
+        gated = validate.gate_cells(
             counts,
             cluster_cells,
             values.get("validate.gate_positive", ()),

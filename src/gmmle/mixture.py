@@ -198,13 +198,11 @@ def _fit_gmm_once(points: np.ndarray, n_components: int, seed: int, cfg: GmmConf
             points, weights, means, covariances
         )
         log_likelihood = float(point_log_density.sum())
-        if history and abs(log_likelihood - history[-1]) <= _EM_REL_TOL * max(
-            1.0, abs(log_likelihood)
-        ):
-            history.append(log_likelihood)
-            converged = True
-            break
+        tolerance = _EM_REL_TOL * max(1.0, abs(log_likelihood))
+        converged = bool(history) and abs(log_likelihood - history[-1]) <= tolerance
         history.append(log_likelihood)
+        if converged:
+            break
 
         resp = np.exp(log_resp)
         bulk = resp.sum(axis=0)
@@ -215,8 +213,10 @@ def _fit_gmm_once(points: np.ndarray, n_components: int, seed: int, cfg: GmmConf
             centered = points - means[k]
             cov = (resp[:, k] * centered.T) @ centered / bulk[k]
             covariances[k] = _regularized_covariance(cov, cfg.ridge, overall_scale)
-
-    log_resp, point_log_density = log_responsibilities(points, weights, means, covariances)
+    else:
+        # stopped by the cap: the last M-step moved the parameters past the
+        # loop's last E-step; a converged fit already holds its final E-step
+        log_resp, point_log_density = log_responsibilities(points, weights, means, covariances)
     final_log_likelihood = float(point_log_density.sum())
     if not math.isfinite(final_log_likelihood):
         raise ValueError("non-finite likelihood; ridge configuration is degenerate")
@@ -258,17 +258,14 @@ def fit_gmm(
             best = (model, labels)
     model, labels = best
 
-    present = np.unique(labels)
+    present, labels = np.unique(labels, return_inverse=True)
     if present.size < n_components:
         warnings.warn(
             f"{n_components - present.size} empty mixture component(s) dropped "
             "from the labeling",
             stacklevel=2,
         )
-        remap = {old: new for new, old in enumerate(present)}
-        labels = np.array([remap[v] for v in labels], dtype=np.int64)
-        return model, ClusterLabels(labels, present.size)
-    return model, ClusterLabels(labels, n_components)
+    return model, ClusterLabels(labels, present.size)
 
 
 def bic(model: GmmModel, n_samples: int) -> float:

@@ -37,13 +37,19 @@ def _resolve_features(counts: CountMatrix, feature_ids, context: str) -> np.ndar
     found = [index[f] for f in feature_ids if f in index]
     missing = [f for f in feature_ids if f not in index]
     if missing:
-        warnings.warn(
-            f"{context}: dropping unresolvable feature ids {missing}",
-            stacklevel=3,
-        )
+        # attributed to the line in _resolve_panels, so the default warning
+        # filter reports a panel's missing ids once however often it resolves
+        warnings.warn(f"{context}: dropping unresolvable feature ids {missing}", stacklevel=2)
     if not found:
         raise ValueError(f"{context}: no feature ids resolve against the matrix")
     return np.array(sorted(set(found)), dtype=np.int64)
+
+
+def _resolve_panels(counts: CountMatrix, panels: list[MarkerPanel]) -> list[np.ndarray]:
+    """Sorted matrix row indices of each panel's features, in panel order."""
+    if not panels:
+        raise ValueError("no panels supplied")
+    return [_resolve_features(counts, p.features, f"panel {p.name!r}") for p in panels]
 
 
 def mean_log_expression(counts: CountMatrix, cell_indices, feature_indices) -> float:
@@ -62,22 +68,13 @@ def assign_cluster_types(
     labels: ClusterLabels,
     panels: list[MarkerPanel],
 ) -> dict[int, str]:
-    """Type each cluster by its highest-scoring panel (first panel wins ties)."""
-    if not panels:
-        raise ValueError("no panels supplied")
-    resolved = {
-        panel.name: _resolve_features(counts, panel.features, f"panel {panel.name!r}")
-        for panel in panels
-    }
+    """Type each cluster id present in the labels by its highest-scoring
+    panel (first panel wins ties)."""
+    resolved = _resolve_panels(counts, panels)
     assignment: dict[int, str] = {}
-    for cluster in range(labels.n_clusters):
+    for cluster in np.unique(labels.labels).tolist():
         cells = np.flatnonzero(labels.labels == cluster)
-        if cells.size == 0:
-            continue
-        scores = [
-            mean_log_expression(counts, cells, resolved[panel.name])
-            for panel in panels
-        ]
+        scores = [mean_log_expression(counts, cells, feats) for feats in resolved]
         best = int(np.argmax(scores))  # first maximum wins
         if sum(1 for s in scores if s == scores[best]) > 1:
             warnings.warn(
@@ -93,10 +90,12 @@ def marker_ratio_table(
     counts: CountMatrix,
     labels: ClusterLabels,
     panels: list[MarkerPanel],
+    assignment: dict[int, str],
     denominator: str = "pooled",
 ) -> dict[str, float | None]:
     """Per-type ratio of own-marker to other-marker mean log expression.
 
+    ``assignment`` is ``assign_cluster_types(counts, labels, panels)``.
     For type t with assigned cell set S_t (union of clusters typed t):
     numerator is the t panel's mean log expression over S_t; the default
     "pooled" denominator uses the union of every other panel's features,
@@ -105,38 +104,20 @@ def marker_ratio_table(
     """
     if denominator not in ("pooled", "per_type_mean"):
         raise ValueError(f"unknown denominator mode {denominator!r}")
-    assignment = assign_cluster_types(counts, labels, panels)
+    resolved = _resolve_panels(counts, panels)
     table: dict[str, float | None] = {}
-    for panel in panels:
+    for panel, own in zip(panels, resolved):
         member_clusters = [c for c, t in assignment.items() if t == panel.name]
-        if not member_clusters:
+        others = [feats for p, feats in zip(panels, resolved) if p.name != panel.name]
+        if not member_clusters or not others:
             table[panel.name] = None
             continue
         cells = np.flatnonzero(np.isin(labels.labels, member_clusters))
-        own = _resolve_features(counts, panel.features, f"panel {panel.name!r}")
         numerator = mean_log_expression(counts, cells, own)
-
-        others = [p for p in panels if p.name != panel.name]
-        if not others:
-            table[panel.name] = None
-            continue
         if denominator == "pooled":
-            pooled: list[str] = []
-            for p in others:
-                pooled.extend(p.features)
-            other_feats = _resolve_features(
-                counts, dict.fromkeys(pooled), "other panels"
-            )
-            denom = mean_log_expression(counts, cells, other_feats)
+            denom = mean_log_expression(counts, cells, np.unique(np.concatenate(others)))
         else:
-            per_panel = [
-                mean_log_expression(
-                    counts, cells,
-                    _resolve_features(counts, p.features, f"panel {p.name!r}"),
-                )
-                for p in others
-            ]
-            denom = float(np.mean(per_panel))
+            denom = float(np.mean([mean_log_expression(counts, cells, f) for f in others]))
         if denom == 0.0:
             warnings.warn(
                 f"type {panel.name!r}: zero denominator, ratio reported as absent",

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmmle import cli, community, core_matrix, features, layout, mixture, qc, spectral
+from gmmle import cli, community, core_matrix, features, layout, mixture, qc, spectral, validate
 from gmmle.cli import (
     _KEY_SUFFIX, ConfigError, PIPELINE_SCHEMA, StageError, build_stage_configs, main,
     parse_config_text, run_pipeline, write_atomic,
@@ -662,6 +662,21 @@ class TestScatterCommand:
                  for part in svg.split("<circle")[1:]}
         assert len(fills) == 2
 
+    def test_svg_bytes_pinned(self):
+        rows = [["c0", "0.1", "0.7"], ["c1", "-2.3", "1.9"],
+                ["c2", "4.05", "-0.3333"], ["c3", "1e-3", "2.5"]]
+        svg = cli.scatter_svg(rows, {"c0": 0, "c1": 1, "c2": 21, "c3": 2})
+        assert svg == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="600" height="600" '
+            'viewBox="0 0 600 600">\n'
+            '<rect width="600" height="600" fill="white"/>\n'
+            '<circle cx="234.09" cy="482.13" r="3" fill="#1f77b4"/>\n'
+            '<circle cx="30.00" cy="380.08" r="3" fill="#aec7e8"/>\n'
+            '<circle cx="570.00" cy="570.00" r="3" fill="#aec7e8"/>\n'
+            '<circle cx="225.68" cy="329.06" r="3" fill="#ff7f0e"/>\n'
+            "</svg>\n"
+        )
+
     def test_rerun_byte_identical(self, tmp_path):
         layout_path, labels_path = self.write_inputs(tmp_path)
         out1, out2 = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -818,7 +833,9 @@ class TestValidateCommand:
         ("w\t0\nx\ny\t1\nz\t1\n", "line 3: expected 'cell_id<TAB>cluster'"),
         ("w\t0\nx\t0\nw\t1\ny\t1\nz\t1\n", "line 4: repeated cell id 'w'"),
         ("w\t0\nx\t-1\ny\t1\nz\t1\n", "line 3: negative cluster id -1"),
-    ], ids=["one-field", "repeated-id", "negative-cluster"])
+        ("w\t0\nx\t0\ny\t1\nGHOST\t7\nz\t1\nSHADE\t0\n",
+         "has labels for 2 cells not in the matrix, e.g. ['GHOST', 'SHADE']"),
+    ], ids=["one-field", "repeated-id", "negative-cluster", "cell-not-in-matrix"])
     def test_malformed_labels_rejected(self, tmp_path, capsys, rows, message):
         conf = self.write_inputs(tmp_path, "")
         labels = tmp_path / "labels.tsv"
@@ -826,6 +843,46 @@ class TestValidateCommand:
         assert main(["validate", "--config", conf]) == 1
         assert f"error: {labels} {message}" in capsys.readouterr().err
         assert not (tmp_path / "v" / "cluster_types.tsv").exists()
+
+    def test_sparse_cluster_ids_match_dense_relabelling(self, tmp_path):
+        ratios = {}
+        for name, (a, b) in {"dense": (0, 1), "sparse": (7, 2007)}.items():
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            conf = self.write_inputs(run_dir, "")
+            (run_dir / "labels.tsv").write_text(
+                f"cell_id\tcluster\nw\t{a}\nx\t{a}\ny\t{b}\nz\t{b}\n"
+            )
+            assert main(["validate", "--config", conf]) == 0
+            types = (run_dir / "v" / "cluster_types.tsv").read_text().splitlines()
+            assert types == ["cluster\tcell_type", f"{a}\tA", f"{b}\tB"]
+            ratios[name] = (run_dir / "v" / "marker_ratios.tsv").read_bytes()
+        assert ratios["sparse"] == ratios["dense"]
+
+    def test_clusters_typed_once_and_panels_resolved_once_per_function(
+        self, tmp_path, monkeypatch
+    ):
+        typings, contexts = [], []
+        assign, resolve = validate.assign_cluster_types, validate._resolve_features
+
+        def spy_assign(*args, **kwargs):
+            typings.append(args)
+            return assign(*args, **kwargs)
+
+        def spy_resolve(counts, feature_ids, context):
+            contexts.append(context)
+            return resolve(counts, feature_ids, context)
+
+        monkeypatch.setattr(validate, "assign_cluster_types", spy_assign)
+        monkeypatch.setattr(validate, "_resolve_features", spy_resolve)
+        for denominator in ("pooled", "per_type_mean"):
+            typings.clear()
+            contexts.clear()
+            conf = self.write_inputs(tmp_path, f"validate.denominator = {denominator}\n")
+            assert main(["validate", "--config", conf]) == 0
+            assert len(typings) == 1
+            # once by assign_cluster_types, once by marker_ratio_table
+            assert sorted(contexts) == ["panel 'A'", "panel 'A'", "panel 'B'", "panel 'B'"]
 
 
 # stage dataclass of each config section whose defaults live on the class

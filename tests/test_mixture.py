@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gmmle import mixture
 from gmmle.mixture import (
     ClusterLabels,
     GmmConfig,
@@ -162,6 +163,121 @@ class TestGmm:
     def test_k_exceeding_n_rejected(self):
         with pytest.raises(ValueError):
             fit_gmm(np.zeros((3, 1)) + np.arange(3)[:, None], 4)
+
+
+def reference_fit_gmm_once(points, n_components, seed, cfg):
+    """The EM loop as it stood before its last E-step was reused: every fit,
+    converged or capped, ends with a fresh E-step after the loop."""
+    n, d = points.shape
+    km = fit_kmeans(points, n_components, seed)
+    overall_scale = float(np.trace(np.cov(points.T, bias=True).reshape(d, d)) / d) or 1.0
+    weights = np.empty(n_components)
+    means = np.empty((n_components, d))
+    covariances = np.empty((n_components, d, d))
+    for k in range(n_components):
+        member = points[km.labels.labels == k]
+        weights[k] = member.shape[0] / n
+        means[k] = member.mean(axis=0)
+        centered = member - means[k]
+        covariances[k] = mixture._regularized_covariance(
+            centered.T @ centered / member.shape[0], cfg.ridge, overall_scale
+        )
+    history = []
+    converged = False
+    for _ in range(mixture._EM_MAX_ITER):
+        log_resp, point_log_density = log_responsibilities(points, weights, means, covariances)
+        log_likelihood = float(point_log_density.sum())
+        if history and abs(log_likelihood - history[-1]) <= mixture._EM_REL_TOL * max(
+            1.0, abs(log_likelihood)
+        ):
+            history.append(log_likelihood)
+            converged = True
+            break
+        history.append(log_likelihood)
+        resp = np.exp(log_resp)
+        bulk = np.maximum(resp.sum(axis=0), 10.0 * np.finfo(float).eps)
+        weights = bulk / n
+        means = (resp.T @ points) / bulk[:, None]
+        for k in range(n_components):
+            centered = points - means[k]
+            cov = (resp[:, k] * centered.T) @ centered / bulk[k]
+            covariances[k] = mixture._regularized_covariance(cov, cfg.ridge, overall_scale)
+    log_resp, point_log_density = log_responsibilities(points, weights, means, covariances)
+    model = GmmModel(
+        weights=weights,
+        means=means,
+        covariances=covariances,
+        log_likelihood=float(point_log_density.sum()),
+        n_iterations=len(history),
+        converged=converged,
+        log_likelihood_history=tuple(history),
+    )
+    return model, log_resp.argmax(axis=1)
+
+
+def assert_same_fit(got, want):
+    (model, labels), (ref_model, ref_labels) = got, want
+    for name in GmmModel.__dataclass_fields__:
+        a, b = getattr(model, name), getattr(ref_model, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert type(a) is type(b) and a == b, name
+    assert np.array_equal(labels, ref_labels)
+
+
+class TestEmFinalEstep:
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_converged_fit_matches_reference_bit_for_bit(self, k):
+        points, _ = four_blobs(seed=k, per_blob=40)
+        cfg = GmmConfig()
+        got = mixture._fit_gmm_once(points, k, 11, cfg)
+        assert got[0].converged
+        assert_same_fit(got, reference_fit_gmm_once(points, k, 11, cfg))
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_capped_fit_matches_reference_bit_for_bit(self, cap, monkeypatch):
+        monkeypatch.setattr(mixture, "_EM_MAX_ITER", cap)
+        points, _ = four_blobs(seed=5, per_blob=40)
+        cfg = GmmConfig()
+        got = mixture._fit_gmm_once(points, 5, 2, cfg)
+        assert not got[0].converged and got[0].n_iterations == cap
+        assert_same_fit(got, reference_fit_gmm_once(points, 5, 2, cfg))
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_estep_count(self, cap, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return log_responsibilities(*args)
+
+        monkeypatch.setattr(mixture, "log_responsibilities", spy)
+        if cap is not None:
+            monkeypatch.setattr(mixture, "_EM_MAX_ITER", cap)
+        points, _ = four_blobs(seed=5, per_blob=40)
+        model, _ = mixture._fit_gmm_once(points, 5, 2, GmmConfig())
+        assert model.converged == (cap is None)
+        # a capped fit needs one E-step on the parameters of its last M-step
+        assert len(calls) == model.n_iterations + (0 if model.converged else 1)
+
+
+class TestEmptyComponents:
+    def test_dropped_components_renumbered_in_ascending_order(self, monkeypatch):
+        points, _ = four_blobs(seed=1, per_blob=10)
+        raw = np.array([3, 0, 3, 5, 0] * 8)  # components 1, 2 and 4 of 6 are empty
+
+        def fit_without_components(points, n_components, seed, cfg):
+            model, _ = reference_fit_gmm_once(points, n_components, seed, cfg)
+            return model, raw
+
+        monkeypatch.setattr(mixture, "_fit_gmm_once", fit_without_components)
+        with pytest.warns(UserWarning, match="3 empty mixture component"):
+            model, labels = fit_gmm(points, 6, seed=0, cfg=GmmConfig(n_init=2))
+        assert model.n_components == 6
+        assert labels.n_clusters == 3
+        assert labels.labels.dtype == np.int64
+        assert labels.labels.tolist() == [1, 0, 1, 2, 0] * 8
 
 
 class TestBic:

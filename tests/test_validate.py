@@ -119,7 +119,7 @@ class TestMarkerRatioTable:
         cm = CountMatrix.from_dense(dense, feature_ids=["a1", "b1"])
         labels = ClusterLabels(np.array([0, 0, 1, 1]), 2)
         panels = [MarkerPanel("A", ("a1",)), MarkerPanel("B", ("b1",))]
-        table = marker_ratio_table(cm, labels, panels)
+        table = marker_ratio_table(cm, labels, panels, assign_cluster_types(cm, labels, panels))
         assert table["A"] == pytest.approx(math.log(4.0) / math.log(2.0), abs=1e-12)
         assert table["B"] == pytest.approx(2.0, abs=1e-12)
 
@@ -129,7 +129,7 @@ class TestMarkerRatioTable:
         labels = ClusterLabels(np.array([0, 0, 0, 1, 1, 1]), 2)
         panels = [MarkerPanel("A", ("a1", "a2")), MarkerPanel("B", ("b1", "b2"))]
         with pytest.warns(UserWarning, match="tie"):
-            table = marker_ratio_table(cm, labels, panels)
+            table = marker_ratio_table(cm, labels, panels, assign_cluster_types(cm, labels, panels))
         for value in table.values():
             if value is not None:
                 assert value == pytest.approx(1.0, abs=1e-12)
@@ -142,7 +142,7 @@ class TestMarkerRatioTable:
         with pytest.warns(UserWarning, match="zero denominator"):
             # A's cells express no other-panel markers at all, so A is also
             # reported absent (zero denominator), with a warning
-            table = marker_ratio_table(cm, labels, panels)
+            table = marker_ratio_table(cm, labels, panels, assign_cluster_types(cm, labels, panels))
         assert table["C"] is None
         assert table["A"] is None
         # B's pooled denominator includes b2 (via C), nonzero over B's cells
@@ -164,8 +164,13 @@ class TestMarkerRatioTable:
             MarkerPanel("B", ("b1", "b2")),
             MarkerPanel("C", ("c1",)),
         ]
-        pooled = marker_ratio_table(cm, labels, panels, denominator="pooled")
-        averaged = marker_ratio_table(cm, labels, panels, denominator="per_type_mean")
+        pooled = marker_ratio_table(
+            cm, labels, panels, assign_cluster_types(cm, labels, panels), denominator="pooled"
+        )
+        averaged = marker_ratio_table(
+            cm, labels, panels, assign_cluster_types(cm, labels, panels),
+            denominator="per_type_mean",
+        )
         # pooled: mean over {b1, b2, c1}; averaged: mean(mean(b), mean(c))
         num = math.log(10.0)
         pooled_denom = (2 * math.log(2.0) + math.log(5.0)) / 3.0
