@@ -572,8 +572,8 @@ def _read_tsv_rows(path: Path) -> list[tuple[int, list[str]]]:
 
 
 def _read_labels(path: Path) -> dict[str, int]:
-    """Cell id -> cluster of a labels TSV; a row that is not an id and a
-    non-negative integer, or repeats an id, raises ValueError naming its
+    """Cell id -> cluster of a labels TSV; a row that is not an id and an
+    integer in [0, 2**63), or repeats an id, raises ValueError naming its
     line."""
     labels: dict[str, int] = {}
     for line_no, row in _read_tsv_rows(path):
@@ -584,6 +584,8 @@ def _read_labels(path: Path) -> dict[str, int]:
             raise ValueError(f"{path} line {line_no}: expected 'cell_id<TAB>cluster'") from None
         if cluster < 0:
             raise ValueError(f"{path} line {line_no}: negative cluster id {cluster}")
+        if cluster >= 2**63:
+            raise ValueError(f"{path} line {line_no}: cluster id {cluster} is not below 2**63")
         if cell in labels:
             raise ValueError(f"{path} line {line_no}: repeated cell id {cell!r}")
         labels[cell] = cluster
@@ -644,7 +646,6 @@ def cmd_validate(args) -> int:
         raise ConfigError("gating needs validate.gate_cluster")
     input_path = _input_path(values)
     out_dir = _resolve_out_dir(values, args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     counts = _read_input(input_path, values["input.format"])
     labels_path = Path(values["validate.labels_path"])
     label_by_cell = _read_labels(labels_path)
@@ -659,15 +660,17 @@ def cmd_validate(args) -> int:
     cluster_ids = np.array([label_by_cell[cid] for cid in counts.cell_ids])
     labels = mixture.ClusterLabels(cluster_ids, int(cluster_ids.max()) + 1)
     panels = validate.panels_from_tsv(Path(values["validate.panels_path"]).read_text())
+    # every output is made before out_dir exists, so a rejected input leaves none
     assignment = validate.assign_cluster_types(counts, labels, panels)
     assign_lines = ["cluster\tcell_type"]
     assign_lines += [f"{c}\t{assignment[c]}" for c in sorted(assignment)]
-    write_atomic(out_dir / "cluster_types.tsv", "\n".join(assign_lines) + "\n")
     table = validate.marker_ratio_table(
         counts, labels, panels, assignment, denominator=values["validate.denominator"]
     )
-    write_atomic(out_dir / "marker_ratios.tsv", validate.ratio_table_to_tsv(table))
-
+    outputs = {
+        "cluster_types.tsv": "\n".join(assign_lines) + "\n",
+        "marker_ratios.tsv": validate.ratio_table_to_tsv(table),
+    }
     if gating:
         cluster_cells = np.flatnonzero(
             labels.labels == values["validate.gate_cluster"]
@@ -681,7 +684,11 @@ def cmd_validate(args) -> int:
             max_neg=values["validate.gate_max_neg"],
         )
         gate_lines = ["cell_id"] + [counts.cell_ids[i] for i in gated]
-        write_atomic(out_dir / "gated_cells.tsv", "\n".join(gate_lines) + "\n")
+        outputs["gated_cells.tsv"] = "\n".join(gate_lines) + "\n"
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        write_atomic(out_dir / name, text)
     return 0
 
 

@@ -141,28 +141,53 @@ def fit_kmeans(coords, n_clusters: int, seed: int = 0) -> KmeansResult:
     return KmeansResult(ClusterLabels(labels, n_clusters), centers, inertia)
 
 
+def _forward_substitution(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``chol @ out = rhs`` for lower-triangular ``chol`` (d x d) and
+    ``rhs`` (d x n), one row of ``out`` per matrix-vector product."""
+    out = np.empty(rhs.shape)
+    for i in range(chol.shape[0]):
+        out[i] = (rhs[i] - chol[i, :i] @ out[:i]) / chol[i, i]
+    return out
+
+
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(a), axis=1))`` without overflow.
+
+    The operations of ``scipy.special.logsumexp(a, axis=1)`` (scipy 1.17)
+    in the same order, so the result is bit-equal: the entries equal to the
+    row maximum are taken out of the shifted sum and counted instead, and a
+    row whose result is not finite takes the naive formula.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=1, keepdims=True)
+        at_max = a == a_max
+        count = at_max.sum(axis=1, keepdims=True, dtype=a.dtype)
+        rest = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+        rest = np.where(rest == 0, rest, rest / count)
+        out = (np.log1p(rest) + np.log(count) + a_max)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
+
+
 def log_responsibilities(points, weights, means, covariances):
     """Log posterior component probabilities and per-point log density.
 
     Returns (log_resp, point_log_density); stable log-sum-exp throughout.
     """
-    # imported here, not at module level: every gmmle process imports this
-    # module, and these two take about 0.2 s to load in runs that fit no mixture
-    from scipy.linalg import solve_triangular
-    from scipy.special import logsumexp
-
     points = _as_points(points)
     n, d = points.shape
     n_components = len(weights)
     log_prob = np.empty((n, n_components))
     for k in range(n_components):
         chol = np.linalg.cholesky(covariances[k])
-        solved = solve_triangular(chol, (points - means[k]).T, lower=True)
+        solved = _forward_substitution(chol, (points - means[k]).T)
         maha = (solved * solved).sum(axis=0)
         log_det = 2.0 * np.log(np.diag(chol)).sum()
         log_prob[:, k] = -0.5 * (d * math.log(2.0 * math.pi) + log_det + maha)
     weighted = log_prob + np.log(weights)
-    point_log_density = logsumexp(weighted, axis=1)
+    point_log_density = _row_logsumexp(weighted)
     return weighted - point_log_density[:, None], point_log_density
 
 

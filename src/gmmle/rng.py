@@ -172,7 +172,12 @@ class CounterRng:
         shape = (size,) if isinstance(size, int) else tuple(size)
         n = int(np.prod(shape)) if shape else 1
         raw = self.uint64(n)
-        np.remainder(raw, _U(bound), out=raw)
+        # raw - (raw // bound) * bound is raw % bound; numpy divides by a
+        # scalar through libdivide, several times faster than its uint64 %
+        divisor = _U(bound)
+        quotient = np.floor_divide(raw, divisor)
+        np.multiply(quotient, divisor, out=quotient)
+        np.subtract(raw, quotient, out=raw)
         # the same bits astype(np.int64) gives, without the copy
         return raw.view(np.int64).reshape(shape)
 

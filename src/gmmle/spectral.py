@@ -130,8 +130,9 @@ def _subspace_svd(matrix, n_components, seed, max_iter, accept):
 
     best = None
     for iteration in range(1, max_iter + 1):
-        projected = (matrix.T @ left).T  # equals left.T @ matrix, block x n
-        w_small, sigma, vt = np.linalg.svd(projected, full_matrices=False)
+        # n x block; its transpose is left.T @ matrix, and it spans the next right basis
+        tall = matrix.T @ left
+        w_small, sigma, vt = np.linalg.svd(tall.T, full_matrices=False)
         u = (left @ w_small)[:, :n_components]
         s = sigma[:n_components].copy()
         v = vt[:n_components].T.copy()
@@ -141,7 +142,7 @@ def _subspace_svd(matrix, n_components, seed, max_iter, accept):
             best = (u, s, v, res_norms, iteration)
         if accept(s, res_norms):
             return u, s, v, res_norms, iteration
-        right, _ = np.linalg.qr(matrix.T @ left)
+        right, _ = np.linalg.qr(tall)
         left, _ = np.linalg.qr(matrix @ right)
 
     u, s, v, res_norms, _ = best

@@ -697,7 +697,10 @@ class TestScatterCommand:
         ("c0\t0\nc1\t1\t7\nc2\t0\n", "line 3: expected 'cell_id<TAB>cluster'"),
         ("c0\t0\nc1\t1\nc0\t1\nc2\t0\n", "line 4: repeated cell id 'c0'"),
         ("c0\t0\nc1\t-1\nc2\t0\n", "line 3: negative cluster id -1"),
-    ], ids=["one-field", "non-integer", "three-fields", "repeated-id", "negative-cluster"])
+        ("c0\t0\nc1\t9223372036854775808\nc2\t0\n",
+         "line 3: cluster id 9223372036854775808 is not below 2**63"),
+    ], ids=["one-field", "non-integer", "three-fields", "repeated-id", "negative-cluster",
+            "oversized-cluster"])
     def test_malformed_labels_rejected(self, tmp_path, capsys, rows, message):
         layout_path, labels_path = self.write_inputs(tmp_path)
         labels_path.write_text("cell_id\tcluster\n" + rows)
@@ -833,16 +836,40 @@ class TestValidateCommand:
         ("w\t0\nx\ny\t1\nz\t1\n", "line 3: expected 'cell_id<TAB>cluster'"),
         ("w\t0\nx\t0\nw\t1\ny\t1\nz\t1\n", "line 4: repeated cell id 'w'"),
         ("w\t0\nx\t-1\ny\t1\nz\t1\n", "line 3: negative cluster id -1"),
+        ("w\t0\nx\t99999999999999999999\ny\t1\nz\t1\n",
+         "line 3: cluster id 99999999999999999999 is not below 2**63"),
         ("w\t0\nx\t0\ny\t1\nGHOST\t7\nz\t1\nSHADE\t0\n",
          "has labels for 2 cells not in the matrix, e.g. ['GHOST', 'SHADE']"),
-    ], ids=["one-field", "repeated-id", "negative-cluster", "cell-not-in-matrix"])
+    ], ids=["one-field", "repeated-id", "negative-cluster", "oversized-cluster",
+            "cell-not-in-matrix"])
     def test_malformed_labels_rejected(self, tmp_path, capsys, rows, message):
         conf = self.write_inputs(tmp_path, "")
         labels = tmp_path / "labels.tsv"
         labels.write_text("cell_id\tcluster\n" + rows)
         assert main(["validate", "--config", conf]) == 1
         assert f"error: {labels} {message}" in capsys.readouterr().err
-        assert not (tmp_path / "v" / "cluster_types.tsv").exists()
+        assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("panels, message", [
+        ("A\ta1\nB\tb1\tb2\n", "panel TSV line 2: expected 2 fields"),
+        ("A\ta1\nB\tnope\n", "panel 'B': no feature ids resolve against the matrix"),
+    ], ids=["malformed-row", "unresolvable-panel"])
+    def test_rejected_panels_create_no_out_dir(self, tmp_path, capsys, panels, message):
+        conf = self.write_inputs(tmp_path, "")
+        (tmp_path / "panels.tsv").write_text(panels)
+        assert main(["validate", "--config", conf]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
+    def test_largest_cluster_id_accepted(self, tmp_path):
+        conf = self.write_inputs(tmp_path, "")
+        top = 2**63 - 1
+        (tmp_path / "labels.tsv").write_text(
+            f"cell_id\tcluster\nw\t0\nx\t0\ny\t{top}\nz\t{top}\n"
+        )
+        assert main(["validate", "--config", conf]) == 0
+        types = (tmp_path / "v" / "cluster_types.tsv").read_text().splitlines()
+        assert types == ["cluster\tcell_type", "0\tA", f"{top}\tB"]
 
     def test_sparse_cluster_ids_match_dense_relabelling(self, tmp_path):
         ratios = {}

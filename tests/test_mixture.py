@@ -262,6 +262,106 @@ class TestEmFinalEstep:
         assert len(calls) == model.n_iterations + (0 if model.converged else 1)
 
 
+def scipy_log_responsibilities(points, weights, means, covariances):
+    """The E-step on scipy's triangular solve and log-sum-exp, the kernel
+    ``log_responsibilities`` replaced."""
+    from scipy.linalg import solve_triangular
+    from scipy.special import logsumexp
+
+    points = mixture._as_points(points)
+    n, d = points.shape
+    log_prob = np.empty((n, len(weights)))
+    for k in range(len(weights)):
+        chol = np.linalg.cholesky(covariances[k])
+        solved = solve_triangular(chol, (points - means[k]).T, lower=True)
+        log_det = 2.0 * np.log(np.diag(chol)).sum()
+        log_prob[:, k] = -0.5 * (d * math.log(2.0 * math.pi) + log_det
+                                 + (solved * solved).sum(axis=0))
+    weighted = log_prob + np.log(weights)
+    point_log_density = logsumexp(weighted, axis=1)
+    return weighted - point_log_density[:, None], point_log_density
+
+
+def random_gaussian_parts(d):
+    """400 points and a random 3-component mixture in d dimensions."""
+    rng = CounterRng(d)
+    points = rng.normal((400, d)) * 3.0
+    means = rng.normal((3, d)) * 3.0
+    factors = rng.normal((3, d, d))
+    covariances = factors @ factors.transpose(0, 2, 1) + 0.5 * np.eye(d)
+    weights = rng.random(3) + 0.5
+    return points, weights / weights.sum(), means, covariances
+
+
+class TestNumpyEstep:
+    # scipy warns of the overflow in its shifted sum on the +-1e308 row
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_row_logsumexp_bit_equals_scipy(self):
+        from scipy.special import logsumexp
+
+        inf, nan = np.inf, np.nan
+        special = np.array([
+            [0.0, 0.0, 0.0],
+            [1.5, 1.5, -2.0],
+            [-3.0, 7.25, 7.25],
+            [-inf, -inf, -inf],
+            [-inf, 0.3, -1.0],
+            [-inf, 2.0, 2.0],
+            [inf, 1.0, 2.0],
+            [inf, inf, 0.0],
+            [inf, -inf, 0.0],
+            [nan, 1.0, 2.0],
+            [nan, -inf, inf],
+            [-750.0, -751.0, -760.0],
+            [710.0, 709.0, 0.0],
+            [1e308, 1e308, -1e308],
+        ])
+        rng = CounterRng(41)
+        batches = [special]
+        for k in range(1, 9):
+            rows = rng.normal((60, k)) * 40.0
+            rows[::3, :] = rows[::3, :1]  # whole-row ties
+            rows[1::3, k // 2:] = rows[1::3, :1]  # partial ties
+            batches.append(rows)
+        for a in batches:
+            got = mixture._row_logsumexp(a)
+            assert np.array_equal(got, logsumexp(a, axis=1), equal_nan=True)
+
+    @pytest.mark.parametrize("d", [1, 4, 16])
+    def test_forward_substitution_matches_solve_triangular(self, d):
+        from scipy.linalg import solve_triangular
+
+        points, _, means, covariances = random_gaussian_parts(d)
+        chol = np.linalg.cholesky(covariances[0])
+        rhs = (points - means[0]).T
+        want = solve_triangular(chol, rhs, lower=True)
+        # a backward-stable solve errs relative to the solution's scale
+        np.testing.assert_allclose(
+            mixture._forward_substitution(chol, rhs), want,
+            rtol=1e-12, atol=1e-12 * np.abs(want).max(),
+        )
+
+    @pytest.mark.parametrize("d", [1, 4, 16])
+    def test_log_densities_match_scipy_kernel(self, d):
+        parts = random_gaussian_parts(d)
+        log_resp, density = log_responsibilities(*parts)
+        want_resp, want_density = scipy_log_responsibilities(*parts)
+        np.testing.assert_allclose(density, want_density, rtol=1e-12)
+        np.testing.assert_allclose(
+            log_resp, want_resp, rtol=1e-12, atol=1e-12 * np.abs(want_density).max()
+        )
+
+    @pytest.mark.parametrize("points, k", [
+        (four_blobs(seed=3)[0], 4), (two_point_masses(), 2),
+    ], ids=["four_blobs", "two_point_masses"])
+    def test_fit_labels_equal_scipy_kernel(self, points, k, monkeypatch):
+        model, labels = fit_gmm(points, k, seed=3)
+        monkeypatch.setattr(mixture, "log_responsibilities", scipy_log_responsibilities)
+        ref_model, ref_labels = fit_gmm(points, k, seed=3)
+        assert np.array_equal(labels.labels, ref_labels.labels)
+        assert model.log_likelihood == pytest.approx(ref_model.log_likelihood, rel=1e-12)
+
+
 class TestEmptyComponents:
     def test_dropped_components_renumbered_in_ascending_order(self, monkeypatch):
         points, _ = four_blobs(seed=1, per_blob=10)

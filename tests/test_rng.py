@@ -60,6 +60,13 @@ def test_integers_are_the_stream_modulo_bound(bound):
     assert got.tolist() == [v % bound for v in _stream_reference(3, 50)]
 
 
+@pytest.mark.parametrize("bound", [1, 2, 2500, 2**32 - 1, 2**32 + 1, 2**63 + 1])
+def test_integers_equal_the_uint64_remainder(bound):
+    got = CounterRng(9).integers(bound, 1000)
+    want = CounterRng(9).uint64(1000) % np.uint64(bound)
+    assert np.array_equal(got.view(np.uint64), want)
+
+
 def test_frozen_vector_seed0():
     assert _stream_reference(0, 3) == FROZEN_SEED0
     assert CounterRng(0).uint64(3).tolist() == FROZEN_SEED0
