@@ -18,17 +18,16 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 import numpy as np
 
 from . import community, core_matrix, features, layout, mixture, qc, simulate, spectral, validate
+from .core_matrix import write_atomic
 
 
 class ConfigError(ValueError):
@@ -42,29 +41,6 @@ class StageError(RuntimeError):
         super().__init__(f"stage {stage!r}: {cause}")
         self.stage = stage
         self.cause = cause
-
-
-def write_atomic(path: Path, text: str | Iterable[str]) -> None:
-    """Write ``text``, a string or an iterable of string pieces written in
-    turn, via a uniquely named temp file + rename in the destination
-    directory.
-
-    Concurrent writers into one directory never share a temp file, and a
-    failed write removes its temp file.
-    """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
-    try:
-        # mkstemp creates the file 0600; give it the mode a plain open would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as handle:
-            handle.writelines((text,) if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -348,15 +324,6 @@ def _resolve_out_dir(values: dict[str, Any], override: str | None) -> Path:
     return Path(target)
 
 
-def _write_counts(out_dir: Path, stem: str, counts: core_matrix.CountMatrix) -> None:
-    """``<stem>.mtx`` plus the id sidecars that read_matrix_market looks for."""
-    path = out_dir / f"{stem}.mtx"
-    write_atomic(path, core_matrix._matrix_market_pieces(counts))
-    feature_path, cell_path = core_matrix._sidecar_paths(path)
-    write_atomic(feature_path, "\n".join(counts.feature_ids) + "\n")
-    write_atomic(cell_path, "\n".join(counts.cell_ids) + "\n")
-
-
 def _peak_rss_mb() -> float | None:
     """This process's peak resident set size so far (``VmHWM``) in MB, or
     None where ``/proc/self/status`` cannot be read."""
@@ -544,7 +511,7 @@ def cmd_simulate(args) -> int:
     out_dir = _resolve_out_dir(values, args.out)
     sample = simulate.sample_sbm(config)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_counts(out_dir, "counts", sample.matrix)
+    core_matrix.write_matrix_market(sample.matrix, out_dir / "counts.mtx")
     write_atomic(out_dir / "truth_cells.tsv",
                  mixture.labels_to_tsv(sample.matrix.cell_ids, sample.cell_labels))
     gene_lines = ["feature_id\tblock"]
@@ -635,7 +602,7 @@ def cmd_qc(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     filtered, report = qc.run_qc(_read_input(input_path, values["input.format"]), qc_config)
     write_atomic(out_dir / "qc_report.json", report.to_json())
-    _write_counts(out_dir, "filtered", filtered)
+    core_matrix.write_matrix_market(filtered, out_dir / "filtered.mtx")
     return 0
 
 

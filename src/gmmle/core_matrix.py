@@ -9,9 +9,11 @@ are implicit.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import scipy.sparse as sp
@@ -515,15 +517,46 @@ def _matrix_market_pieces(counts: CountMatrix):
         ))
 
 
+def write_atomic(path, text: str | Iterable[str]) -> None:
+    """Write ``text``, a string or an iterable of string pieces written in
+    turn, via a uniquely named temp file + rename in the destination
+    directory.
+
+    Concurrent writers into one directory never share a temp file, and a
+    failed write removes its temp file.  The temp file is created with mode
+    0o666, so the process umask applies as it would to a plain open.  The
+    rename replaces the destination rather than writing into it: a symlink
+    there becomes a regular file, an existing file's mode is not kept, and
+    the directory must be writable.
+    """
+    path = Path(path)
+    while True:
+        tmp = path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass  # another writer's temp file: draw another name
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.writelines((text,) if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_matrix_market(counts: CountMatrix, path) -> None:
     """Write MatrixMarket coordinate integer format, slice by slice, plus
-    id sidecar files."""
+    the id sidecars that ``read_matrix_market`` looks for.  Each of the
+    three files is written atomically (``write_atomic``), one after the
+    other; the set is not, so a failure on a sidecar can leave the new
+    ``.mtx`` beside the old id files."""
     path = Path(path)
-    with path.open("w") as handle:
-        handle.writelines(_matrix_market_pieces(counts))
+    write_atomic(path, _matrix_market_pieces(counts))
     feature_path, cell_path = _sidecar_paths(path)
-    feature_path.write_text("\n".join(counts.feature_ids) + "\n")
-    cell_path.write_text("\n".join(counts.cell_ids) + "\n")
+    write_atomic(feature_path, "\n".join(counts.feature_ids) + "\n")
+    write_atomic(cell_path, "\n".join(counts.cell_ids) + "\n")
 
 
 def read_dense_tsv(path) -> CountMatrix:

@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .core_matrix import CountMatrix
 
@@ -39,10 +40,14 @@ def dispersion_scores(counts: CountMatrix) -> list[FeatureScore]:
     if n < 2:
         raise ValueError("dispersion scores need at least 2 cells")
     csr = counts.csr()
-    data = csr.data.astype(np.float64)
-    rows = np.repeat(np.arange(counts.n_features), np.diff(csr.indptr))
-    sums = np.bincount(rows, data, minlength=counts.n_features)
-    sq_sums = np.bincount(rows, data * data, minlength=counts.n_features)
+    # one float64 copy of the counts, sharing the CSR's index arrays; a
+    # matrix-vector product sums each row's entries in order, as a
+    # per-entry bincount would
+    values = sp.csr_matrix((csr.data.astype(np.float64), csr.indices, csr.indptr), shape=csr.shape)
+    ones = np.ones(n)
+    sums = values @ ones
+    np.square(values.data, out=values.data)
+    sq_sums = values @ ones
     # For a constant feature both terms are exactly representable and cancel
     # to 0.0; the clamp only absorbs rounding dust from genuine variation.
     means = sums / n
@@ -72,8 +77,6 @@ def select_top_k(scores: list[FeatureScore], k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     values = np.array([s.score for s in scores])
-    if k > values.size:
-        raise ValueError(f"k={k} exceeds feature count {values.size}")
     finite = np.isfinite(values)
     order = np.argsort(-values, kind="stable")  # stable: ties by lower index
     order = order[finite[order]]
@@ -85,7 +88,7 @@ def select_top_k(scores: list[FeatureScore], k: int) -> np.ndarray:
         )
     if order.size < k:
         warnings.warn(
-            f"only {order.size} features have finite scores; selecting all of them",
+            f"k={k} but only {order.size} features have finite scores; selecting all of them",
             stacklevel=2,
         )
         chosen = order

@@ -14,7 +14,7 @@ is then restricted once, to the passing features and cells.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -68,20 +68,11 @@ class QcReport:
     cell_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     def to_json(self) -> str:
-        payload = {
-            "features_in": self.features_in,
-            "features_out": self.features_out,
-            "features_removed_low_cell_count": self.features_removed_low_cell_count,
-            "cells_in": self.cells_in,
-            "cells_out": self.cells_out,
-            "cells_removed": self.cells_removed,
-            "cells_failed_min_features": self.cells_failed_min_features,
-            "cells_failed_top_share": self.cells_failed_top_share,
-            "cells_failed_mito_share": self.cells_failed_mito_share,
-            "cells_failed_ribo_share": self.cells_failed_ribo_share,
-            "feature_mask": [int(v) for v in self.feature_mask],
-            "cell_mask": [int(v) for v in self.cell_mask],
-        }
+        """Every field in declaration order; the masks as lists of 0/1."""
+        payload = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            payload[f.name] = value.astype(int).tolist() if isinstance(value, np.ndarray) else value
         return json.dumps(payload, indent=2)
 
 

@@ -345,6 +345,20 @@ class TestPipelineCommand:
         assert main(["pipeline", "--config", conf]) == 0
         assert callers == ["gmmle.qc", "gmmle.cli"]
 
+    def test_default_top_k_keeps_every_scored_feature(self, tmp_path):
+        """features.top_k left at 2000 on a 300-feature input: a warning,
+        and all 300 features, each with a finite score, reach the embedding."""
+        sim = write_config(tmp_path, "sim.conf", SIM_CONF.format(out=tmp_path / "data")
+                           .replace("60,60,60", "100,100,100")
+                           .replace("70,70,70", "40,40,40"))
+        assert main(["simulate", "--config", sim]) == 0
+        conf = PIPE_CONF.format(mtx=tmp_path / "data" / "counts.mtx", out=tmp_path / "run")
+        conf = write_config(tmp_path, "run.conf", conf.replace("features.top_k = 120\n", ""))
+        with pytest.warns(UserWarning, match="k=2000 but only 300 features have finite scores"):
+            assert main(["pipeline", "--config", conf]) == 0
+        metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert metrics["stages"]["features"]["n_features"] == 300
+
     def test_stage_named_on_failure(self, tmp_path, capsys):
         # the 8 x 10 input of test_no_scorable_feature_fails_at_features_stage
         # passes every config check and fails inside the features stage
@@ -640,6 +654,16 @@ class TestWriteAtomic:
         finally:
             os.umask(previous)
         assert stat.S_IMODE((tmp_path / "labels.tsv").stat().st_mode) == 0o640
+
+    def test_temp_name_taken_draws_another(self, tmp_path, monkeypatch):
+        draws = iter([b"\x00" * 6, b"\x01" * 6])
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        foreign = tmp_path / "labels.tsv.000000000000.tmp"
+        foreign.write_text("another writer's data")
+        write_atomic(tmp_path / "labels.tsv", "mine")
+        assert (tmp_path / "labels.tsv").read_text() == "mine"
+        assert foreign.read_text() == "another writer's data"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.tsv", foreign.name]
 
 
 class TestScatterCommand:

@@ -220,6 +220,38 @@ class TestMatrixMarketText:
         assert matrix_market_text(sub) == per_entry_matrix_market_text(sub)
 
 
+class TestWriteMatrixMarketAtomic:
+    """Each file of the set goes through write_atomic: temp file + rename."""
+
+    def counts(self):
+        return CountMatrix.from_dense(
+            [[0, 3, 0], [7, 0, 1]], feature_ids=["x", "y"], cell_ids=["a", "b", "c"]
+        )
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.mtx"
+        write_matrix_market(self.counts(), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def broken(counts):
+            yield "%%MatrixMarket matrix coordinate integer general\n"
+            raise RuntimeError("formatting failed")
+
+        monkeypatch.setattr(core_matrix, "_matrix_market_pieces", broken)
+        bigger = CountMatrix.from_dense(np.ones((4, 5), dtype=np.int64))
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            write_matrix_market(bigger, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_never_touches_umask(self, tmp_path, monkeypatch):
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(core_matrix.os, "umask", umask)
+        write_matrix_market(self.counts(), tmp_path / "m.mtx")
+        assert read_matrix_market(tmp_path / "m.mtx").feature_ids == ("x", "y")
+
+
 class TestDenseTsv:
     def test_basic(self, tmp_path):
         path = write(tmp_path, "m.tsv", "id\tA\tB\ng1\t0\t1\ng2\t2\t0\n")

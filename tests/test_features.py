@@ -91,6 +91,27 @@ class TestDispersionScores:
         assert np.array([s.mean for s in got]).tobytes() == means.tobytes()
         assert np.array([s.variance for s in got]).tobytes() == variances.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_moments_equal_bincount_form_beyond_2_53(self, seed):
+        """Row sums as sparse products against the per-entry bincount they
+        replaced, on counts whose sums and squared sums round in float64."""
+        rng = np.random.default_rng(seed)
+        dense = rng.poisson(0.6, size=(25, 40)) * rng.integers(1, 2**40, size=(25, 40))
+        dense[0, :5] = 2**53 - rng.integers(1, 1000, size=5)  # sums above 2**53
+        dense[3] = 0  # an empty row
+        counts = CountMatrix.from_dense(dense)
+        csr = counts.csr()
+        data = csr.data.astype(np.float64)
+        rows = np.repeat(np.arange(counts.n_features), np.diff(csr.indptr))
+        sums = np.bincount(rows, data, minlength=counts.n_features)
+        sq_sums = np.bincount(rows, data * data, minlength=counts.n_features)
+        assert sums.max() > 2.0**53
+        means = sums / counts.n_cells
+        variances = np.maximum(sq_sums / counts.n_cells - means * means, 0.0)
+        got = dispersion_scores(counts)
+        assert np.array([s.mean for s in got]).tobytes() == means.tobytes()
+        assert np.array([s.variance for s in got]).tobytes() == variances.tobytes()
+
 
 class TestSelectTopK:
     def mk(self, values):
@@ -109,8 +130,11 @@ class TestSelectTopK:
         assert mask.all()
 
     def test_k_too_large(self):
-        with pytest.raises(ValueError):
-            select_top_k(self.mk([1.0]), 2)
+        """k above the feature count is short supply: a warning, every
+        finite-scored feature selected."""
+        with pytest.warns(UserWarning, match=r"k=5 but only 3 features have finite scores"):
+            mask = select_top_k(self.mk([1.0, 3.0, 2.0]), 5)
+        assert mask.tolist() == [True, True, True]
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):

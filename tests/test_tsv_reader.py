@@ -144,6 +144,8 @@ UNUSUAL_FILES = {
     "vertical-tab-in-id": "id\tA\tB\ng\x0b1\t0\t1\n",
     "line-separator-in-header": "id\tA\u2028\tB\ng1\t0\t1\n",
     "next-line-in-row": "id\tA\tB\ng1\t0\t1\x85\n",
+    "paragraph-separator-in-header": "id\tA\u2029\tB\ng1\t0\t1\n",
+    "paragraph-separator-in-id": "id\tA\tB\ng\u20291\t0\t1\n",
     "duplicate-feature-ids": "id\tA\tB\ng1\t0\t1\ng1\t2\t0\n",
     "duplicate-cell-ids": "id\tA\tA\ng1\t0\t1\n",
     "space-in-ids": "id\tcell A\tB\ngene 1\t0\t1\n",
