@@ -20,7 +20,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+import warnings
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
 
@@ -338,15 +339,31 @@ def _peak_rss_mb() -> float | None:
 
 
 @contextlib.contextmanager
-def _stage(name: str, timings: dict[str, float], peaks: dict[str, float]):
+def _stage(name: str, timings: dict[str, float], peaks: dict[str, float],
+           warned: list[dict[str, str]]):
     """Run the block as pipeline stage ``name``: any exception is re-raised
     as StageError naming it; its wall time and the peak RSS at its end are
-    recorded under ``name``."""
+    recorded under ``name``.  Each warning the active filters let through
+    is appended to ``warned`` as a {"stage", "category", "message"} row and
+    re-issued with the prefix "stage '<name>': ", also when the stage
+    fails."""
     started = time.perf_counter()
     try:
-        yield
+        with warnings.catch_warnings(record=True) as caught:
+            yield
     except Exception as err:
         raise StageError(name, err) from err
+    finally:
+        for caught_warning in caught:
+            warned.append({
+                "stage": name,
+                "category": caught_warning.category.__name__,
+                "message": str(caught_warning.message),
+            })
+            warnings.warn_explicit(
+                f"stage '{name}': {caught_warning.message}", caught_warning.category,
+                caught_warning.filename, caught_warning.lineno,
+            )
     timings[name] = round(time.perf_counter() - started, 6)
     peak = _peak_rss_mb()
     if peak is not None:
@@ -369,14 +386,15 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
     metrics: dict[str, Any] = {"stages": {}}
     timings: dict[str, float] = {}
     peaks: dict[str, float] = {}
+    warned: list[dict[str, str]] = []
 
-    with _stage("ingest", timings, peaks):
+    with _stage("ingest", timings, peaks, warned):
         counts = _read_input(input_path, values["input.format"])
         metrics["stages"]["ingest"] = {
             "n_features": counts.n_features, "n_cells": counts.n_cells,
         }
 
-    with _stage("qc", timings, peaks):
+    with _stage("qc", timings, peaks, warned):
         if qc_config is not None:
             counts, report = qc.run_qc(counts, qc_config)
             write_atomic(out_dir / "qc_report.json", report.to_json())
@@ -384,7 +402,7 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
                 "n_features": counts.n_features, "n_cells": counts.n_cells,
             }
 
-    with _stage("features", timings, peaks):
+    with _stage("features", timings, peaks, warned):
         if values["features.enable"]:
             scores = features.dispersion_scores(counts)
             mask = features.select_top_k(scores, values["features.top_k"])
@@ -398,7 +416,7 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
                 "cells_dropped_empty": empty_cells,
             }
 
-    with _stage("spectral", timings, peaks):
+    with _stage("spectral", timings, peaks, warned):
         variant = values["spectral.variant"]
         if variant == "normalized":
             lap = spectral.normalized_laplacian(counts)
@@ -418,7 +436,7 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
             "component_shares": [float(s) for s in embedding.component_shares],
         }
 
-    with _stage("neighbours", timings, peaks):
+    with _stage("neighbours", timings, peaks, warned):
         n_cells = embedding.coords.shape[0]
         knn_k = min(values["cluster.knn_k"], n_cells - 1)
         n_neighbors = 0
@@ -429,7 +447,7 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
         metrics["stages"]["neighbours"] = {"k": search_k}
         graph = community.knn_graph(indices[:, :knn_k])
 
-    with _stage("cluster", timings, peaks):
+    with _stage("cluster", timings, peaks, warned):
         method = values["cluster.method"]
         cluster_seed = values["cluster.seed"]
         cluster_info: dict[str, Any] = {"method": method, "knn_k": knn_k}
@@ -472,24 +490,25 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
                      mixture.labels_to_tsv(counts.cell_ids, labels))
         metrics["stages"]["cluster"] = cluster_info
 
-    with _stage("modularity", timings, peaks):
+    with _stage("modularity", timings, peaks, warned):
         metrics["modularity_knn"] = community.modularity(graph, labels)
 
     if layout_params is not None:
-        with _stage("layout", timings, peaks):
-            params = replace(layout_params, n_neighbors=n_neighbors)
+        with _stage("layout", timings, peaks, warned):
             fuzzy = layout.fuzzy_graph(indices[:, :n_neighbors], distances[:, :n_neighbors])
             layout2d = layout.optimize_layout(
-                fuzzy, embedding.coords[:, :2], params, seed=values["layout.seed"]
+                fuzzy, embedding.coords[:, :2], layout_params, seed=values["layout.seed"]
             )
             write_atomic(out_dir / "layout.tsv",
                          layout.layout_to_tsv(layout2d, counts.cell_ids))
             metrics["stages"]["layout"] = {
-                "n_neighbors": params.n_neighbors,
+                "n_neighbors": n_neighbors,
                 "fuzzy_edges": fuzzy.n_edges,
                 "edge_visits": layout2d.edge_visits,
             }
 
+    if warned:
+        metrics["warnings"] = warned
     metrics["timings_sec"] = timings
     if peaks:
         metrics["peak_rss_mb"] = peaks

@@ -18,14 +18,10 @@ components (length m).  A pair array kept as m x 2 would make every
 elementwise step a broadcast whose inner loop has length 2, which costs
 several times the arithmetic.  The forces are computed by the same code
 that the public ``attractive_gradient`` and ``repulsive_push`` wrap, so
-each formula exists once.  Each batch is scattered in order, one
-``np.bincount`` per axis: a point's new coordinate is its old one plus
-that batch's updates to it, added one at a time in edge order, the same
-additions ``np.add.at`` makes on an n x 2 array.  Every step is the same
-IEEE operation on the same operands, in the same order, as that
-``np.add.at`` loop (``tests/test_layout_kernel.py`` keeps it as the
-reference), so the layout is the same bit for bit.  A scatter that summed
-in another order would change the layout in its last bits.
+each formula exists once.  Each batch is scattered with ``np.add.at`` on x
+and y, in edge order: the same IEEE additions in the same order as the
+n x 2 reference loop in ``tests/test_layout_kernel.py``, so the layout is
+the same bit for bit.
 
 The curve constants CURVE_A = 1.577 and CURVE_B = 0.8951 are the
 least-squares fit of 1/(1 + a*x^(2b)) to the min_dist=0.1 membership
@@ -184,25 +180,6 @@ def _clip(*components: np.ndarray) -> None:
         np.clip(values, -GRADIENT_CLIP, GRADIENT_CLIP, out=values)
 
 
-def _scatter_add(coord: np.ndarray, bins: np.ndarray, *updates: np.ndarray):
-    """``coord`` with ``coord[index[e]] += update[e]`` applied in order of e,
-    bit for bit as ``np.add.at``; ``bins`` is ``concat(arange(n), index)``
-    and ``updates`` are consecutive pieces of the update vector.
-
-    One ``np.bincount`` whose first n weights are the coordinates: each
-    point's sum is its coordinate, then its updates in index order.  The
-    count starts from +0.0, but -0.0 is the additive identity, so a point
-    whose every term is -0.0 is set back to -0.0.
-    """
-    n = coord.size
-    terms = np.concatenate((coord, *updates))
-    total = np.bincount(bins, terms, minlength=n)
-    if (total == 0.0).any():
-        signed = bins[(terms != 0.0) | ~np.signbit(terms)]
-        total[np.bincount(signed, minlength=n) == 0] = -0.0
-    return total
-
-
 def optimize_layout(
     graph: CellGraph,
     init,
@@ -253,7 +230,6 @@ def optimize_layout(
     next_due = epochs_per_sample.copy()
     rng = CounterRng(seed)
     n_neg = params.negative_samples
-    points = np.arange(n)
     x = coords[:, 0].copy()
     y = coords[:, 1].copy()
 
@@ -268,9 +244,10 @@ def optimize_layout(
             gx, gy = _attraction(x.take(h) - x.take(t), y.take(h) - y.take(t), a, b)
             _clip(gx, gy)
             # descend: pull the pair together from both ends
-            bins = np.concatenate((points, h, t))
-            x = _scatter_add(x, bins, -alpha * gx, alpha * gx)
-            y = _scatter_add(y, bins, -alpha * gy, alpha * gy)
+            np.add.at(x, h, -alpha * gx)
+            np.add.at(x, t, alpha * gx)
+            np.add.at(y, h, -alpha * gy)
+            np.add.at(y, t, alpha * gy)
 
             # both sides' samples in one draw: the same counters in the same order
             samples = rng.integers(n, 2 * h.size * n_neg)
@@ -285,17 +262,14 @@ def optimize_layout(
                 still = still[py.take(still) == 0.0]
                 if still.size:
                     same = (xa[still] == xo[still]) & (ya[still] == yo[still])
-                    sampled_self = anchors.take(still) == others.take(still)
-                    # arbitrary fixed kick apart
-                    kicked = still[same & ~sampled_self]
+                    # arbitrary fixed kick apart; a self-sample keeps its
+                    # push, which is +0.0 since x - x is +0.0 for finite x
+                    kicked = still[same & (anchors.take(still) != others.take(still))]
                     px[kicked] = py[kicked] = GRADIENT_CLIP
-                    unpushed = still[sampled_self]
-                    px[unpushed] = py[unpushed] = 0.0
                 px *= alpha
                 py *= alpha
-                bins = np.concatenate((points, anchors))
-                x = _scatter_add(x, bins, px)
-                y = _scatter_add(y, bins, py)
+                np.add.at(x, anchors, px)
+                np.add.at(y, anchors, py)
 
             next_due[due] += epochs_per_sample.take(due)
 

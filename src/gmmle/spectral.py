@@ -80,8 +80,7 @@ def _rescaled(counts: CountMatrix, row_scale, col_scale) -> NormalizedLaplacian:
     """X[i, j] * row_scale[i] * col_scale[j], scaling a float copy of the
     canonical CSR's data; a scale of ones is exact, since x * 1.0 == x."""
     matrix = counts.csr().astype(np.float64)
-    row_of_entry = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    matrix.data *= row_scale[row_of_entry]
+    matrix.data *= np.repeat(row_scale, np.diff(matrix.indptr))
     matrix.data *= col_scale[matrix.indices]
     return NormalizedLaplacian(matrix, float(np.sum(matrix.data * matrix.data)))
 

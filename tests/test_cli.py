@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -358,6 +359,59 @@ class TestPipelineCommand:
             assert main(["pipeline", "--config", conf]) == 0
         metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
         assert metrics["stages"]["features"]["n_features"] == 300
+        assert metrics["warnings"] == [{
+            "stage": "features",
+            "category": "UserWarning",
+            "message": "k=2000 but only 300 features have finite scores; "
+                       "selecting all of them",
+        }]
+
+    def test_stage_warning_reissued_with_stage_name_on_failure(
+        self, sim_dir, tmp_path, monkeypatch
+    ):
+        def warn_then_fail(*args, **kwargs):
+            warnings.warn("odd input", UserWarning)
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(community, "exact_knn", warn_then_fail)
+        values = PIPELINE_SCHEMA.apply(parse_config_text(
+            PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=tmp_path / "out")
+        ))
+        with pytest.warns(UserWarning) as caught, pytest.raises(StageError):
+            run_pipeline(values, tmp_path / "out", None)
+        assert [str(w.message) for w in caught] == ["stage 'neighbours': odd input"]
+
+    def test_warning_free_run_writes_no_warnings_key(self, sim_dir, tmp_path):
+        out = tmp_path / "out"
+        values = PIPELINE_SCHEMA.apply(parse_config_text(
+            PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_pipeline(values, out, None)
+        assert "warnings" not in json.loads((out / "metrics.json").read_text())
+
+    def test_neighbour_counts_clamped_to_n_cells_minus_one(self, tmp_path):
+        sim = write_config(tmp_path, "sim.conf", (
+            "sbm.rates = 20,1,1; 1,20,1; 1,1,20\n"
+            "sbm.gene_block_sizes = 10,10,10\n"
+            "sbm.cell_block_sizes = 4,4,4\n"
+            "sbm.seed = 0\n"
+            f"output.directory = {tmp_path / 'data'}\n"
+        ))
+        assert main(["simulate", "--config", sim]) == 0
+        out = tmp_path / "run"
+        conf = write_config(tmp_path, "run.conf", (
+            f"input.path = {tmp_path / 'data' / 'counts.mtx'}\n"
+            "qc.enable = false\nfeatures.enable = false\n"
+            "cluster.method = louvain\nlayout.enable = true\n"
+            f"output.directory = {out}\n"
+        ))
+        assert main(["pipeline", "--config", conf]) == 0
+        stages = json.loads((out / "metrics.json").read_text())["stages"]
+        assert stages["neighbours"]["k"] == 11
+        assert stages["cluster"]["knn_k"] == 11
+        assert stages["layout"]["n_neighbors"] == 11
 
     def test_stage_named_on_failure(self, tmp_path, capsys):
         # the 8 x 10 input of test_no_scorable_feature_fails_at_features_stage
