@@ -492,29 +492,65 @@ def _parse_mm_lines(path: Path) -> _Entries:
     return _Entries(n_features, n_cells, rows, cols, vals, entry_lines)
 
 
-# Entries formatted per slice by _matrix_market_pieces.
+# Entries formatted per slice by _matrix_market_pieces.  A slice's arrays
+# and text are transient: a few MB at this size.
 _TEXT_SLICE = 1 << 15
 
 
 def _matrix_market_pieces(counts: CountMatrix):
     """MatrixMarket text in newline-terminated pieces: the header, then
-    one piece per slice of entries."""
+    one piece per slice of entries.
+
+    The canonical CSR (sorted indices, no duplicates) is already in
+    row-major order, so each slice is formatted straight from its
+    ``indptr``, ``indices`` and ``data`` ranges; no whole-matrix array is
+    made.
+    """
     yield (
         "%%MatrixMarket matrix coordinate integer general\n"
         f"{counts.n_features} {counts.n_cells} {counts.nnz}\n"
     )
-    # the CSR is canonical (sorted indices, no duplicates), so COO order is
-    # row-major
-    coo = counts.csr().tocoo()
-    rows, cols = coo.row + 1, coo.col + 1
-    # formatted in slices: whole-matrix lists of Python ints and lines would
-    # hold tens of MB at once
+    csr = counts.csr()
     for start in range(0, counts.nnz, _TEXT_SLICE):
-        piece = slice(start, start + _TEXT_SLICE)
-        yield "".join(map(
-            "{} {} {}\n".format,
-            rows[piece].tolist(), cols[piece].tolist(), coo.data[piece].tolist(),
-        ))
+        stop = min(start + _TEXT_SLICE, counts.nnz)
+        # rows first..last-1 hold the slice's entries
+        first = int(np.searchsorted(csr.indptr, start, side="right")) - 1
+        last = int(np.searchsorted(csr.indptr, stop, side="left"))
+        bounds = np.clip(csr.indptr[first:last + 1], start, stop)
+        rows = np.repeat(np.arange(first + 1, last + 1, dtype=np.int64), np.diff(bounds))
+        cols = csr.indices[start:stop] + 1
+        yield _format_lines((rows, cols, csr.data[start:stop]))
+
+
+def _format_lines(fields) -> str:
+    """Lines of the space-separated decimal fields, arrays of one length
+    of positive integers below 2**63: the same text as
+    ``"{} {} {}\\n".format`` per entry.
+
+    The digits go right-aligned into a fixed-width uint8 slab, one line
+    per slab row and one block of columns per field, as wide as the
+    field's largest value.  The leading zeros are then masked off and the
+    slab joined by one ``np.compress``.  Digits come from repeated
+    division by a numpy scalar ten, which takes numpy's libdivide path;
+    a field below 10**9 is divided as uint32, ≈20% faster than uint64.
+    """
+    widths = [len(str(int(field.max()))) for field in fields]
+    slab = np.empty((fields[0].size, sum(widths) + len(widths)), dtype=np.uint8)
+    keep = np.ones(slab.shape, dtype=bool)
+    end = 0
+    for field, width in zip(fields, widths):
+        dtype = np.uint32 if width < 10 else np.uint64
+        ten = dtype(10)
+        q = field.astype(dtype)
+        for pos in range(end + width - 1, end - 1, -1):
+            keep[:, pos] = q > 0
+            quotient = q // ten
+            slab[:, pos] = q - quotient * ten + dtype(ord("0"))
+            q = quotient
+        end += width + 1
+        slab[:, end - 1] = ord(" ")
+    slab[:, -1] = ord("\n")
+    return np.compress(keep.ravel(), slab.ravel()).tobytes().decode("ascii")
 
 
 def write_atomic(path, text: str | Iterable[str]) -> None:
@@ -546,17 +582,45 @@ def write_atomic(path, text: str | Iterable[str]) -> None:
         raise
 
 
+def _id_file_text(ids: tuple[str, ...], kind: str) -> str:
+    """An id sidecar's text, one id per line.
+
+    Raises ValueError naming the first id that ``read_matrix_market``
+    would not read back as itself: an empty id (blank lines are skipped)
+    or one holding a line boundary in the ``str.splitlines`` sense.
+    """
+    for number, i in enumerate(ids, 1):
+        if i.splitlines() != [i]:
+            raise ValueError(
+                f"{kind} id {number} ({i!r}) cannot be written to an id file: "
+                "ids must be non-empty and hold no line break"
+            )
+    return "\n".join(ids) + "\n"
+
+
 def write_matrix_market(counts: CountMatrix, path) -> None:
     """Write MatrixMarket coordinate integer format, slice by slice, plus
     the id sidecars that ``read_matrix_market`` looks for.  Each of the
     three files is written atomically (``write_atomic``), one after the
     other; the set is not, so a failure on a sidecar can leave the new
-    ``.mtx`` beside the old id files."""
+    ``.mtx`` beside the old id files.
+
+    A matrix that ``read_matrix_market`` could not read back is refused
+    with ValueError before any file is created: one with no rows or no
+    columns, or one with an id that is empty or holds a line break.
+    """
+    if 0 in counts.shape:
+        raise ValueError(
+            f"cannot write a {counts.n_features}x{counts.n_cells} count matrix: "
+            "a MatrixMarket file needs at least one row and one column"
+        )
+    feature_text = _id_file_text(counts.feature_ids, "feature")
+    cell_text = _id_file_text(counts.cell_ids, "cell")
     path = Path(path)
     write_atomic(path, _matrix_market_pieces(counts))
     feature_path, cell_path = _sidecar_paths(path)
-    write_atomic(feature_path, "\n".join(counts.feature_ids) + "\n")
-    write_atomic(cell_path, "\n".join(counts.cell_ids) + "\n")
+    write_atomic(feature_path, feature_text)
+    write_atomic(cell_path, cell_text)
 
 
 def read_dense_tsv(path) -> CountMatrix:

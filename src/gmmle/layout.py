@@ -53,6 +53,15 @@ class LayoutDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class LayoutParams:
+    """Layout settings.
+
+    ``n_neighbors`` sizes the graph, not the optimization:
+    ``optimize_layout`` takes a ready-made graph and never reads it.
+    ``cli.run_pipeline`` uses it (clamped to cells − 1) to size the
+    neighbour search and the ``fuzzy_graph`` it passes in; a library
+    caller sizes ``fuzzy_graph``'s input itself.
+    """
+
     n_neighbors: int = 15
     epochs: int = 200
     negative_samples: int = 5
@@ -197,6 +206,9 @@ def optimize_layout(
     and scaled by a learning rate decaying linearly from INITIAL_ALPHA
     to 0.  Deterministic for a fixed seed.  Edges of weight 0 are never
     due; a graph with no positive weight returns ``init`` unchanged.
+    Of ``params`` only ``epochs`` and ``negative_samples`` are read: the
+    neighbourhood size is fixed by ``graph``, and ``params.n_neighbors``
+    has no effect here.
 
     A sampled point equal to its anchor (but not the anchor itself) gets a
     fixed kick apart; the anchor sampling itself gets no push.  Both tests

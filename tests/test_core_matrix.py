@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -251,6 +253,169 @@ class TestWriteMatrixMarketAtomic:
         write_matrix_market(self.counts(), tmp_path / "m.mtx")
         assert read_matrix_market(tmp_path / "m.mtx").feature_ids == ("x", "y")
 
+
+def format_reference(counts):
+    """The MatrixMarket text by one ``"{} {} {}\\n".format`` per entry, walking
+    the CSR row by row with Python ints."""
+    csr = counts.csr()
+    indptr, indices, data = csr.indptr.tolist(), csr.indices.tolist(), csr.data.tolist()
+    body = "".join(
+        "{} {} {}\n".format(row + 1, indices[k] + 1, data[k])
+        for row in range(counts.n_features)
+        for k in range(indptr[row], indptr[row + 1])
+    )
+    return (
+        "%%MatrixMarket matrix coordinate integer general\n"
+        f"{counts.n_features} {counts.n_cells} {counts.nnz}\n" + body
+    )
+
+
+def row_of(values):
+    """A one-row matrix holding ``values`` in order."""
+    values = np.asarray(values, dtype=np.int64)
+    return CountMatrix._from_canonical(
+        sp.csr_matrix(
+            (values, np.arange(values.size, dtype=np.int32), [0, values.size]),
+            shape=(1, values.size),
+        ),
+        ["g"],
+        [f"c{j}" for j in range(values.size)],
+    )
+
+
+class TestMatrixMarketFormatter:
+    """The array formatter against the per-entry format."""
+
+    def test_values_crossing_digit_counts_in_one_slice(self):
+        values = [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+        values += [1, 9, 10, 11, 99, 100, 101, 5, 10**18 + 7]
+        counts = row_of(values)
+        assert counts.nnz < core_matrix._TEXT_SLICE
+        assert matrix_market_text(counts) == format_reference(counts)
+
+    @pytest.mark.parametrize("big", [2**53, 2**53 + 1, 2**63 - 1])
+    def test_largest_counts(self, big):
+        counts = row_of([1, big, 3, big - 1, 10])
+        text = matrix_market_text(counts)
+        assert text == format_reference(counts)
+        assert f"1 2 {big}\n" in text
+
+    @pytest.mark.parametrize("shape", [(1, 1), (9, 10), (10, 99), (100, 1000), (12345, 7)])
+    def test_ids_of_one_and_n(self, shape):
+        n, m = shape
+        rows = [0, 0, n - 1, n - 1, n // 2]
+        cols = [0, m - 1, 0, m - 1, m // 2]
+        counts = CountMatrix(
+            sp.coo_matrix((np.arange(1, 6), (rows, cols)), shape=shape),
+            [f"f{i}" for i in range(n)],
+            [f"c{j}" for j in range(m)],
+        )
+        text = matrix_market_text(counts)
+        assert text == format_reference(counts)
+        assert text.split("\n")[2].startswith("1 1 ")
+        assert text.split("\n")[-2].startswith(f"{n} {m} ")
+
+    @pytest.mark.parametrize("slice_size", [None, 7])
+    def test_row_longer_than_a_slice(self, monkeypatch, slice_size):
+        if slice_size is not None:
+            monkeypatch.setattr(core_matrix, "_TEXT_SLICE", slice_size)
+        width = 3 * core_matrix._TEXT_SLICE + 5
+        rng = np.random.default_rng(8)
+        dense = np.zeros((3, width), dtype=np.int64)
+        dense[1] = rng.integers(1, 10**7, size=width)  # one row across 4 slices
+        dense[0, -1] = dense[2, 0] = 4
+        counts = CountMatrix.from_dense(dense)
+        assert matrix_market_text(counts) == format_reference(counts)
+
+    @pytest.mark.parametrize("slice_size", [1, 7, None])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 25).flatmap(
+            lambda n: st.integers(1, 25).flatmap(
+                lambda m: st.tuples(
+                    st.just((n, m)),
+                    st.dictionaries(
+                        st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+                        st.one_of(st.integers(1, 12), st.integers(1, 2**63 - 1)),
+                        max_size=60,
+                    ),
+                )
+            )
+        )
+    )
+    def test_random_matrices(self, slice_size, case):
+        shape, entries = case
+        keys = list(entries)
+        counts = CountMatrix(
+            sp.coo_matrix(
+                (
+                    np.array([entries[k] for k in keys], dtype=np.int64),
+                    ([r for r, _ in keys], [c for _, c in keys]),
+                ),
+                shape=shape,
+            ),
+            [f"f{i}" for i in range(shape[0])],
+            [f"c{j}" for j in range(shape[1])],
+        )
+        size = core_matrix._TEXT_SLICE if slice_size is None else slice_size
+        with mock.patch.object(core_matrix, "_TEXT_SLICE", size):
+            assert matrix_market_text(counts) == format_reference(counts)
+
+    def test_writer_never_builds_coo(self, tmp_path, monkeypatch):
+        """No whole-matrix COO: transient memory stays one slice."""
+
+        def tocoo(self, *args, **kwargs):
+            raise AssertionError("tocoo called")
+
+        monkeypatch.setattr(sp.csr_matrix, "tocoo", tocoo)
+        rng = np.random.default_rng(2)
+        counts = CountMatrix.from_dense(rng.poisson(0.5, size=(20, 30)))
+        write_matrix_market(counts, tmp_path / "m.mtx")
+        monkeypatch.undo()
+        assert (tmp_path / "m.mtx").read_text() == format_reference(counts)
+
+
+class TestWriteMatrixMarketRefusals:
+    """Output that read_matrix_market could not read back is refused before
+    any file is made, and an existing file set is left as it was."""
+
+    def refused(self, tmp_path, counts, match):
+        path = tmp_path / "m.mtx"
+        write_matrix_market(CountMatrix.from_dense([[1, 2]], ["x"], ["a", "b"]), path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError, match=match):
+            write_matrix_market(counts, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_zero_dimension(self, tmp_path, shape):
+        counts = CountMatrix.from_dense(np.zeros(shape, dtype=np.int64))
+        self.refused(tmp_path, counts, f"{shape[0]}x{shape[1]}")
+
+    @pytest.mark.parametrize("kind", ["feature", "cell"])
+    def test_empty_id(self, tmp_path, kind):
+        ids = {"feature_ids": ["a", "b"], "cell_ids": ["c", "d"]}
+        ids[f"{kind}_ids"][1] = ""
+        counts = CountMatrix.from_dense([[1, 0], [0, 1]], **ids)
+        self.refused(tmp_path, counts, f"{kind} id 2 \\(''\\)")
+
+    @pytest.mark.parametrize("kind", ["feature", "cell"])
+    @pytest.mark.parametrize(
+        "bad", ["b\nc", "b\r", "\rb", "b\r\nc", "b\x0bc", "b\x0c", "b\x1cc", "b\x1d",
+                "b\x1e", "b\x85c", "b\u2028", "b\u2029c", "\n"]
+    )
+    def test_id_with_line_boundary(self, tmp_path, kind, bad):
+        ids = {"feature_ids": ["a", "z"], "cell_ids": ["c", "d"]}
+        ids[f"{kind}_ids"][1] = bad
+        counts = CountMatrix.from_dense([[1, 0], [0, 1]], **ids)
+        self.refused(tmp_path, counts, f"{kind} id 2 ")
+
+    def test_ids_without_line_boundary_read_back(self, tmp_path):
+        ids = ["a b", "\tc\t", "d\x1f", "é", "x\u200by"]
+        counts = CountMatrix.from_dense(np.eye(5, dtype=np.int64), ids, ids[::-1])
+        write_matrix_market(counts, tmp_path / "m.mtx")
+        again = read_matrix_market(tmp_path / "m.mtx")
+        assert again.feature_ids == tuple(ids) and again.cell_ids == tuple(ids[::-1])
 
 class TestDenseTsv:
     def test_basic(self, tmp_path):

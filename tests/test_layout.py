@@ -212,6 +212,18 @@ class TestOptimizeLayout:
         second = self.run_layout(points, seed=7)
         assert np.array_equal(first.coords, second.coords)
 
+    def test_n_neighbors_not_read(self):
+        """The graph fixes the neighbourhood; only the cli sizes it from
+        n_neighbors."""
+        points = three_clusters(seed=13)
+        graph = fuzzy_graph(*exact_knn(points, 10))
+        five, fifteen = (
+            optimize_layout(graph, points[:, :2], LayoutParams(n_neighbors=k), seed=7)
+            for k in (5, 15)
+        )
+        assert five.coords.tobytes() == fifteen.coords.tobytes()
+        assert five.edge_visits == fifteen.edge_visits
+
     def test_neighbourhood_preservation_beats_chance(self):
         points = three_clusters(seed=17)
         n = points.shape[0]
