@@ -325,28 +325,38 @@ def _resolve_out_dir(values: dict[str, Any], override: str | None) -> Path:
     return Path(target)
 
 
-def _peak_rss_mb() -> float | None:
-    """This process's peak resident set size so far (``VmHWM``) in MB, or
-    None where ``/proc/self/status`` cannot be read."""
+def _status_mb(key: str) -> float | None:
+    """The memory figure ``key`` (such as ``VmHWM``) of ``/proc/self/status``
+    in MB, or None where that file cannot be read."""
     try:
         with open("/proc/self/status") as status:
             for line in status:
-                if line.startswith("VmHWM:"):
+                if line.startswith(key + ":"):
                     return round(int(line.split()[1]) / 1024, 1)
     except OSError:
         pass
     return None
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size so far (``VmHWM``) in MB."""
+    return _status_mb("VmHWM")
+
+
+def _rss_mb() -> float | None:
+    """This process's resident set size now (``VmRSS``) in MB."""
+    return _status_mb("VmRSS")
+
+
 @contextlib.contextmanager
-def _stage(name: str, timings: dict[str, float], peaks: dict[str, float],
-           warned: list[dict[str, str]]):
+def _stage(name: str, record: dict[str, dict[str, float]], warned: list[dict[str, str]]):
     """Run the block as pipeline stage ``name``: any exception is re-raised
-    as StageError naming it; its wall time and the peak RSS at its end are
-    recorded under ``name``.  Each warning the active filters let through
-    is appended to ``warned`` as a {"stage", "category", "message"} row and
-    re-issued with the prefix "stage '<name>': ", also when the stage
-    fails."""
+    as StageError naming it.  Its wall time, and the peak RSS and the RSS at
+    its end where they can be read, are recorded under ``name`` in
+    ``record["timings_sec"]``, ``["peak_rss_mb"]`` and ``["rss_mb"]``.
+    Each warning the active filters let through is appended to ``warned``
+    as a {"stage", "category", "message"} row and re-issued with the prefix
+    "stage '<name>': ", also when the stage fails."""
     started = time.perf_counter()
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -364,10 +374,11 @@ def _stage(name: str, timings: dict[str, float], peaks: dict[str, float],
                 f"stage '{name}': {caught_warning.message}", caught_warning.category,
                 caught_warning.filename, caught_warning.lineno,
             )
-    timings[name] = round(time.perf_counter() - started, 6)
-    peak = _peak_rss_mb()
-    if peak is not None:
-        peaks[name] = peak
+    record["timings_sec"][name] = round(time.perf_counter() - started, 6)
+    for key, measure in (("peak_rss_mb", _peak_rss_mb), ("rss_mb", _rss_mb)):
+        value = measure()
+        if value is not None:
+            record[key][name] = value
 
 
 def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | None) -> dict:
@@ -384,17 +395,16 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
     input_path = _input_path(values)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics: dict[str, Any] = {"stages": {}}
-    timings: dict[str, float] = {}
-    peaks: dict[str, float] = {}
+    record: dict[str, dict[str, float]] = {"timings_sec": {}, "peak_rss_mb": {}, "rss_mb": {}}
     warned: list[dict[str, str]] = []
 
-    with _stage("ingest", timings, peaks, warned):
+    with _stage("ingest", record, warned):
         counts = _read_input(input_path, values["input.format"])
         metrics["stages"]["ingest"] = {
             "n_features": counts.n_features, "n_cells": counts.n_cells,
         }
 
-    with _stage("qc", timings, peaks, warned):
+    with _stage("qc", record, warned):
         if qc_config is not None:
             counts, report = qc.run_qc(counts, qc_config)
             write_atomic(out_dir / "qc_report.json", report.to_json())
@@ -402,7 +412,7 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
                 "n_features": counts.n_features, "n_cells": counts.n_cells,
             }
 
-    with _stage("features", timings, peaks, warned):
+    with _stage("features", record, warned):
         if values["features.enable"]:
             scores = features.dispersion_scores(counts)
             mask = features.select_top_k(scores, values["features.top_k"])
@@ -416,7 +426,7 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
                 "cells_dropped_empty": empty_cells,
             }
 
-    with _stage("spectral", timings, peaks, warned):
+    with _stage("spectral", record, warned):
         variant = values["spectral.variant"]
         if variant == "normalized":
             lap = spectral.normalized_laplacian(counts)
@@ -424,9 +434,14 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
             lap = spectral.random_walk_laplacian(counts)
         else:
             lap = spectral.adjacency_embedding_matrix(counts)
+        # the later stages need only the cell ids: free the counts before
+        # the embedding and the Laplacian after it
+        cell_ids = counts.cell_ids
+        del counts
         embedding = spectral.embed(lap, policy)
+        del lap
         write_atomic(out_dir / "embedding.tsv",
-                     spectral.embedding_to_tsv(embedding, counts.cell_ids))
+                     spectral.embedding_to_tsv(embedding, cell_ids))
         write_atomic(out_dir / "embedding.json",
                      spectral.embedding_sidecar_json(embedding))
         metrics["stages"]["spectral"] = {
@@ -436,7 +451,7 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
             "component_shares": [float(s) for s in embedding.component_shares],
         }
 
-    with _stage("neighbours", timings, peaks, warned):
+    with _stage("neighbours", record, warned):
         n_cells = embedding.coords.shape[0]
         knn_k = min(values["cluster.knn_k"], n_cells - 1)
         n_neighbors = 0
@@ -447,7 +462,7 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
         metrics["stages"]["neighbours"] = {"k": search_k}
         graph = community.knn_graph(indices[:, :knn_k])
 
-    with _stage("cluster", timings, peaks, warned):
+    with _stage("cluster", record, warned):
         method = values["cluster.method"]
         cluster_seed = values["cluster.seed"]
         cluster_info: dict[str, Any] = {"method": method, "knn_k": knn_k}
@@ -487,20 +502,20 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
                 ).labels
             cluster_info["n_clusters"] = labels.n_clusters
         write_atomic(out_dir / "labels.tsv",
-                     mixture.labels_to_tsv(counts.cell_ids, labels))
+                     mixture.labels_to_tsv(cell_ids, labels))
         metrics["stages"]["cluster"] = cluster_info
 
-    with _stage("modularity", timings, peaks, warned):
+    with _stage("modularity", record, warned):
         metrics["modularity_knn"] = community.modularity(graph, labels)
 
     if layout_params is not None:
-        with _stage("layout", timings, peaks, warned):
+        with _stage("layout", record, warned):
             fuzzy = layout.fuzzy_graph(indices[:, :n_neighbors], distances[:, :n_neighbors])
             layout2d = layout.optimize_layout(
                 fuzzy, embedding.coords[:, :2], layout_params, seed=values["layout.seed"]
             )
             write_atomic(out_dir / "layout.tsv",
-                         layout.layout_to_tsv(layout2d, counts.cell_ids))
+                         layout.layout_to_tsv(layout2d, cell_ids))
             metrics["stages"]["layout"] = {
                 "n_neighbors": n_neighbors,
                 "fuzzy_edges": fuzzy.n_edges,
@@ -509,9 +524,9 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
 
     if warned:
         metrics["warnings"] = warned
-    metrics["timings_sec"] = timings
-    if peaks:
-        metrics["peak_rss_mb"] = peaks
+    # timings_sec always has every stage; the RSS records are empty where
+    # /proc/self/status cannot be read, and left out then
+    metrics.update((key, values) for key, values in record.items() if values)
     write_atomic(out_dir / "metrics.json", json.dumps(metrics, indent=2))
     return metrics
 

@@ -137,6 +137,27 @@ def degrees(counts: CountMatrix) -> DegreeVectors:
     return DegreeVectors(row, col, total)
 
 
+# Entries per block of _row_blocks: 2**20 entries keep a block's per-entry
+# temporaries near 8 MB each, however many entries the matrix holds.
+_ROW_BLOCK_ENTRIES = 1 << 20
+
+
+def _row_blocks(indptr: np.ndarray):
+    """Consecutive row ranges of a CSR, ``(first, stop, lo, hi)`` each: rows
+    ``first:stop`` hold the entries ``lo:hi``.  A block takes rows while its
+    entries stay within ``_ROW_BLOCK_ENTRIES``, and always at least one row,
+    so a longer row is a block by itself.  Callers slice the CSR's arrays
+    with ``lo:hi``, which makes views, not copies."""
+    n_rows = indptr.size - 1
+    first = 0
+    while first < n_rows:
+        lo = int(indptr[first])
+        stop = int(np.searchsorted(indptr, lo + _ROW_BLOCK_ENTRIES, side="right")) - 1
+        stop = min(max(stop, first + 1), n_rows)
+        yield first, stop, lo, int(indptr[stop])
+        first = stop
+
+
 def submatrix(counts: CountMatrix, feature_mask, cell_mask) -> CountMatrix:
     """Restriction to the selected features and cells; entries unchanged."""
     feature_mask = np.asarray(feature_mask, dtype=bool)

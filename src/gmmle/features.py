@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core_matrix import CountMatrix
+from .core_matrix import CountMatrix, _row_blocks
 
 # Features whose mean is this close to 1 have log(m) ~ 0 and the ratio is
 # numerically meaningless; they are ranked last, as are features with m < 1
@@ -40,14 +40,21 @@ def dispersion_scores(counts: CountMatrix) -> list[FeatureScore]:
     if n < 2:
         raise ValueError("dispersion scores need at least 2 cells")
     csr = counts.csr()
-    # one float64 copy of the counts, sharing the CSR's index arrays; a
-    # matrix-vector product sums each row's entries in order, as a
-    # per-entry bincount would
-    values = sp.csr_matrix((csr.data.astype(np.float64), csr.indices, csr.indptr), shape=csr.shape)
     ones = np.ones(n)
-    sums = values @ ones
-    np.square(values.data, out=values.data)
-    sq_sums = values @ ones
+    sums = np.empty(counts.n_features)
+    sq_sums = np.empty(counts.n_features)
+    for first, stop, lo, hi in _row_blocks(csr.indptr):
+        # one float64 copy of a row block's counts, sharing the CSR's
+        # indices; a matrix-vector product sums each row's entries in
+        # order, as a per-entry bincount would
+        block = sp.csr_matrix(
+            (csr.data[lo:hi].astype(np.float64), csr.indices[lo:hi],
+             csr.indptr[first:stop + 1] - lo),
+            shape=(stop - first, n),
+        )
+        sums[first:stop] = block @ ones
+        np.square(block.data, out=block.data)
+        sq_sums[first:stop] = block @ ones
     # For a constant feature both terms are exactly representable and cancel
     # to 0.0; the clamp only absorbs rounding dust from genuine variation.
     means = sums / n

@@ -7,8 +7,10 @@ too large a share.  Filtering runs features-first, then cells, once each,
 with no iteration to a joint fixed point, so results are reproducible
 functions of the input and configuration.  The per-cell statistics count
 the features that pass the feature filter (every input feature with
-``cell_stats_on_raw``) and are read in place from the input matrix, which
-is then restricted once, to the passing features and cells.
+``cell_stats_on_raw``) and are read in place from the input matrix, one
+row block at a time over views of its arrays, so they need memory for one
+block, not for a copy of the matrix.  The matrix is then restricted once,
+to the passing features and cells.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy.sparse as sp
 
-from .core_matrix import CountMatrix, submatrix
+from .core_matrix import CountMatrix, _row_blocks, submatrix
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,14 @@ class QcConfig:
             value = getattr(self, name)
             if value is not None and not (0.0 < value <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1]")
+        # every feature id starts with "", so an empty prefix would mark
+        # every feature as mitochondrial or ribosomal
+        if self.mito_prefix == "":
+            raise ValueError("mito_prefix must not be empty")
+        if any(prefix == "" for prefix in self.ribo_prefixes):
+            raise ValueError(
+                f"ribo_prefixes must not hold an empty prefix, got {self.ribo_prefixes!r}"
+            )
 
 
 @dataclass
@@ -113,27 +124,20 @@ def _passing_cells(
     """filter_cells with every per-cell statistic counting only the features
     in the mask ``rows``, read in place from the CSR."""
     csr = counts.csr()
-    row_nnz = np.diff(csr.indptr)
 
     def column_sums(row_mask: np.ndarray) -> np.ndarray:
         # exact int64 sums over the masked rows, with no per-entry temporary
         return row_mask.astype(np.int64) @ csr
 
-    features_per_cell = np.bincount(
-        csr.indices[np.repeat(rows, row_nnz)], minlength=counts.n_cells
-    )
-    totals = column_sums(rows)
-    safe_totals = np.where(totals > 0, totals, 1).astype(np.float64)
-
-    ok_min_features = features_per_cell >= cfg.min_features_per_cell
-
     exclude = set(cfg.top_share_exclude)
     candidates = rows & np.array(
         [fid not in exclude for fid in counts.feature_ids], dtype=bool
     )
-    in_top = np.repeat(candidates, row_nnz)
-    top_counts = np.zeros(counts.n_cells, dtype=np.int64)
-    np.maximum.at(top_counts, csr.indices[in_top], csr.data[in_top])
+    features_per_cell, top_counts = _cell_counts(csr, rows, candidates)
+    totals = column_sums(rows)
+    safe_totals = np.where(totals > 0, totals, 1).astype(np.float64)
+
+    ok_min_features = features_per_cell >= cfg.min_features_per_cell
     # Denominator is always the full cell total; the exclusion list only
     # removes candidates for the numerator's maximum.
     ok_top_share = (top_counts / safe_totals) < cfg.max_top_share
@@ -155,6 +159,40 @@ def _passing_cells(
         report.cells_failed_ribo_share = int((~ok_ribo).sum())
 
     return ok_min_features & ok_top_share & ok_mito & ok_ribo
+
+
+def _cell_counts(
+    csr: sp.csr_matrix, rows: np.ndarray, candidates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell, the number of features in the mask ``rows`` it expresses
+    and its largest count among the features in ``candidates``, both int64.
+
+    Read one row block at a time: a block whose rows are all in a mask is
+    used as the CSR's own slices, so no per-entry copy of the whole matrix
+    is made.
+    """
+    n_cells = csr.shape[1]
+    features_per_cell = np.zeros(n_cells, dtype=np.int64)
+    top_counts = np.zeros(n_cells, dtype=np.int64)
+    for first, stop, lo, hi in _row_blocks(csr.indptr):
+        row_nnz = np.diff(csr.indptr[first:stop + 1])
+        (cells,) = _entries_of(rows[first:stop], row_nnz, csr.indices[lo:hi])
+        features_per_cell += np.bincount(cells, minlength=n_cells)
+        cells, values = _entries_of(
+            candidates[first:stop], row_nnz, csr.indices[lo:hi], csr.data[lo:hi]
+        )
+        np.maximum.at(top_counts, cells, values)
+    return features_per_cell, top_counts
+
+
+def _entries_of(row_mask: np.ndarray, row_nnz: np.ndarray, *arrays: np.ndarray):
+    """The entries of ``arrays`` (one row block's slices of CSR arrays) that
+    lie in the rows of ``row_mask``: the slices themselves when every row is
+    in it."""
+    if row_mask.all():
+        return arrays
+    in_rows = np.repeat(row_mask, row_nnz)
+    return tuple(values[in_rows] for values in arrays)
 
 
 def run_qc(counts: CountMatrix, cfg: QcConfig | None = None) -> tuple[CountMatrix, QcReport]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core_matrix import CountMatrix, degrees
+from .core_matrix import CountMatrix, _row_blocks, degrees
 from .rng import CounterRng
 
 _OVERSAMPLE = 10
@@ -53,6 +53,11 @@ class NormalizedLaplacian:
     """Rescaled count matrix: symmetric degree normalization, row-stochastic,
     or none (adjacency-space embedding).  ``frobenius_sq`` is the sum of
     squared stored entries.
+
+    ``matrix`` holds its own float64 data but shares its ``indices`` and
+    ``indptr`` arrays with the count matrix it was made from, so it must
+    not be mutated: a change to its structure would change that count
+    matrix too.
     """
 
     matrix: sp.csr_matrix
@@ -77,12 +82,18 @@ def _require_positive_degrees(counts: CountMatrix) -> tuple[np.ndarray, np.ndarr
 
 
 def _rescaled(counts: CountMatrix, row_scale, col_scale) -> NormalizedLaplacian:
-    """X[i, j] * row_scale[i] * col_scale[j], scaling a float copy of the
-    canonical CSR's data; a scale of ones is exact, since x * 1.0 == x."""
-    matrix = counts.csr().astype(np.float64)
-    matrix.data *= np.repeat(row_scale, np.diff(matrix.indptr))
-    matrix.data *= col_scale[matrix.indices]
-    return NormalizedLaplacian(matrix, float(np.sum(matrix.data * matrix.data)))
+    """X[i, j] * row_scale[i] * col_scale[j]: a float64 copy of the canonical
+    CSR's data, scaled one row block at a time, over the CSR's own index
+    arrays.  A scale of ones is exact, since x * 1.0 == x."""
+    csr = counts.csr()
+    data = np.empty(csr.nnz)
+    for first, stop, lo, hi in _row_blocks(csr.indptr):
+        block = data[lo:hi]
+        block[:] = csr.data[lo:hi]
+        block *= np.repeat(row_scale[first:stop], np.diff(csr.indptr[first:stop + 1]))
+        block *= col_scale[csr.indices[lo:hi]]
+    matrix = sp.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
+    return NormalizedLaplacian(matrix, float(np.sum(data * data)))
 
 
 def normalized_laplacian(counts: CountMatrix) -> NormalizedLaplacian:

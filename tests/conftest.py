@@ -10,6 +10,15 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 
+def pytest_report_header(config):
+    """Name the package under test: this checkout's ``src`` comes first on
+    the path whatever PYTHONPATH says, so run the suite inside the checkout
+    you mean to test."""
+    import gmmle
+
+    return f"gmmle under test: {gmmle.__file__}"
+
+
 def entry_set(matrix) -> set[tuple[int, int, int]]:
     """A CountMatrix's stored entries as (feature, cell, count) triples."""
     coo = matrix.csr().tocoo()

@@ -309,12 +309,14 @@ class TestPipelineCommand:
         for resolution in ("nan", "inf", "0", "-1")
     ] + [
         ("counts.mtx", "nope.mtx", "input.path does not exist"),
+        ("qc.max_mito_share = none", "qc.max_mito_share = 0.1\nqc.mito_prefix =",
+         "config key qc.mito_prefix must not be empty"),
     ], ids=[
         "layout-epochs", "bic-without-range", "bic-without-gmm", "qc-top-share",
         "energy-zero", "energy-above-one", "top-k", "cluster-k", "knn-k", "k-range",
         "k-range-empty", "k-range-empty-list",
         "resolution-nan", "resolution-inf", "resolution-zero", "resolution-negative",
-        "missing-input",
+        "missing-input", "mito-prefix-empty",
     ])
     def test_rejected_config_creates_no_out_dir(
         self, sim_dir, tmp_path, capsys, old, new, message
@@ -618,6 +620,20 @@ class TestPipelineCommand:
         values = list(peaks.values())
         assert values[0] > 0 and values == sorted(values)
 
+    def test_rss_recorded_per_stage(self, sim_dir, tmp_path):
+        out = tmp_path / "rss"
+        conf = write_config(
+            tmp_path, "rss.conf", PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
+        )
+        assert main(["pipeline", "--config", conf]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        if cli._rss_mb() is None:
+            pytest.skip("/proc/self/status cannot be read here")
+        rss, peaks = metrics["rss_mb"], metrics["peak_rss_mb"]
+        assert list(rss) == list(metrics["timings_sec"])
+        # what a stage keeps, never above the high-water mark read after it
+        assert all(0 < rss[stage] <= peaks[stage] for stage in rss)
+
     def test_peak_rss_left_out_where_proc_cannot_be_read(
         self, sim_dir, tmp_path, monkeypatch
     ):
@@ -627,6 +643,7 @@ class TestPipelineCommand:
         with monkeypatch.context() as patch:
             patch.setattr("builtins.open", unreadable)
             assert cli._peak_rss_mb() is None
+            assert cli._rss_mb() is None
         monkeypatch.setattr(cli, "_peak_rss_mb", lambda: None)
         out = tmp_path / "no_proc"
         conf = write_config(
@@ -636,6 +653,17 @@ class TestPipelineCommand:
         metrics = json.loads((out / "metrics.json").read_text())
         assert "peak_rss_mb" not in metrics
         assert "ingest" in metrics["timings_sec"]
+
+    def test_rss_left_out_where_proc_cannot_be_read(self, sim_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_status_mb", lambda key: None)
+        out = tmp_path / "no_proc_rss"
+        conf = write_config(
+            tmp_path, "no_proc_rss.conf", PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
+        )
+        assert main(["pipeline", "--config", conf]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert "rss_mb" not in metrics and "peak_rss_mb" not in metrics
+        assert list(metrics)[-1] == "timings_sec"
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -556,6 +556,32 @@ class TestDegreesAndSubmatrix:
             CountMatrix._from_canonical(csr, ["a", "b"], ["x"])
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("block", [1, 2, 7, 1 << 20])
+    @pytest.mark.parametrize("row_nnz", [
+        [], [0], [0, 0, 0], [3, 0, 9, 1, 1, 1, 0, 12, 2], [7, 7, 7], [1] * 20,
+    ])
+    def test_blocks_tile_the_rows(self, monkeypatch, block, row_nnz):
+        monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", block)
+        indptr = np.concatenate([[0], np.cumsum(row_nnz, dtype=np.int64)]).astype(np.int32)
+        blocks = list(core_matrix._row_blocks(indptr))
+        # consecutive, covering every row once, with the entry range of those rows
+        rows = [row for first, stop, _, _ in blocks for row in range(first, stop)]
+        assert rows == list(range(len(row_nnz)))
+        for first, stop, lo, hi in blocks:
+            assert first < stop and (lo, hi) == (indptr[first], indptr[stop])
+            # within the block size, unless it is one longer row
+            assert hi - lo <= block or stop == first + 1
+            # and as long as the block size allows
+            assert stop == len(row_nnz) or indptr[stop + 1] - lo > block
+
+    def test_block_arrays_are_views(self):
+        csr = CountMatrix.from_dense(np.arange(12).reshape(3, 4)).csr()
+        [(first, stop, lo, hi)] = core_matrix._row_blocks(csr.indptr)
+        assert (first, stop, lo, hi) == (0, 3, 0, 11)
+        assert np.shares_memory(csr.indices[lo:hi], csr.indices)
+
+
 def is_canonical(csr) -> bool:
     """Sorted column indices with no repeats in every row, positive int64
     data; checked on a fresh matrix, so no cached scipy flag answers."""

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
+from gmmle import core_matrix
 from gmmle.core_matrix import CountMatrix
-from gmmle.features import FeatureScore, dispersion_scores, select_top_k
+from gmmle.features import MEAN_ONE_GUARD, FeatureScore, dispersion_scores, select_top_k
+from test_mm_reader import block_counts, csr_bytes, traced_peak
 
 
 def scores_of(dense):
@@ -111,6 +115,59 @@ class TestDispersionScores:
         got = dispersion_scores(counts)
         assert np.array([s.mean for s in got]).tobytes() == means.tobytes()
         assert np.array([s.variance for s in got]).tobytes() == variances.tobytes()
+
+
+def reference_dispersion_scores(counts):
+    """dispersion_scores as it was before the row-block walk: one float64
+    copy of all the counts, summed by two whole-matrix products."""
+    n = counts.n_cells
+    csr = counts.csr()
+    values = sp.csr_matrix((csr.data.astype(np.float64), csr.indices, csr.indptr), shape=csr.shape)
+    ones = np.ones(n)
+    sums = values @ ones
+    np.square(values.data, out=values.data)
+    sq_sums = values @ ones
+    means = sums / n
+    variances = np.maximum(sq_sums / n - means * means, 0.0)
+    scores = np.full(counts.n_features, -np.inf)
+    usable = (variances > 0.0) & (means > 1.0 + MEAN_ONE_GUARD)
+    scores[usable] = np.log(variances[usable]) / np.log(means[usable])
+    phi = np.full(counts.n_features, math.nan)
+    positive = means > 0
+    phi[positive] = (variances[positive] - means[positive]) / (means[positive] ** 2)
+    return [
+        FeatureScore(float(m), float(v), float(s), float(p))
+        for m, v, s, p in zip(means, variances, scores, phi)
+    ]
+
+
+class TestRowBlockWalk:
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scores_equal_the_whole_matrix_form(self, monkeypatch, block, seed):
+        if block is not None:
+            monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(seed)
+        dense = rng.poisson(0.7, size=(30, 40)) * rng.integers(1, 2**40, size=(30, 40))
+        dense[0, :5] = 2**53 - rng.integers(1, 1000, size=5)  # sums above 2**53
+        dense[3] = 0  # an empty row
+        dense[4] = rng.integers(1, 4, size=40)  # a row longer than a 7-entry block
+        counts = CountMatrix.from_dense(dense)
+        got, expected = (
+            np.array([(s.mean, s.variance, s.score, s.phi_hat) for s in scores])
+            for scores in (dispersion_scores(counts), reference_dispersion_scores(counts))
+        )
+        assert np.isfinite(got[:, 2]).any()
+        assert got.tobytes() == expected.tobytes()
+
+    def test_peak_memory_bounded_by_one_block(self, monkeypatch):
+        """One block's float64 copy, not the whole matrix's, which alone is
+        two thirds of the int64 CSR's size."""
+        monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", 1 << 14)
+        counts = block_counts()
+        scores, peak = traced_peak(dispersion_scores, counts)
+        assert len(scores) == counts.n_features
+        assert peak <= csr_bytes(counts) / 4
 
 
 class TestSelectTopK:

@@ -5,6 +5,7 @@ counts too) and the same gradient helpers."""
 import numpy as np
 import pytest
 
+from gmmle import layout
 from gmmle.community import CellGraph, exact_knn
 from gmmle.layout import (
     CURVE_A,
@@ -146,6 +147,27 @@ def test_layout_matches_add_at_reference(name, negative_samples, seed):
     if name == "signed_zero":
         x = expected[:, 0]
         assert (x == 0.0).all() and np.signbit(x).any() and not np.signbit(x).all()
+
+
+# Blocks of 1 and 7 pairs end inside an edge's run of samples (5 or 3 per
+# edge).  The default block is one block per side on these small fixtures;
+# on blobs_4d above it splits each side into many.
+@pytest.mark.parametrize("push_block", [1, 7, layout._PUSH_BLOCK])
+@pytest.mark.parametrize("negative_samples", [3, 5])
+@pytest.mark.parametrize("name", ["duplicated", "lattice", "signed_zero"])
+def test_push_blocks_match_add_at_reference(monkeypatch, name, negative_samples, push_block):
+    monkeypatch.setattr(layout, "_PUSH_BLOCK", push_block)
+    make, n_neighbors, epochs = FIXTURES[name]
+    points = make()
+    graph = fuzzy_graph(*exact_knn(points, n_neighbors))
+    params = LayoutParams(
+        n_neighbors=n_neighbors, epochs=min(epochs, 10), negative_samples=negative_samples
+    )
+    init = points[:, :2]
+    expected, visits, *_ = reference_optimize_layout(graph, init, params, seed=1)
+    got = optimize_layout(graph, init, params, seed=1)
+    assert got.coords.tobytes() == expected.tobytes()
+    assert got.edge_visits == visits
 
 
 def test_edge_visits_counts_due_edges():

@@ -4,8 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import entry_set
+from gmmle import core_matrix
 from gmmle.core_matrix import CountMatrix, submatrix
-from gmmle.qc import EmptyMatrixError, QcConfig, QcReport, filter_cells, filter_features, run_qc
+from gmmle.qc import (
+    EmptyMatrixError,
+    QcConfig,
+    QcReport,
+    _cell_counts,
+    filter_cells,
+    filter_features,
+    run_qc,
+)
+from test_mm_reader import block_counts, csr_bytes, traced_peak
 
 
 def feature_expressed_in(n_cells_expressed, n_cells_total):
@@ -221,6 +231,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             QcConfig(min_cells_per_feature=-1)
 
+    def test_empty_prefixes_rejected(self):
+        # "" starts every id: every feature would count as mitochondrial
+        # or ribosomal, so every cell's share would be 1.0
+        with pytest.raises(ValueError, match="^mito_prefix must not be empty"):
+            QcConfig(mito_prefix="")
+        with pytest.raises(ValueError, match="^ribo_prefixes must not hold an empty prefix"):
+            QcConfig(ribo_prefixes=("RPS", ""))
+        QcConfig(ribo_prefixes=())  # no prefix at all is no ribosomal feature
+
 
 # run_qc as it was before the cell statistics were read in place: the cell
 # rules run on a feature-filtered copy (or the input, with
@@ -371,3 +390,76 @@ class TestOneRestriction:
                        max_top_share=1.0, max_mito_share=None, max_ribo_share=None)
         out, _ = run_qc(cm, cfg)
         assert out is cm
+
+
+# The per-cell counts of _passing_cells as computed before the row-block
+# walk: whole-matrix entry masks through np.repeat, then a copy of the
+# selected indices and counts.  The oracle of _cell_counts.
+def reference_cell_counts(csr, rows, candidates):
+    row_nnz = np.diff(csr.indptr)
+    features_per_cell = np.bincount(
+        csr.indices[np.repeat(rows, row_nnz)], minlength=csr.shape[1]
+    )
+    in_top = np.repeat(candidates, row_nnz)
+    top_counts = np.zeros(csr.shape[1], dtype=np.int64)
+    np.maximum.at(top_counts, csr.indices[in_top], csr.data[in_top])
+    return features_per_cell, top_counts
+
+
+def walker_counts():
+    """40 features x 30 cells with an empty row, a row longer than a
+    7-entry block and MALAT1 rows for the exclusion list to hit."""
+    rng = np.random.default_rng(11)
+    dense = rng.poisson(0.8, size=(40, 30)) * rng.integers(1, 60, size=(40, 30))
+    dense[5] = 0
+    dense[9] = rng.integers(1, 9, size=30)
+    dense[12, :4] = 500  # the top count of four cells, when not excluded
+    ids = [f"g{i}" for i in range(40)]
+    ids[12], ids[20] = "MALAT1", "MT-CO1"
+    return CountMatrix.from_dense(dense, feature_ids=ids)
+
+
+class TestRowBlockWalk:
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("masks", ["all", "none", "split", "excluded"])
+    def test_cell_counts_equal_the_masked_copy_form(self, monkeypatch, block, masks):
+        if block is not None:
+            monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", block)
+        counts = walker_counts()
+        n = counts.n_features
+        rows = {
+            "all": np.ones(n, dtype=bool),
+            "none": np.zeros(n, dtype=bool),
+            # changes inside every block of 7 entries, and inside the default block
+            "split": np.arange(n) % 3 != 1,
+            "excluded": np.ones(n, dtype=bool),
+        }[masks]
+        candidates = rows.copy()
+        if masks == "excluded":
+            candidates[[12, 20]] = False
+        got = _cell_counts(counts.csr(), rows, candidates)
+        expected = reference_cell_counts(counts.csr(), rows, candidates)
+        for g, e in zip(got, expected):
+            assert g.dtype == np.int64 and np.array_equal(g, e)
+        if masks == "excluded":
+            # the exclusion changed the top count of the cells MALAT1 tops
+            full = reference_cell_counts(counts.csr(), rows, rows)[1]
+            assert (full[:4] == 500).all() and (expected[1][:4] < 500).all()
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_run_qc_outcome_independent_of_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", block)
+        for seed in range(100):
+            counts, cfg = random_qc_case(seed)
+            assert qc_outcome(run_qc, counts, cfg) == qc_outcome(reference_run_qc, counts, cfg)
+
+    def test_peak_memory_bounded_by_one_block(self, monkeypatch):
+        """The statistics need one block's temporaries.  Whole-matrix masks
+        and copies (int32 indices become 8-byte bincount input) took more
+        than half the CSR's size on this matrix."""
+        monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", 1 << 14)
+        counts = block_counts()
+        cfg = QcConfig(min_cells_per_feature=1, min_features_per_cell=1, max_top_share=1.0)
+        (out, report), peak = traced_peak(lambda c: run_qc(c, cfg), counts)
+        assert out is counts and report.cells_removed == 0
+        assert peak <= csr_bytes(counts) / 4

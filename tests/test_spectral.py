@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gmmle.core_matrix import CountMatrix
+from gmmle import core_matrix
+from gmmle.core_matrix import CountMatrix, degrees
 from gmmle.spectral import (
     EmbedPolicy,
     Embedding,
@@ -18,6 +19,7 @@ from gmmle.spectral import (
     random_walk_laplacian,
     truncated_svd,
 )
+from test_mm_reader import block_counts, traced_peak
 
 
 def random_counts(rng, p, n, low=1, high=6):
@@ -249,3 +251,64 @@ class TestAdjacencyVariant:
         lap = adjacency_embedding_matrix(cm)
         _, values, _ = truncated_svd(lap, 2, seed=0)
         assert values == pytest.approx([9.0, 4.0])
+
+
+# The three rescalings as they were before the row-block walk: a float64
+# copy of the whole CSR (index arrays included), scaled by whole-matrix
+# per-entry factors.  The oracle of _rescaled.
+def reference_rescaled(counts, row_scale, col_scale):
+    matrix = counts.csr().astype(np.float64)
+    matrix.data *= np.repeat(row_scale, np.diff(matrix.indptr))
+    matrix.data *= col_scale[matrix.indices]
+    return matrix, float(np.sum(matrix.data * matrix.data))
+
+
+def reference_scales(counts, variant):
+    deg = degrees(counts)
+    rows, cols = deg.row_degrees.astype(np.float64), deg.col_degrees.astype(np.float64)
+    if variant is normalized_laplacian:
+        return 1.0 / np.sqrt(rows), 1.0 / np.sqrt(cols)
+    if variant is random_walk_laplacian:
+        return 1.0 / rows, np.ones_like(cols)
+    return np.ones_like(rows), np.ones_like(cols)
+
+
+VARIANTS = [normalized_laplacian, random_walk_laplacian, adjacency_embedding_matrix]
+
+
+class TestRowBlockWalk:
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_equals_the_whole_matrix_form(self, monkeypatch, variant, block):
+        if block is not None:
+            monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(4)
+        dense = rng.poisson(0.9, size=(30, 45)) * rng.integers(1, 1000, size=(30, 45))
+        dense[:, 0] = 1  # every row and column has a positive degree
+        dense[0] = 1
+        dense[6] = rng.integers(1, 50, size=45)  # a row longer than a 7-entry block
+        counts = CountMatrix.from_dense(dense)
+        lap = variant(counts)
+        expected, frobenius_sq = reference_rescaled(counts, *reference_scales(counts, variant))
+        assert lap.matrix.data.tobytes() == expected.data.tobytes()
+        assert np.array_equal(lap.matrix.indices, expected.indices)
+        assert np.array_equal(lap.matrix.indptr, expected.indptr)
+        assert lap.matrix.shape == expected.shape
+        assert lap.frobenius_sq == frobenius_sq
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_index_arrays_shared_with_the_counts(self, variant):
+        counts = CountMatrix.from_dense([[1, 0, 2], [3, 4, 0]])
+        matrix = variant(counts).matrix
+        assert np.shares_memory(matrix.indices, counts.csr().indices)
+        assert np.shares_memory(matrix.indptr, counts.csr().indptr)
+
+    def test_peak_memory_bounded_by_its_own_data(self, monkeypatch):
+        """The float64 data and the one squared copy that frobenius_sq sums;
+        copying the index arrays and whole-matrix scale factors took 20
+        bytes per entry at the peak."""
+        monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", 1 << 14)
+        counts = block_counts()
+        lap, peak = traced_peak(normalized_laplacian, counts)
+        assert lap.matrix.nnz == counts.nnz
+        assert peak <= 2.1 * lap.matrix.data.nbytes
