@@ -181,6 +181,7 @@ PIPELINE_SCHEMA = Schema(
         "cluster.knn_k": 20,
         "cluster.resolution": 1.0,
         "layout.enable": True,
+        "layout.n_neighbors": 15,
         "layout.seed": 0,
     },
 )
@@ -257,6 +258,12 @@ def _stage_config(cls, values: dict[str, Any], section: str):
         raise ConfigError(f"config key {section}.{err}") from None
 
 
+def _check_at_least_one(values: dict[str, Any], keys: list[str]) -> None:
+    for key in keys:
+        if values[key] < 1:
+            raise ConfigError(f"config key {key} must be >= 1, got {values[key]!r}")
+
+
 def build_stage_configs(
     values: dict[str, Any],
 ) -> tuple[qc.QcConfig | None, spectral.EmbedPolicy, layout.LayoutParams | None]:
@@ -278,9 +285,7 @@ def build_stage_configs(
         at_least_one.append("features.top_k")
     if strategy == "fixed" and values["cluster.method"] != "louvain":
         at_least_one.append("cluster.k")
-    for key in at_least_one:
-        if values[key] < 1:
-            raise ConfigError(f"config key {key} must be >= 1, got {values[key]!r}")
+    _check_at_least_one(values, at_least_one)
     if strategy == "bic" and min(values["cluster.k_range"]) < 1:
         raise ConfigError(
             "config key cluster.k_range must hold values >= 1, "
@@ -294,10 +299,10 @@ def build_stage_configs(
             f"config key cluster.resolution must be finite and > 0, got {resolution!r}"
         )
 
-    layout_params = (
-        _stage_config(layout.LayoutParams, values, "layout")
-        if values["layout.enable"] else None
-    )
+    layout_params = None
+    if values["layout.enable"]:
+        _check_at_least_one(values, ["layout.n_neighbors"])
+        layout_params = _stage_config(layout.LayoutParams, values, "layout")
     return qc_config, policy, layout_params
 
 
@@ -456,7 +461,7 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
         knn_k = min(values["cluster.knn_k"], n_cells - 1)
         n_neighbors = 0
         if layout_params is not None:
-            n_neighbors = min(layout_params.n_neighbors, n_cells - 1)
+            n_neighbors = min(values["layout.n_neighbors"], n_cells - 1)
         search_k = max(knn_k, n_neighbors)
         indices, distances = community.exact_knn(embedding.coords, search_k)
         metrics["stages"]["neighbours"] = {"k": search_k}
@@ -466,7 +471,6 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
         method = values["cluster.method"]
         cluster_seed = values["cluster.seed"]
         cluster_info: dict[str, Any] = {"method": method, "knn_k": knn_k}
-        model = None
         if method == "louvain":
             labels = community.louvain(
                 graph, seed=cluster_seed, resolution=values["cluster.resolution"]
@@ -476,30 +480,28 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
         else:
             strategy = values["cluster.k_strategy"]
             if strategy == "fixed":
-                chosen = values["cluster.k"]
+                ks = (values["cluster.k"],)
             elif strategy == "d_plus_one":
-                chosen = embedding.dimension + 1
+                ks = (embedding.dimension + 1,)
             else:
-                selection = mixture.select_k(
-                    embedding.coords, values["cluster.k_range"], seed=cluster_seed
-                )
-                model, labels = selection.model, selection.labels
-                cluster_info["bic_table"] = [
-                    {"k": row.n_clusters, "log_likelihood": row.log_likelihood,
-                     "bic": row.bic}
-                    for row in selection.diagnostics
-                ]
+                ks = values["cluster.k_range"]
             if method == "gmm":
-                if model is None:
-                    model, labels = mixture.fit_gmm(embedding.coords, chosen, seed=cluster_seed)
-                cluster_info["log_likelihood"] = model.log_likelihood
-                cluster_info["bic"] = mixture.bic(model, embedding.coords.shape[0])
+                selection = mixture.select_k(embedding.coords, ks, seed=cluster_seed)
+                labels = selection.labels
+                if strategy == "bic":
+                    cluster_info["bic_table"] = [
+                        {"k": row.n_clusters, "log_likelihood": row.log_likelihood,
+                         "bic": row.bic}
+                        for row in selection.diagnostics
+                    ]
+                chosen = next(row for row in selection.diagnostics
+                              if row.n_clusters == selection.n_clusters)
+                cluster_info["log_likelihood"] = chosen.log_likelihood
+                cluster_info["bic"] = chosen.bic
                 write_atomic(out_dir / "model.json",
-                             mixture.model_to_json(model, embedding.coords.shape[0]))
+                             mixture.model_to_json(selection.model, n_cells))
             else:
-                labels = mixture.fit_kmeans(
-                    embedding.coords, chosen, seed=cluster_seed
-                ).labels
+                labels = mixture.fit_kmeans(embedding.coords, ks[0], seed=cluster_seed).labels
             cluster_info["n_clusters"] = labels.n_clusters
         write_atomic(out_dir / "labels.tsv",
                      mixture.labels_to_tsv(cell_ids, labels))

@@ -60,22 +60,13 @@ class LayoutDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class LayoutParams:
-    """Layout settings.
+    """Optimization settings; the neighbourhood size is fixed by the graph."""
 
-    ``n_neighbors`` sizes the graph, not the optimization:
-    ``optimize_layout`` takes a ready-made graph and never reads it.
-    ``cli.run_pipeline`` uses it (clamped to cells − 1) to size the
-    neighbour search and the ``fuzzy_graph`` it passes in; a library
-    caller sizes ``fuzzy_graph``'s input itself.
-    """
-
-    n_neighbors: int = 15
     epochs: int = 200
     negative_samples: int = 5
 
     def __post_init__(self):
         for name, valid, rule in (
-            ("n_neighbors", self.n_neighbors >= 1, ">= 1"),
             ("epochs", self.epochs >= 1, ">= 1"),
             ("negative_samples", self.negative_samples >= 0, ">= 0"),
         ):
@@ -130,14 +121,13 @@ def _attraction(dx: np.ndarray, dy: np.ndarray, a: float, b: float):
     ``(dx, dy)``, one pair per element; exactly +0.0 where the points
     coincide."""
     dist_sq = dx * dx + dy * dy
-    gx = np.zeros_like(dx)
-    gy = np.zeros_like(dy)
+    # np.power, not **: on a single pair's numpy scalar ** rounds through a
+    # scalar pow that can differ by an ulp from the array loop of the epoch.
+    # Coincident pairs divide by zero here; np.where discards their values.
     moving = dist_sq > 0.0
-    d_sq = dist_sq[moving]
-    coeff = 2.0 * a * b * d_sq ** (b - 1.0) / (1.0 + a * d_sq**b)
-    gx[moving] = coeff * dx[moving]
-    gy[moving] = coeff * dy[moving]
-    return gx, gy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coeff = 2.0 * a * b * np.power(dist_sq, b - 1.0) / (1.0 + a * np.power(dist_sq, b))
+        return np.where(moving, coeff * dx, 0.0), np.where(moving, coeff * dy, 0.0)
 
 
 def _push(dx: np.ndarray, dy: np.ndarray, a: float, b: float):
@@ -250,9 +240,6 @@ def optimize_layout(
     and scaled by a learning rate decaying linearly from INITIAL_ALPHA
     to 0.  Deterministic for a fixed seed.  Edges of weight 0 are never
     due; a graph with no positive weight returns ``init`` unchanged.
-    Of ``params`` only ``epochs`` and ``negative_samples`` are read: the
-    neighbourhood size is fixed by ``graph``, and ``params.n_neighbors``
-    has no effect here.
 
     A sampled point equal to its anchor (but not the anchor itself) gets a
     fixed kick apart; the anchor sampling itself gets no push.  Both tests

@@ -48,11 +48,12 @@ class KmeansResult:
 _EM_MAX_ITER = 500
 _EM_REL_TOL = 1e-8
 _KMEANS_MAX_ITER = 300
+# each covariance gets _RIDGE times its mean variance added to its diagonal
+_RIDGE = 1e-6
 
 
 @dataclass(frozen=True)
 class GmmConfig:
-    ridge: float = 1e-6
     n_init: int = 5
 
 
@@ -191,15 +192,15 @@ def log_responsibilities(points, weights, means, covariances):
     return weighted - point_log_density[:, None], point_log_density
 
 
-def _regularized_covariance(cov: np.ndarray, ridge: float, fallback_scale: float) -> np.ndarray:
+def _regularized_covariance(cov: np.ndarray, fallback_scale: float) -> np.ndarray:
     d = cov.shape[0]
     scale = np.trace(cov) / d
     if scale <= 0.0:
         scale = fallback_scale
-    return cov + (ridge * scale) * np.eye(d)
+    return cov + (_RIDGE * scale) * np.eye(d)
 
 
-def _fit_gmm_once(points: np.ndarray, n_components: int, seed: int, cfg: GmmConfig):
+def _fit_gmm_once(points: np.ndarray, n_components: int, seed: int):
     n, d = points.shape
     km = fit_kmeans(points, n_components, seed)
     overall_scale = float(np.trace(np.cov(points.T, bias=True).reshape(d, d)) / d) or 1.0
@@ -213,7 +214,7 @@ def _fit_gmm_once(points: np.ndarray, n_components: int, seed: int, cfg: GmmConf
         means[k] = member.mean(axis=0)
         centered = member - means[k]
         covariances[k] = _regularized_covariance(
-            centered.T @ centered / member.shape[0], cfg.ridge, overall_scale
+            centered.T @ centered / member.shape[0], overall_scale
         )
 
     history: list[float] = []
@@ -237,7 +238,7 @@ def _fit_gmm_once(points: np.ndarray, n_components: int, seed: int, cfg: GmmConf
         for k in range(n_components):
             centered = points - means[k]
             cov = (resp[:, k] * centered.T) @ centered / bulk[k]
-            covariances[k] = _regularized_covariance(cov, cfg.ridge, overall_scale)
+            covariances[k] = _regularized_covariance(cov, overall_scale)
     else:
         # stopped by the cap: the last M-step moved the parameters past the
         # loop's last E-step; a converged fit already holds its final E-step
@@ -278,7 +279,7 @@ def fit_gmm(
 
     best: tuple[GmmModel, np.ndarray] | None = None
     for restart in range(cfg.n_init):
-        model, labels = _fit_gmm_once(points, n_components, seed + restart, cfg)
+        model, labels = _fit_gmm_once(points, n_components, seed + restart)
         if best is None or model.log_likelihood > best[0].log_likelihood:
             best = (model, labels)
     model, labels = best
@@ -323,16 +324,17 @@ def select_k(
     seed: int = 0,
     cfg: GmmConfig | None = None,
 ) -> KSelection:
-    """Choose the component count as the argmin BIC over k_values (ties to
-    the smaller K).
+    """Fit a mixture at each K of k_values with ``fit_gmm`` and choose the
+    argmin BIC (ties to the smaller K).
 
     A (K, logL, BIC) diagnostics row is returned for every fitted K,
-    together with the chosen K's fitted model and labels.
+    together with the chosen K's fitted model and labels.  A single K
+    gives exactly ``fit_gmm``'s fit, so a fixed K is selected from one.
     """
     points = _as_points(coords)
     n = points.shape[0]
     if not k_values:
-        raise ValueError("bic selection needs a non-empty k range")
+        raise ValueError("k selection needs a non-empty k range")
 
     diagnostics = []
     fits = {}

@@ -46,6 +46,11 @@ class QcConfig:
             value = getattr(self, name)
             if value is not None and not (0.0 < value <= 1.0):
                 raise ValueError(f"{name} must lie in (0, 1]")
+        # a str would be iterated by character: "RPL" as the prefixes R, P, L
+        for name in ("top_share_exclude", "ribo_prefixes"):
+            value = getattr(self, name)
+            if isinstance(value, str):
+                raise ValueError(f"{name} must be a sequence of strings, not a str, got {value!r}")
         # every feature id starts with "", so an empty prefix would mark
         # every feature as mitochondrial or ribosomal
         if self.mito_prefix == "":

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from gmmle import mixture
 from gmmle.cli import main
 from gmmle.community import CellGraph, exact_knn, modularity
 from gmmle.core_matrix import CountMatrix
@@ -156,7 +157,7 @@ def test_criterion_04_em_monotonicity_and_closed_form():
     mean = points.mean(axis=0)
     centered = points - mean
     cov = centered.T @ centered / n
-    cov_r = cov + (cfg.ridge * np.trace(cov) / d) * np.eye(d)
+    cov_r = cov + (mixture._RIDGE * np.trace(cov) / d) * np.eye(d)
     _, logdet = np.linalg.slogdet(cov_r)
     maha = np.einsum("ij,jk,ik->i", centered, np.linalg.inv(cov_r), centered)
     closed_form = -0.5 * (n * d * math.log(2 * math.pi) + n * logdet + maha.sum())

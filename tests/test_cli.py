@@ -101,14 +101,24 @@ class TestConfigParsing:
         assert raw == {"input.path": "x"}
 
     def test_defaults_mirror_documented_values(self):
+        """Each default in README's key table is the value a config holding
+        only input.path runs with: its parsed key or the field of the stage
+        config built from it."""
         values = PIPELINE_SCHEMA.apply(parse_config_text("input.path = x\n"))
-        _, policy, layout_params = build_stage_configs(values)
-        assert values["features.top_k"] == 2000
-        assert policy.energy_threshold == 0.01
-        assert policy.drop_first is True
-        assert policy.scaling_mode == "sqrt"
-        assert layout_params.n_neighbors == 15
-        assert layout_params.epochs == 200
+        run_with = dict(values)
+        for section, config in zip(("qc", "spectral", "layout"), build_stage_configs(values)):
+            for f in fields(config):
+                run_with[f"{section}.{_KEY_SUFFIX.get(f.name, f.name)}"] = getattr(config, f.name)
+        documented = dict(readme_pipeline_keys())
+        assert set(documented) == set(PIPELINE_SCHEMA.converters)
+        for key, default in documented.items():
+            if default == "(required)":
+                assert key in PIPELINE_SCHEMA.required, key
+            elif default == "(none)":
+                assert key not in run_with, key
+            else:
+                literal = default.strip("`")
+                assert PIPELINE_SCHEMA.converters[key](literal) == run_with[key], key
 
 
 class TestSimulateCommand:

@@ -169,7 +169,6 @@ def test_curve_constants_match_fit_oracle():
 
 class TestLayoutParams:
     @pytest.mark.parametrize("field, value", [
-        ("n_neighbors", 0),
         ("epochs", 0),
         ("epochs", -5),
         ("negative_samples", -1),
@@ -179,16 +178,14 @@ class TestLayoutParams:
             LayoutParams(**{field: value})
 
     def test_smallest_valid_values_accepted(self):
-        params = LayoutParams(n_neighbors=1, epochs=1, negative_samples=0)
+        params = LayoutParams(epochs=1, negative_samples=0)
         assert params.negative_samples == 0
 
 
 class TestOptimizeLayout:
-    def run_layout(self, points, seed=0, **overrides):
-        params = LayoutParams(**overrides) if overrides else LayoutParams()
-        n_neighbors = min(params.n_neighbors, points.shape[0] - 1)
-        graph = fuzzy_graph(*exact_knn(points, n_neighbors))
-        return optimize_layout(graph, points[:, :2], params, seed=seed)
+    def run_layout(self, points, seed=0, n_neighbors=15):
+        graph = fuzzy_graph(*exact_knn(points, min(n_neighbors, points.shape[0] - 1)))
+        return optimize_layout(graph, points[:, :2], LayoutParams(), seed=seed)
 
     def test_two_blobs_stay_separated(self):
         rng = CounterRng(11)
@@ -211,18 +208,6 @@ class TestOptimizeLayout:
         first = self.run_layout(points, seed=7)
         second = self.run_layout(points, seed=7)
         assert np.array_equal(first.coords, second.coords)
-
-    def test_n_neighbors_not_read(self):
-        """The graph fixes the neighbourhood; only the cli sizes it from
-        n_neighbors."""
-        points = three_clusters(seed=13)
-        graph = fuzzy_graph(*exact_knn(points, 10))
-        five, fifteen = (
-            optimize_layout(graph, points[:, :2], LayoutParams(n_neighbors=k), seed=7)
-            for k in (5, 15)
-        )
-        assert five.coords.tobytes() == fifteen.coords.tobytes()
-        assert five.edge_visits == fifteen.edge_visits
 
     def test_neighbourhood_preservation_beats_chance(self):
         points = three_clusters(seed=17)

@@ -129,9 +129,7 @@ def test_layout_matches_add_at_reference(name, negative_samples, seed):
     make, n_neighbors, epochs = FIXTURES[name]
     points = make()
     graph = fuzzy_graph(*exact_knn(points, n_neighbors))
-    params = LayoutParams(
-        n_neighbors=n_neighbors, epochs=epochs, negative_samples=negative_samples
-    )
+    params = LayoutParams(epochs=epochs, negative_samples=negative_samples)
     init = points[:, :2]
     expected, visits, kicks, self_samples, coincident_edges = reference_optimize_layout(
         graph, init, params, seed
@@ -160,9 +158,7 @@ def test_push_blocks_match_add_at_reference(monkeypatch, name, negative_samples,
     make, n_neighbors, epochs = FIXTURES[name]
     points = make()
     graph = fuzzy_graph(*exact_knn(points, n_neighbors))
-    params = LayoutParams(
-        n_neighbors=n_neighbors, epochs=min(epochs, 10), negative_samples=negative_samples
-    )
+    params = LayoutParams(epochs=min(epochs, 10), negative_samples=negative_samples)
     init = points[:, :2]
     expected, visits, *_ = reference_optimize_layout(graph, init, params, seed=1)
     got = optimize_layout(graph, init, params, seed=1)

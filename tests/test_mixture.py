@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from gmmle.mixture import (
     select_k,
 )
 from gmmle.rng import CounterRng
+from gmmle.simulate import SbmConfig, sample_sbm
+from gmmle.spectral import embed, normalized_laplacian
 
 
 def same_partition(a, b) -> bool:
@@ -99,7 +102,7 @@ class TestGmm:
         mean = points.mean(axis=0)
         centered = points - mean
         cov = centered.T @ centered / n
-        cov_r = cov + (cfg.ridge * np.trace(cov) / d) * np.eye(d)
+        cov_r = cov + (mixture._RIDGE * np.trace(cov) / d) * np.eye(d)
         sign, logdet = np.linalg.slogdet(cov_r)
         maha = np.einsum("ij,jk,ik->i", centered, np.linalg.inv(cov_r), centered)
         expected = -0.5 * (n * d * math.log(2 * math.pi) + n * logdet + maha.sum())
@@ -165,7 +168,7 @@ class TestGmm:
             fit_gmm(np.zeros((3, 1)) + np.arange(3)[:, None], 4)
 
 
-def reference_fit_gmm_once(points, n_components, seed, cfg):
+def reference_fit_gmm_once(points, n_components, seed):
     """The EM loop as it stood before its last E-step was reused: every fit,
     converged or capped, ends with a fresh E-step after the loop."""
     n, d = points.shape
@@ -180,7 +183,7 @@ def reference_fit_gmm_once(points, n_components, seed, cfg):
         means[k] = member.mean(axis=0)
         centered = member - means[k]
         covariances[k] = mixture._regularized_covariance(
-            centered.T @ centered / member.shape[0], cfg.ridge, overall_scale
+            centered.T @ centered / member.shape[0], overall_scale
         )
     history = []
     converged = False
@@ -201,7 +204,7 @@ def reference_fit_gmm_once(points, n_components, seed, cfg):
         for k in range(n_components):
             centered = points - means[k]
             cov = (resp[:, k] * centered.T) @ centered / bulk[k]
-            covariances[k] = mixture._regularized_covariance(cov, cfg.ridge, overall_scale)
+            covariances[k] = mixture._regularized_covariance(cov, overall_scale)
     log_resp, point_log_density = log_responsibilities(points, weights, means, covariances)
     model = GmmModel(
         weights=weights,
@@ -230,19 +233,17 @@ class TestEmFinalEstep:
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_converged_fit_matches_reference_bit_for_bit(self, k):
         points, _ = four_blobs(seed=k, per_blob=40)
-        cfg = GmmConfig()
-        got = mixture._fit_gmm_once(points, k, 11, cfg)
+        got = mixture._fit_gmm_once(points, k, 11)
         assert got[0].converged
-        assert_same_fit(got, reference_fit_gmm_once(points, k, 11, cfg))
+        assert_same_fit(got, reference_fit_gmm_once(points, k, 11))
 
     @pytest.mark.parametrize("cap", [1, 3])
     def test_capped_fit_matches_reference_bit_for_bit(self, cap, monkeypatch):
         monkeypatch.setattr(mixture, "_EM_MAX_ITER", cap)
         points, _ = four_blobs(seed=5, per_blob=40)
-        cfg = GmmConfig()
-        got = mixture._fit_gmm_once(points, 5, 2, cfg)
+        got = mixture._fit_gmm_once(points, 5, 2)
         assert not got[0].converged and got[0].n_iterations == cap
-        assert_same_fit(got, reference_fit_gmm_once(points, 5, 2, cfg))
+        assert_same_fit(got, reference_fit_gmm_once(points, 5, 2))
 
     @pytest.mark.parametrize("cap", [None, 3])
     def test_estep_count(self, cap, monkeypatch):
@@ -256,7 +257,7 @@ class TestEmFinalEstep:
         if cap is not None:
             monkeypatch.setattr(mixture, "_EM_MAX_ITER", cap)
         points, _ = four_blobs(seed=5, per_blob=40)
-        model, _ = mixture._fit_gmm_once(points, 5, 2, GmmConfig())
+        model, _ = mixture._fit_gmm_once(points, 5, 2)
         assert model.converged == (cap is None)
         # a capped fit needs one E-step on the parameters of its last M-step
         assert len(calls) == model.n_iterations + (0 if model.converged else 1)
@@ -367,8 +368,8 @@ class TestEmptyComponents:
         points, _ = four_blobs(seed=1, per_blob=10)
         raw = np.array([3, 0, 3, 5, 0] * 8)  # components 1, 2 and 4 of 6 are empty
 
-        def fit_without_components(points, n_components, seed, cfg):
-            model, _ = reference_fit_gmm_once(points, n_components, seed, cfg)
+        def fit_without_components(points, n_components, seed):
+            model, _ = reference_fit_gmm_once(points, n_components, seed)
             return model, raw
 
         monkeypatch.setattr(mixture, "_fit_gmm_once", fit_without_components)
@@ -427,6 +428,35 @@ class TestSelectK:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
             select_k(np.zeros((5, 1)) + np.arange(5)[:, None], [])
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_one_k_is_exactly_fit_gmm(self, k):
+        """The pipeline fits every mixture through select_k, a fixed K as a
+        one-value range; at K = 8 the fit leaves two components empty."""
+        rates = np.full((3, 3), 0.5)
+        np.fill_diagonal(rates, 5.0)
+        # one gene per block and two counts per cell: 9 distinct cells
+        sample = sample_sbm(SbmConfig(rates, (1,) * 3, (20,) * 3, seed=0,
+                                      mode="multinomial", cell_total=2))
+        coords = embed(normalized_laplacian(sample.matrix)).coords
+        with warnings.catch_warnings(record=True) as direct_warnings:
+            warnings.simplefilter("always")
+            model, labels = fit_gmm(coords, k, seed=4)
+        with warnings.catch_warnings(record=True) as selected_warnings:
+            warnings.simplefilter("always")
+            selection = select_k(coords, (k,), seed=4)
+        messages = [str(w.message) for w in direct_warnings]
+        assert messages == [str(w.message) for w in selected_warnings]
+        assert messages == (["2 empty mixture component(s) dropped from the labeling"]
+                            if k == 8 else [])
+        assert selection.n_clusters == k
+        assert model_to_json(selection.model) == model_to_json(model)
+        assert selection.labels.labels.tobytes() == labels.labels.tobytes()
+        assert selection.labels.n_clusters == labels.n_clusters
+        (row,) = selection.diagnostics
+        assert row.n_clusters == k
+        assert row.log_likelihood == model.log_likelihood
+        assert row.bic == bic(model, coords.shape[0])
 
 
 class TestSerialization:

@@ -240,6 +240,15 @@ class TestConfigValidation:
             QcConfig(ribo_prefixes=("RPS", ""))
         QcConfig(ribo_prefixes=())  # no prefix at all is no ribosomal feature
 
+    @pytest.mark.parametrize("name, value", [
+        ("ribo_prefixes", "RPL"), ("top_share_exclude", "MALAT1"),
+    ])
+    def test_bare_str_rejected(self, name, value):
+        # iterated by character, "RPL" would count every id starting with R, P or L
+        with pytest.raises(ValueError, match=f"^{name} must be a sequence of strings"):
+            QcConfig(**{name: value})
+        QcConfig(**{name: (value,)})
+
 
 # run_qc as it was before the cell statistics were read in place: the cell
 # rules run on a feature-filtered copy (or the input, with
