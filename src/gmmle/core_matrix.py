@@ -206,16 +206,18 @@ def read_matrix_market(path) -> CountMatrix:
     Companion ``<stem>.features.txt`` / ``<stem>.cells.txt`` id files are
     used when present; synthetic ``f0..`` / ``c0..`` ids otherwise.
 
-    The body is parsed by an array pass, chunk by chunk.  Entries in
-    strictly increasing row-major order (the order ``write_matrix_market``
-    writes) become the CSR directly; any other order goes through the
-    duplicate check and a COO build.  A body the array pass does not accept
-    (comment lines, reals, bad or duplicate entries) is parsed again from
-    the top by the line parser, which gives the same result and is the only
-    path that reports errors, with their line numbers.
+    The body is parsed by an array pass, chunk by chunk, which returns a
+    canonical CSR or declines.  Entries in strictly increasing row-major
+    order (the order ``write_matrix_market`` writes) become the CSR
+    directly; any other order, and the line parser, which reads a body the
+    array pass declines (comment lines, reals, bad or duplicate entries)
+    again from the top, build it by ``_csr_from_entries``.  Only the line
+    parser reports errors, with their line numbers.
     """
     path = Path(path)
-    matrix = _read_counts_csr(path)
+    matrix = _parse_mm_array(path)
+    if matrix is None:
+        matrix = _parse_mm_lines(path)
     n_features, n_cells = matrix.shape
     feature_path, cell_path = _sidecar_paths(path)
     feature_ids = (
@@ -247,6 +249,51 @@ def _index_dtype(n_features: int, n_cells: int, nnz: int):
     return np.int32 if max(n_features, n_cells, nnz) <= np.iinfo(np.int32).max else np.int64
 
 
+def _csr_from_entries(shape, rows, cols, vals) -> sp.csr_matrix:
+    """Canonical CSR of coordinate entries that repeat no coordinate.
+
+    Zero values are dropped, as they are not counts.  The COO build sums
+    duplicates, and with none to sum its result is canonical.
+    """
+    keep = vals > 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape, dtype=np.int64)
+
+
+class _DenseRows:
+    """Canonical CSR of dense 2-D int64 row blocks, added in row order.
+
+    Each block keeps only its nonzeros, row-major, so columns come out
+    sorted and no sort is run.  ``csr`` joins one list at a time, so each
+    list's blocks are freed before the next is joined.
+    """
+
+    def __init__(self, n_cols: int):
+        self.n_cols = n_cols
+        self._row_nnz, self._indices, self._data = [], [], []
+
+    def add(self, block: np.ndarray) -> None:
+        nonzero = np.flatnonzero(block)
+        self._row_nnz.append(np.count_nonzero(block, axis=1))
+        self._indices.append((nonzero % self.n_cols).astype(_index_dtype(0, self.n_cols, 0)))
+        self._data.append(block.ravel()[nonzero])
+
+    def csr(self) -> sp.csr_matrix:
+        data = _joined(self._data)
+        row_nnz = _joined(self._row_nnz)
+        index_dtype = _index_dtype(row_nnz.size, self.n_cols, data.size)
+        indices = _joined(self._indices).astype(index_dtype, copy=False)
+        indptr = np.zeros(row_nnz.size + 1, dtype=index_dtype)
+        np.cumsum(row_nnz, out=indptr[1:])
+        return sp.csr_matrix((data, indices, indptr), shape=(row_nnz.size, self.n_cols))
+
+
+def _joined(blocks: list[np.ndarray]) -> np.ndarray:
+    """The blocks concatenated; the list is emptied, freeing them."""
+    joined = np.concatenate(blocks)
+    blocks.clear()
+    return joined
+
+
 def _text_chunks(handle):
     """Successive runs of whole lines from a text handle, ≈_CHUNK_CHARS
     characters each; every run but the last ends in a newline."""
@@ -273,49 +320,14 @@ def _load_chunk(lines: list[str], **options) -> np.ndarray:
         return np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None, **options)
 
 
-@dataclass
-class _Entries:
-    """Parsed coordinate body; zero-based indices in file order."""
-
-    n_features: int
-    n_cells: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    line_numbers: np.ndarray | None  # None from the array pass
-
-
-def _read_counts_csr(path: Path) -> sp.csr_matrix:
-    """Canonical count CSR of a MatrixMarket file; the parsed arrays die on
-    return."""
-    entries = _parse_mm_array(path)
-    if isinstance(entries, sp.csr_matrix):
-        return entries
-    if entries is None or _first_duplicate(entries) is not None:
-        entries = _parse_mm_lines(path)
-        dup = _first_duplicate(entries)
-        if dup is not None:
-            raise MatrixFormatError(
-                f"{path} line {entries.line_numbers[dup]}: duplicate coordinate "
-                f"({entries.rows[dup] + 1}, {entries.cols[dup] + 1})"
-            )
-    keep = entries.vals > 0
-    # the COO build sums duplicates, so its result is canonical
-    return sp.csr_matrix(
-        (entries.vals[keep], (entries.rows[keep], entries.cols[keep])),
-        shape=(entries.n_features, entries.n_cells),
-        dtype=np.int64,
-    )
-
-
-def _first_duplicate(entries: _Entries) -> int | None:
+def _first_duplicate(rows: np.ndarray, cols: np.ndarray, n_cells: int) -> int | None:
     """File position of the first entry repeating an earlier coordinate.
 
     A plain sort settles the usual no-duplicate case; ``np.unique`` with
     ``return_index`` (a stable argsort, ≈15x slower on unordered keys such
     as a column-major file) runs only to locate a duplicate.
     """
-    keys = entries.rows * np.int64(entries.n_cells) + entries.cols
+    keys = rows * np.int64(n_cells) + cols
     ordered = np.sort(keys)
     if not (ordered[1:] == ordered[:-1]).any():
         return None
@@ -379,18 +391,18 @@ def _read_mm_size(path: Path, handle) -> tuple[int, int, int, int]:
     return n_features, n_cells, nnz, line_no
 
 
-def _parse_mm_array(path: Path) -> sp.csr_matrix | _Entries | None:
-    """Body parsed chunk by chunk into nnz-length arrays, or None when the
-    line parser must decide.
+def _parse_mm_array(path: Path) -> sp.csr_matrix | None:
+    """Canonical count CSR of the body, parsed chunk by chunk into
+    nnz-length arrays, or None when the line parser must decide.
 
     On plain ASCII ``np.loadtxt`` reads digit integers only, a subset of
     what the line parser's ``int``/``float`` accept, so whatever it rejects
     (comments, reals, ``1_0``, ragged rows) goes to the line parser, as does
     any chunk with a non-ASCII character.  While the entries
     run in strictly increasing row-major order only per-row counts are
-    kept, and the result is a canonical CSR (strict order rules out
+    kept, and they become the CSR's ``indptr`` (strict order rules out
     duplicates).  From the first entry out of that order on, rows are
-    stored too and the result is the entries.
+    stored too, and a repeated coordinate makes the pass decline.
     """
     with path.open() as handle:
         n_features, n_cells, nnz, _ = _read_mm_size(path, handle)
@@ -435,7 +447,9 @@ def _parse_mm_array(path: Path) -> sp.csr_matrix | _Entries | None:
     if k != nnz:
         return None
     if rows is not None:
-        return _Entries(n_features, n_cells, rows, cols, vals, None)
+        if _first_duplicate(rows, cols, n_cells) is not None:
+            return None
+        return _csr_from_entries((n_features, n_cells), rows, cols, vals)
     indptr = np.zeros(n_features + 1, dtype=index_dtype)
     np.cumsum(row_counts, out=indptr[1:])
     csr = sp.csr_matrix((vals, cols, indptr), shape=(n_features, n_cells))
@@ -452,7 +466,7 @@ def _continues_row_major(last: tuple[int, int], rows: np.ndarray, cols: np.ndarr
     return bool(((row_step > 0) | ((row_step == 0) & (np.diff(cols) > 0))).all())
 
 
-def _parse_mm_lines(path: Path) -> _Entries:
+def _parse_mm_lines(path: Path) -> sp.csr_matrix:
     """Reference parser: one line at a time, errors name their line."""
     with path.open() as handle:
         n_features, n_cells, nnz, line_no = _read_mm_size(path, handle)
@@ -510,7 +524,13 @@ def _parse_mm_lines(path: Path) -> _Entries:
             raise MatrixFormatError(
                 f"{path}: declared {nnz} entries but found {k}"
             )
-    return _Entries(n_features, n_cells, rows, cols, vals, entry_lines)
+    dup = _first_duplicate(rows, cols, n_cells)
+    if dup is not None:
+        raise MatrixFormatError(
+            f"{path} line {entry_lines[dup]}: duplicate coordinate "
+            f"({rows[dup] + 1}, {cols[dup] + 1})"
+        )
+    return _csr_from_entries((n_features, n_cells), rows, cols, vals)
 
 
 # Entries formatted per slice by _matrix_market_pieces.  A slice's arrays
@@ -649,9 +669,10 @@ def read_dense_tsv(path) -> CountMatrix:
 
     A corner label in the header row is tolerated.  Only non-zero body
     entries are stored.  The body is parsed by an array pass, chunk by
-    chunk; a file that pass does not accept is parsed again from the top by
-    the line parser, which gives the same result and is the only path that
-    reports errors, with their line numbers.
+    chunk, which returns a canonical CSR, built by ``_DenseRows`` as the
+    simulator's is, or declines; a file it declines is parsed again from
+    the top by the line parser, which gives the same result and is the only
+    path that reports errors, with their line numbers.
     """
     path = Path(path)
     parsed = _parse_tsv_array(path)
@@ -671,15 +692,14 @@ def _parse_tsv_array(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]] |
     by chunk; None when the line parser must decide.
 
     A chunk's feature ids are the text before each line's first tab, and
-    its counts one ``np.loadtxt`` over the other fields.  Its nonzeros, in
-    row-major order, are appended to the CSR arrays.  On plain ASCII
+    its counts one ``np.loadtxt`` over the other fields, a row block of
+    the ``_DenseRows`` builder the simulator also uses.  On plain ASCII
     ``np.loadtxt`` accepts a subset of the integers that ``int`` does, so
     whatever it rejects goes to the line parser, as does any ragged row,
     negative count, non-ASCII text or odd control character.
     """
     header = None
     feature_ids: list[str] = []
-    row_nnz, indices, data = [], [], []
     with path.open() as handle:
         for text in _text_chunks(handle):
             if not text.isascii() or any(c in text for c in _TSV_ODD_ASCII):
@@ -693,6 +713,7 @@ def _parse_tsv_array(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]] |
                 n_cells = lines[0].count("\t")
                 if n_cells == 0 or len(header) not in (n_cells, n_cells + 1):
                     return None
+                counts = _DenseRows(n_cells)
             if any(line.count("\t") != n_cells for line in lines):
                 return None
             try:
@@ -702,19 +723,10 @@ def _parse_tsv_array(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]] |
             if table.min() < 0:
                 return None
             feature_ids.extend(line.partition("\t")[0] for line in lines)
-            nonzero = np.flatnonzero(table)
-            row_nnz.append(np.count_nonzero(table, axis=1))
-            indices.append((nonzero % n_cells).astype(_index_dtype(0, n_cells, 0)))
-            data.append(table.ravel()[nonzero])
+            counts.add(table)
     if not feature_ids:
         return None
-    # one list at a time, so its blocks are freed before the next is joined
-    data = np.concatenate(data)
-    index_dtype = _index_dtype(len(feature_ids), n_cells, data.size)
-    indices = np.concatenate(indices).astype(index_dtype, copy=False)
-    indptr = np.zeros(len(feature_ids) + 1, dtype=index_dtype)
-    np.cumsum(np.concatenate(row_nnz), out=indptr[1:])
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(len(feature_ids), n_cells))
+    matrix = counts.csr()
     cell_ids = header[1:] if len(header) == n_cells + 1 else header
     return matrix, feature_ids, cell_ids
 
@@ -772,9 +784,6 @@ def _parse_tsv_lines(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]]:
                 rows.append(offset)
                 cols.append(j)
                 vals.append(value)
-    # the COO build sums duplicates, so its result is canonical
-    matrix = sp.csr_matrix(
-        (np.array(vals, dtype=np.int64), (rows, cols)),
-        shape=(len(feature_ids), n_cells),
-    )
+    rows, cols, vals = (np.array(x, dtype=np.int64) for x in (rows, cols, vals))
+    matrix = _csr_from_entries((len(feature_ids), n_cells), rows, cols, vals)
     return matrix, feature_ids, cell_ids

@@ -137,10 +137,12 @@ def _push(dx: np.ndarray, dy: np.ndarray, a: float, b: float):
     The coefficient 2b / ((REPULSION_FLOOR + d^2) * (1 + a * d^(2b))) is
     built in place, one step per operation of the formula; IEEE addition
     and multiplication commute exactly, so its bits are the formula's.
+    The power is ``np.power``, as in ``_attraction``, so one pair rounds as
+    it does in a batch.
     """
     dist_sq = dx * dx
     dist_sq += dy * dy
-    curve = dist_sq**b
+    curve = np.power(dist_sq, b)
     curve *= a
     curve += 1.0
     dist_sq += REPULSION_FLOOR

@@ -125,12 +125,18 @@ def fit_kmeans(coords, n_clusters: int, seed: int = 0) -> KmeansResult:
     for _ in range(_KMEANS_MAX_ITER):
         dist_sq = _all_pairs_dist_sq(points, centers)
         new_labels = dist_sq.argmin(axis=1)  # ties to lowest index
-        # re-seed any emptied cluster at the point farthest from its center
-        for k in range(n_clusters):
-            if not (new_labels == k).any():
-                worst = int(dist_sq[np.arange(n), new_labels].argmax())
-                centers[k] = points[worst]
-                new_labels[worst] = k
+        # re-seed each emptied cluster at the point farthest from its center
+        # among clusters that keep another member, so none empties in turn
+        # (one always can: fewer than n_clusters clusters hold n >= n_clusters
+        # points)
+        own = dist_sq[np.arange(n), new_labels]
+        sizes = np.bincount(new_labels, minlength=n_clusters)
+        for k in np.flatnonzero(sizes == 0).tolist():
+            worst = int(np.where(sizes[new_labels] > 1, own, -np.inf).argmax())
+            sizes[new_labels[worst]] -= 1
+            sizes[k] = 1
+            centers[k] = points[worst]
+            new_labels[worst] = k
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels

@@ -21,8 +21,9 @@ for bit; rates above ``rng.POISSON_MAX_RATE`` are rejected by ``SbmConfig``.
 A chunk holds at most ``_CHUNK_ELEMENTS`` uniforms and counts (cells x
 genes, or cells x ``cell_total`` if larger), at least one cell, so the
 working memory stays a few MB beside the matrix itself.  Chunks arrive in
-cell order with each cell's genes ascending, so they are stacked straight
-into CSC arrays with no sort.
+cell order, so each is a block of dense cell rows for the builder the dense
+TSV reader uses (``core_matrix._DenseRows``); its cells x genes CSR,
+transposed, is the genes x cells matrix with no sort and no copy.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .core_matrix import CountMatrix
+from .core_matrix import CountMatrix, _DenseRows
 from .mixture import ClusterLabels
 from .rng import POISSON_MAX_RATE, CounterRng, poisson_cdf, poisson_invert
 
@@ -124,11 +124,13 @@ def _cells_per_chunk(config: SbmConfig) -> int:
 
 def sample_sbm(config: SbmConfig) -> SbmSample:
     """Draw one matrix; blocks are contiguous index ranges, labels returned."""
-    p, n = config.n_genes, config.n_cells
+    cells = _DenseRows(config.n_genes)
+    for counts in _count_chunks(config):
+        cells.add(counts)
     matrix = CountMatrix(
-        _csc_from_cell_chunks(_count_chunks(config), p, n),
-        feature_ids=[f"g{i}" for i in range(p)],
-        cell_ids=[f"c{j}" for j in range(n)],
+        cells.csr().T,
+        feature_ids=[f"g{i}" for i in range(config.n_genes)],
+        cell_ids=[f"c{j}" for j in range(config.n_cells)],
     )
     return SbmSample(
         matrix,
@@ -184,24 +186,6 @@ def _multinomial_chunks(root: CounterRng, spans, gene_rates: np.ndarray, total: 
         np.minimum(bins, p - 1, out=bins)
         bins += (np.arange(m) * p)[:, None]
         yield np.bincount(bins.ravel(), minlength=m * p).reshape(m, p)
-
-
-def _csc_from_cell_chunks(chunks, p: int, n: int) -> sp.csc_matrix:
-    """CSC (genes x cells) from count chunks that arrive in cell order; each
-    cell's nonzeros are already in ascending gene order, so no sort is run."""
-    # p * n bounds both the gene indices and the entry count
-    index_dtype = np.int32 if p * n < 2**31 else np.int64
-    indices, data, per_cell = [], [], []
-    for counts in chunks:
-        flat = np.flatnonzero(counts)
-        indices.append((flat % p).astype(index_dtype))
-        data.append(counts.ravel()[flat])
-        per_cell.append(np.count_nonzero(counts, axis=1))
-    indptr = np.zeros(n + 1, dtype=index_dtype)
-    np.cumsum(np.concatenate(per_cell), out=indptr[1:])
-    return sp.csc_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr), shape=(p, n)
-    )
 
 
 def _comb2(x: np.ndarray) -> int:

@@ -201,3 +201,13 @@ def test_gradient_helpers_match_reduction_formula(helper, reference):
         single = np.asarray(helper(head, tail, a, b))
         assert single.shape == (2,)
         assert single.tobytes() == np.asarray(reference(head, tail, a, b)).tobytes()
+
+
+def test_single_pair_push_equals_its_batch_row():
+    """One pair rounds as in a batch: ``np.power`` on a numpy scalar takes
+    the array loop, where a scalar ``**`` could differ in the last bit."""
+    rng = CounterRng(5)
+    heads, tails = rng.normal((2000, 2)), rng.normal((2000, 2))
+    batch = repulsive_push(heads, tails, CURVE_A, CURVE_B)
+    for head, tail, row in zip(heads, tails, batch):
+        assert repulsive_push(head, tail, CURVE_A, CURVE_B).tobytes() == row.tobytes()

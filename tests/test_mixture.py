@@ -76,6 +76,21 @@ class TestKmeans:
         with pytest.raises(ValueError):
             fit_kmeans(np.zeros((3, 2)), 4)
 
+    @pytest.mark.parametrize("points, k", [
+        ([[0.0, 0.0]] * 4 + [[5.0, 5.0]], 4),  # K above the distinct points
+        ([[0.0, 0.0]] * 4 + [[5.0, 5.0]], 5),
+        ([[0.0]] * 3 + [[1.0]] * 3 + [[9.0]], 6),
+    ])
+    def test_emptied_clusters_reseeded_at_distinct_points(self, points, k):
+        """Several clusters empty at once each take a point of their own,
+        and never the last member of another cluster."""
+        for seed in range(10):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                result = fit_kmeans(np.array(points), k, seed=seed)
+            assert np.isfinite(result.centroids).all()
+            assert np.bincount(result.labels.labels, minlength=k).min() >= 1
+
 
 def two_point_masses(seed=11, per_side=50, jitter=1e-3):
     rng = CounterRng(seed)
