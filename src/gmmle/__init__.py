@@ -11,7 +11,6 @@ block-model simulator providing ground truth for verification.
 from .community import CellGraph, exact_knn, knn_graph, louvain, modularity
 from .core_matrix import (
     CountMatrix,
-    DegreeVectors,
     degrees,
     read_dense_tsv,
     read_matrix_market,
@@ -22,7 +21,6 @@ from .features import FeatureScore, dispersion_scores, select_top_k
 from .layout import Layout2D, LayoutParams, fuzzy_graph, optimize_layout
 from .mixture import (
     ClusterLabels,
-    GmmConfig,
     GmmModel,
     bic,
     fit_gmm,
@@ -35,7 +33,6 @@ from .simulate import SbmConfig, adjusted_rand_index, sample_sbm
 from .spectral import (
     EmbedPolicy,
     Embedding,
-    NormalizedLaplacian,
     embed,
     normalized_laplacian,
     random_walk_laplacian,
@@ -56,16 +53,13 @@ __all__ = [
     "ClusterLabels",
     "CountMatrix",
     "CounterRng",
-    "DegreeVectors",
     "EmbedPolicy",
     "Embedding",
     "FeatureScore",
-    "GmmConfig",
     "GmmModel",
     "Layout2D",
     "LayoutParams",
     "MarkerPanel",
-    "NormalizedLaplacian",
     "QcConfig",
     "QcReport",
     "SbmConfig",

@@ -236,10 +236,6 @@ VALIDATE_SCHEMA = Schema(
 )
 
 
-# the one stage-config field whose key is not "<section>.<field name>"
-_KEY_SUFFIX = {"scaling_mode": "scaling"}
-
-
 def _stage_config(cls, values: dict[str, Any], section: str):
     """``cls`` built from the ``<section>.*`` keys present in ``values``.
 
@@ -249,7 +245,7 @@ def _stage_config(cls, values: dict[str, Any], section: str):
     """
     kwargs = {}
     for f in fields(cls):
-        key = f"{section}.{_KEY_SUFFIX.get(f.name, f.name)}"
+        key = f"{section}.{f.name}"
         if key in values:
             kwargs[f.name] = values[key]
     try:
@@ -280,6 +276,8 @@ def build_stage_configs(
         raise ConfigError("cluster.k_strategy=bic needs cluster.k_range")
     if strategy == "bic" and values["cluster.method"] != "gmm":
         raise ConfigError("cluster.k_strategy=bic requires cluster.method=gmm")
+    if strategy == "d_plus_one" and values["cluster.method"] == "louvain":
+        raise ConfigError("cluster.k_strategy=d_plus_one requires cluster.method=gmm or kmeans")
     at_least_one = ["cluster.knn_k"]
     if values["features.enable"]:
         at_least_one.append("features.top_k")
@@ -595,6 +593,27 @@ def _read_labels(path: Path) -> dict[str, int]:
     return labels
 
 
+def _read_layout(path: Path) -> list[list[str]]:
+    """The ``[cell_id, x, y]`` rows of a layout TSV; a row that is not an id
+    and two finite floats, or repeats an id, raises ValueError naming its
+    line."""
+    rows: list[list[str]] = []
+    seen: set[str] = set()
+    for line_no, row in _read_tsv_rows(path):
+        try:
+            cell, x, y = row
+            finite = math.isfinite(float(x)) and math.isfinite(float(y))
+        except ValueError:
+            raise ValueError(f"{path} line {line_no}: expected 'cell_id<TAB>x<TAB>y'") from None
+        if not finite:
+            raise ValueError(f"{path} line {line_no}: non-finite coordinate in {x!r}, {y!r}")
+        if cell in seen:
+            raise ValueError(f"{path} line {line_no}: repeated cell id {cell!r}")
+        seen.add(cell)
+        rows.append(row)
+    return rows
+
+
 def scatter_svg(layout_rows, label_by_cell) -> str:
     """Deterministic SVG: one circle per cell, palette cycled by cluster."""
     xs = np.array([float(r[1]) for r in layout_rows])
@@ -619,7 +638,7 @@ def scatter_svg(layout_rows, label_by_cell) -> str:
 
 
 def cmd_scatter(args) -> int:
-    layout_rows = [row for _, row in _read_tsv_rows(Path(args.layout))]
+    layout_rows = _read_layout(Path(args.layout))
     if not layout_rows:
         raise ValueError("empty layout input")
     label_by_cell = _read_labels(Path(args.labels))

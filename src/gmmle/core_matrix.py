@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -119,22 +118,13 @@ class CountMatrix:
         return cls(arr, feature_ids, cell_ids)
 
 
-@dataclass(frozen=True)
-class DegreeVectors:
-    """Row/column degree sums of the bipartite adjacency."""
-
-    row_degrees: np.ndarray
-    col_degrees: np.ndarray
-    total: int
-
-
-def degrees(counts: CountMatrix) -> DegreeVectors:
-    """Exact integer row sums, column sums and grand total."""
+def degrees(counts: CountMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(row_degrees, col_degrees): the exact int64 row and column sums of
+    the bipartite adjacency."""
     csr = counts.csr()
     row = np.asarray(csr.sum(axis=1)).ravel().astype(np.int64)
     col = np.asarray(csr.sum(axis=0)).ravel().astype(np.int64)
-    total = int(csr.data.sum(dtype=np.int64)) if csr.nnz else 0
-    return DegreeVectors(row, col, total)
+    return row, col
 
 
 # Entries per block of _row_blocks: 2**20 entries keep a block's per-entry

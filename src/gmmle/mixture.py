@@ -50,11 +50,8 @@ _EM_REL_TOL = 1e-8
 _KMEANS_MAX_ITER = 300
 # each covariance gets _RIDGE times its mean variance added to its diagonal
 _RIDGE = 1e-6
-
-
-@dataclass(frozen=True)
-class GmmConfig:
-    n_init: int = 5
+# EM restarts per fit_gmm call
+_N_INIT = 5
 
 
 @dataclass(frozen=True)
@@ -265,26 +262,20 @@ def _fit_gmm_once(points: np.ndarray, n_components: int, seed: int):
     return model, labels
 
 
-def fit_gmm(
-    coords,
-    n_components: int,
-    seed: int = 0,
-    cfg: GmmConfig | None = None,
-) -> tuple[GmmModel, ClusterLabels]:
-    """Best-of-n_init full-covariance EM fit.
+def fit_gmm(coords, n_components: int, seed: int = 0) -> tuple[GmmModel, ClusterLabels]:
+    """Best-of-``_N_INIT`` full-covariance EM fit.
 
     Restart r uses seed + r for its k-means initialization; the fit with
     the highest final log-likelihood wins.  Empty clusters in the final
     hard assignment are dropped with a warning and labels are renumbered.
     """
-    cfg = cfg or GmmConfig()
     points = _as_points(coords)
     n = points.shape[0]
     if n_components < 1 or n_components > n:
         raise ValueError(f"n_components={n_components} outside [1, {n}]")
 
     best: tuple[GmmModel, np.ndarray] | None = None
-    for restart in range(cfg.n_init):
+    for restart in range(_N_INIT):
         model, labels = _fit_gmm_once(points, n_components, seed + restart)
         if best is None or model.log_likelihood > best[0].log_likelihood:
             best = (model, labels)
@@ -324,12 +315,7 @@ class KSelection:
     labels: ClusterLabels
 
 
-def select_k(
-    coords,
-    k_values,
-    seed: int = 0,
-    cfg: GmmConfig | None = None,
-) -> KSelection:
+def select_k(coords, k_values, seed: int = 0) -> KSelection:
     """Fit a mixture at each K of k_values with ``fit_gmm`` and choose the
     argmin BIC (ties to the smaller K).
 
@@ -345,7 +331,7 @@ def select_k(
     diagnostics = []
     fits = {}
     for k in sorted(set(int(k) for k in k_values)):
-        fits[k] = fit_gmm(points, k, seed=seed, cfg=cfg)
+        fits[k] = fit_gmm(points, k, seed=seed)
         model = fits[k][0]
         diagnostics.append(KDiagnostic(k, model.log_likelihood, bic(model, n)))
 

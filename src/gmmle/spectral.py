@@ -1,11 +1,16 @@
 """Degree-normalized spectral embedding of the bipartite count graph.
 
 The count matrix is rescaled to L with L[i, j] = X[i, j] / sqrt(D_i * D_j)
-(row and column degree products), whose leading right singular vectors give
-each cell a low-dimensional coordinate.  The embedding dimension follows an
-energy rule: components are kept while their squared singular value is at
-least a configured fraction of the total squared Frobenius norm, which is
-known exactly from the stored entries without a full decomposition.
+(row and column degree products, the two arrays ``core_matrix.degrees``
+returns), whose leading right singular vectors give each cell a
+low-dimensional coordinate.  Each rescaling returns L as a plain
+``scipy.sparse.csr_matrix`` that shares the count matrix's ``indices`` and
+``indptr`` arrays, and ``embed`` and ``truncated_svd`` take that CSR.
+
+The embedding dimension follows an energy rule: components are kept while
+their squared singular value is at least a configured fraction of the total
+squared Frobenius norm, which is known exactly from the stored entries
+without a full decomposition.
 
 The solver is randomized block subspace iteration with full
 reorthogonalization: deterministic for a fixed seed, residual-checked
@@ -48,40 +53,20 @@ class EmbeddingDimensionError(ValueError):
     """No component cleared the energy threshold."""
 
 
-@dataclass(frozen=True)
-class NormalizedLaplacian:
-    """Rescaled count matrix: symmetric degree normalization, row-stochastic,
-    or none (adjacency-space embedding).  ``frobenius_sq`` is the sum of
-    squared stored entries.
-
-    ``matrix`` holds its own float64 data but shares its ``indices`` and
-    ``indptr`` arrays with the count matrix it was made from, so it must
-    not be mutated: a change to its structure would change that count
-    matrix too.
-    """
-
-    matrix: sp.csr_matrix
-    frobenius_sq: float
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-
 def _require_positive_degrees(counts: CountMatrix) -> tuple[np.ndarray, np.ndarray]:
-    deg = degrees(counts)
-    if (deg.row_degrees == 0).any():
-        idx = int(np.argmax(deg.row_degrees == 0))
+    row_deg, col_deg = degrees(counts)
+    if (row_deg == 0).any():
+        idx = int(np.argmax(row_deg == 0))
         raise ZeroDegreeError(
             f"feature {counts.feature_ids[idx]!r} has zero total count"
         )
-    if (deg.col_degrees == 0).any():
-        idx = int(np.argmax(deg.col_degrees == 0))
+    if (col_deg == 0).any():
+        idx = int(np.argmax(col_deg == 0))
         raise ZeroDegreeError(f"cell {counts.cell_ids[idx]!r} has zero total count")
-    return deg.row_degrees.astype(np.float64), deg.col_degrees.astype(np.float64)
+    return row_deg.astype(np.float64), col_deg.astype(np.float64)
 
 
-def _rescaled(counts: CountMatrix, row_scale, col_scale) -> NormalizedLaplacian:
+def _rescaled(counts: CountMatrix, row_scale, col_scale) -> sp.csr_matrix:
     """X[i, j] * row_scale[i] * col_scale[j]: a float64 copy of the canonical
     CSR's data, scaled one row block at a time, over the CSR's own index
     arrays.  A scale of ones is exact, since x * 1.0 == x."""
@@ -92,24 +77,30 @@ def _rescaled(counts: CountMatrix, row_scale, col_scale) -> NormalizedLaplacian:
         block[:] = csr.data[lo:hi]
         block *= np.repeat(row_scale[first:stop], np.diff(csr.indptr[first:stop + 1]))
         block *= col_scale[csr.indices[lo:hi]]
-    matrix = sp.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
-    return NormalizedLaplacian(matrix, float(np.sum(data * data)))
+    return sp.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
 
 
-def normalized_laplacian(counts: CountMatrix) -> NormalizedLaplacian:
-    """L[i, j] = X[i, j] / sqrt(D_i * D_j); requires positive degrees."""
+def normalized_laplacian(counts: CountMatrix) -> sp.csr_matrix:
+    """L[i, j] = X[i, j] / sqrt(D_i * D_j); requires positive degrees.
+
+    The result holds its own float64 data but shares its ``indices`` and
+    ``indptr`` arrays with the count matrix's CSR, so it must not be
+    mutated: a change to its structure would change the counts too.
+    """
     row_deg, col_deg = _require_positive_degrees(counts)
     return _rescaled(counts, 1.0 / np.sqrt(row_deg), 1.0 / np.sqrt(col_deg))
 
 
-def random_walk_laplacian(counts: CountMatrix) -> NormalizedLaplacian:
-    """Row-stochastic rescaling X[i, j] / D_i."""
+def random_walk_laplacian(counts: CountMatrix) -> sp.csr_matrix:
+    """Row-stochastic rescaling X[i, j] / D_i; shares the counts' index
+    arrays and must not be mutated, as for ``normalized_laplacian``."""
     row_deg, col_deg = _require_positive_degrees(counts)
     return _rescaled(counts, 1.0 / row_deg, np.ones_like(col_deg))
 
 
-def adjacency_embedding_matrix(counts: CountMatrix) -> NormalizedLaplacian:
-    """The raw counts as a float matrix, for adjacency-space embedding."""
+def adjacency_embedding_matrix(counts: CountMatrix) -> sp.csr_matrix:
+    """The raw counts as a float matrix, for adjacency-space embedding;
+    shares the counts' index arrays, as for ``normalized_laplacian``."""
     row_deg, col_deg = _require_positive_degrees(counts)
     return _rescaled(counts, np.ones_like(row_deg), np.ones_like(col_deg))
 
@@ -165,21 +156,26 @@ def _subspace_svd(matrix, n_components, seed, max_iter, accept):
 
 
 def truncated_svd(
-    laplacian: NormalizedLaplacian,
+    matrix: sp.csr_matrix,
     k: int,
     tol: float = _SVD_TOL,
     seed: int = 0,
     max_iter: int = _MAX_ITER,
 ):
-    """Top-k singular triplets of the rescaled matrix.
+    """Top-k singular triplets of a rescaled matrix L, such as the CSR
+    ``normalized_laplacian`` returns.
 
     Returns (left, values, right) with orthonormal columns; every residual
     ``||L v_i - sigma_i u_i||`` is at most tol * sigma_1.  Deterministic for
     a fixed seed.
     """
-    p, n = laplacian.shape
+    p, n = matrix.shape
     if not (1 <= k <= min(p, n)):
         raise ValueError(f"k={k} outside [1, {min(p, n)}]")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
 
     def accept(sigma, residuals):
         top = sigma[0]
@@ -187,7 +183,7 @@ def truncated_svd(
             return True
         return bool(np.all(residuals <= tol * top))
 
-    u, s, v, _, _ = _subspace_svd(laplacian.matrix, k, seed, max_iter, accept)
+    u, s, v, _, _ = _subspace_svd(matrix, k, seed, max_iter, accept)
     _orient_signs(u, v)
     return u, s, v
 
@@ -196,14 +192,14 @@ def truncated_svd(
 class EmbedPolicy:
     energy_threshold: float = 0.01
     drop_first: bool = True
-    scaling_mode: str = "sqrt"  # none | sqrt | linear
+    scaling: str = "sqrt"  # none | sqrt | linear
     seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.energy_threshold < 1.0):
             raise ValueError("energy_threshold must lie in (0, 1)")
-        if self.scaling_mode not in ("none", "sqrt", "linear"):
-            raise ValueError(f"unknown scaling_mode {self.scaling_mode!r}")
+        if self.scaling not in ("none", "sqrt", "linear"):
+            raise ValueError(f"scaling must be none, sqrt or linear, got {self.scaling!r}")
 
 
 @dataclass(frozen=True)
@@ -214,7 +210,7 @@ class Embedding:
     singular_values: np.ndarray  # length d, non-increasing
     component_shares: np.ndarray  # length d, each >= the policy threshold
     dropped_first: bool
-    scaling_mode: str
+    scaling: str
     leading_singular_value: float | None = None  # recorded when dropped
     leading_share: float | None = None
 
@@ -223,20 +219,22 @@ class Embedding:
         return self.coords.shape[1]
 
 
-def embed(laplacian: NormalizedLaplacian, policy: EmbedPolicy | None = None) -> Embedding:
-    """Energy-rule embedding of cells.
+def embed(matrix: sp.csr_matrix, policy: EmbedPolicy | None = None) -> Embedding:
+    """Energy-rule embedding of cells from a rescaled matrix L, such as the
+    CSR ``normalized_laplacian`` returns.
 
-    A component's share is sigma_i^2 / ||L||_F^2.  The component count
-    grows (16, 32, ...) until the smallest computed share falls below the
-    threshold; components at or above the threshold are retained.  When
+    A component's share is sigma_i^2 / ||L||_F^2, the norm summed exactly
+    from the stored entries.  The component count grows (16, 32, ...)
+    until the smallest computed share falls below the threshold;
+    components at or above the threshold are retained.  When
     ``drop_first`` is set the leading component (the degree direction of a
     connected graph, carrying no cluster signal) is excluded from the
     coordinates but recorded.
     """
     policy = policy or EmbedPolicy()
-    p, n = laplacian.shape
+    p, n = matrix.shape
     rank_cap = min(p, n)
-    frob_sq = laplacian.frobenius_sq
+    frob_sq = float(np.sum(matrix.data * matrix.data))
     if frob_sq <= 0.0:
         raise ValueError("matrix has no entries")
     threshold = policy.energy_threshold
@@ -253,9 +251,7 @@ def embed(laplacian: NormalizedLaplacian, policy: EmbedPolicy | None = None) -> 
 
     m = min(_START_COMPONENTS, rank_cap)
     while True:
-        u, sigma, v, _, _ = _subspace_svd(
-            laplacian.matrix, m, policy.seed, _MAX_ITER, accept
-        )
+        u, sigma, v, _, _ = _subspace_svd(matrix, m, policy.seed, _MAX_ITER, accept)
         shares = sigma**2 / frob_sq
         if shares[-1] < threshold or m == rank_cap:
             break
@@ -272,9 +268,9 @@ def embed(laplacian: NormalizedLaplacian, policy: EmbedPolicy | None = None) -> 
         )
 
     values = sigma[kept]
-    if policy.scaling_mode == "sqrt":
+    if policy.scaling == "sqrt":
         coords = v[:, kept] * np.sqrt(values)
-    elif policy.scaling_mode == "linear":
+    elif policy.scaling == "linear":
         coords = v[:, kept] * values
     else:
         coords = v[:, kept].copy()
@@ -284,7 +280,7 @@ def embed(laplacian: NormalizedLaplacian, policy: EmbedPolicy | None = None) -> 
         singular_values=values,
         component_shares=shares[kept],
         dropped_first=policy.drop_first,
-        scaling_mode=policy.scaling_mode,
+        scaling=policy.scaling,
         leading_singular_value=float(sigma[0]) if policy.drop_first else None,
         leading_share=float(shares[0]) if policy.drop_first else None,
     )
@@ -302,7 +298,7 @@ def embedding_to_tsv(embedding: Embedding, cell_ids) -> str:
 def embedding_sidecar_json(embedding: Embedding) -> str:
     payload = {
         "dimension": embedding.dimension,
-        "scaling_mode": embedding.scaling_mode,
+        "scaling_mode": embedding.scaling,
         "dropped_first": embedding.dropped_first,
         "leading_singular_value": embedding.leading_singular_value,
         "leading_share": embedding.leading_share,

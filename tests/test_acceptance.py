@@ -21,13 +21,12 @@ from gmmle.community import CellGraph, exact_knn, modularity
 from gmmle.core_matrix import CountMatrix
 from gmmle.features import dispersion_scores
 from gmmle.layout import LayoutParams, attractive_gradient, fuzzy_graph, optimize_layout
-from gmmle.mixture import ClusterLabels, GmmConfig, fit_gmm, fit_kmeans, select_k
+from gmmle.mixture import ClusterLabels, fit_gmm, fit_kmeans, select_k
 from gmmle.qc import QcConfig, filter_cells, filter_features
 from gmmle.rng import CounterRng
 from gmmle.simulate import SbmConfig, adjusted_rand_index, sample_sbm
 from gmmle.spectral import (
     EmbedPolicy,
-    NormalizedLaplacian,
     embed,
     normalized_laplacian,
     truncated_svd,
@@ -100,13 +99,13 @@ def test_criterion_01_modularity_exactness():
 def test_criterion_02_laplacian_correctness():
     start = time.perf_counter()
     lap = normalized_laplacian(CountMatrix.from_dense([[4, 0], [0, 9]]))
-    assert np.abs(lap.matrix.toarray() - np.eye(2)).max() < 1e-15
+    assert np.abs(lap.toarray() - np.eye(2)).max() < 1e-15
 
     rng = np.random.default_rng(0)
     for _ in range(5):
         dense = rng.integers(1, 6, size=(5, 7))
-        a = normalized_laplacian(CountMatrix.from_dense(dense)).matrix.toarray()
-        b = normalized_laplacian(CountMatrix.from_dense(dense * 3)).matrix.toarray()
+        a = normalized_laplacian(CountMatrix.from_dense(dense)).toarray()
+        b = normalized_laplacian(CountMatrix.from_dense(dense * 3)).toarray()
         assert np.abs(a - b).max() < 1e-12
 
     for seed in (1, 2):
@@ -127,8 +126,7 @@ def test_criterion_03_svd_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     dense = rng.random((60, 40)) * (rng.random((60, 40)) < 0.3)
-    lap = NormalizedLaplacian(sp.csr_matrix(dense), float((dense**2).sum()))
-    _, values, right = truncated_svd(lap, 10, seed=11)
+    _, values, right = truncated_svd(sp.csr_matrix(dense), 10, seed=11)
     oracle = np.linalg.svd(dense, compute_uv=False)[:10]
     assert np.abs(values - oracle).max() < 1e-8
     assert np.abs(right.T @ right - np.eye(10)).max() < 1e-8
@@ -137,7 +135,7 @@ def test_criterion_03_svd_oracle_equivalence():
     print(f"\nACCEPTANCE 3 PASS: top-10 SVD matches dense oracle ({elapsed:.3f}s)")
 
 
-def test_criterion_04_em_monotonicity_and_closed_form():
+def test_criterion_04_em_monotonicity_and_closed_form(monkeypatch):
     rng = CounterRng(4)
     fixtures = [
         rng.normal((60, 2)),
@@ -151,8 +149,8 @@ def test_criterion_04_em_monotonicity_and_closed_form():
             assert (diffs >= -1e-9).all(), f"fixture {idx} K={k} not monotone"
 
     points = CounterRng(13).normal((120, 3)) * np.array([1.0, 2.0, 0.5]) + 4.0
-    cfg = GmmConfig(n_init=1)
-    model, _ = fit_gmm(points, 1, seed=0, cfg=cfg)
+    monkeypatch.setattr(mixture, "_N_INIT", 1)
+    model, _ = fit_gmm(points, 1, seed=0)
     n, d = points.shape
     mean = points.mean(axis=0)
     centered = points - mean
@@ -195,7 +193,7 @@ def test_criterion_05_sbm_recovery_and_anisotropic_comparison(sbm_runs):
     )
 
 
-def test_criterion_06_bic_model_selection(sbm_runs):
+def test_criterion_06_bic_model_selection(sbm_runs, monkeypatch):
     start = time.perf_counter()
     rng = CounterRng(37)
     blob_a = rng.normal((100, 2))
@@ -205,9 +203,9 @@ def test_criterion_06_bic_model_selection(sbm_runs):
     assert selection.n_clusters == 2
 
     hits = 0
-    fast = GmmConfig(n_init=2)
+    monkeypatch.setattr(mixture, "_N_INIT", 2)
     for seed, (coords, _) in enumerate(sbm_runs):
-        chosen = select_k(coords, range(2, 6), seed=seed, cfg=fast)
+        chosen = select_k(coords, range(2, 6), seed=seed)
         if chosen.n_clusters == 3:
             hits += 1
     assert hits >= 18, f"BIC chose K=3 in only {hits}/20 seeds"

@@ -12,7 +12,7 @@ import pytest
 
 from gmmle import cli, community, core_matrix, features, layout, mixture, qc, spectral, validate
 from gmmle.cli import (
-    _KEY_SUFFIX, ConfigError, PIPELINE_SCHEMA, StageError, build_stage_configs, main,
+    ConfigError, PIPELINE_SCHEMA, StageError, build_stage_configs, main,
     parse_config_text, run_pipeline, write_atomic,
 )
 from gmmle.community import exact_knn, knn_graph
@@ -108,7 +108,7 @@ class TestConfigParsing:
         run_with = dict(values)
         for section, config in zip(("qc", "spectral", "layout"), build_stage_configs(values)):
             for f in fields(config):
-                run_with[f"{section}.{_KEY_SUFFIX.get(f.name, f.name)}"] = getattr(config, f.name)
+                run_with[f"{section}.{f.name}"] = getattr(config, f.name)
         documented = dict(readme_pipeline_keys())
         assert set(documented) == set(PIPELINE_SCHEMA.converters)
         for key, default in documented.items():
@@ -281,6 +281,11 @@ class TestPipelineCommand:
             "cluster.method = kmeans\ncluster.k_strategy = bic\ncluster.k_range = 2:4",
             "requires cluster.method=gmm",
         ),
+        (
+            "cluster.method = gmm\ncluster.k_strategy = fixed",
+            "cluster.method = louvain\ncluster.k_strategy = d_plus_one",
+            "cluster.k_strategy=d_plus_one requires cluster.method=gmm or kmeans",
+        ),
         ("qc.max_top_share = 1.0", "qc.max_top_share = 0", "config key qc.max_top_share"),
         (
             "features.top_k = 120",
@@ -322,7 +327,8 @@ class TestPipelineCommand:
         ("qc.max_mito_share = none", "qc.max_mito_share = 0.1\nqc.mito_prefix =",
          "config key qc.mito_prefix must not be empty"),
     ], ids=[
-        "layout-epochs", "bic-without-range", "bic-without-gmm", "qc-top-share",
+        "layout-epochs", "bic-without-range", "bic-without-gmm", "d-plus-one-louvain",
+        "qc-top-share",
         "energy-zero", "energy-above-one", "top-k", "cluster-k", "knn-k", "k-range",
         "k-range-empty", "k-range-empty-list",
         "resolution-nan", "resolution-inf", "resolution-zero", "resolution-negative",
@@ -825,6 +831,27 @@ class TestScatterCommand:
         assert f"error: {labels_path} {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows, message", [
+        ("c0\t0.0\t0.0\nc1\nc2\t2.0\t4.0\n", "line 3: expected 'cell_id<TAB>x<TAB>y'"),
+        ("c0\t0.0\t0.0\nc1\tone\t2.0\nc2\t2.0\t4.0\n",
+         "line 3: expected 'cell_id<TAB>x<TAB>y'"),
+        ("c0\t0.0\t0.0\nc1\t1.0\t2.0\t7\nc2\t2.0\t4.0\n",
+         "line 3: expected 'cell_id<TAB>x<TAB>y'"),
+        ("c0\t0.0\t0.0\nc1\tnan\t2.0\nc2\t2.0\t4.0\n",
+         "line 3: non-finite coordinate in 'nan', '2.0'"),
+        ("c0\t0.0\t0.0\nc1\t1.0\t-inf\nc2\t2.0\t4.0\n",
+         "line 3: non-finite coordinate in '1.0', '-inf'"),
+        ("c0\t0.0\t0.0\nc1\t1.0\t2.0\nc0\t5.0\t5.0\nc2\t2.0\t4.0\n",
+         "line 4: repeated cell id 'c0'"),
+    ], ids=["one-field", "non-numeric", "four-fields", "nan", "inf", "repeated-id"])
+    def test_malformed_layout_rejected(self, tmp_path, capsys, rows, message):
+        layout_path, labels_path = self.write_inputs(tmp_path)
+        layout_path.write_text("cell_id\tx\ty\n" + rows)
+        out = tmp_path / "x.svg"
+        assert main(["scatter", str(layout_path), str(labels_path), str(out)]) == 1
+        assert f"error: {layout_path} {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_input_rejected(self, tmp_path, capsys):
         layout_path = tmp_path / "layout.tsv"
         layout_path.write_text("cell_id\tx\ty\n")
@@ -1040,7 +1067,7 @@ def _effective_default(key):
     section, name = key.split(".", 1)
     cls = _STAGE_CLASSES.get(section)
     for f in fields(cls) if cls else ():
-        if _KEY_SUFFIX.get(f.name, f.name) == name:
+        if f.name == name:
             return f.default
     return None
 

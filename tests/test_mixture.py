@@ -7,7 +7,6 @@ import pytest
 from gmmle import mixture
 from gmmle.mixture import (
     ClusterLabels,
-    GmmConfig,
     GmmModel,
     bic,
     fit_gmm,
@@ -108,11 +107,11 @@ def two_blobs(seed=11, per_blob=100, sep=6.0):
 
 
 class TestGmm:
-    def test_k1_matches_closed_form(self):
+    def test_k1_matches_closed_form(self, monkeypatch):
         rng = CounterRng(13)
         points = rng.normal((120, 3)) * np.array([1.0, 2.0, 0.5]) + 4.0
-        cfg = GmmConfig(n_init=1)
-        model, labels = fit_gmm(points, 1, seed=0, cfg=cfg)
+        monkeypatch.setattr(mixture, "_N_INIT", 1)
+        model, labels = fit_gmm(points, 1, seed=0)
         n, d = points.shape
         mean = points.mean(axis=0)
         centered = points - mean
@@ -388,8 +387,9 @@ class TestEmptyComponents:
             return model, raw
 
         monkeypatch.setattr(mixture, "_fit_gmm_once", fit_without_components)
+        monkeypatch.setattr(mixture, "_N_INIT", 2)
         with pytest.warns(UserWarning, match="3 empty mixture component"):
-            model, labels = fit_gmm(points, 6, seed=0, cfg=GmmConfig(n_init=2))
+            model, labels = fit_gmm(points, 6, seed=0)
         assert model.n_components == 6
         assert labels.n_clusters == 3
         assert labels.labels.dtype == np.int64

@@ -8,7 +8,6 @@ from gmmle.spectral import (
     EmbedPolicy,
     Embedding,
     EmbeddingDimensionError,
-    NormalizedLaplacian,
     SvdConvergenceError,
     ZeroDegreeError,
     adjacency_embedding_matrix,
@@ -30,27 +29,27 @@ def random_counts(rng, p, n, low=1, high=6):
 class TestNormalizedLaplacian:
     def test_diagonal_counts_give_identity(self):
         lap = normalized_laplacian(CountMatrix.from_dense([[4, 0], [0, 9]]))
-        assert np.allclose(lap.matrix.toarray(), np.eye(2))
-        assert lap.frobenius_sq == pytest.approx(2.0)
+        assert np.allclose(lap.toarray(), np.eye(2))
+        assert np.sum(lap.data * lap.data) == pytest.approx(2.0)
 
     def test_uniform_counts_give_half(self):
         lap = normalized_laplacian(CountMatrix.from_dense([[1, 1], [1, 1]]))
-        assert np.allclose(lap.matrix.toarray(), np.full((2, 2), 0.5))
+        assert np.allclose(lap.toarray(), np.full((2, 2), 0.5))
 
     def test_global_scaling_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             cm = random_counts(rng, 5, 7)
             scaled = CountMatrix.from_dense(cm.to_dense() * 3)
-            a = normalized_laplacian(cm).matrix.toarray()
-            b = normalized_laplacian(scaled).matrix.toarray()
+            a = normalized_laplacian(cm).toarray()
+            b = normalized_laplacian(scaled).toarray()
             assert np.abs(a - b).max() < 1e-12
 
     def test_entries_in_unit_interval(self):
         rng = np.random.default_rng(1)
         lap = normalized_laplacian(random_counts(rng, 6, 9))
-        assert lap.matrix.data.min() > 0.0
-        assert lap.matrix.data.max() <= 1.0
+        assert lap.data.min() > 0.0
+        assert lap.data.max() <= 1.0
 
     def test_zero_degree_feature_named(self):
         cm = CountMatrix.from_dense([[0, 0], [1, 2]], feature_ids=["dead", "live"])
@@ -66,16 +65,16 @@ class TestNormalizedLaplacian:
 class TestRandomWalkVariant:
     def test_uniform_rows(self):
         lap = random_walk_laplacian(CountMatrix.from_dense([[1, 1], [1, 1]]))
-        assert np.allclose(lap.matrix.toarray(), np.full((2, 2), 0.5))
+        assert np.allclose(lap.toarray(), np.full((2, 2), 0.5))
 
     def test_rows_are_stochastic(self):
         rng = np.random.default_rng(2)
         lap = random_walk_laplacian(random_counts(rng, 5, 8))
-        assert np.allclose(np.asarray(lap.matrix.sum(axis=1)).ravel(), 1.0)
+        assert np.allclose(np.asarray(lap.sum(axis=1)).ravel(), 1.0)
 
     def test_diagonal_gives_identity(self):
         lap = random_walk_laplacian(CountMatrix.from_dense([[4, 0], [0, 9]]))
-        assert np.allclose(lap.matrix.toarray(), np.eye(2))
+        assert np.allclose(lap.toarray(), np.eye(2))
 
 
 class TestTruncatedSvd:
@@ -88,8 +87,7 @@ class TestTruncatedSvd:
     def test_dense_oracle_60x40(self):
         rng = np.random.default_rng(7)
         dense = rng.random((60, 40)) * (rng.random((60, 40)) < 0.3)
-        lap = NormalizedLaplacian(sp.csr_matrix(dense), float((dense**2).sum()))
-        left, values, right = truncated_svd(lap, 10, seed=11)
+        left, values, right = truncated_svd(sp.csr_matrix(dense), 10, seed=11)
         oracle = np.linalg.svd(dense, compute_uv=False)[:10]
         assert np.abs(values - oracle).max() < 1e-8
         assert np.abs(right.T @ right - np.eye(10)).max() < 1e-8
@@ -122,6 +120,17 @@ class TestTruncatedSvd:
         with pytest.raises(ValueError):
             truncated_svd(lap, 3)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        ({"max_iter": -3}, "max_iter must be >= 1, got -3"),
+        ({"tol": float("nan")}, "tol must be a number >= 0, got nan"),
+        ({"tol": -1e-10}, "tol must be a number >= 0, got -1e-10"),
+    ], ids=["max-iter-zero", "max-iter-negative", "tol-nan", "tol-negative"])
+    def test_bad_iteration_arguments_rejected(self, kwargs, message):
+        lap = normalized_laplacian(random_counts(np.random.default_rng(13), 10, 14))
+        with pytest.raises(ValueError, match=message):
+            truncated_svd(lap, 2, **kwargs)
+
     def test_nonconvergence_carries_best_residuals(self):
         rng = np.random.default_rng(13)
         lap = normalized_laplacian(random_counts(rng, 10, 14))
@@ -132,8 +141,7 @@ class TestTruncatedSvd:
 
 
 def raw_container(dense):
-    dense = np.asarray(dense, dtype=float)
-    return NormalizedLaplacian(sp.csr_matrix(dense), float((dense**2).sum()))
+    return sp.csr_matrix(np.asarray(dense, dtype=float))
 
 
 class TestEmbed:
@@ -171,12 +179,12 @@ class TestEmbed:
     def test_scaling_modes_differ_by_column_factors(self):
         rng = np.random.default_rng(29)
         lap = normalized_laplacian(random_counts(rng, 10, 15))
-        raw = embed(lap, EmbedPolicy(scaling_mode="none", energy_threshold=0.001))
-        scaled = embed(lap, EmbedPolicy(scaling_mode="sqrt", energy_threshold=0.001))
+        raw = embed(lap, EmbedPolicy(scaling="none", energy_threshold=0.001))
+        scaled = embed(lap, EmbedPolicy(scaling="sqrt", energy_threshold=0.001))
         for j in range(raw.dimension):
             corr = np.corrcoef(raw.coords[:, j], scaled.coords[:, j])[0, 1]
             assert corr == pytest.approx(1.0, abs=1e-9)
-        linear = embed(lap, EmbedPolicy(scaling_mode="linear", energy_threshold=0.001))
+        linear = embed(lap, EmbedPolicy(scaling="linear", energy_threshold=0.001))
         assert np.allclose(linear.coords, raw.coords * raw.singular_values, atol=1e-12)
         assert np.allclose(scaled.coords, raw.coords * np.sqrt(raw.singular_values),
                            atol=1e-12)
@@ -200,7 +208,7 @@ class TestEmbed:
     def test_right_vector_gram_is_identity(self):
         rng = np.random.default_rng(31)
         lap = normalized_laplacian(random_counts(rng, 12, 18))
-        emb = embed(lap, EmbedPolicy(scaling_mode="none", energy_threshold=0.001,
+        emb = embed(lap, EmbedPolicy(scaling="none", energy_threshold=0.001,
                                      drop_first=False))
         gram = emb.coords.T @ emb.coords
         assert np.abs(gram - np.eye(emb.dimension)).max() < 1e-8
@@ -228,7 +236,7 @@ class TestEmbed:
         with pytest.raises(ValueError):
             EmbedPolicy(energy_threshold=0.0)
         with pytest.raises(ValueError):
-            EmbedPolicy(scaling_mode="cubic")
+            EmbedPolicy(scaling="cubic")
 
     def test_exports(self):
         emb = Embedding(
@@ -236,7 +244,7 @@ class TestEmbed:
             singular_values=np.array([0.9, 0.5]),
             component_shares=np.array([0.5, 0.2]),
             dropped_first=False,
-            scaling_mode="sqrt",
+            scaling="sqrt",
         )
         tsv = embedding_to_tsv(emb, ["a", "b"])
         assert tsv.splitlines()[0] == "cell_id\ty1\ty2"
@@ -264,8 +272,7 @@ def reference_rescaled(counts, row_scale, col_scale):
 
 
 def reference_scales(counts, variant):
-    deg = degrees(counts)
-    rows, cols = deg.row_degrees.astype(np.float64), deg.col_degrees.astype(np.float64)
+    rows, cols = (deg.astype(np.float64) for deg in degrees(counts))
     if variant is normalized_laplacian:
         return 1.0 / np.sqrt(rows), 1.0 / np.sqrt(cols)
     if variant is random_walk_laplacian:
@@ -290,25 +297,27 @@ class TestRowBlockWalk:
         counts = CountMatrix.from_dense(dense)
         lap = variant(counts)
         expected, frobenius_sq = reference_rescaled(counts, *reference_scales(counts, variant))
-        assert lap.matrix.data.tobytes() == expected.data.tobytes()
-        assert np.array_equal(lap.matrix.indices, expected.indices)
-        assert np.array_equal(lap.matrix.indptr, expected.indptr)
-        assert lap.matrix.shape == expected.shape
-        assert lap.frobenius_sq == frobenius_sq
+        assert lap.data.tobytes() == expected.data.tobytes()
+        assert np.array_equal(lap.indices, expected.indices)
+        assert np.array_equal(lap.indptr, expected.indptr)
+        assert lap.shape == expected.shape
+        emb = embed(lap, EmbedPolicy(drop_first=False))
+        shares = emb.singular_values**2 / frobenius_sq
+        assert shares.tobytes() == emb.component_shares.tobytes()
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_index_arrays_shared_with_the_counts(self, variant):
         counts = CountMatrix.from_dense([[1, 0, 2], [3, 4, 0]])
-        matrix = variant(counts).matrix
+        matrix = variant(counts)
         assert np.shares_memory(matrix.indices, counts.csr().indices)
         assert np.shares_memory(matrix.indptr, counts.csr().indptr)
 
     def test_peak_memory_bounded_by_its_own_data(self, monkeypatch):
-        """The float64 data and the one squared copy that frobenius_sq sums;
-        copying the index arrays and whole-matrix scale factors took 20
-        bytes per entry at the peak."""
+        """The float64 data and per-block temporaries; copying the index
+        arrays and whole-matrix scale factors took 20 bytes per entry at
+        the peak."""
         monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", 1 << 14)
         counts = block_counts()
         lap, peak = traced_peak(normalized_laplacian, counts)
-        assert lap.matrix.nnz == counts.nnz
-        assert peak <= 2.1 * lap.matrix.data.nbytes
+        assert lap.nnz == counts.nnz
+        assert peak <= 2.1 * lap.data.nbytes
