@@ -17,7 +17,7 @@ from .core_matrix import (
     submatrix,
     write_matrix_market,
 )
-from .features import FeatureScore, dispersion_scores, select_top_k
+from .features import dispersion_scores, select_top_k
 from .layout import Layout2D, LayoutParams, fuzzy_graph, optimize_layout
 from .mixture import (
     ClusterLabels,
@@ -55,7 +55,6 @@ __all__ = [
     "CounterRng",
     "EmbedPolicy",
     "Embedding",
-    "FeatureScore",
     "GmmModel",
     "Layout2D",
     "LayoutParams",

@@ -421,7 +421,7 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
             mask = features.select_top_k(scores, values["features.top_k"])
             # cells whose entire signal sits in unselected features cannot be
             # embedded; drop them and record the count
-            col_deg = mask.astype(np.int64) @ counts.csr()
+            col_deg = core_matrix.column_sums(counts, mask)
             empty_cells = int((col_deg == 0).sum())
             counts = core_matrix.submatrix(counts, mask, col_deg > 0)
             metrics["stages"]["features"] = {

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._checks import require_int
 from .mixture import ClusterLabels
 from .rng import CounterRng
 
@@ -149,6 +150,7 @@ def exact_knn(coords, k: int) -> tuple[np.ndarray, np.ndarray]:
     distance, duplicates) is ranked by a scan of all points.  So the
     result does not depend on the block size.
     """
+    require_int(k, "k")
     points = np.asarray(coords, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("coordinates must be n x d")

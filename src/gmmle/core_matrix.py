@@ -127,24 +127,33 @@ def degrees(counts: CountMatrix) -> tuple[np.ndarray, np.ndarray]:
     return row, col
 
 
-# Entries per block of _row_blocks: 2**20 entries keep a block's per-entry
+def column_sums(counts: CountMatrix, row_mask: np.ndarray) -> np.ndarray:
+    """Exact int64 sums, per cell, of the counts in the features of the
+    boolean ``row_mask``: one sparse product, with no per-entry temporary."""
+    return row_mask.astype(np.int64) @ counts.csr()
+
+
+# Entries per block of entry_blocks: 2**20 entries keep a block's per-entry
 # temporaries near 8 MB each, however many entries the matrix holds.
 _ROW_BLOCK_ENTRIES = 1 << 20
 
 
-def _row_blocks(indptr: np.ndarray):
-    """Consecutive row ranges of a CSR, ``(first, stop, lo, hi)`` each: rows
-    ``first:stop`` hold the entries ``lo:hi``.  A block takes rows while its
-    entries stay within ``_ROW_BLOCK_ENTRIES``, and always at least one row,
-    so a longer row is a block by itself.  Callers slice the CSR's arrays
-    with ``lo:hi``, which makes views, not copies."""
-    n_rows = indptr.size - 1
+def entry_blocks(counts: CountMatrix):
+    """The stored entries of ``counts`` in CSR order, as ``(rows, cols,
+    values)`` per block of rows: each entry's int64 row id, and views of
+    the CSR's column indices and counts.  A block takes rows while its
+    entries stay within ``_ROW_BLOCK_ENTRIES``, and at least one row, so a
+    longer row is a block by itself; a block without entries is skipped."""
+    csr = counts.csr()
     first = 0
-    while first < n_rows:
-        lo = int(indptr[first])
-        stop = int(np.searchsorted(indptr, lo + _ROW_BLOCK_ENTRIES, side="right")) - 1
-        stop = min(max(stop, first + 1), n_rows)
-        yield first, stop, lo, int(indptr[stop])
+    while first < counts.n_features:
+        lo = int(csr.indptr[first])
+        stop = int(np.searchsorted(csr.indptr, lo + _ROW_BLOCK_ENTRIES, side="right")) - 1
+        stop = min(max(stop, first + 1), counts.n_features)
+        hi = int(csr.indptr[stop])
+        if hi > lo:
+            rows = np.repeat(np.arange(first, stop), np.diff(csr.indptr[first:stop + 1]))
+            yield rows, csr.indices[lo:hi], csr.data[lo:hi]
         first = stop
 
 

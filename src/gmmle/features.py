@@ -5,19 +5,19 @@ and population variance V (zeros included).  Under pure technical noise a
 count is roughly Poisson (V close to m, score close to 1); real biological
 variability inflates V above m and pushes the score up, so ranking by the
 score surfaces the most informative features.  The ratio is independent of
-the logarithm base.
+the logarithm base.  The scores are one record array, reduced over
+``core_matrix.entry_blocks``; ``select_top_k`` takes it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .core_matrix import CountMatrix, _row_blocks
+from ._checks import require_int
+from .core_matrix import CountMatrix, entry_blocks
 
 # Features whose mean is this close to 1 have log(m) ~ 0 and the ratio is
 # numerically meaningless; they are ranked last, as are features with m < 1
@@ -26,64 +26,53 @@ from .core_matrix import CountMatrix, _row_blocks
 MEAN_ONE_GUARD = 1e-6
 
 
-@dataclass(frozen=True)
-class FeatureScore:
-    mean: float
-    variance: float
-    score: float  # -inf marks "ranked last"
-    phi_hat: float  # method-of-moments overdispersion (V - m)/m^2, informational
-
-
-def dispersion_scores(counts: CountMatrix) -> list[FeatureScore]:
-    """Score every feature; requires at least two cells."""
+def dispersion_scores(counts: CountMatrix) -> np.recarray:
+    """Float64 fields ``mean``, ``variance``, ``score`` (-inf ranks last)
+    and ``phi_hat`` per feature; requires at least two cells."""
     n = counts.n_cells
     if n < 2:
         raise ValueError("dispersion scores need at least 2 cells")
-    csr = counts.csr()
-    ones = np.ones(n)
-    sums = np.empty(counts.n_features)
-    sq_sums = np.empty(counts.n_features)
-    for first, stop, lo, hi in _row_blocks(csr.indptr):
-        # one float64 copy of a row block's counts, sharing the CSR's
-        # indices; a matrix-vector product sums each row's entries in
-        # order, as a per-entry bincount would
-        block = sp.csr_matrix(
-            (csr.data[lo:hi].astype(np.float64), csr.indices[lo:hi],
-             csr.indptr[first:stop + 1] - lo),
-            shape=(stop - first, n),
-        )
-        sums[first:stop] = block @ ones
-        np.square(block.data, out=block.data)
-        sq_sums[first:stop] = block @ ones
+    p = counts.n_features
+    sums = np.zeros(p)
+    sq_sums = np.zeros(p)
+    for rows, _, values in entry_blocks(counts):
+        # a row's values added in entry order from 0.0, as a CSR
+        # matrix-vector product adds them; rows outside the block add 0.0
+        values = values.astype(np.float64)
+        sums += np.bincount(rows, values, minlength=p)
+        np.square(values, out=values)
+        sq_sums += np.bincount(rows, values, minlength=p)
     # For a constant feature both terms are exactly representable and cancel
     # to 0.0; the clamp only absorbs rounding dust from genuine variation.
     means = sums / n
     variances = np.maximum(sq_sums / n - means * means, 0.0)
 
-    scores = np.full(counts.n_features, -np.inf)
+    scores = np.full(p, -np.inf)
     usable = (variances > 0.0) & (means > 1.0 + MEAN_ONE_GUARD)
     scores[usable] = np.log(variances[usable]) / np.log(means[usable])
 
-    phi = np.full(counts.n_features, math.nan)
+    # method-of-moments overdispersion (V - m)/m^2, informational
+    phi = np.full(p, math.nan)
     positive = means > 0
     phi[positive] = (variances[positive] - means[positive]) / (means[positive] ** 2)
 
-    return [
-        FeatureScore(float(m), float(v), float(s), float(p))
-        for m, v, s, p in zip(means, variances, scores, phi)
-    ]
+    return np.rec.fromarrays(
+        [means, variances, scores, phi], names=["mean", "variance", "score", "phi_hat"]
+    )
 
 
-def select_top_k(scores: list[FeatureScore], k: int) -> np.ndarray:
-    """Mask of the k best-scoring features; ties broken by lower index.
+def select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k best-scoring features of a ``dispersion_scores``
+    array (any array with a ``score`` field); ties broken by lower index.
 
     Features with the -inf sentinel are never selected; if fewer than k
     features have finite scores, all finite ones are selected and a warning
     is emitted.  If none has a finite score, ValueError is raised.
     """
+    require_int(k, "k")
     if k < 1:
         raise ValueError("k must be >= 1")
-    values = np.array([s.score for s in scores])
+    values = np.asarray(scores["score"], dtype=np.float64)
     finite = np.isfinite(values)
     order = np.argsort(-values, kind="stable")  # stable: ties by lower index
     order = order[finite[order]]

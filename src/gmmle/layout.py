@@ -47,10 +47,10 @@ REPULSION_FLOOR = 0.001
 CURVE_A = 1.577
 CURVE_B = 0.8951
 INITIAL_ALPHA = 1.0
-# Sample pairs per block of one side's negative-sample pushes.  Timed on
-# the 2500-cell benchmark graph in a fresh process, 8192 ran as fast as one
-# unblocked pass with no page faults; blocks of 16384 pairs and more took
-# 0.1-0.3M minor page faults per run, and 4096 paid more per-block calls.
+# Sample pairs per block of one side's negative-sample pushes: it bounds
+# each of a block's pair arrays at 64 KB, however many edges are due.  (The
+# page faults that slowed larger blocks when `optimize_layout` was timed in
+# a fresh process do not occur inside `gmmle pipeline`.)
 _PUSH_BLOCK = 8192
 
 

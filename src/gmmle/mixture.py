@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import require_int
 from .rng import CounterRng
 
 
@@ -111,6 +112,7 @@ def _all_pairs_dist_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def fit_kmeans(coords, n_clusters: int, seed: int = 0) -> KmeansResult:
     """Lloyd iterations from a k-means++ start until the assignment is a
     fixed point; deterministic for a fixed seed."""
+    require_int(n_clusters, "n_clusters")
     points = _as_points(coords)
     n = points.shape[0]
     if n_clusters < 1 or n_clusters > n:
@@ -269,6 +271,7 @@ def fit_gmm(coords, n_components: int, seed: int = 0) -> tuple[GmmModel, Cluster
     the highest final log-likelihood wins.  Empty clusters in the final
     hard assignment are dropped with a warning and labels are renumbered.
     """
+    require_int(n_components, "n_components")
     points = _as_points(coords)
     n = points.shape[0]
     if n_components < 1 or n_components > n:
@@ -325,12 +328,12 @@ def select_k(coords, k_values, seed: int = 0) -> KSelection:
     """
     points = _as_points(coords)
     n = points.shape[0]
-    if not k_values:
+    if len(k_values) == 0:
         raise ValueError("k selection needs a non-empty k range")
 
     diagnostics = []
     fits = {}
-    for k in sorted(set(int(k) for k in k_values)):
+    for k in sorted({require_int(k, "k_values") for k in k_values}):
         fits[k] = fit_gmm(points, k, seed=seed)
         model = fits[k][0]
         diagnostics.append(KDiagnostic(k, model.log_likelihood, bic(model, n)))

@@ -7,10 +7,10 @@ too large a share.  Filtering runs features-first, then cells, once each,
 with no iteration to a joint fixed point, so results are reproducible
 functions of the input and configuration.  The per-cell statistics count
 the features that pass the feature filter (every input feature with
-``cell_stats_on_raw``) and are read in place from the input matrix, one
-row block at a time over views of its arrays, so they need memory for one
-block, not for a copy of the matrix.  The matrix is then restricted once,
-to the passing features and cells.
+``cell_stats_on_raw``), as ``core_matrix.column_sums`` products and over
+``core_matrix.entry_blocks``, so they need memory for one row block, not
+for a copy of the matrix.  The matrix is then restricted once, to the
+passing features and cells.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-import scipy.sparse as sp
 
-from .core_matrix import CountMatrix, _row_blocks, submatrix
+from .core_matrix import CountMatrix, column_sums, entry_blocks, submatrix
 
 
 @dataclass(frozen=True)
@@ -102,9 +101,7 @@ class EmptyMatrixError(ValueError):
 
 def filter_features(counts: CountMatrix, cfg: QcConfig) -> np.ndarray:
     """Mask of features with non-zero counts in >= min_cells_per_feature cells."""
-    csr = counts.csr()
-    cells_per_feature = np.diff(csr.indptr)
-    return cells_per_feature >= cfg.min_cells_per_feature
+    return np.diff(counts.csr().indptr) >= cfg.min_cells_per_feature
 
 
 def _prefix_mask(ids, prefixes) -> np.ndarray:
@@ -127,19 +124,13 @@ def _passing_cells(
     counts: CountMatrix, cfg: QcConfig, rows: np.ndarray, report: QcReport | None
 ) -> np.ndarray:
     """filter_cells with every per-cell statistic counting only the features
-    in the mask ``rows``, read in place from the CSR."""
-    csr = counts.csr()
-
-    def column_sums(row_mask: np.ndarray) -> np.ndarray:
-        # exact int64 sums over the masked rows, with no per-entry temporary
-        return row_mask.astype(np.int64) @ csr
-
+    in the mask ``rows``."""
     exclude = set(cfg.top_share_exclude)
     candidates = rows & np.array(
         [fid not in exclude for fid in counts.feature_ids], dtype=bool
     )
-    features_per_cell, top_counts = _cell_counts(csr, rows, candidates)
-    totals = column_sums(rows)
+    features_per_cell, top_counts = _cell_counts(counts, rows, candidates)
+    totals = column_sums(counts, rows)
     safe_totals = np.where(totals > 0, totals, 1).astype(np.float64)
 
     ok_min_features = features_per_cell >= cfg.min_features_per_cell
@@ -150,12 +141,12 @@ def _passing_cells(
     ok_mito = np.ones(counts.n_cells, dtype=bool)
     if cfg.max_mito_share is not None:
         mito_rows = _prefix_mask(counts.feature_ids, (cfg.mito_prefix,))
-        ok_mito = (column_sums(rows & mito_rows) / safe_totals) < cfg.max_mito_share
+        ok_mito = (column_sums(counts, rows & mito_rows) / safe_totals) < cfg.max_mito_share
 
     ok_ribo = np.ones(counts.n_cells, dtype=bool)
     if cfg.max_ribo_share is not None:
         ribo_rows = _prefix_mask(counts.feature_ids, tuple(cfg.ribo_prefixes))
-        ok_ribo = (column_sums(rows & ribo_rows) / safe_totals) < cfg.max_ribo_share
+        ok_ribo = (column_sums(counts, rows & ribo_rows) / safe_totals) < cfg.max_ribo_share
 
     if report is not None:
         report.cells_failed_min_features = int((~ok_min_features).sum())
@@ -167,37 +158,18 @@ def _passing_cells(
 
 
 def _cell_counts(
-    csr: sp.csr_matrix, rows: np.ndarray, candidates: np.ndarray
+    counts: CountMatrix, rows: np.ndarray, candidates: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per cell, the number of features in the mask ``rows`` it expresses
-    and its largest count among the features in ``candidates``, both int64.
-
-    Read one row block at a time: a block whose rows are all in a mask is
-    used as the CSR's own slices, so no per-entry copy of the whole matrix
-    is made.
-    """
-    n_cells = csr.shape[1]
+    and its largest count among the features in ``candidates``, both int64."""
+    n_cells = counts.n_cells
     features_per_cell = np.zeros(n_cells, dtype=np.int64)
     top_counts = np.zeros(n_cells, dtype=np.int64)
-    for first, stop, lo, hi in _row_blocks(csr.indptr):
-        row_nnz = np.diff(csr.indptr[first:stop + 1])
-        (cells,) = _entries_of(rows[first:stop], row_nnz, csr.indices[lo:hi])
-        features_per_cell += np.bincount(cells, minlength=n_cells)
-        cells, values = _entries_of(
-            candidates[first:stop], row_nnz, csr.indices[lo:hi], csr.data[lo:hi]
-        )
-        np.maximum.at(top_counts, cells, values)
+    for row_ids, cells, values in entry_blocks(counts):
+        features_per_cell += np.bincount(cells[rows[row_ids]], minlength=n_cells)
+        in_top = candidates[row_ids]
+        np.maximum.at(top_counts, cells[in_top], values[in_top])
     return features_per_cell, top_counts
-
-
-def _entries_of(row_mask: np.ndarray, row_nnz: np.ndarray, *arrays: np.ndarray):
-    """The entries of ``arrays`` (one row block's slices of CSR arrays) that
-    lie in the rows of ``row_mask``: the slices themselves when every row is
-    in it."""
-    if row_mask.all():
-        return arrays
-    in_rows = np.repeat(row_mask, row_nnz)
-    return tuple(values[in_rows] for values in arrays)
 
 
 def run_qc(counts: CountMatrix, cfg: QcConfig | None = None) -> tuple[CountMatrix, QcReport]:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core_matrix import CountMatrix, _row_blocks, degrees
+from ._checks import require_int
+from .core_matrix import CountMatrix, degrees, entry_blocks
 from .rng import CounterRng
 
 _OVERSAMPLE = 10
@@ -68,15 +69,17 @@ def _require_positive_degrees(counts: CountMatrix) -> tuple[np.ndarray, np.ndarr
 
 def _rescaled(counts: CountMatrix, row_scale, col_scale) -> sp.csr_matrix:
     """X[i, j] * row_scale[i] * col_scale[j]: a float64 copy of the canonical
-    CSR's data, scaled one row block at a time, over the CSR's own index
+    CSR's data, scaled one entry block at a time, over the CSR's own index
     arrays.  A scale of ones is exact, since x * 1.0 == x."""
     csr = counts.csr()
     data = np.empty(csr.nnz)
-    for first, stop, lo, hi in _row_blocks(csr.indptr):
-        block = data[lo:hi]
-        block[:] = csr.data[lo:hi]
-        block *= np.repeat(row_scale[first:stop], np.diff(csr.indptr[first:stop + 1]))
-        block *= col_scale[csr.indices[lo:hi]]
+    lo = 0
+    for rows, cols, values in entry_blocks(counts):
+        block = data[lo:lo + values.size]
+        block[:] = values
+        block *= row_scale[rows]
+        block *= col_scale[cols]
+        lo += values.size
     return sp.csr_matrix((data, csr.indices, csr.indptr), shape=csr.shape)
 
 
@@ -103,6 +106,15 @@ def adjacency_embedding_matrix(counts: CountMatrix) -> sp.csr_matrix:
     shares the counts' index arrays, as for ``normalized_laplacian``."""
     row_deg, col_deg = _require_positive_degrees(counts)
     return _rescaled(counts, np.ones_like(row_deg), np.ones_like(col_deg))
+
+
+def _require_finite(matrix) -> None:
+    """ValueError naming the first non-finite stored entry of ``matrix``."""
+    if not np.isfinite(matrix.data).all():
+        coo = matrix.tocoo()
+        bad = np.argmin(np.isfinite(coo.data))
+        raise ValueError(f"matrix entry ({coo.row[bad]}, {coo.col[bad]}) is"
+                         f" {coo.data[bad]}; every entry must be finite")
 
 
 def _orient_signs(u: np.ndarray, v: np.ndarray) -> None:
@@ -169,6 +181,7 @@ def truncated_svd(
     ``||L v_i - sigma_i u_i||`` is at most tol * sigma_1.  Deterministic for
     a fixed seed.
     """
+    require_int(k, "k")
     p, n = matrix.shape
     if not (1 <= k <= min(p, n)):
         raise ValueError(f"k={k} outside [1, {min(p, n)}]")
@@ -176,6 +189,7 @@ def truncated_svd(
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     if not tol >= 0.0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    _require_finite(matrix)
 
     def accept(sigma, residuals):
         top = sigma[0]
@@ -234,6 +248,7 @@ def embed(matrix: sp.csr_matrix, policy: EmbedPolicy | None = None) -> Embedding
     policy = policy or EmbedPolicy()
     p, n = matrix.shape
     rank_cap = min(p, n)
+    _require_finite(matrix)
     frob_sq = float(np.sum(matrix.data * matrix.data))
     if frob_sq <= 0.0:
         raise ValueError("matrix has no entries")

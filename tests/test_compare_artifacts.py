@@ -1,0 +1,62 @@
+"""tools/compare_artifacts.py: the byte-identity check between two trees."""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "compare_artifacts.py"
+
+spec = importlib.util.spec_from_file_location("compare_artifacts", TOOL)
+compare_artifacts = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_artifacts)
+
+
+def test_tree_against_itself(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT / "src"), str(ROOT / "src"), "--work", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(compare_artifacts.CASES)
+    assert all(line.endswith("artifacts byte-identical") for line in lines)
+    # the QC-biting config does remove features and cells
+    report = json.loads((tmp_path / "change" / "qc-biting" / "qc_report.json").read_text())
+    assert (report["features_removed_low_cell_count"], report["cells_removed"]) == (75, 214)
+
+
+def test_settings_equal_the_benchmark_workloads():
+    code = (
+        "import json, run; print(json.dumps([run.COMMON_SETTINGS,"
+        " {name: w.settings for name, w in run.WORKLOADS.items()}]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT / "bench", env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    common, workloads = json.loads(result.stdout.splitlines()[-1])
+    assert common == compare_artifacts.COMMON_SETTINGS
+    assert workloads == compare_artifacts.WORKLOADS
+
+
+def test_compare_dirs_ignores_only_timings_and_memory(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out, seconds in ((a, 1.5), (b, 2.5)):
+        out.mkdir()
+        (out / "labels.tsv").write_text("cell_id\tcluster\nc0\t0\n")
+        metrics = {"stages": {"qc": {"n_cells": 4}}, "timings_sec": {"qc": seconds},
+                   "peak_rss_mb": {"qc": seconds}, "rss_mb": {"qc": seconds}}
+        (out / "metrics.json").write_text(json.dumps(metrics))
+    assert compare_artifacts.compare_dirs(a, b) == []
+    (b / "labels.tsv").write_text("cell_id\tcluster\nc0\t1\n")
+    (b / "metrics.json").write_text(json.dumps({"stages": {"qc": {"n_cells": 3}}}))
+    (b / "layout.tsv").write_text("")
+    assert compare_artifacts.compare_dirs(a, b) == [
+        "labels.tsv", "layout.tsv (only in one run)", "metrics.json",
+    ]

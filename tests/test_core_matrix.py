@@ -555,6 +555,14 @@ class TestDegreesAndSubmatrix:
             CountMatrix._from_canonical(csr, ["a", "b"], ["x"])
 
 
+def counts_with_row_nnz(row_nnz, n_cells=12):
+    """A count matrix whose row i holds row_nnz[i] entries."""
+    dense = np.zeros((len(row_nnz), n_cells), dtype=np.int64)
+    for row, nnz in enumerate(row_nnz):
+        dense[row, :nnz] = np.arange(1, nnz + 1)
+    return CountMatrix.from_dense(dense)
+
+
 class TestRowBlocks:
     @pytest.mark.parametrize("block", [1, 2, 7, 1 << 20])
     @pytest.mark.parametrize("row_nnz", [
@@ -562,23 +570,53 @@ class TestRowBlocks:
     ])
     def test_blocks_tile_the_rows(self, monkeypatch, block, row_nnz):
         monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", block)
-        indptr = np.concatenate([[0], np.cumsum(row_nnz, dtype=np.int64)]).astype(np.int32)
-        blocks = list(core_matrix._row_blocks(indptr))
-        # consecutive, covering every row once, with the entry range of those rows
-        rows = [row for first, stop, _, _ in blocks for row in range(first, stop)]
-        assert rows == list(range(len(row_nnz)))
-        for first, stop, lo, hi in blocks:
-            assert first < stop and (lo, hi) == (indptr[first], indptr[stop])
+        counts = counts_with_row_nnz(row_nnz)
+        indptr = counts.csr().indptr
+        blocks = [rows for rows, _, _ in core_matrix.entry_blocks(counts)]
+        # every entry's row once, in order: each block holds its rows whole
+        assert np.array_equal(
+            np.concatenate([[]] + blocks), np.repeat(np.arange(len(row_nnz)), row_nnz)
+        )
+        for rows in blocks:
             # within the block size, unless it is one longer row
-            assert hi - lo <= block or stop == first + 1
-            # and as long as the block size allows
-            assert stop == len(row_nnz) or indptr[stop + 1] - lo > block
+            assert rows.size <= block or rows[0] == rows[-1]
+        for rows, following in zip(blocks, blocks[1:]):
+            # and as long as the block size allows: the next row would not fit
+            next_row = following[0]
+            assert rows.size + indptr[next_row + 1] - indptr[next_row] > block
 
     def test_block_arrays_are_views(self):
-        csr = CountMatrix.from_dense(np.arange(12).reshape(3, 4)).csr()
-        [(first, stop, lo, hi)] = core_matrix._row_blocks(csr.indptr)
-        assert (first, stop, lo, hi) == (0, 3, 0, 11)
-        assert np.shares_memory(csr.indices[lo:hi], csr.indices)
+        counts = CountMatrix.from_dense(np.arange(12).reshape(3, 4))
+        csr = counts.csr()
+        [(rows, cols, values)] = core_matrix.entry_blocks(counts)
+        assert rows.dtype == np.int64 and rows.tolist() == [0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+        assert np.shares_memory(cols, csr.indices) and np.shares_memory(values, csr.data)
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_every_entry_once_in_csr_order(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", block)
+        rng = np.random.default_rng(3)
+        dense = rng.poisson(0.5, size=(25, 30)) * rng.integers(1, 100, size=(25, 30))
+        dense[2] = 0  # an empty row
+        dense[8] = rng.integers(1, 9, size=30)  # a row longer than a 7-entry block
+        counts = CountMatrix.from_dense(dense)
+        csr = counts.csr()
+        rows, cols, values = (
+            np.concatenate(parts) for parts in zip(*core_matrix.entry_blocks(counts))
+        )
+        assert np.array_equal(rows, np.repeat(np.arange(25), np.diff(csr.indptr)))
+        for got, want in ((cols, csr.indices), (values, csr.data)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestColumnSums:
+    def test_exact_int64_sums_of_the_masked_rows(self):
+        big = 2**62
+        counts = CountMatrix.from_dense([[big, 0, 1], [1, 2, 0], [big - 1, 0, 3]])
+        sums = core_matrix.column_sums(counts, np.array([True, False, True]))
+        assert sums.dtype == np.int64 and sums.tolist() == [2 * big - 1, 0, 4]
+        assert core_matrix.column_sums(counts, np.zeros(3, dtype=bool)).tolist() == [0, 0, 0]
 
 
 def is_canonical(csr) -> bool:

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from gmmle import core_matrix
 from gmmle.core_matrix import CountMatrix
-from gmmle.features import MEAN_ONE_GUARD, FeatureScore, dispersion_scores, select_top_k
+from gmmle.features import MEAN_ONE_GUARD, dispersion_scores, select_top_k
 from test_mm_reader import block_counts, csr_bytes, traced_peak
 
 
@@ -19,7 +19,7 @@ class TestDispersionScores:
     def test_mean2_variance4_scores_exactly_2(self):
         # counts (0, 4): m = 2, V = ((0-2)^2 + (4-2)^2)/2 = 4
         [s] = scores_of([[0, 4]])
-        assert s.mean == 2.0
+        assert s["mean"] == 2.0
         assert s.variance == 4.0
         assert s.score == pytest.approx(math.log(4) / math.log(2), abs=1e-12)
         assert s.score == pytest.approx(2.0, abs=1e-12)
@@ -32,7 +32,7 @@ class TestDispersionScores:
     def test_mean_equals_variance_scores_1(self):
         # counts (6, 2, 2, 2): m = 3, V = (9 + 1 + 1 + 1)/4 = 3
         [s] = scores_of([[6, 2, 2, 2]])
-        assert s.mean == 3.0
+        assert s["mean"] == 3.0
         assert s.variance == 3.0
         assert s.score == pytest.approx(1.0, abs=1e-12)
 
@@ -48,6 +48,16 @@ class TestDispersionScores:
         [s] = scores_of([[0, 4]])
         assert s.phi_hat == pytest.approx((4.0 - 2.0) / 4.0)
 
+    def test_one_record_array_of_float64_fields(self):
+        scores = scores_of([[0, 4], [6, 2], [5, 5]])
+        assert isinstance(scores, np.recarray) and scores.shape == (3,)
+        assert scores.dtype.names == ("mean", "variance", "score", "phi_hat")
+        assert all(scores.dtype[name] == np.float64 for name in scores.dtype.names)
+        # a record reads its score as an attribute, as bench/traced_pipeline.py does;
+        # "mean" is read by key, since .mean is ndarray's method
+        assert [s.score for s in scores] == scores["score"].tolist()
+        assert [s["mean"] for s in scores] == [2.0, 4.0, 5.0]
+
     def test_requires_two_cells(self):
         with pytest.raises(ValueError):
             scores_of([[3]])
@@ -56,7 +66,7 @@ class TestDispersionScores:
         for row in [[0, 4], [6, 2, 2, 2], [10, 2, 0, 1], [7, 7, 1, 9]]:
             [s] = scores_of([row])
             if math.isfinite(s.score):
-                base2 = math.log2(s.variance) / math.log2(s.mean)
+                base2 = math.log2(s.variance) / math.log2(s["mean"])
                 assert s.score == pytest.approx(base2, abs=1e-12)
 
     def test_score_increases_with_overdispersion(self):
@@ -72,7 +82,7 @@ class TestDispersionScores:
 
     def test_zeros_count_toward_mean(self):
         [s] = scores_of([[4, 0, 0, 0, 0, 0, 0, 0]])
-        assert s.mean == 0.5
+        assert s["mean"] == 0.5
 
     def test_moments_equal_add_at_form(self):
         dense = np.array([
@@ -92,8 +102,8 @@ class TestDispersionScores:
         means = sums / counts.n_cells
         variances = np.maximum(sq_sums / counts.n_cells - means * means, 0.0)
         got = dispersion_scores(counts)
-        assert np.array([s.mean for s in got]).tobytes() == means.tobytes()
-        assert np.array([s.variance for s in got]).tobytes() == variances.tobytes()
+        assert got["mean"].tobytes() == means.tobytes()
+        assert got["variance"].tobytes() == variances.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_moments_equal_bincount_form_beyond_2_53(self, seed):
@@ -113,8 +123,8 @@ class TestDispersionScores:
         means = sums / counts.n_cells
         variances = np.maximum(sq_sums / counts.n_cells - means * means, 0.0)
         got = dispersion_scores(counts)
-        assert np.array([s.mean for s in got]).tobytes() == means.tobytes()
-        assert np.array([s.variance for s in got]).tobytes() == variances.tobytes()
+        assert got["mean"].tobytes() == means.tobytes()
+        assert got["variance"].tobytes() == variances.tobytes()
 
 
 def reference_dispersion_scores(counts):
@@ -135,10 +145,7 @@ def reference_dispersion_scores(counts):
     phi = np.full(counts.n_features, math.nan)
     positive = means > 0
     phi[positive] = (variances[positive] - means[positive]) / (means[positive] ** 2)
-    return [
-        FeatureScore(float(m), float(v), float(s), float(p))
-        for m, v, s, p in zip(means, variances, scores, phi)
-    ]
+    return {"mean": means, "variance": variances, "score": scores, "phi_hat": phi}
 
 
 class TestRowBlockWalk:
@@ -153,12 +160,12 @@ class TestRowBlockWalk:
         dense[3] = 0  # an empty row
         dense[4] = rng.integers(1, 4, size=40)  # a row longer than a 7-entry block
         counts = CountMatrix.from_dense(dense)
-        got, expected = (
-            np.array([(s.mean, s.variance, s.score, s.phi_hat) for s in scores])
-            for scores in (dispersion_scores(counts), reference_dispersion_scores(counts))
-        )
-        assert np.isfinite(got[:, 2]).any()
-        assert got.tobytes() == expected.tobytes()
+        got = dispersion_scores(counts)
+        expected = reference_dispersion_scores(counts)
+        assert np.isfinite(got["score"]).any()
+        for name in ("mean", "variance", "score", "phi_hat"):
+            assert got[name].dtype == np.float64
+            assert got[name].tobytes() == expected[name].tobytes()
 
     def test_peak_memory_bounded_by_one_block(self, monkeypatch):
         """One block's float64 copy, not the whole matrix's, which alone is
@@ -172,7 +179,11 @@ class TestRowBlockWalk:
 
 class TestSelectTopK:
     def mk(self, values):
-        return [FeatureScore(1.0, 1.0, v, 0.0) for v in values]
+        n = len(values)
+        return np.rec.fromarrays(
+            [np.ones(n), np.ones(n), np.array(values, dtype=np.float64), np.zeros(n)],
+            names=["mean", "variance", "score", "phi_hat"],
+        )
 
     def test_selects_largest(self):
         mask = select_top_k(self.mk([2.0, 1.0, 3.0]), 2)

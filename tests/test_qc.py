@@ -446,7 +446,7 @@ class TestRowBlockWalk:
         candidates = rows.copy()
         if masks == "excluded":
             candidates[[12, 20]] = False
-        got = _cell_counts(counts.csr(), rows, candidates)
+        got = _cell_counts(counts, rows, candidates)
         expected = reference_cell_counts(counts.csr(), rows, candidates)
         for g, e in zip(got, expected):
             assert g.dtype == np.int64 and np.array_equal(g, e)

@@ -131,6 +131,12 @@ class TestTruncatedSvd:
         with pytest.raises(ValueError, match=message):
             truncated_svd(lap, 2, **kwargs)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", True])
+    def test_non_integer_k_rejected(self, k):
+        lap = normalized_laplacian(random_counts(np.random.default_rng(13), 10, 14))
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            truncated_svd(lap, k)
+
     def test_nonconvergence_carries_best_residuals(self):
         rng = np.random.default_rng(13)
         lap = normalized_laplacian(random_counts(rng, 10, 14))
@@ -138,6 +144,18 @@ class TestTruncatedSvd:
             truncated_svd(lap, 4, tol=1e-30, max_iter=3)
         assert err.value.singular_values.shape == (4,)
         assert err.value.residuals.shape == (4,)
+
+
+@pytest.mark.parametrize("solve", [embed, lambda m: truncated_svd(m, 2)],
+                         ids=["embed", "truncated_svd"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_named_before_solving(solve, bad):
+    """The first non-finite stored entry, in row-major order, is named; the
+    solver used to fail on it with numpy's "SVD did not converge"."""
+    matrix = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.0, bad, np.nan], [3.0, 0.0, 1.0]]))
+    message = rf"matrix entry \(1, 1\) is {bad}; every entry must be finite"
+    with pytest.raises(ValueError, match=message):
+        solve(matrix)
 
 
 def raw_container(dense):
