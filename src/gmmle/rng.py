@@ -22,12 +22,21 @@ Independent streams for parallel work are derived by re-keying
 so output ``i`` of child ``j`` is ``mix64(key_j + (i + 1) * GAMMA)``, a pure
 function of ``(key, j, i)``.  :meth:`CounterRng.derive_random` evaluates it
 for a run of children at once as one 2-D uint64 array (numpy's wrapping
-uint64 arithmetic is the ``mod 2**64``).  Fixed output vectors are pinned in
-``tests/test_rng.py``.
+uint64 arithmetic is the ``mod 2**64``), one row per child;
+:func:`keyed_random` evaluates a run of outputs of children whose keys
+(:meth:`CounterRng.derive_keys`) were derived once, one column per child.
+Fixed output vectors are pinned in ``tests/test_rng.py``.
 
 Poisson counts come from one CDF table per rate (:func:`poisson_cdf`),
 searched by :func:`poisson_invert`; see ``poisson_cdf`` for why this
-equals the classic one-uniform inversion loop bit for bit.
+equals the classic one-uniform inversion loop bit for bit.  The search is
+indexed (a "guide table": Chen & Asau 1974; Devroye 1986, III.2.4):
+:func:`poisson_guide` splits [0, 1) into 2**12 equal buckets and records,
+for each bucket that holds no table entry, the one count every uniform in
+it inverts to.  A uniform's bucket is ``floor(u * 2**12)``, exact since the
+scale is a power of two, so almost every draw is one lookup, and only the
+uniforms in the few buckets that hold an entry are binary-searched; the
+counts are ``np.searchsorted(table, u, side="left")`` on every input.
 """
 
 from __future__ import annotations
@@ -42,6 +51,8 @@ GAMMA = 0x9E3779B97F4A7C15
 DERIVE_GAMMA = 0xBB67AE8584CAA73B
 # Above this rate exp(-rate) underflows and the inversion is no longer exact.
 POISSON_MAX_RATE = 700.0
+# log2 of the bucket count of a Poisson guide table (see poisson_guide).
+_GUIDE_BITS = 12
 
 _U = np.uint64
 
@@ -69,6 +80,22 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     np.right_shift(out, _U(31), out=shifted)
     out ^= shifted
     return out
+
+
+def _output_offsets(start: int, size: int) -> np.ndarray:
+    """``(i + 1) * GAMMA`` for outputs i = start .. start + size - 1."""
+    offsets = np.arange(start + 1, start + size + 1, dtype=np.uint64)
+    offsets *= _U(GAMMA)
+    return offsets
+
+
+def keyed_random(keys: np.ndarray, start: int, size: int) -> np.ndarray:
+    """Outputs ``start`` .. ``start + size - 1`` of the streams keyed by the
+    uint64 ``keys`` (:meth:`CounterRng.derive_keys`), as uniforms in one
+    (size, keys.size) array: column j holds stream j's outputs, so entry
+    (i, j) is output ``start + i`` of ``CounterRng(0, _key=keys[j])``.
+    """
+    return _unit_float(_mix64_array(_output_offsets(start, size)[:, None] + keys))
 
 
 def _unit_float(raw: np.ndarray) -> np.ndarray:
@@ -104,9 +131,43 @@ def poisson_cdf(lam: float) -> np.ndarray:
     return np.array(table)
 
 
-def poisson_invert(table: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Poisson counts of the uniforms ``u`` by a :func:`poisson_cdf` table."""
-    return np.searchsorted(table, u, side="left")
+def poisson_guide(table: np.ndarray) -> np.ndarray:
+    """Guide of a :func:`poisson_cdf` table: one intp per bucket
+    ``[b / 2**12, (b + 1) / 2**12)``, b = 0 .. 2**12 - 1.
+
+    With ``g[b] = searchsorted(table, b / 2**12, "left")``, the number of
+    entries below the bucket's lower edge, entry b is ``g[b]`` when
+    ``g[b] == g[b + 1]`` and -1 otherwise.  In the first case no entry lies
+    in the bucket: the entries before index ``g[b]`` are below ``b / 2**12
+    <= u`` and the rest are at least ``(b + 1) / 2**12 > u``, so ``g[b]`` is
+    the search result of every ``u`` in the bucket.  A -1 bucket holds an
+    entry; that includes the top bucket of a table that stalls below 1,
+    whose largest uniforms invert to the cap.
+    """
+    edges = np.arange((1 << _GUIDE_BITS) + 1) * 2.0 ** -_GUIDE_BITS
+    below = np.searchsorted(table, edges, side="left")
+    return np.where(below[:-1] == below[1:], below[:-1], -1)
+
+
+def poisson_invert(
+    table: np.ndarray, u: np.ndarray, guide: np.ndarray | None = None
+) -> np.ndarray:
+    """Poisson counts of the uniforms ``u`` (in [0, 1]) by a
+    :func:`poisson_cdf` table: ``np.searchsorted(table, u, side="left")``.
+
+    Each uniform's bucket is looked up in the table's
+    :func:`poisson_guide` (built here unless given), and only the uniforms
+    of -1 buckets are searched.  1.0 lands in the top bucket, whose guide
+    entry, when set, is also its search result.
+    """
+    if guide is None:
+        guide = poisson_guide(table)
+    buckets = (u * 2.0 ** _GUIDE_BITS).astype(np.intp)
+    counts = np.take(guide, buckets, mode="clip")
+    unsettled = counts < 0
+    if unsettled.any():
+        counts[unsettled] = np.searchsorted(table, u[unsettled], side="left")
+    return counts
 
 
 class CounterRng:
@@ -128,19 +189,22 @@ class CounterRng:
         child_key = mix64((self.key + (stream_id + 1) * DERIVE_GAMMA) & MASK64)
         return CounterRng(0, _key=child_key)
 
+    def derive_keys(self, first: int, count: int) -> np.ndarray:
+        """Keys of ``count`` child streams as a uint64 array: entry r is
+        ``self.derive(first + r).key``; does not advance self."""
+        ids = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+        ids *= _U(DERIVE_GAMMA)
+        ids += _U(self.key)
+        return _mix64_array(ids)
+
     def derive_random(self, first: int, count: int, size: int) -> np.ndarray:
         """Uniforms of ``count`` child streams as one (count, size) array.
 
         Row r equals ``self.derive(first + r).random(size)``; does not
         advance self.
         """
-        ids = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-        ids *= _U(DERIVE_GAMMA)
-        ids += _U(self.key)
-        keys = _mix64_array(ids)
-        offsets = np.arange(1, size + 1, dtype=np.uint64)
-        offsets *= _U(GAMMA)
-        return _unit_float(_mix64_array(keys[:, None] + offsets))
+        keys = self.derive_keys(first, count)
+        return _unit_float(_mix64_array(keys[:, None] + _output_offsets(0, size)))
 
     def _raw(self, n: int) -> np.ndarray:
         counters = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)

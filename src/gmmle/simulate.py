@@ -13,17 +13,25 @@ reproducible bit-for-bit across platforms and independent of evaluation
 order.  Cell ``j`` reads the stream ``root.derive(j)`` of the root
 ``CounterRng(seed)``: in poisson mode its uniform ``i`` inverts the count of
 gene ``i``; in multinomial mode its first ``cell_total`` uniforms are the
-trials.  A chunk of consecutive cells inside one cell block draws all its
-uniforms as one 2-D array (``CounterRng.derive_random``).  Poisson counts
-are searched in one CDF table per distinct rate (``rng.poisson_cdf``,
-``rng.poisson_invert``), which equals the one-uniform inversion loop bit
-for bit; rates above ``rng.POISSON_MAX_RATE`` are rejected by ``SbmConfig``.
-A chunk holds at most ``_CHUNK_ELEMENTS`` uniforms and counts (cells x
-genes, or cells x ``cell_total`` if larger), at least one cell, so the
-working memory stays a few MB beside the matrix itself.  Chunks arrive in
-cell order, so each is a block of dense cell rows for the builder the dense
-TSV reader uses (``core_matrix._DenseRows``); its cells x genes CSR,
-transposed, is the genes x cells matrix with no sort and no copy.
+trials.  Poisson counts are drawn gene-major: a chunk of consecutive genes
+inside one gene block draws the uniforms of those genes in every cell as
+one 2-D array (``rng.keyed_random``, over the cells' stream keys derived
+once), and each chunk is a block of dense gene rows.  They are searched in
+one CDF table per distinct rate (``rng.poisson_cdf``,
+``rng.poisson_invert``) through its guide table (``rng.poisson_guide``),
+built once per rate; this equals the one-uniform inversion loop bit for
+bit.  Rates above ``rng.POISSON_MAX_RATE`` are rejected by ``SbmConfig``.
+Multinomial counts are drawn cell-major, since a cell's trials share one
+total: a chunk of consecutive cells inside one cell block draws all its
+uniforms as one 2-D array (``CounterRng.derive_random``), and each chunk is
+a block of dense cell rows.  A chunk holds at most ``_CHUNK_ELEMENTS``
+uniforms and counts (genes x cells; cells x genes, or cells x
+``cell_total`` if larger), at least one row, so the working memory stays a
+few MB beside the matrix itself.  The row blocks arrive in row order and
+go to the builder the dense TSV reader uses (``core_matrix._DenseRows``):
+gene rows give the genes x cells CSR as it is stored, cell rows give its
+transpose, and both are canonical as built, so the matrix is wrapped with
+no sort and no further copy.
 """
 
 from __future__ import annotations
@@ -34,10 +42,13 @@ import numpy as np
 
 from .core_matrix import CountMatrix, _DenseRows
 from .mixture import ClusterLabels
-from .rng import POISSON_MAX_RATE, CounterRng, poisson_cdf, poisson_invert
+from .rng import (
+    POISSON_MAX_RATE, CounterRng, keyed_random, poisson_cdf, poisson_guide, poisson_invert,
+)
 
-# Cells x draws (or genes) sampled per chunk: bounds the uniforms and counts
-# held at once (a few MB) whatever the matrix shape.
+# Genes x cells (Poisson) or cells x draws or genes (multinomial) sampled per
+# chunk: bounds the uniforms and counts held at once (a few MB) whatever the
+# matrix shape.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -114,21 +125,30 @@ def _bounds(sizes: tuple[int, ...]) -> list[tuple[int, int]]:
 
 
 def _cells_per_chunk(config: SbmConfig) -> int:
-    """Cells per chunk: as many as keep (cells x per-cell draws or genes)
-    within _CHUNK_ELEMENTS, at least one."""
+    """Cells per multinomial chunk: as many as keep (cells x per-cell
+    draws or genes) within _CHUNK_ELEMENTS, at least one."""
     per_cell = config.n_genes
     if config.mode == "multinomial":
         per_cell = max(per_cell, config.cell_total)
     return max(1, _CHUNK_ELEMENTS // per_cell)
 
 
+def _genes_per_chunk(config: SbmConfig) -> int:
+    """Genes per Poisson chunk: as many as keep (genes x cells) within
+    _CHUNK_ELEMENTS, at least one."""
+    return max(1, _CHUNK_ELEMENTS // config.n_cells)
+
+
 def sample_sbm(config: SbmConfig) -> SbmSample:
     """Draw one matrix; blocks are contiguous index ranges, labels returned."""
-    cells = _DenseRows(config.n_genes)
-    for counts in _count_chunks(config):
-        cells.add(counts)
-    matrix = CountMatrix(
-        cells.csr().T,
+    if config.mode == "poisson":
+        csr = _csr_of_rows(config.n_cells, _poisson_gene_rows(config))
+    else:
+        # transposing a canonical CSR gives one
+        csr = _csr_of_rows(config.n_genes, _multinomial_cell_rows(config)).T.tocsr()
+    # nonzero counts are positive, so the CSR is canonical as built
+    matrix = CountMatrix._from_canonical(
+        csr,
         feature_ids=[f"g{i}" for i in range(config.n_genes)],
         cell_ids=[f"c{j}" for j in range(config.n_cells)],
     )
@@ -139,53 +159,62 @@ def sample_sbm(config: SbmConfig) -> SbmSample:
     )
 
 
-def _count_chunks(config: SbmConfig):
+def _csr_of_rows(n_cols: int, blocks):
+    """Canonical CSR of dense int64 row blocks arriving in row order."""
+    rows = _DenseRows(n_cols)
+    for block in blocks:
+        rows.add(block)
+    return rows.csr()
+
+
+def _poisson_gene_rows(config: SbmConfig):
+    """Yield the (genes, cells) int64 counts of each chunk, in gene order.
+
+    A chunk never spans two gene blocks, so one rate row serves it.  The
+    cells' stream keys are derived once; a chunk of genes ``first ..``
+    reads outputs ``first ..`` of every cell's stream.
+    """
+    keys = CounterRng(config.seed).derive_keys(0, config.n_cells)
+    cdf = {}
+    for lam in set(config.rates.ravel().tolist()):
+        table = poisson_cdf(lam)
+        cdf[lam] = table, poisson_guide(table)
+    cell_ranges = _bounds(config.cell_block_sizes)
+    step = _genes_per_chunk(config)
+    for g, (start, stop) in enumerate(_bounds(config.gene_block_sizes)):
+        block_cdfs = [cdf[lam] for lam in config.rates[g].tolist()]
+        for first in range(start, stop, step):
+            u = keyed_random(keys, first, min(step, stop - first))
+            counts = np.empty(u.shape, dtype=np.int64)
+            for (c0, c1), (table, guide) in zip(cell_ranges, block_cdfs):
+                counts[:, c0:c1] = poisson_invert(table, u[:, c0:c1], guide)
+            yield counts
+
+
+def _multinomial_cell_rows(config: SbmConfig):
     """Yield the (cells, genes) int64 counts of each chunk, in cell order.
 
     A chunk never spans two cell blocks, so one rate column serves it.
     """
     root = CounterRng(config.seed)
     step = _cells_per_chunk(config)
-    if config.mode == "poisson":
-        cdf = {lam: poisson_cdf(lam) for lam in set(config.rates.ravel().tolist())}
-        gene_ranges = _bounds(config.gene_block_sizes)
-    else:
-        gene_block = _block_of(config.gene_block_sizes)
+    p = config.n_genes
+    gene_block = _block_of(config.gene_block_sizes)
     for c, (start, stop) in enumerate(_bounds(config.cell_block_sizes)):
-        spans = [(first, min(step, stop - first)) for first in range(start, stop, step)]
-        if config.mode == "poisson":
-            block_tables = [cdf[lam] for lam in config.rates[:, c].tolist()]
-            yield from _poisson_chunks(root, spans, block_tables, gene_ranges)
-        else:
-            yield from _multinomial_chunks(
-                root, spans, config.rates[gene_block, c], config.cell_total
-            )
-
-
-def _poisson_chunks(root: CounterRng, spans, block_tables, gene_ranges):
-    p = gene_ranges[-1][1]
-    for first, m in spans:
-        u = root.derive_random(first, m, p)
-        counts = np.empty((m, p), dtype=np.int64)
-        for (g0, g1), table in zip(gene_ranges, block_tables):
-            counts[:, g0:g1] = poisson_invert(table, u[:, g0:g1])
-        yield counts
-
-
-def _multinomial_chunks(root: CounterRng, spans, gene_rates: np.ndarray, total: int):
-    p = gene_rates.size
-    rate_sum = gene_rates.sum()
-    if rate_sum <= 0.0:
-        for _, m in spans:
-            yield np.zeros((m, p), dtype=np.int64)
-        return
-    # each of the `total` trials lands in the gene bin containing its uniform
-    edges = np.cumsum(gene_rates) / rate_sum
-    for first, m in spans:
-        bins = np.searchsorted(edges, root.derive_random(first, m, total), side="right")
-        np.minimum(bins, p - 1, out=bins)
-        bins += (np.arange(m) * p)[:, None]
-        yield np.bincount(bins.ravel(), minlength=m * p).reshape(m, p)
+        gene_rates = config.rates[gene_block, c]
+        rate_sum = gene_rates.sum()
+        # each of the trials lands in the gene bin containing its uniform
+        edges = np.cumsum(gene_rates) / rate_sum if rate_sum > 0.0 else None
+        for first in range(start, stop, step):
+            m = min(step, stop - first)
+            if edges is None:
+                yield np.zeros((m, p), dtype=np.int64)
+                continue
+            u = root.derive_random(first, m, config.cell_total)
+            bins = np.searchsorted(edges, u, side="right")
+            np.minimum(bins, p - 1, out=bins)
+            bins += (np.arange(m) * p)[:, None]
+            yield np.bincount(bins.ravel(), minlength=m * p).reshape(m, p)
 
 
 def _comb2(x: np.ndarray) -> int:

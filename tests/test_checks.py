@@ -14,7 +14,7 @@ POINTS = np.array(
 )
 SCORES = np.rec.fromarrays(
     [np.full(3, 2.0), np.full(3, 4.0), np.array([2.0, 1.5, 3.0]), np.full(3, 0.5)],
-    names=["mean", "variance", "score", "phi_hat"],
+    names=["m", "variance", "score", "phi_hat"],
 )
 CALLS = {
     "exact_knn": ("k", lambda value: exact_knn(POINTS, value)),

@@ -384,6 +384,23 @@ class TestPipelineCommand:
                        "selecting all of them",
         }]
 
+    def test_unconverged_em_fit_listed_under_cluster(self, sim_dir, tmp_path, monkeypatch):
+        monkeypatch.setattr(mixture, "_EM_MAX_ITER", 1)
+        conf = write_config(
+            tmp_path, "capped.conf",
+            PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=tmp_path / "run")
+            .replace("layout.enable = true", "layout.enable = false"),
+        )
+        with pytest.warns(UserWarning, match="stage 'cluster': EM fit at K=3 did not converge"):
+            assert main(["pipeline", "--config", conf]) == 0
+        metrics = json.loads((tmp_path / "run" / "metrics.json").read_text())
+        assert metrics["warnings"] == [{
+            "stage": "cluster",
+            "category": "UserWarning",
+            "message": "EM fit at K=3 did not converge within 1 iterations; "
+                       "the mixture is returned as the cap left it",
+        }]
+
     def test_stage_warning_reissued_with_stage_name_on_failure(
         self, sim_dir, tmp_path, monkeypatch
     ):

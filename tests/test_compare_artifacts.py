@@ -22,8 +22,14 @@ def test_tree_against_itself(tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == list(compare_artifacts.CASES)
-    assert all(line.endswith("artifacts byte-identical") for line in lines)
+    cases = list(compare_artifacts.SIMULATIONS) + list(compare_artifacts.CASES)
+    assert [line.split(":")[0] for line in lines] == cases
+    assert all(line.endswith("byte-identical") for line in lines)
+    # each tree drew both block models itself, and wrote every simulator file
+    for _, out in compare_artifacts.SIMULATIONS.values():
+        for root in (tmp_path, tmp_path / "change-simulate"):
+            names = {p.name for p in (root / out).iterdir()}
+            assert names == set(compare_artifacts.SIMULATED_FILES)
     # the QC-biting config does remove features and cells
     report = json.loads((tmp_path / "change" / "qc-biting" / "qc_report.json").read_text())
     assert (report["features_removed_low_cell_count"], report["cells_removed"]) == (75, 214)
@@ -59,4 +65,20 @@ def test_compare_dirs_ignores_only_timings_and_memory(tmp_path):
     (b / "layout.tsv").write_text("")
     assert compare_artifacts.compare_dirs(a, b) == [
         "labels.tsv", "layout.tsv (only in one run)", "metrics.json",
+    ]
+
+
+def test_compare_simulations_needs_every_simulator_file(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for out in (a, b):
+        out.mkdir()
+        for name in compare_artifacts.SIMULATED_FILES:
+            (out / name).write_text(f"{name}\n")
+    assert compare_artifacts.compare_simulations(a, b) == []
+    (b / "counts.mtx").write_text("changed\n")
+    (b / "truth_genes.tsv").unlink()
+    (a / "counts.cells.txt").unlink()
+    (b / "counts.cells.txt").unlink()
+    assert compare_artifacts.compare_simulations(a, b) == [
+        "counts.mtx", "truth_genes.tsv (only in one run)", "counts.cells.txt (in neither run)",
     ]

@@ -19,7 +19,7 @@ class TestDispersionScores:
     def test_mean2_variance4_scores_exactly_2(self):
         # counts (0, 4): m = 2, V = ((0-2)^2 + (4-2)^2)/2 = 4
         [s] = scores_of([[0, 4]])
-        assert s["mean"] == 2.0
+        assert s.m == 2.0
         assert s.variance == 4.0
         assert s.score == pytest.approx(math.log(4) / math.log(2), abs=1e-12)
         assert s.score == pytest.approx(2.0, abs=1e-12)
@@ -32,7 +32,7 @@ class TestDispersionScores:
     def test_mean_equals_variance_scores_1(self):
         # counts (6, 2, 2, 2): m = 3, V = (9 + 1 + 1 + 1)/4 = 3
         [s] = scores_of([[6, 2, 2, 2]])
-        assert s["mean"] == 3.0
+        assert s.m == 3.0
         assert s.variance == 3.0
         assert s.score == pytest.approx(1.0, abs=1e-12)
 
@@ -51,12 +51,14 @@ class TestDispersionScores:
     def test_one_record_array_of_float64_fields(self):
         scores = scores_of([[0, 4], [6, 2], [5, 5]])
         assert isinstance(scores, np.recarray) and scores.shape == (3,)
-        assert scores.dtype.names == ("mean", "variance", "score", "phi_hat")
+        assert scores.dtype.names == ("m", "variance", "score", "phi_hat")
         assert all(scores.dtype[name] == np.float64 for name in scores.dtype.names)
-        # a record reads its score as an attribute, as bench/traced_pipeline.py does;
-        # "mean" is read by key, since .mean is ndarray's method
-        assert [s.score for s in scores] == scores["score"].tolist()
-        assert [s["mean"] for s in scores] == [2.0, 4.0, 5.0]
+        # every field reads as an attribute, of the array and of a record,
+        # as bench/traced_pipeline.py reads .score
+        for name in scores.dtype.names:
+            assert getattr(scores, name).tolist() == scores[name].tolist()
+            assert [getattr(s, name) for s in scores] == scores[name].tolist()
+        assert [s.m for s in scores] == [2.0, 4.0, 5.0]
 
     def test_requires_two_cells(self):
         with pytest.raises(ValueError):
@@ -66,7 +68,7 @@ class TestDispersionScores:
         for row in [[0, 4], [6, 2, 2, 2], [10, 2, 0, 1], [7, 7, 1, 9]]:
             [s] = scores_of([row])
             if math.isfinite(s.score):
-                base2 = math.log2(s.variance) / math.log2(s["mean"])
+                base2 = math.log2(s.variance) / math.log2(s.m)
                 assert s.score == pytest.approx(base2, abs=1e-12)
 
     def test_score_increases_with_overdispersion(self):
@@ -82,7 +84,7 @@ class TestDispersionScores:
 
     def test_zeros_count_toward_mean(self):
         [s] = scores_of([[4, 0, 0, 0, 0, 0, 0, 0]])
-        assert s["mean"] == 0.5
+        assert s.m == 0.5
 
     def test_moments_equal_add_at_form(self):
         dense = np.array([
@@ -102,7 +104,7 @@ class TestDispersionScores:
         means = sums / counts.n_cells
         variances = np.maximum(sq_sums / counts.n_cells - means * means, 0.0)
         got = dispersion_scores(counts)
-        assert got["mean"].tobytes() == means.tobytes()
+        assert got.m.tobytes() == means.tobytes()
         assert got["variance"].tobytes() == variances.tobytes()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -123,7 +125,7 @@ class TestDispersionScores:
         means = sums / counts.n_cells
         variances = np.maximum(sq_sums / counts.n_cells - means * means, 0.0)
         got = dispersion_scores(counts)
-        assert got["mean"].tobytes() == means.tobytes()
+        assert got.m.tobytes() == means.tobytes()
         assert got["variance"].tobytes() == variances.tobytes()
 
 
@@ -145,7 +147,7 @@ def reference_dispersion_scores(counts):
     phi = np.full(counts.n_features, math.nan)
     positive = means > 0
     phi[positive] = (variances[positive] - means[positive]) / (means[positive] ** 2)
-    return {"mean": means, "variance": variances, "score": scores, "phi_hat": phi}
+    return {"m": means, "variance": variances, "score": scores, "phi_hat": phi}
 
 
 class TestRowBlockWalk:
@@ -163,7 +165,7 @@ class TestRowBlockWalk:
         got = dispersion_scores(counts)
         expected = reference_dispersion_scores(counts)
         assert np.isfinite(got["score"]).any()
-        for name in ("mean", "variance", "score", "phi_hat"):
+        for name in ("m", "variance", "score", "phi_hat"):
             assert got[name].dtype == np.float64
             assert got[name].tobytes() == expected[name].tobytes()
 
@@ -182,7 +184,7 @@ class TestSelectTopK:
         n = len(values)
         return np.rec.fromarrays(
             [np.ones(n), np.ones(n), np.array(values, dtype=np.float64), np.zeros(n)],
-            names=["mean", "variance", "score", "phi_hat"],
+            names=["m", "variance", "score", "phi_hat"],
         )
 
     def test_selects_largest(self):

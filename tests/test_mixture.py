@@ -277,6 +277,21 @@ class TestEmFinalEstep:
         assert len(calls) == model.n_iterations + (0 if model.converged else 1)
 
 
+def test_fit_gmm_warns_when_its_fit_stopped_at_the_cap(monkeypatch):
+    points, _ = four_blobs(seed=5, per_blob=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fit_gmm(points, 4, seed=2)[0].converged
+    monkeypatch.setattr(mixture, "_EM_MAX_ITER", 1)
+    with pytest.warns(UserWarning) as caught:
+        model, _ = fit_gmm(points, 4, seed=2)
+    assert not model.converged
+    assert [str(w.message) for w in caught] == [
+        "EM fit at K=4 did not converge within 1 iterations; "
+        "the mixture is returned as the cap left it"
+    ]
+
+
 def scipy_log_responsibilities(points, weights, means, covariances):
     """The E-step on scipy's triangular solve and log-sum-exp, the kernel
     ``log_responsibilities`` replaced."""

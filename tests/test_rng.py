@@ -13,8 +13,8 @@ import pytest
 
 from conftest import counter_poisson, reference_poisson
 from gmmle.rng import (
-    DERIVE_GAMMA, GAMMA, MASK64, CounterRng, _mix64_array, mix64, poisson_cdf,
-    poisson_invert,
+    DERIVE_GAMMA, GAMMA, MASK64, CounterRng, _mix64_array, keyed_random, mix64,
+    poisson_cdf, poisson_guide, poisson_invert,
 )
 
 M1 = 0xBF58476D1FD49E4E
@@ -186,6 +186,61 @@ def test_poisson_cap_reached_when_cum_stalls():
     assert poisson_invert(table, u).tolist() == [table.size]
 
 
+GUIDE_RATES = [0.0, 0.05, 0.5, 5.0, 37.0, 250.0, 699.9]
+
+
+def _guide_oracle_points(table):
+    """Uniforms where an indexed search could part from the binary one: 0,
+    1 - 2**-53, every bucket edge b / 2**12 and the float below it, and
+    every table entry below 1 with both of its neighbours."""
+    edges = np.arange(1, 2**12) * 2.0**-12
+    below_one = table[table < 1.0]
+    near = np.concatenate(
+        [below_one, np.nextafter(below_one, 0.0), np.nextafter(below_one, 2.0)]
+    )
+    return np.concatenate(
+        [[0.0, 1.0 - 2.0**-53], edges, np.nextafter(edges, 0.0), near[near < 1.0]]
+    )
+
+
+@pytest.mark.parametrize("lam", GUIDE_RATES)
+def test_indexed_search_equals_searchsorted(lam):
+    table = poisson_cdf(lam)
+    guide = poisson_guide(table)
+    u = _guide_oracle_points(table)
+    want = np.searchsorted(table, u, side="left")
+    assert np.array_equal(poisson_invert(table, u), want)
+    assert np.array_equal(poisson_invert(table, u, guide), want)
+
+
+@pytest.mark.parametrize("lam", GUIDE_RATES)
+def test_indexed_search_on_a_column_slice(lam):
+    # the sampler inverts column slices u[:, c0:c1] of a chunk's uniforms
+    table = poisson_cdf(lam)
+    points = _guide_oracle_points(table)
+    u = CounterRng(31).derive_random(0, points.size // 60 + 1, 300)
+    block = u[:, 100:160]
+    block.flat[: points.size] = points
+    assert not block.flags.c_contiguous
+    got = poisson_invert(table, block, poisson_guide(table))
+    assert got.shape == block.shape
+    assert np.array_equal(got, np.searchsorted(table, block, side="left"))
+
+
+@pytest.mark.parametrize("lam", GUIDE_RATES)
+def test_guide_entries_are_the_search_of_their_whole_bucket(lam):
+    table = poisson_cdf(lam)
+    guide = poisson_guide(table)
+    assert guide.shape == (2**12,)
+    lower = np.searchsorted(table, np.arange(2**12) * 2.0**-12, side="left")
+    upper = np.searchsorted(table, np.arange(1, 2**12 + 1) * 2.0**-12, side="left")
+    settled = guide >= 0
+    assert np.array_equal(settled, lower == upper)
+    assert np.array_equal(guide[settled], lower[settled])
+    # only a few percent of the uniforms are left to the binary search
+    assert (~settled).mean() < 0.05
+
+
 @pytest.mark.parametrize(
     "first,count,size", [(0, 1, 1), (0, 5, 17), (3, 4, 0), (7, 0, 5), (1000, 3, 64)]
 )
@@ -196,6 +251,24 @@ def test_derive_random_rows_are_derived_streams(first, count, size):
     assert block.shape == (count, size) and block.dtype == np.float64
     for r in range(count):
         assert block[r].tolist() == root.derive(first + r).random(size).tolist()
+    assert root.counter == 9
+
+
+@pytest.mark.parametrize(
+    "first,count,start,size", [(0, 1, 0, 1), (0, 5, 0, 17), (3, 4, 9, 0), (7, 0, 2, 5),
+                               (1000, 3, 250, 64)]
+)
+def test_keyed_random_columns_are_derived_streams(first, count, start, size):
+    root = CounterRng(41)
+    root.uint64(9)
+    keys = root.derive_keys(first, count)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [root.derive(first + r).key for r in range(count)]
+    block = keyed_random(keys, start, size)
+    assert block.shape == (size, count) and block.dtype == np.float64
+    for r in range(count):
+        stream = root.derive(first + r).random(start + size)
+        assert block[:, r].tolist() == stream[start:].tolist()
     assert root.counter == 9
 
 

@@ -152,6 +152,17 @@ class TestChunkedMatchesReference:
         assert all(simulate._cells_per_chunk(c) == chunk for _, c in last)
 
 
+@pytest.mark.parametrize("chunk_elements", [1, 20, 111, 1 << 16])
+@pytest.mark.parametrize(
+    "config", [c for _, c in ORACLE_CASES[:4]], ids=[i for i, _ in ORACLE_CASES[:4]]
+)
+def test_chunk_sizes_match_reference(config, chunk_elements, monkeypatch):
+    # chunks of one gene or cell, and chunks that end inside a block,
+    # in both the gene-major poisson and the cell-major multinomial draw
+    monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", chunk_elements)
+    assert_same_csr(sample_sbm(config), reference_sample_sbm(config))
+
+
 class TestSampler:
     def test_zero_rates_give_empty_matrix(self):
         cfg = SbmConfig(np.zeros((2, 2)), (5, 5), (4, 4), seed=1)

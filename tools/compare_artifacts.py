@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Check that two source trees write byte-identical pipeline artifacts.
+"""Check that two source trees write byte-identical simulator and pipeline
+artifacts.
 
     python3 tools/compare_artifacts.py PARENT_SRC CHANGE_SRC [--work DIR]
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
-The inputs are drawn once, with PARENT_SRC's ``gmmle simulate``: the
-benchmark's block-model input at seed 7, and ``configs/sbm_demo.conf``'s
-input.  Each tree then runs ``gmmle pipeline`` on four configs:
+Each tree first runs ``gmmle simulate`` on two block models: the
+benchmark's input at seed 7 (``simulate-bench``) and
+``configs/sbm_demo.conf`` (``simulate-demo``).  The two trees must write
+the same ``counts.mtx``, id sidecars, ``truth_cells.tsv`` and
+``truth_genes.tsv``, byte for byte.  PARENT_SRC's draws are the pipeline
+inputs: each tree then runs ``gmmle pipeline`` on four configs:
 
 - ``louvain-tall`` and ``gmm-bic-tall``: the benchmark's two workloads
   (the settings of ``bench/run.py``);
@@ -81,6 +85,16 @@ QC_BITING = {
     "qc.max_top_share": "0.04",
 }
 CASES = ("louvain-tall", "gmm-bic-tall", "qc-biting", "pipeline-demo")
+# Each simulator case: its config and its output directory under a tree's
+# simulation root; the pipeline configs read the parent's draws there.
+SIMULATIONS = {
+    "simulate-bench": ("bench_sbm.conf", "bench_input"),
+    "simulate-demo": (str(CONFIGS / "sbm_demo.conf"), "out/sim"),
+}
+SIMULATED_FILES = (
+    "counts.mtx", "counts.features.txt", "counts.cells.txt", "truth_cells.tsv",
+    "truth_genes.tsv",
+)
 
 # What the benchmark pins for its children: one BLAS thread, no huge-page
 # advice, a fixed hash seed.
@@ -114,14 +128,16 @@ def write_config(path: Path, settings: dict[str, str]) -> Path:
     return path
 
 
-def make_inputs(src: Path, work: Path) -> dict[str, Path]:
-    """Draw the inputs with ``src`` and write one config per case; the demo
-    config reads ``out/sim/counts.mtx`` relative to ``work``."""
-    sbm = work / "bench_sbm.conf"
-    sbm.write_text(SBM_TEXT)
-    gmmle(src, ["simulate", "--config", str(sbm), "--out", str(work / "bench_input")], work)
-    gmmle(src, ["simulate", "--config", str(CONFIGS / "sbm_demo.conf"),
-                "--out", str(work / "out" / "sim")], work)
+def simulate(src: Path, root: Path, work: Path) -> None:
+    """Draw every SIMULATIONS case with ``src`` into its directory under
+    ``root``."""
+    for config, out in SIMULATIONS.values():
+        gmmle(src, ["simulate", "--config", config, "--out", str(root / out)], work)
+
+
+def make_inputs(work: Path) -> dict[str, Path]:
+    """One pipeline config per case, reading the draws under ``work``; the
+    demo config reads ``out/sim/counts.mtx`` relative to ``work``."""
     base = {"input.path": str(work / "bench_input" / "counts.mtx"),
             "input.format": "matrix_market", **COMMON_SETTINGS}
     configs = {
@@ -159,9 +175,27 @@ def compare_dirs(a: Path, b: Path) -> list[str]:
     return differ
 
 
+def compare_simulations(a: Path, b: Path) -> list[str]:
+    """``compare_dirs`` of two simulator output directories, plus each of
+    SIMULATED_FILES missing from both."""
+    missing = [f"{name} (in neither run)" for name in SIMULATED_FILES
+               if not ((a / name).exists() or (b / name).exists())]
+    return compare_dirs(a, b) + missing
+
+
 def compare(parent: Path, change: Path, work: Path) -> int:
-    configs = make_inputs(parent, work)
+    (work / "bench_sbm.conf").write_text(SBM_TEXT)
+    roots = (work, work / "change-simulate")
+    for src, root in zip((parent, change), roots):
+        simulate(src, root, work)
     failed = False
+    for case, (_, out) in SIMULATIONS.items():
+        differ = compare_simulations(*(root / out for root in roots))
+        files = len(list((work / out).iterdir()))
+        print(f"{case}: " + (f"DIFFERS in {', '.join(differ)}" if differ
+                             else f"{files} files byte-identical"))
+        failed = failed or bool(differ)
+    configs = make_inputs(work)
     for case in CASES:
         outs = []
         for label, src in (("parent", parent), ("change", change)):
