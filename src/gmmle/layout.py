@@ -12,18 +12,19 @@ sampled background points.  Updates are applied in deterministic batches
 per epoch with a linearly decaying step, so a fixed seed reproduces the
 layout bit for bit.
 
-The epoch runs on 1-D component arrays: the x and y coordinates (length
-n) and, per batch of pairs, dx, dy, the squared distance and the force
-components (length m).  A pair array kept as m x 2 would make every
-elementwise step a broadcast whose inner loop has length 2, which costs
-several times the arithmetic.  The forces are computed by the same code
-that the public ``attractive_gradient`` and ``repulsive_push`` wrap, so
-each formula exists once.  Each batch is scattered with ``np.add.at`` on x
-and y, in edge order: the same IEEE additions in the same order as the
-n x 2 reference loop in ``tests/test_layout_kernel.py``, so the layout is
-the same bit for bit.  The negative-sample pushes run in blocks of
-``_PUSH_BLOCK`` pairs, so their arrays stay small however many edges are
-due (see ``_repel``).
+The epoch runs on the complex view ``z`` of the C-ordered n x 2
+coordinates: point i is ``x_i + 1j*y_i``.  A batch gathers each endpoint
+once and forms offsets by one complex subtraction; the forces come from
+the code the public ``attractive_gradient`` and ``repulsive_push`` wrap,
+run on the offsets' real and imaginary parts, so each formula exists once.
+Clipping and the step act on the interleaved float64 view (a complex
+multiply's ``b*0`` terms could flip a signed zero), and each endpoint is
+scattered by one ``np.add.at`` on ``z`` in edge order.  Complex arithmetic
+is IEEE arithmetic per component, so each coordinate gets the same
+additions in the same order as in the n x 2 reference loop in
+``tests/test_layout_kernel.py``: the layout is the same bit for bit.  The
+negative-sample pushes run in blocks of ``_PUSH_BLOCK`` pairs, so their
+arrays stay small however many edges are due (see ``_repel``).
 
 The curve constants CURVE_A = 1.577 and CURVE_B = 0.8951 are the
 least-squares fit of 1/(1 + a*x^(2b)) to the min_dist=0.1 membership
@@ -47,10 +48,8 @@ REPULSION_FLOOR = 0.001
 CURVE_A = 1.577
 CURVE_B = 0.8951
 INITIAL_ALPHA = 1.0
-# Sample pairs per block of one side's negative-sample pushes: it bounds
-# each of a block's pair arrays at 64 KB, however many edges are due.  (The
-# page faults that slowed larger blocks when `optimize_layout` was timed in
-# a fresh process do not occur inside `gmmle pipeline`.)
+# Sample pairs per block of one side's negative-sample pushes: a block's
+# complex pair arrays hold 128 KB each, however many edges are due.
 _PUSH_BLOCK = 8192
 
 
@@ -183,14 +182,16 @@ def repulsive_push(head, tail, a: float, b: float) -> np.ndarray:
     return _pairwise(_push, head, tail, a, b)
 
 
-def _clip(*components: np.ndarray) -> None:
-    for values in components:
-        np.clip(values, -GRADIENT_CLIP, GRADIENT_CLIP, out=values)
+def _clip(values: np.ndarray) -> np.ndarray:
+    """Clip complex ``values`` per component in place; returns the float view."""
+    flat = values.view(np.float64)
+    np.clip(flat, -GRADIENT_CLIP, GRADIENT_CLIP, out=flat)
+    return flat
 
 
-def _repel(x, y, side, n_neg: int, rng: CounterRng, alpha: float, a: float, b: float) -> None:
+def _repel(z, side, n_neg: int, rng: CounterRng, alpha: float, a: float, b: float) -> None:
     """Push each point of ``side`` away from ``n_neg`` uniformly drawn
-    points, in place on ``x`` and ``y``.
+    points, in place on the complex coordinates ``z``.
 
     Pair p anchors at ``side[p // n_neg]``.  The pairs run in blocks of
     ``_PUSH_BLOCK``: each block draws its samples, computes its pushes from
@@ -199,30 +200,27 @@ def _repel(x, y, side, n_neg: int, rng: CounterRng, alpha: float, a: float, b: f
     are those of one pass over all pairs, with no pair-length temporaries.
     """
     n_pairs = side.size * n_neg
-    before_x, before_y = x.copy(), y.copy()
+    before = z.copy()
     for lo in range(0, n_pairs, _PUSH_BLOCK):
         hi = min(lo + _PUSH_BLOCK, n_pairs)
         first = lo // n_neg
         anchors = np.repeat(side[first:-(-hi // n_neg)], n_neg)
         anchors = anchors[lo - first * n_neg:hi - first * n_neg]
-        others = rng.integers(x.size, hi - lo)
-        xa, ya = before_x.take(anchors), before_y.take(anchors)
-        xo, yo = before_x.take(others), before_y.take(others)
-        px, py = _push(xa - xo, ya - yo, a, b)
-        _clip(px, py)
+        others = rng.integers(z.size, hi - lo)
+        za, zo = before.take(anchors), before.take(others)
+        push = za - zo
+        _push(push.real, push.imag, a, b)
+        flat = _clip(push)
         # only a zero push can come from coincident points
-        still = np.flatnonzero(px == 0.0)
-        still = still[py.take(still) == 0.0]
+        still = np.flatnonzero(push == 0)
         if still.size:
-            same = (xa[still] == xo[still]) & (ya[still] == yo[still])
+            same = za[still] == zo[still]
             # arbitrary fixed kick apart; a self-sample keeps its
             # push, which is +0.0 since x - x is +0.0 for finite x
             kicked = still[same & (anchors.take(still) != others.take(still))]
-            px[kicked] = py[kicked] = GRADIENT_CLIP
-        px *= alpha
-        py *= alpha
-        np.add.at(x, anchors, px)
-        np.add.at(y, anchors, py)
+            push[kicked] = complex(GRADIENT_CLIP, GRADIENT_CLIP)
+        flat *= alpha
+        np.add.at(z, anchors, push)
 
 
 def optimize_layout(
@@ -253,7 +251,8 @@ def optimize_layout(
     distances far beyond the layout's scale, where it underflows.
     """
     params = params or LayoutParams()
-    coords = np.array(init, dtype=np.float64, copy=True)
+    # C order, so that each row is one complex element of the view below
+    coords = np.array(init, dtype=np.float64, copy=True, order="C")
     if coords.ndim != 2 or coords.shape != (graph.n, 2):
         raise ValueError(f"init must be {graph.n} x 2")
     if not np.isfinite(coords).all():
@@ -274,8 +273,7 @@ def optimize_layout(
     next_due = epochs_per_sample.copy()
     rng = CounterRng(seed)
     n_neg = params.negative_samples
-    x = coords[:, 0].copy()
-    y = coords[:, 1].copy()
+    z = coords.view(np.complex128)[:, 0]  # x + 1j*y; the epoch writes coords
 
     edge_visits = 0
     for epoch in range(params.epochs):
@@ -285,20 +283,19 @@ def optimize_layout(
             h = heads.take(due)
             t = tails.take(due)
             edge_visits += h.size
-            gx, gy = _attraction(x.take(h) - x.take(t), y.take(h) - y.take(t), a, b)
-            _clip(gx, gy)
+            grad = z.take(h) - z.take(t)
+            grad.real, grad.imag = _attraction(grad.real, grad.imag, a, b)
+            flat = _clip(grad)
             # descend: pull the pair together from both ends
-            np.add.at(x, h, -alpha * gx)
-            np.add.at(x, t, alpha * gx)
-            np.add.at(y, h, -alpha * gy)
-            np.add.at(y, t, alpha * gy)
+            np.add.at(z, h, (-alpha * flat).view(np.complex128))
+            flat *= alpha
+            np.add.at(z, t, grad)
 
             for side in (h, t):
-                _repel(x, y, side, n_neg, rng, alpha, a, b)
+                _repel(z, side, n_neg, rng, alpha, a, b)
 
             next_due[due] += epochs_per_sample.take(due)
 
-    coords = np.column_stack((x, y))
     if not np.isfinite(coords).all():
         raise LayoutDivergedError("layout diverged: non-finite coordinate")
     return Layout2D(coords, edge_visits)

@@ -20,11 +20,10 @@ Independent streams for parallel work are derived by re-keying
     key_j = mix64((key + (j + 1) * DERIVE_GAMMA) mod 2**64)
 
 so output ``i`` of child ``j`` is ``mix64(key_j + (i + 1) * GAMMA)``, a pure
-function of ``(key, j, i)``.  :meth:`CounterRng.derive_random` evaluates it
-for a run of children at once as one 2-D uint64 array (numpy's wrapping
-uint64 arithmetic is the ``mod 2**64``), one row per child;
-:func:`keyed_random` evaluates a run of outputs of children whose keys
-(:meth:`CounterRng.derive_keys`) were derived once, one column per child.
+function of ``(key, j, i)``.  :func:`keyed_random` evaluates it for a run
+of outputs of a run of children whose keys (:meth:`CounterRng.derive_keys`)
+were derived once, as one 2-D array with one column per child (numpy's
+wrapping uint64 arithmetic is the ``mod 2**64``).
 Fixed output vectors are pinned in ``tests/test_rng.py``.
 
 Poisson counts come from one CDF table per rate (:func:`poisson_cdf`),
@@ -196,15 +195,6 @@ class CounterRng:
         ids *= _U(DERIVE_GAMMA)
         ids += _U(self.key)
         return _mix64_array(ids)
-
-    def derive_random(self, first: int, count: int, size: int) -> np.ndarray:
-        """Uniforms of ``count`` child streams as one (count, size) array.
-
-        Row r equals ``self.derive(first + r).random(size)``; does not
-        advance self.
-        """
-        keys = self.derive_keys(first, count)
-        return _unit_float(_mix64_array(keys[:, None] + _output_offsets(0, size)))
 
     def _raw(self, n: int) -> np.ndarray:
         counters = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)

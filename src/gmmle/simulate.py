@@ -23,15 +23,15 @@ built once per rate; this equals the one-uniform inversion loop bit for
 bit.  Rates above ``rng.POISSON_MAX_RATE`` are rejected by ``SbmConfig``.
 Multinomial counts are drawn cell-major, since a cell's trials share one
 total: a chunk of consecutive cells inside one cell block draws all its
-uniforms as one 2-D array (``CounterRng.derive_random``), and each chunk is
-a block of dense cell rows.  A chunk holds at most ``_CHUNK_ELEMENTS``
-uniforms and counts (genes x cells; cells x genes, or cells x
-``cell_total`` if larger), at least one row, so the working memory stays a
-few MB beside the matrix itself.  The row blocks arrive in row order and
-go to the builder the dense TSV reader uses (``core_matrix._DenseRows``):
-gene rows give the genes x cells CSR as it is stored, cell rows give its
-transpose, and both are canonical as built, so the matrix is wrapped with
-no sort and no further copy.
+uniforms as one 2-D array (``rng.keyed_random`` over the chunk's cell
+keys, transposed), and each chunk is a block of dense cell rows.  A chunk
+holds at most ``_CHUNK_ELEMENTS`` uniforms and counts (genes x cells;
+cells x genes, or cells x ``cell_total`` if larger), at least one row, so
+the working memory stays a few MB beside the matrix itself.  The row
+blocks arrive in row order and go to the builder the dense TSV reader
+uses (``core_matrix._DenseRows``): gene rows give the genes x cells CSR as
+it is stored, cell rows give its transpose, and both are canonical as
+built, so the matrix is wrapped with no sort and no further copy.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def _multinomial_cell_rows(config: SbmConfig):
             if edges is None:
                 yield np.zeros((m, p), dtype=np.int64)
                 continue
-            u = root.derive_random(first, m, config.cell_total)
+            u = keyed_random(root.derive_keys(first, m), 0, config.cell_total).T
             bins = np.searchsorted(edges, u, side="right")
             np.minimum(bins, p - 1, out=bins)
             bins += (np.arange(m) * p)[:, None]

@@ -209,6 +209,30 @@ class TestOptimizeLayout:
         second = self.run_layout(points, seed=7)
         assert np.array_equal(first.coords, second.coords)
 
+    def test_init_memory_order_does_not_matter(self):
+        # the pipeline passes the first two columns of a Fortran-ordered
+        # embedding; C-ordered and column-strided copies give the same bytes
+        points = three_clusters(seed=19, per_cluster=20, n_total=60)
+        graph = fuzzy_graph(*exact_knn(points, 10))
+        wide = np.zeros((points.shape[0], 4))
+        wide[:, ::2] = points[:, :2]
+        inits = {
+            "c": np.ascontiguousarray(points[:, :2]),
+            "fortran": np.asfortranarray(points)[:, :2],
+            "strided": wide[:, ::2],
+        }
+        assert inits["fortran"].flags.f_contiguous
+        assert not (inits["strided"].flags.c_contiguous or inits["strided"].flags.f_contiguous)
+        results = {}
+        for name, init in inits.items():
+            before = init.copy()
+            results[name] = optimize_layout(graph, init, LayoutParams(epochs=20), seed=5).coords
+            assert init.tobytes() == before.tobytes()
+        for coords in results.values():
+            assert coords.shape == (points.shape[0], 2) and coords.dtype == np.float64
+            assert coords.flags.c_contiguous
+            assert coords.tobytes() == results["c"].tobytes()
+
     def test_neighbourhood_preservation_beats_chance(self):
         points = three_clusters(seed=17)
         n = points.shape[0]

@@ -218,7 +218,7 @@ def test_indexed_search_on_a_column_slice(lam):
     # the sampler inverts column slices u[:, c0:c1] of a chunk's uniforms
     table = poisson_cdf(lam)
     points = _guide_oracle_points(table)
-    u = CounterRng(31).derive_random(0, points.size // 60 + 1, 300)
+    u = keyed_random(CounterRng(31).derive_keys(0, 300), 0, points.size // 60 + 1)
     block = u[:, 100:160]
     block.flat[: points.size] = points
     assert not block.flags.c_contiguous
@@ -245,9 +245,11 @@ def test_guide_entries_are_the_search_of_their_whole_bucket(lam):
     "first,count,size", [(0, 1, 1), (0, 5, 17), (3, 4, 0), (7, 0, 5), (1000, 3, 64)]
 )
 def test_derive_random_rows_are_derived_streams(first, count, size):
+    # the multinomial sampler's (cells, trials) block: outputs 0 .. size - 1
+    # of each derived stream, transposed to one row per stream
     root = CounterRng(41)
     root.uint64(9)  # the root's own counter plays no part in its children
-    block = root.derive_random(first, count, size)
+    block = keyed_random(root.derive_keys(first, count), 0, size).T
     assert block.shape == (count, size) and block.dtype == np.float64
     for r in range(count):
         assert block[r].tolist() == root.derive(first + r).random(size).tolist()
@@ -275,8 +277,8 @@ def test_keyed_random_columns_are_derived_streams(first, count, start, size):
 def test_derive_random_wraps_like_the_reference():
     # keys near 2**64 exercise the uint64 wrap of key + id * DERIVE_GAMMA
     root = CounterRng(0, _key=MASK64 - 5)
-    block = root.derive_random(2**40, 3, 4)
+    block = keyed_random(root.derive_keys(2**40, 3), 0, 4)
     for r in range(3):
         key = _mix64_reference((MASK64 - 5 + (2**40 + r + 1) * DERIVE_GAMMA) & MASK64)
         raw = [_mix64_reference((key + (i + 1) * GAMMA) & MASK64) for i in range(4)]
-        assert block[r].tolist() == [(v >> 11) * 2.0**-53 for v in raw]
+        assert block[:, r].tolist() == [(v >> 11) * 2.0**-53 for v in raw]

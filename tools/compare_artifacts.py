@@ -5,12 +5,14 @@ artifacts.
     python3 tools/compare_artifacts.py PARENT_SRC CHANGE_SRC [--work DIR]
 
 PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.
-Each tree first runs ``gmmle simulate`` on two block models: the
-benchmark's input at seed 7 (``simulate-bench``) and
-``configs/sbm_demo.conf`` (``simulate-demo``).  The two trees must write
-the same ``counts.mtx``, id sidecars, ``truth_cells.tsv`` and
-``truth_genes.tsv``, byte for byte.  PARENT_SRC's draws are the pipeline
-inputs: each tree then runs ``gmmle pipeline`` on four configs:
+Each tree first runs ``gmmle simulate`` on three block models: the
+benchmark's input at seed 7 (``simulate-bench``), the same blocks and
+rates drawn by the multinomial sampler with 500 trials per cell
+(``simulate-multinomial``), and ``configs/sbm_demo.conf``
+(``simulate-demo``).  The two trees must write the same ``counts.mtx``,
+id sidecars, ``truth_cells.tsv`` and ``truth_genes.tsv``, byte for byte.
+PARENT_SRC's draws are the pipeline inputs: each tree then runs ``gmmle
+pipeline`` on four configs:
 
 - ``louvain-tall`` and ``gmm-bic-tall``: the benchmark's two workloads
   (the settings of ``bench/run.py``);
@@ -50,6 +52,8 @@ SBM_TEXT = (
     + "\nsbm.cell_block_sizes = " + ",".join(["500"] * N_BLOCKS)
     + f"\nsbm.seed = {SEED}\n"
 )
+# The same block model, each cell's total fixed and split multinomially.
+MULTINOMIAL_TEXT = SBM_TEXT + "sbm.mode = multinomial\nsbm.cell_total = 500\n"
 
 # bench/run.py's COMMON_SETTINGS and workload settings; a test keeps them equal.
 COMMON_SETTINGS = {
@@ -89,6 +93,7 @@ CASES = ("louvain-tall", "gmm-bic-tall", "qc-biting", "pipeline-demo")
 # simulation root; the pipeline configs read the parent's draws there.
 SIMULATIONS = {
     "simulate-bench": ("bench_sbm.conf", "bench_input"),
+    "simulate-multinomial": ("multinomial_sbm.conf", "multinomial_input"),
     "simulate-demo": (str(CONFIGS / "sbm_demo.conf"), "out/sim"),
 }
 SIMULATED_FILES = (
@@ -185,6 +190,7 @@ def compare_simulations(a: Path, b: Path) -> list[str]:
 
 def compare(parent: Path, change: Path, work: Path) -> int:
     (work / "bench_sbm.conf").write_text(SBM_TEXT)
+    (work / "multinomial_sbm.conf").write_text(MULTINOMIAL_TEXT)
     roots = (work, work / "change-simulate")
     for src, root in zip((parent, change), roots):
         simulate(src, root, work)
