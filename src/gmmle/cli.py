@@ -8,8 +8,10 @@ typing of existing labels).
 
 Configuration is a flat key=value text file with dotted keys; unknown keys
 are hard errors so a typo can never silently fall back to a default.
-Every artifact is written via temp-file-and-rename, so a crashed run never
-leaves a truncated file under a final name.
+Every artifact's text is made here, apart from the count matrices that
+``core_matrix.write_matrix_market`` formats, and written via
+temp-file-and-rename, so a crashed run never leaves a truncated file under
+a final name.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -328,6 +330,71 @@ def _resolve_out_dir(values: dict[str, Any], override: str | None) -> Path:
     return Path(target)
 
 
+def _tsv(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
+    """Artifact TSV text: the header line, then one line per row of its
+    fields as ``str`` joined by tabs; every line ends in a newline."""
+    lines = ["\t".join(header), *("\t".join(map(str, row)) for row in rows), ""]
+    return "\n".join(lines)
+
+
+def _labels_tsv(cell_ids, labels: mixture.ClusterLabels) -> str:
+    return _tsv(("cell_id", "cluster"), zip(cell_ids, labels.labels.tolist()))
+
+
+def _coordinates_tsv(cell_ids, coords: np.ndarray, names: Iterable[str] | None = None) -> str:
+    """Each cell id followed by its row of ``coords``, every value as
+    ``%.12g``; the coordinate columns are ``names``, y1 .. yd by default."""
+    if names is None:
+        names = [f"y{i + 1}" for i in range(coords.shape[1])]
+    rows = ([cid, *(f"{x:.12g}" for x in row)] for cid, row in zip(cell_ids, coords.tolist()))
+    return _tsv(["cell_id", *names], rows)
+
+
+def _ratios_tsv(table: dict[str, float | None]) -> str:
+    """Marker ratios as ``%.10g``; a type without a ratio reads NA."""
+    rows = ((name, "NA" if value is None else f"{value:.10g}") for name, value in table.items())
+    return _tsv(("cell_type", "ratio"), rows)
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2)
+
+
+def _qc_payload(report: qc.QcReport) -> dict:
+    """Every report field in declaration order; the masks as lists of 0/1."""
+    payload = {}
+    for f in fields(report):
+        value = getattr(report, f.name)
+        payload[f.name] = value.astype(int).tolist() if isinstance(value, np.ndarray) else value
+    return payload
+
+
+def _embedding_payload(embedding: spectral.Embedding) -> dict:
+    return {
+        "dimension": embedding.dimension,
+        "scaling_mode": embedding.scaling,
+        "dropped_first": embedding.dropped_first,
+        "leading_singular_value": embedding.leading_singular_value,
+        "leading_share": embedding.leading_share,
+        "singular_values": [float(s) for s in embedding.singular_values],
+        "component_shares": [float(s) for s in embedding.component_shares],
+    }
+
+
+def _model_payload(model: mixture.GmmModel, bic: float) -> dict:
+    return {
+        "n_components": model.n_components,
+        "dimension": model.dimension,
+        "weights": model.weights.tolist(),
+        "means": model.means.tolist(),
+        "covariances": model.covariances.tolist(),
+        "log_likelihood": model.log_likelihood,
+        "converged": model.converged,
+        "n_iterations": model.n_iterations,
+        "bic": bic,
+    }
+
+
 def _status_mb(key: str) -> float | None:
     """The memory figure ``key`` (such as ``VmHWM``) of ``/proc/self/status``
     in MB, or None where that file cannot be read."""
@@ -410,7 +477,7 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
     with _stage("qc", record, warned):
         if qc_config is not None:
             counts, report = qc.run_qc(counts, qc_config)
-            write_atomic(out_dir / "qc_report.json", report.to_json())
+            write_atomic(out_dir / "qc_report.json", _json(_qc_payload(report)))
             metrics["stages"]["qc"] = {
                 "n_features": counts.n_features, "n_cells": counts.n_cells,
             }
@@ -443,10 +510,8 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
         del counts
         embedding = spectral.embed(lap, policy)
         del lap
-        write_atomic(out_dir / "embedding.tsv",
-                     spectral.embedding_to_tsv(embedding, cell_ids))
-        write_atomic(out_dir / "embedding.json",
-                     spectral.embedding_sidecar_json(embedding))
+        write_atomic(out_dir / "embedding.tsv", _coordinates_tsv(cell_ids, embedding.coords))
+        write_atomic(out_dir / "embedding.json", _json(_embedding_payload(embedding)))
         metrics["stages"]["spectral"] = {
             "variant": variant,
             "dimension": embedding.dimension,
@@ -497,12 +562,11 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
                 cluster_info["log_likelihood"] = chosen.log_likelihood
                 cluster_info["bic"] = chosen.bic
                 write_atomic(out_dir / "model.json",
-                             mixture.model_to_json(selection.model, n_cells))
+                             _json(_model_payload(selection.model, chosen.bic)))
             else:
                 labels = mixture.fit_kmeans(embedding.coords, ks[0], seed=cluster_seed).labels
             cluster_info["n_clusters"] = labels.n_clusters
-        write_atomic(out_dir / "labels.tsv",
-                     mixture.labels_to_tsv(cell_ids, labels))
+        write_atomic(out_dir / "labels.tsv", _labels_tsv(cell_ids, labels))
         metrics["stages"]["cluster"] = cluster_info
 
     with _stage("modularity", record, warned):
@@ -515,7 +579,7 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
                 fuzzy, embedding.coords[:, :2], layout_params, seed=values["layout.seed"]
             )
             write_atomic(out_dir / "layout.tsv",
-                         layout.layout_to_tsv(layout2d, cell_ids))
+                         _coordinates_tsv(cell_ids, layout2d.coords, "xy"))
             metrics["stages"]["layout"] = {
                 "n_neighbors": n_neighbors,
                 "fuzzy_edges": fuzzy.n_edges,
@@ -527,7 +591,7 @@ def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | Non
     # timings_sec always has every stage; the RSS records are empty where
     # /proc/self/status cannot be read, and left out then
     metrics.update((key, values) for key, values in record.items() if values)
-    write_atomic(out_dir / "metrics.json", json.dumps(metrics, indent=2))
+    write_atomic(out_dir / "metrics.json", _json(metrics))
     return metrics
 
 
@@ -547,13 +611,11 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     core_matrix.write_matrix_market(sample.matrix, out_dir / "counts.mtx")
     write_atomic(out_dir / "truth_cells.tsv",
-                 mixture.labels_to_tsv(sample.matrix.cell_ids, sample.cell_labels))
-    gene_lines = ["feature_id\tblock"]
-    gene_lines += [
-        f"{fid}\t{lab}"
-        for fid, lab in zip(sample.matrix.feature_ids, sample.gene_labels.labels)
-    ]
-    write_atomic(out_dir / "truth_genes.tsv", "\n".join(gene_lines) + "\n")
+                 _labels_tsv(sample.matrix.cell_ids, sample.cell_labels))
+    write_atomic(out_dir / "truth_genes.tsv", _tsv(
+        ("feature_id", "block"),
+        zip(sample.matrix.feature_ids, sample.gene_labels.labels.tolist()),
+    ))
     return 0
 
 
@@ -656,7 +718,7 @@ def cmd_qc(args) -> int:
     out_dir = _resolve_out_dir(values, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     filtered, report = qc.run_qc(_read_input(input_path, values["input.format"]), qc_config)
-    write_atomic(out_dir / "qc_report.json", report.to_json())
+    write_atomic(out_dir / "qc_report.json", _json(_qc_payload(report)))
     core_matrix.write_matrix_market(filtered, out_dir / "filtered.mtx")
     return 0
 
@@ -684,14 +746,12 @@ def cmd_validate(args) -> int:
     panels = validate.panels_from_tsv(Path(values["validate.panels_path"]).read_text())
     # every output is made before out_dir exists, so a rejected input leaves none
     assignment = validate.assign_cluster_types(counts, labels, panels)
-    assign_lines = ["cluster\tcell_type"]
-    assign_lines += [f"{c}\t{assignment[c]}" for c in sorted(assignment)]
     table = validate.marker_ratio_table(
         counts, labels, panels, assignment, denominator=values["validate.denominator"]
     )
     outputs = {
-        "cluster_types.tsv": "\n".join(assign_lines) + "\n",
-        "marker_ratios.tsv": validate.ratio_table_to_tsv(table),
+        "cluster_types.tsv": _tsv(("cluster", "cell_type"), sorted(assignment.items())),
+        "marker_ratios.tsv": _ratios_tsv(table),
     }
     if gating:
         cluster_cells = np.flatnonzero(
@@ -705,8 +765,7 @@ def cmd_validate(args) -> int:
             min_pos=values["validate.gate_min_pos"],
             max_neg=values["validate.gate_max_neg"],
         )
-        gate_lines = ["cell_id"] + [counts.cell_ids[i] for i in gated]
-        outputs["gated_cells.tsv"] = "\n".join(gate_lines) + "\n"
+        outputs["gated_cells.tsv"] = _tsv(("cell_id",), ([counts.cell_ids[i]] for i in gated))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in outputs.items():

@@ -316,8 +316,9 @@ def _load_chunk(lines: list[str], **options) -> np.ndarray:
     """``np.loadtxt`` of one chunk's lines as a 2-D int64 table; blank lines
     read as no rows.  Raises ValueError on any token or row it cannot read.
 
-    Only plain ASCII may reach it: ``np.loadtxt`` reads some non-ASCII
-    characters as digits (``"3\\u01fe"`` as 492) where ``int`` rejects them.
+    The fields it converts must be plain ASCII: ``np.loadtxt`` reads some
+    non-ASCII characters as digits (``"3\\u01fe"`` as 492) where ``int``
+    rejects them.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -687,10 +688,11 @@ def read_dense_tsv(path) -> CountMatrix:
     return CountMatrix._from_canonical(*parsed)
 
 
-# ASCII characters on which the TSV array pass and line parser part ways:
-# line breaks that str.splitlines, and so the line parser, splits at, and
-# the unit separator, which np.loadtxt strips from a number and int rejects.
-_TSV_ODD_ASCII = "\x0b\x0c\x1c\x1d\x1e\x1f"
+# Characters on which the TSV array pass and line parser part ways: the
+# line breaks besides "\n" that str.splitlines, and so the line parser,
+# splits at, and the unit separator, which np.loadtxt strips from a number
+# and int rejects.
+_TSV_ODD_CHARS = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
 
 
 def _parse_tsv_array(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]] | None:
@@ -702,19 +704,22 @@ def _parse_tsv_array(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]] |
     the ``_DenseRows`` builder the simulator also uses.  On plain ASCII
     ``np.loadtxt`` accepts a subset of the integers that ``int`` does, so
     whatever it rejects goes to the line parser, as does any ragged row,
-    negative count, non-ASCII text or odd control character.
+    negative count, odd character (``_TSV_ODD_CHARS``) or count field that
+    is not plain ASCII.  Ids may hold any other text.
     """
     header = None
     feature_ids: list[str] = []
     with path.open() as handle:
         for text in _text_chunks(handle):
-            if not text.isascii() or any(c in text for c in _TSV_ODD_ASCII):
+            if any(c in text for c in _TSV_ODD_CHARS):
                 return None
             lines = [line for line in text.split("\n") if line.strip()]
             if header is None and lines:
                 header = lines.pop(0).split("\t")
             if not lines:
                 continue
+            if not text.isascii() and not all(s.partition("\t")[2].isascii() for s in lines):
+                return None
             if not feature_ids:  # the first body line sets the width
                 n_cells = lines[0].count("\t")
                 if n_cells == 0 or len(header) not in (n_cells, n_cells + 1):

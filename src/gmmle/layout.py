@@ -300,9 +300,3 @@ def optimize_layout(
         raise LayoutDivergedError("layout diverged: non-finite coordinate")
     return Layout2D(coords, edge_visits)
 
-
-def layout_to_tsv(layout: Layout2D, cell_ids) -> str:
-    lines = ["cell_id\tx\ty"]
-    for cid, (x, y) in zip(cell_ids, layout.coords):
-        lines.append(f"{cid}\t{x:.12g}\t{y:.12g}")
-    return "\n".join(lines) + "\n"

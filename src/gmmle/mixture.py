@@ -10,7 +10,6 @@ the lowest index, so fits are exactly reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -349,25 +348,3 @@ def select_k(coords, k_values, seed: int = 0) -> KSelection:
     best = min(diagnostics, key=lambda row: (row.bic, row.n_clusters))
     return KSelection(best.n_clusters, tuple(diagnostics), *fits[best.n_clusters])
 
-
-def labels_to_tsv(cell_ids, labels: ClusterLabels) -> str:
-    lines = ["cell_id\tcluster"]
-    for cid, lab in zip(cell_ids, labels.labels):
-        lines.append(f"{cid}\t{lab}")
-    return "\n".join(lines) + "\n"
-
-
-def model_to_json(model: GmmModel, n_samples: int | None = None) -> str:
-    payload = {
-        "n_components": model.n_components,
-        "dimension": model.dimension,
-        "weights": model.weights.tolist(),
-        "means": model.means.tolist(),
-        "covariances": model.covariances.tolist(),
-        "log_likelihood": model.log_likelihood,
-        "converged": model.converged,
-        "n_iterations": model.n_iterations,
-    }
-    if n_samples is not None:
-        payload["bic"] = bic(model, n_samples)
-    return json.dumps(payload, indent=2)

@@ -15,8 +15,7 @@ passing features and cells.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,14 +80,6 @@ class QcReport:
     cells_failed_ribo_share: int = 0
     feature_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     cell_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
-
-    def to_json(self) -> str:
-        """Every field in declaration order; the masks as lists of 0/1."""
-        payload = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            payload[f.name] = value.astype(int).tolist() if isinstance(value, np.ndarray) else value
-        return json.dumps(payload, indent=2)
 
 
 class EmptyMatrixError(ValueError):

@@ -196,15 +196,12 @@ class CounterRng:
         ids += _U(self.key)
         return _mix64_array(ids)
 
-    def _raw(self, n: int) -> np.ndarray:
-        counters = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+    def uint64(self, n: int) -> np.ndarray:
+        n = int(n)
+        counters = _output_offsets(self.counter, n)
         self.counter += n
-        counters *= _U(GAMMA)
         counters += _U(self.key)
         return _mix64_array(counters)
-
-    def uint64(self, n: int) -> np.ndarray:
-        return self._raw(int(n))
 
     def random(self, size: int | tuple[int, ...] | None = None) -> float | np.ndarray:
         """Uniform float64 in [0, 1) using the top 53 bits."""

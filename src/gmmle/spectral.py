@@ -20,7 +20,6 @@ test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,24 +299,3 @@ def embed(matrix: sp.csr_matrix, policy: EmbedPolicy | None = None) -> Embedding
         leading_share=float(shares[0]) if policy.drop_first else None,
     )
 
-
-def embedding_to_tsv(embedding: Embedding, cell_ids) -> str:
-    d = embedding.dimension
-    header = "cell_id\t" + "\t".join(f"y{i + 1}" for i in range(d))
-    lines = [header]
-    for cid, row in zip(cell_ids, embedding.coords):
-        lines.append(cid + "\t" + "\t".join(f"{x:.12g}" for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def embedding_sidecar_json(embedding: Embedding) -> str:
-    payload = {
-        "dimension": embedding.dimension,
-        "scaling_mode": embedding.scaling,
-        "dropped_first": embedding.dropped_first,
-        "leading_singular_value": embedding.leading_singular_value,
-        "leading_share": embedding.leading_share,
-        "singular_values": [float(s) for s in embedding.singular_values],
-        "component_shares": [float(s) for s in embedding.component_shares],
-    }
-    return json.dumps(payload, indent=2)

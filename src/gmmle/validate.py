@@ -171,9 +171,3 @@ def panels_from_tsv(text: str) -> list[MarkerPanel]:
         features.setdefault(parts[0], []).append(parts[1])
     return [MarkerPanel(name, tuple(feats)) for name, feats in features.items()]
 
-
-def ratio_table_to_tsv(table: dict[str, float | None]) -> str:
-    lines = ["cell_type\tratio"]
-    for name, value in table.items():
-        lines.append(f"{name}\t{'NA' if value is None else f'{value:.10g}'}")
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import stat
 import subprocess
@@ -15,7 +16,7 @@ from gmmle.cli import (
     ConfigError, PIPELINE_SCHEMA, StageError, build_stage_configs, main,
     parse_config_text, run_pipeline, write_atomic,
 )
-from gmmle.community import exact_knn, knn_graph
+from gmmle.community import CellGraph, exact_knn, knn_graph
 from gmmle.simulate import adjusted_rand_index
 
 
@@ -733,6 +734,73 @@ class TestTracedPipeline:
         ])
         assert "community.knn_graph" in names
         assert not [name for name in names if name.startswith("layout.")]
+
+
+class TestArtifactText:
+    """The text of each artifact the commands write."""
+
+    def test_labels_tsv(self):
+        labels = mixture.ClusterLabels(np.array([0, 1, 0]), 2)
+        text = cli._labels_tsv(["a", "b", "c"], labels)
+        assert text == "cell_id\tcluster\na\t0\nb\t1\nc\t0\n"
+
+    def test_model_json_roundtrip_fields(self):
+        model = mixture.GmmModel(
+            weights=np.array([1.0]),
+            means=np.array([[0.0]]),
+            covariances=np.array([[[1.0]]]),
+            log_likelihood=-5.0,
+            n_iterations=2,
+            converged=True,
+        )
+        payload = json.loads(cli._json(cli._model_payload(model, mixture.bic(model, 10))))
+        assert payload["n_components"] == 1
+        assert payload["bic"] == pytest.approx(2 * math.log(10) + 10.0)
+
+    def test_ratio_tsv(self):
+        text = cli._ratios_tsv({"A": 2.0, "B": None})
+        assert text.splitlines() == ["cell_type\tratio", "A\t2", "B\tNA"]
+
+    def test_layout_tsv(self):
+        result = layout.optimize_layout(
+            CellGraph(2, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)),
+            np.array([[0.5, 1.5], [2.0, -1.0]]),
+        )
+        text = cli._coordinates_tsv(["a", "b"], result.coords, "xy")
+        assert text.splitlines()[0] == "cell_id\tx\ty"
+        assert text.splitlines()[1] == "a\t0.5\t1.5"
+
+    def test_embedding_tsv_and_sidecar(self):
+        emb = spectral.Embedding(
+            coords=np.array([[0.5, 1.0], [-0.25, 2.0]]),
+            singular_values=np.array([0.9, 0.5]),
+            component_shares=np.array([0.5, 0.2]),
+            dropped_first=False,
+            scaling="sqrt",
+        )
+        tsv = cli._coordinates_tsv(["a", "b"], emb.coords)
+        assert tsv.splitlines()[0] == "cell_id\ty1\ty2"
+        assert tsv.splitlines()[1] == "a\t0.5\t1"
+        sidecar = cli._json(cli._embedding_payload(emb))
+        assert '"dimension": 2' in sidecar
+
+    def test_qc_report_json_stable_key_order(self):
+        from test_qc import TestRunQc
+
+        cm = core_matrix.CountMatrix.from_dense(TestRunQc.FIXTURE)
+        _, report = qc.run_qc(cm, TestRunQc.CFG)
+        keys = list(json.loads(cli._json(cli._qc_payload(report))).keys())
+        assert keys == [
+            "features_in", "features_out", "features_removed_low_cell_count",
+            "cells_in", "cells_out", "cells_removed",
+            "cells_failed_min_features", "cells_failed_top_share",
+            "cells_failed_mito_share", "cells_failed_ribo_share",
+            "feature_mask", "cell_mask",
+        ]
+
+    def test_tsv_ends_every_line_in_a_newline(self):
+        assert cli._tsv(("cell_id",), []) == "cell_id\n"
+        assert cli._tsv(("a", "b"), [(1, "x"), (2, "y")]) == "a\tb\n1\tx\n2\ty\n"
 
 
 class TestWriteAtomic:

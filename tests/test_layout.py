@@ -11,7 +11,6 @@ from gmmle.layout import (
     LayoutParams,
     attractive_gradient,
     fuzzy_graph,
-    layout_to_tsv,
     optimize_layout,
     repulsive_push,
 )
@@ -273,12 +272,3 @@ class TestOptimizeLayout:
         graph = fuzzy_graph(*exact_knn(np.arange(10.0)[:, None], 3))
         with pytest.raises(ValueError):
             optimize_layout(graph, np.zeros((10, 3)))
-
-    def test_tsv_export(self):
-        layout = optimize_layout(
-            CellGraph(2, np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)),
-            np.array([[0.5, 1.5], [2.0, -1.0]]),
-        )
-        text = layout_to_tsv(layout, ["a", "b"])
-        assert text.splitlines()[0] == "cell_id\tx\ty"
-        assert text.splitlines()[1] == "a\t0.5\t1.5"

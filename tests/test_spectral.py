@@ -6,14 +6,11 @@ from gmmle import core_matrix
 from gmmle.core_matrix import CountMatrix, degrees
 from gmmle.spectral import (
     EmbedPolicy,
-    Embedding,
     EmbeddingDimensionError,
     SvdConvergenceError,
     ZeroDegreeError,
     adjacency_embedding_matrix,
     embed,
-    embedding_sidecar_json,
-    embedding_to_tsv,
     normalized_laplacian,
     random_walk_laplacian,
     truncated_svd,
@@ -255,20 +252,6 @@ class TestEmbed:
             EmbedPolicy(energy_threshold=0.0)
         with pytest.raises(ValueError):
             EmbedPolicy(scaling="cubic")
-
-    def test_exports(self):
-        emb = Embedding(
-            coords=np.array([[0.5, 1.0], [-0.25, 2.0]]),
-            singular_values=np.array([0.9, 0.5]),
-            component_shares=np.array([0.5, 0.2]),
-            dropped_first=False,
-            scaling="sqrt",
-        )
-        tsv = embedding_to_tsv(emb, ["a", "b"])
-        assert tsv.splitlines()[0] == "cell_id\ty1\ty2"
-        assert tsv.splitlines()[1] == "a\t0.5\t1"
-        sidecar = embedding_sidecar_json(emb)
-        assert '"dimension": 2' in sidecar
 
 
 class TestAdjacencyVariant:

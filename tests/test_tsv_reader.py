@@ -179,6 +179,23 @@ def test_unusual_files_cover_both_outcomes(tmp_path):
     assert 10 <= sum(results) <= len(results) - 10
 
 
+@pytest.mark.parametrize("chunk_chars", CHUNK_SIZES)
+@pytest.mark.parametrize("text", [
+    "gene\tcellé\tB\ngène\t0\t1\nγ2\t2\t0\n",
+    "\ufeffgene\tA\tB\ng1\t0\t1\ng2\t2\t0\n",
+], ids=["non-ascii-ids", "byte-order-mark"])
+def test_non_ascii_ids_read_by_array_pass(tmp_path, text, chunk_chars):
+    """Only the count fields must be plain ASCII: non-ASCII ids and a
+    byte-order mark before the header keep the array pass."""
+    path = tmp_path / "m.tsv"
+    path.write_bytes(text.encode())
+    with LineParserCalls() as counter:
+        got = outcome(path, chunk_chars)
+    assert counter.calls == 0
+    assert not isinstance(got[0], str)
+    assert got == line_parser_outcome(path)
+
+
 # errors of the cases above that follow blank lines, numbered as in the file
 LINE_ERRORS_AFTER_BLANKS = {
     "blank-lines-before-bad-token": "line 4: non-integer token 'x'",

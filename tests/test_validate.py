@@ -12,7 +12,6 @@ from gmmle.validate import (
     marker_ratio_table,
     mean_log_expression,
     panels_from_tsv,
-    ratio_table_to_tsv,
 )
 
 
@@ -177,10 +176,6 @@ class TestMarkerRatioTable:
         averaged_denom = (math.log(2.0) + math.log(5.0)) / 2.0
         assert pooled["A"] == pytest.approx(num / pooled_denom, abs=1e-12)
         assert averaged["A"] == pytest.approx(num / averaged_denom, abs=1e-12)
-
-    def test_tsv_export(self):
-        text = ratio_table_to_tsv({"A": 2.0, "B": None})
-        assert text.splitlines() == ["cell_type\tratio", "A\t2", "B\tNA"]
 
 
 class TestGateCells:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Check that two source trees write byte-identical simulator and pipeline
-artifacts.
+"""Check that two source trees write byte-identical artifacts from every
+command that writes files.
 
     python3 tools/compare_artifacts.py PARENT_SRC CHANGE_SRC [--work DIR]
 
@@ -11,19 +11,29 @@ rates drawn by the multinomial sampler with 500 trials per cell
 (``simulate-multinomial``), and ``configs/sbm_demo.conf``
 (``simulate-demo``).  The two trees must write the same ``counts.mtx``,
 id sidecars, ``truth_cells.tsv`` and ``truth_genes.tsv``, byte for byte.
-PARENT_SRC's draws are the pipeline inputs: each tree then runs ``gmmle
-pipeline`` on four configs:
+PARENT_SRC's draws are the inputs of six more cases, each run by both
+trees.  Four run ``gmmle pipeline``:
 
-- ``louvain-tall`` and ``gmm-bic-tall``: the benchmark's two workloads
-  (the settings of ``bench/run.py``);
+- ``louvain-tall`` and ``gmm-bic-tall``: the benchmark's two workloads;
 - ``qc-biting``: louvain-tall with QC thresholds that remove features and
   cells, so the QC statistics decide the output;
 - ``pipeline-demo``: ``configs/pipeline_demo.conf`` as it stands.
 
-Every file the two runs write must be byte-identical, except that
-``metrics.json`` is compared without its ``timings_sec``, ``peak_rss_mb``
-and ``rss_mb`` records.  Exit status: 0 when every artifact matches, 1 on a
-difference, 2 when a run fails.  Uses the standard library only.
+``qc-command`` runs ``gmmle qc`` on the benchmark's input with the
+qc-biting thresholds.  ``validate-command`` runs ``gmmle validate`` on the
+demo draw with its truth labels.  Its panels give type ``block<b>`` the
+first three genes of block b, plus a missing id in the last panel.  It
+gates cluster 0 on two block-0 genes present and one block-2 gene absent.
+
+Every file the two runs of a case write must be byte-identical, except
+that ``metrics.json`` is compared without its ``timings_sec``,
+``peak_rss_mb`` and ``rss_mb`` records.  Exit status: 0 when every
+artifact matches, 1 on a difference, 2 when a run fails.
+
+The block model, the workload settings and the child environment are
+imported from ``bench/run.py``, so the tool needs numpy, as the benchmark
+does; importing it sets the benchmark's BLAS-thread and huge-page
+variables in this process too.
 """
 
 from __future__ import annotations
@@ -38,59 +48,38 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+sys.path.insert(0, str(ROOT / "bench"))
+import run  # noqa: E402  (bench/run.py)
 
-# The benchmark input: 300 genes x 2500 cells in 5 blocks, Poisson rate 5
-# where a gene block meets its cell block and 0.5 elsewhere (bench/run.py).
-N_BLOCKS = 5
 SEED = 7
 SBM_TEXT = (
     "sbm.rates = "
     + "; ".join(
-        ",".join("5" if i == j else "0.5" for j in range(N_BLOCKS)) for i in range(N_BLOCKS)
+        ",".join(f"{run.IN_RATE if i == j else run.OUT_RATE:g}" for j in range(run.N_BLOCKS))
+        for i in range(run.N_BLOCKS)
     )
-    + "\nsbm.gene_block_sizes = " + ",".join(["60"] * N_BLOCKS)
-    + "\nsbm.cell_block_sizes = " + ",".join(["500"] * N_BLOCKS)
+    + "\nsbm.gene_block_sizes = " + ",".join(map(str, run.GENE_BLOCKS))
+    + "\nsbm.cell_block_sizes = " + ",".join(map(str, run.CELL_BLOCKS))
     + f"\nsbm.seed = {SEED}\n"
 )
 # The same block model, each cell's total fixed and split multinomially.
 MULTINOMIAL_TEXT = SBM_TEXT + "sbm.mode = multinomial\nsbm.cell_total = 500\n"
 
-# bench/run.py's COMMON_SETTINGS and workload settings; a test keeps them equal.
-COMMON_SETTINGS = {
-    "qc.min_cells_per_feature": "1",
-    "qc.min_features_per_cell": "1",
-    "qc.max_top_share": "1.0",
-    "qc.max_mito_share": "none",
-    "qc.max_ribo_share": "none",
-    "spectral.seed": "0",
-    "cluster.seed": "0",
-    "layout.seed": "0",
-}
-WORKLOADS = {
-    "louvain-tall": {
-        "features.top_k": "200",
-        "cluster.method": "louvain",
-        "cluster.resolution": "0.5",
-        "layout.enable": "true",
-        "layout.epochs": "200",
-    },
-    "gmm-bic-tall": {
-        "features.top_k": "200",
-        "cluster.method": "gmm",
-        "cluster.k_strategy": "bic",
-        "cluster.k_range": "2:5",
-        "layout.enable": "false",
-    },
-}
 # On the seed-7 input these remove 75 features and 214 cells.
 QC_BITING = {
     "qc.min_cells_per_feature": "1270",
     "qc.min_features_per_cell": "100",
     "qc.max_top_share": "0.04",
 }
-CASES = ("louvain-tall", "gmm-bic-tall", "qc-biting", "pipeline-demo")
+# The files each case of another command than `pipeline` must write.
+COMMAND_FILES = {
+    "qc-command": ("qc_report.json", "filtered.mtx", "filtered.features.txt",
+                   "filtered.cells.txt"),
+    "validate-command": ("cluster_types.tsv", "marker_ratios.tsv", "gated_cells.tsv"),
+}
+CASES = ("louvain-tall", "gmm-bic-tall", "qc-biting", "pipeline-demo", *COMMAND_FILES)
 # Each simulator case: its config and its output directory under a tree's
-# simulation root; the pipeline configs read the parent's draws there.
+# simulation root; the other cases read the parent's draws there.
 SIMULATIONS = {
     "simulate-bench": ("bench_sbm.conf", "bench_input"),
     "simulate-multinomial": ("multinomial_sbm.conf", "multinomial_input"),
@@ -101,15 +90,6 @@ SIMULATED_FILES = (
     "truth_genes.tsv",
 )
 
-# What the benchmark pins for its children: one BLAS thread, no huge-page
-# advice, a fixed hash seed.
-CHILD_ENV = {
-    "OPENBLAS_NUM_THREADS": "1",
-    "OMP_NUM_THREADS": "1",
-    "MKL_NUM_THREADS": "1",
-    "NUMPY_MADVISE_HUGEPAGE": "0",
-    "PYTHONHASHSEED": "0",
-}
 UNCOMPARED_METRICS = ("timings_sec", "peak_rss_mb", "rss_mb")
 CLI = "import sys; from gmmle.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -119,7 +99,7 @@ class RunFailed(RuntimeError):
 
 
 def gmmle(src: Path, args: list[str], cwd: Path) -> None:
-    env = dict(os.environ, **CHILD_ENV, PYTHONPATH=str(src))
+    env = dict(os.environ, **run.CHILD_ENV, PYTHONPATH=str(src))
     result = subprocess.run(
         [sys.executable, "-c", CLI, *args], cwd=cwd, env=env, capture_output=True, text=True,
     )
@@ -140,20 +120,51 @@ def simulate(src: Path, root: Path, work: Path) -> None:
         gmmle(src, ["simulate", "--config", config, "--out", str(root / out)], work)
 
 
-def make_inputs(work: Path) -> dict[str, Path]:
-    """One pipeline config per case, reading the draws under ``work``; the
-    demo config reads ``out/sim/counts.mtx`` relative to ``work``."""
+def write_panels(truth_genes: Path, path: Path) -> list[list[str]]:
+    """Write the validate case's panels from a ``truth_genes.tsv``; returns
+    each block's genes in file order."""
+    blocks: dict[str, list[str]] = {}
+    for line in truth_genes.read_text().splitlines()[1:]:
+        feature, block = line.split("\t")
+        blocks.setdefault(block, []).append(feature)
+    genes = list(blocks.values())
+    rows = [f"block{b}\t{feature}" for b, block in enumerate(genes) for feature in block[:3]]
+    rows.append(f"block{len(genes) - 1}\tnot-in-matrix")  # so the drop warning runs
+    path.write_text("".join(row + "\n" for row in rows))
+    return genes
+
+
+def make_inputs(work: Path) -> dict[str, tuple[str, Path]]:
+    """The command and config of each case, reading the draws under
+    ``work``; the demo config reads ``out/sim/counts.mtx`` relative to
+    ``work``."""
     base = {"input.path": str(work / "bench_input" / "counts.mtx"),
-            "input.format": "matrix_market", **COMMON_SETTINGS}
-    configs = {
-        name: write_config(work / f"{name}.conf", {**base, **settings})
-        for name, settings in WORKLOADS.items()
+            "input.format": "matrix_market"}
+    pipeline = {**base, **run.COMMON_SETTINGS}
+    cases = {
+        name: ("pipeline", write_config(work / f"{name}.conf", {**pipeline, **w.settings}))
+        for name, w in run.WORKLOADS.items()
     }
-    configs["qc-biting"] = write_config(
-        work / "qc-biting.conf", {**base, **WORKLOADS["louvain-tall"], **QC_BITING}
-    )
-    configs["pipeline-demo"] = CONFIGS / "pipeline_demo.conf"
-    return configs
+    cases["qc-biting"] = ("pipeline", write_config(
+        work / "qc-biting.conf",
+        {**pipeline, **run.WORKLOADS["louvain-tall"].settings, **QC_BITING},
+    ))
+    cases["pipeline-demo"] = ("pipeline", CONFIGS / "pipeline_demo.conf")
+    qc_settings = {k: v for k, v in run.COMMON_SETTINGS.items() if k.startswith("qc.")}
+    cases["qc-command"] = ("qc", write_config(
+        work / "qc-command.conf", {**base, **qc_settings, **QC_BITING}
+    ))
+    demo = work / "out" / "sim"
+    genes = write_panels(demo / "truth_genes.tsv", work / "panels.tsv")
+    cases["validate-command"] = ("validate", write_config(work / "validate-command.conf", {
+        "input.path": str(demo / "counts.mtx"),
+        "validate.labels_path": str(demo / "truth_cells.tsv"),
+        "validate.panels_path": str(work / "panels.tsv"),
+        "validate.gate_cluster": "0",
+        "validate.gate_positive": ",".join(genes[0][:2]),
+        "validate.gate_negative": genes[2][0],
+    }))
+    return cases
 
 
 def comparable(path: Path) -> bytes:
@@ -201,12 +212,13 @@ def compare(parent: Path, change: Path, work: Path) -> int:
         print(f"{case}: " + (f"DIFFERS in {', '.join(differ)}" if differ
                              else f"{files} files byte-identical"))
         failed = failed or bool(differ)
-    configs = make_inputs(work)
+    cases = make_inputs(work)
     for case in CASES:
+        command, config = cases[case]
         outs = []
         for label, src in (("parent", parent), ("change", change)):
             out = work / label / case
-            gmmle(src, ["pipeline", "--config", str(configs[case]), "--out", str(out)], work)
+            gmmle(src, [command, "--config", str(config), "--out", str(out)], work)
             outs.append(out)
         differ = compare_dirs(*outs)
         files = len(list(outs[0].iterdir()))
