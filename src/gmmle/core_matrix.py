@@ -133,9 +133,12 @@ def column_sums(counts: CountMatrix, row_mask: np.ndarray) -> np.ndarray:
     return row_mask.astype(np.int64) @ counts.csr()
 
 
-# Entries per block of entry_blocks: 2**20 entries keep a block's per-entry
-# temporaries near 8 MB each, however many entries the matrix holds.
-_ROW_BLOCK_ENTRIES = 1 << 20
+# Entries per block of entry_blocks, the one walk over the stored entries:
+# QC, the feature scores, the Laplacian and the MatrixMarket writer.  At
+# 2**15 a block's per-entry temporaries (the writer's digit slab and text
+# are the largest) stay within a few MB, however many entries the matrix
+# holds.
+_ROW_BLOCK_ENTRIES = 1 << 15
 
 
 def entry_blocks(counts: CountMatrix):
@@ -188,8 +191,7 @@ def _sidecar_paths(path: Path) -> tuple[Path, Path]:
 
 
 def _read_id_file(path: Path, expected: int, kind: str) -> list[str]:
-    ids = [line.rstrip("\n") for line in path.read_text().splitlines()]
-    ids = [i for i in ids if i != ""]
+    ids = [i for i in path.read_text().splitlines() if i != ""]
     if len(ids) != expected:
         raise MatrixFormatError(
             f"{path}: {len(ids)} {kind} ids for a matrix with {expected} {kind}s"
@@ -538,34 +540,21 @@ def _parse_mm_lines(path: Path) -> sp.csr_matrix:
     return _csr_from_entries((n_features, n_cells), rows, cols, vals)
 
 
-# Entries formatted per slice by _matrix_market_pieces.  A slice's arrays
-# and text are transient: a few MB at this size.
-_TEXT_SLICE = 1 << 15
-
-
 def _matrix_market_pieces(counts: CountMatrix):
     """MatrixMarket text in newline-terminated pieces: the header, then
-    one piece per slice of entries.
+    one piece per ``entry_blocks`` block, whole rows of at most
+    ``_ROW_BLOCK_ENTRIES`` entries or one longer row.
 
     The canonical CSR (sorted indices, no duplicates) is already in
-    row-major order, so each slice is formatted straight from its
-    ``indptr``, ``indices`` and ``data`` ranges; no whole-matrix array is
-    made.
+    row-major order, so each block is formatted as it comes; no
+    whole-matrix array is made.
     """
     yield (
         "%%MatrixMarket matrix coordinate integer general\n"
         f"{counts.n_features} {counts.n_cells} {counts.nnz}\n"
     )
-    csr = counts.csr()
-    for start in range(0, counts.nnz, _TEXT_SLICE):
-        stop = min(start + _TEXT_SLICE, counts.nnz)
-        # rows first..last-1 hold the slice's entries
-        first = int(np.searchsorted(csr.indptr, start, side="right")) - 1
-        last = int(np.searchsorted(csr.indptr, stop, side="left"))
-        bounds = np.clip(csr.indptr[first:last + 1], start, stop)
-        rows = np.repeat(np.arange(first + 1, last + 1, dtype=np.int64), np.diff(bounds))
-        cols = csr.indices[start:stop] + 1
-        yield _format_lines((rows, cols, csr.data[start:stop]))
+    for rows, cols, values in entry_blocks(counts):
+        yield _format_lines((rows + 1, cols + 1, values))
 
 
 def _format_lines(fields) -> str:
@@ -647,7 +636,7 @@ def _id_file_text(ids: tuple[str, ...], kind: str) -> str:
 
 
 def write_matrix_market(counts: CountMatrix, path) -> None:
-    """Write MatrixMarket coordinate integer format, slice by slice, plus
+    """Write MatrixMarket coordinate integer format, block by block, plus
     the id sidecars that ``read_matrix_market`` looks for.  Each of the
     three files is written atomically (``write_atomic``), one after the
     other; the set is not, so a failure on a sidecar can leave the new

@@ -39,11 +39,14 @@ def dispersion_scores(counts: CountMatrix) -> np.recarray:
     sq_sums = np.zeros(p)
     for rows, _, values in entry_blocks(counts):
         # a row's values added in entry order from 0.0, as a CSR
-        # matrix-vector product adds them; rows outside the block add 0.0
+        # matrix-vector product adds them; rows are sorted, so the block's
+        # sums cover only its own rows, first..stop-1
+        first, stop = rows[0], rows[-1] + 1
+        rows = rows - first
         values = values.astype(np.float64)
-        sums += np.bincount(rows, values, minlength=p)
+        sums[first:stop] += np.bincount(rows, values)
         np.square(values, out=values)
-        sq_sums += np.bincount(rows, values, minlength=p)
+        sq_sums[first:stop] += np.bincount(rows, values)
     # For a constant feature both terms are exactly representable and cancel
     # to 0.0; the clamp only absorbs rounding dust from genuine variation.
     means = sums / n

@@ -101,14 +101,14 @@ def _prefix_mask(ids, prefixes) -> np.ndarray:
     )
 
 
-def filter_cells(counts: CountMatrix, cfg: QcConfig, report: QcReport | None = None) -> np.ndarray:
+def filter_cells(counts: CountMatrix, cfg: QcConfig) -> np.ndarray:
     """Mask of cells passing all enabled per-cell rules.
 
     Shares are strict-survival comparisons: a cell at exactly the threshold
     is removed.  A zero-total cell fails the min-features rule, never a
     division.
     """
-    return _passing_cells(counts, cfg, np.ones(counts.n_features, dtype=bool), report)
+    return _passing_cells(counts, cfg, np.ones(counts.n_features, dtype=bool), None)
 
 
 def _passing_cells(

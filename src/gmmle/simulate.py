@@ -127,10 +127,7 @@ def _bounds(sizes: tuple[int, ...]) -> list[tuple[int, int]]:
 def _cells_per_chunk(config: SbmConfig) -> int:
     """Cells per multinomial chunk: as many as keep (cells x per-cell
     draws or genes) within _CHUNK_ELEMENTS, at least one."""
-    per_cell = config.n_genes
-    if config.mode == "multinomial":
-        per_cell = max(per_cell, config.cell_total)
-    return max(1, _CHUNK_ELEMENTS // per_cell)
+    return max(1, _CHUNK_ELEMENTS // max(config.n_genes, config.cell_total))
 
 
 def _genes_per_chunk(config: SbmConfig) -> int:

@@ -181,12 +181,12 @@ def per_entry_matrix_market_text(counts):
 
 
 class TestMatrixMarketText:
-    # slices of 1 and 7 entries put slice boundaries inside and between rows
-    @pytest.mark.parametrize("slice_size", [None, 7, 1])
+    # blocks of 1 and 7 entries make one-row blocks and blocks of several rows
+    @pytest.mark.parametrize("block", [None, 7, 1])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bytes_equal_per_entry_loop(self, monkeypatch, tmp_path, seed, slice_size):
-        if slice_size is not None:
-            monkeypatch.setattr(core_matrix, "_TEXT_SLICE", slice_size)
+    def test_bytes_equal_per_entry_loop(self, monkeypatch, tmp_path, seed, block):
+        if block is not None:
+            monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", block)
         rng = np.random.default_rng(seed)
         dense = rng.poisson(0.7, size=(40, 130)) * rng.integers(1, 10**6, size=(40, 130))
         dense[3] = 0  # an empty row
@@ -204,7 +204,7 @@ class TestMatrixMarketText:
         )
         text = matrix_market_text(cm)
         assert text.encode() == per_entry_matrix_market_text(cm).encode()
-        # the writer streams the same slices to the file
+        # the writer streams the same blocks to the file
         write_matrix_market(cm, tmp_path / "m.mtx")
         assert (tmp_path / "m.mtx").read_bytes() == text.encode()
 
@@ -290,7 +290,7 @@ class TestMatrixMarketFormatter:
         values = [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
         values += [1, 9, 10, 11, 99, 100, 101, 5, 10**18 + 7]
         counts = row_of(values)
-        assert counts.nnz < core_matrix._TEXT_SLICE
+        assert counts.nnz < core_matrix._ROW_BLOCK_ENTRIES
         assert matrix_market_text(counts) == format_reference(counts)
 
     @pytest.mark.parametrize("big", [2**53, 2**53 + 1, 2**63 - 1])
@@ -315,19 +315,19 @@ class TestMatrixMarketFormatter:
         assert text.split("\n")[2].startswith("1 1 ")
         assert text.split("\n")[-2].startswith(f"{n} {m} ")
 
-    @pytest.mark.parametrize("slice_size", [None, 7])
-    def test_row_longer_than_a_slice(self, monkeypatch, slice_size):
-        if slice_size is not None:
-            monkeypatch.setattr(core_matrix, "_TEXT_SLICE", slice_size)
-        width = 3 * core_matrix._TEXT_SLICE + 5
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_row_longer_than_a_slice(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", block)
+        width = 3 * core_matrix._ROW_BLOCK_ENTRIES + 5
         rng = np.random.default_rng(8)
         dense = np.zeros((3, width), dtype=np.int64)
-        dense[1] = rng.integers(1, 10**7, size=width)  # one row across 4 slices
+        dense[1] = rng.integers(1, 10**7, size=width)  # a row longer than 3 blocks
         dense[0, -1] = dense[2, 0] = 4
         counts = CountMatrix.from_dense(dense)
         assert matrix_market_text(counts) == format_reference(counts)
 
-    @pytest.mark.parametrize("slice_size", [1, 7, None])
+    @pytest.mark.parametrize("block", [1, 7, None])
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(1, 25).flatmap(
@@ -343,7 +343,7 @@ class TestMatrixMarketFormatter:
             )
         )
     )
-    def test_random_matrices(self, slice_size, case):
+    def test_random_matrices(self, block, case):
         shape, entries = case
         keys = list(entries)
         counts = CountMatrix(
@@ -357,12 +357,35 @@ class TestMatrixMarketFormatter:
             [f"f{i}" for i in range(shape[0])],
             [f"c{j}" for j in range(shape[1])],
         )
-        size = core_matrix._TEXT_SLICE if slice_size is None else slice_size
-        with mock.patch.object(core_matrix, "_TEXT_SLICE", size):
+        size = core_matrix._ROW_BLOCK_ENTRIES if block is None else block
+        with mock.patch.object(core_matrix, "_ROW_BLOCK_ENTRIES", size):
             assert matrix_market_text(counts) == format_reference(counts)
 
+    def test_formats_one_entry_block_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(core_matrix, "_ROW_BLOCK_ENTRIES", 7)
+        calls = []
+        format_lines = core_matrix._format_lines
+
+        def recording(fields):
+            calls.append([field.copy() for field in fields])
+            return format_lines(fields)
+
+        monkeypatch.setattr(core_matrix, "_format_lines", recording)
+        rng = np.random.default_rng(5)
+        dense = rng.poisson(0.3, size=(30, 20)) * rng.integers(1, 10**5, size=(30, 20))
+        dense[4] = rng.integers(1, 9, size=20)  # a row longer than a block
+        dense[11] = 0  # an empty row
+        counts = CountMatrix.from_dense(dense)
+        assert matrix_market_text(counts) == format_reference(counts)
+        assert len(calls) > 1
+        for rows, _, _ in calls:
+            # within the block size, or exactly one longer row
+            assert rows.size <= 7 or rows[0] == rows[-1]
+        for (rows, _, _), (following, _, _) in zip(calls, calls[1:]):
+            assert rows[-1] < following[0]  # no row split between two calls
+
     def test_writer_never_builds_coo(self, tmp_path, monkeypatch):
-        """No whole-matrix COO: transient memory stays one slice."""
+        """No whole-matrix COO: transient memory stays one block."""
 
         def tocoo(self, *args, **kwargs):
             raise AssertionError("tocoo called")

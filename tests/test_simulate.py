@@ -111,12 +111,14 @@ def _oracle_configs():
             seed=2, mode="multinomial", cell_total=0,
         )),
     ]
-    # one cell block of 1 cell, of the chunk size and of one more than the
-    # chunk size (two chunks); 2048 genes keep the chunk at a few dozen
-    # cells in both modes
+    # one cell block of 1 cell, of the multinomial chunk size and of one
+    # more than it (two chunks); 2048 genes keep the chunk at a few dozen
+    # cells
     rates = np.array([[5.0], [1e-9], [699.9]])
     genes = (1024, 1, 1023)
-    chunk = simulate._cells_per_chunk(SbmConfig(rates, genes, (1,)))
+    chunk = simulate._cells_per_chunk(
+        SbmConfig(rates, genes, (1,), mode="multinomial", cell_total=1500)
+    )
     for n_cells in (1, chunk, chunk + 1):
         cases.append((f"poisson-{n_cells}-cells",
                       SbmConfig(rates, genes, (n_cells,), seed=7)))
@@ -146,10 +148,11 @@ class TestChunkedMatchesReference:
 
     def test_grid_spans_chunks(self):
         last = ORACLE_CASES[-6:]
-        chunk = simulate._cells_per_chunk(last[-1][1])
+        multinomial = [c for _, c in last if c.mode == "multinomial"]
+        chunk = simulate._cells_per_chunk(multinomial[-1])
         assert 1 < chunk < 100
         assert [c.n_cells for _, c in last] == [1, 1, chunk, chunk, chunk + 1, chunk + 1]
-        assert all(simulate._cells_per_chunk(c) == chunk for _, c in last)
+        assert all(simulate._cells_per_chunk(c) == chunk for c in multinomial)
 
 
 @pytest.mark.parametrize("chunk_elements", [1, 20, 111, 1 << 16])
