@@ -23,8 +23,11 @@ scattered by one ``np.add.at`` on ``z`` in edge order.  Complex arithmetic
 is IEEE arithmetic per component, so each coordinate gets the same
 additions in the same order as in the n x 2 reference loop in
 ``tests/test_layout_kernel.py``: the layout is the same bit for bit.  The
-negative-sample pushes run in blocks of ``_PUSH_BLOCK`` pairs, so their
-arrays stay small however many edges are due (see ``_repel``).
+negative-sample pushes run in blocks of whole due edges, at most
+``_PUSH_BLOCK`` pairs (one edge's samples when ``negative_samples``
+exceeds that).  A block of 8192 pairs holds 128 KB in each complex pair
+array; larger temporaries pass glibc's mmap threshold and are faulted in
+again on every block (see ``_PUSH_BLOCK``).
 
 The curve constants CURVE_A = 1.577 and CURVE_B = 0.8951 are the
 least-squares fit of 1/(1 + a*x^(2b)) to the min_dist=0.1 membership
@@ -48,8 +51,11 @@ REPULSION_FLOOR = 0.001
 CURVE_A = 1.577
 CURVE_B = 0.8951
 INITIAL_ALPHA = 1.0
-# Sample pairs per block of one side's negative-sample pushes: a block's
-# complex pair arrays hold 128 KB each, however many edges are due.
+# Most sample pairs per block of one side's negative-sample pushes.  The
+# layout alone at the benchmark's shape (2500 points, 24820 edges, 200
+# epochs, fresh process) took ~110k extra minor faults and +0.11-0.15 s of
+# system time at 16384 pairs, ~310k and +0.32-0.35 s at 65536: temporaries
+# past glibc's 128 KB mmap threshold are faulted in again on every block.
 _PUSH_BLOCK = 8192
 
 
@@ -193,32 +199,26 @@ def _repel(z, side, n_neg: int, rng: CounterRng, alpha: float, a: float, b: floa
     """Push each point of ``side`` away from ``n_neg`` uniformly drawn
     points, in place on the complex coordinates ``z``.
 
-    Pair p anchors at ``side[p // n_neg]``.  The pairs run in blocks of
-    ``_PUSH_BLOCK``: each block draws its samples, computes its pushes from
-    the coordinates as they were before this side's first push, and
-    scatters them.  So the draws, the pushes and the order of the additions
-    are those of one pass over all pairs, with no pair-length temporaries.
+    The due edges run in blocks of ``max(1, _PUSH_BLOCK // n_neg)`` whole
+    edges: each block draws its samples, computes its pushes from the
+    coordinates as they were before this side's first push, and scatters
+    them.  So the draws, the pushes and the order of the additions are
+    those of one pass over all pairs, with no pair-length temporaries.
     """
-    n_pairs = side.size * n_neg
+    if n_neg == 0:
+        return
     before = z.copy()
-    for lo in range(0, n_pairs, _PUSH_BLOCK):
-        hi = min(lo + _PUSH_BLOCK, n_pairs)
-        first = lo // n_neg
-        anchors = np.repeat(side[first:-(-hi // n_neg)], n_neg)
-        anchors = anchors[lo - first * n_neg:hi - first * n_neg]
-        others = rng.integers(z.size, hi - lo)
+    step = max(1, _PUSH_BLOCK // n_neg)
+    for lo in range(0, side.size, step):
+        anchors = np.repeat(side[lo:lo + step], n_neg)
+        others = rng.integers(z.size, anchors.size)
         za, zo = before.take(anchors), before.take(others)
         push = za - zo
         _push(push.real, push.imag, a, b)
         flat = _clip(push)
-        # only a zero push can come from coincident points
-        still = np.flatnonzero(push == 0)
-        if still.size:
-            same = za[still] == zo[still]
-            # arbitrary fixed kick apart; a self-sample keeps its
-            # push, which is +0.0 since x - x is +0.0 for finite x
-            kicked = still[same & (anchors.take(still) != others.take(still))]
-            push[kicked] = complex(GRADIENT_CLIP, GRADIENT_CLIP)
+        # arbitrary fixed kick apart; a self-sample keeps its push, which
+        # is +0.0 since x - x is +0.0 for finite x
+        push[(za == zo) & (anchors != others)] = complex(GRADIENT_CLIP, GRADIENT_CLIP)
         flat *= alpha
         np.add.at(z, anchors, push)
 
@@ -242,13 +242,7 @@ def optimize_layout(
     due; a graph with no positive weight returns ``init`` unchanged.
 
     A sampled point equal to its anchor (but not the anchor itself) gets a
-    fixed kick apart; the anchor sampling itself gets no push.  Both tests
-    run only on rows whose clipped push is exactly (0, 0).  Equal finite
-    points give delta = (0, 0) and so a zero push, so every row the tests
-    select is among those, and the layout is the one that testing every
-    row gives.  Those rows are few: the push coefficient is at least ~1 at
-    small distances, so between distinct points the push is zero only at
-    distances far beyond the layout's scale, where it underflows.
+    fixed kick apart; the anchor sampling itself gets no push.
     """
     params = params or LayoutParams()
     # C order, so that each row is one complex element of the view below

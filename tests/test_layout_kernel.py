@@ -147,11 +147,15 @@ def test_layout_matches_add_at_reference(name, negative_samples, seed):
         assert (x == 0.0).all() and np.signbit(x).any() and not np.signbit(x).all()
 
 
-# Blocks of 1 and 7 pairs end inside an edge's run of samples (5 or 3 per
-# edge).  The default block is one block per side on these small fixtures;
-# on blobs_4d above it splits each side into many.
-@pytest.mark.parametrize("push_block", [1, 7, layout._PUSH_BLOCK])
-@pytest.mark.parametrize("negative_samples", [3, 5])
+# A block holds max(1, _PUSH_BLOCK // n_neg) whole edges.  Blocks of 1
+# pair, and of 3 pairs with 5 samples, are smaller than one edge's samples
+# and clamp to one edge; 7 pairs hold two edges of 3 samples or one of 5.
+# The default block is one block per side on these small fixtures; on
+# blobs_4d above it splits each side into many.
+@pytest.mark.parametrize(
+    "negative_samples, push_block",
+    [(n_neg, block) for n_neg in (3, 5) for block in (1, 7, layout._PUSH_BLOCK)] + [(5, 3)],
+)
 @pytest.mark.parametrize("name", ["duplicated", "lattice", "signed_zero"])
 def test_push_blocks_match_add_at_reference(monkeypatch, name, negative_samples, push_block):
     monkeypatch.setattr(layout, "_PUSH_BLOCK", push_block)

@@ -14,8 +14,6 @@ from gmmle.mixture import (
     select_k,
 )
 from gmmle.rng import CounterRng
-from gmmle.simulate import SbmConfig, sample_sbm
-from gmmle.spectral import embed, normalized_laplacian
 
 
 def assert_same_model(a, b):
@@ -470,12 +468,13 @@ class TestSelectK:
     def test_one_k_is_exactly_fit_gmm(self, k):
         """The pipeline fits every mixture through select_k, a fixed K as a
         one-value range; at K = 8 the fit leaves two components empty."""
-        rates = np.full((3, 3), 0.5)
-        np.fill_diagonal(rates, 5.0)
-        # one gene per block and two counts per cell: 9 distinct cells
-        sample = sample_sbm(SbmConfig(rates, (1,) * 3, (20,) * 3, seed=0,
-                                      mode="multinomial", cell_total=2))
-        coords = embed(normalized_laplacian(sample.matrix)).coords
+        # Ten points on each of six integer sites, the origin's first, so no
+        # last bit decides the K = 8 fit on any CPU: k-means is exact and puts
+        # both spare centers on origin points; every mean stays on its site,
+        # every covariance is the same ridge, and the spares lose each origin
+        # point to the origin's main component by a weight ratio of 8.
+        sites = np.array([[0, 0], [0, 1], [3, 0], [3, 1], [6, 0], [6, 1]], dtype=float)
+        coords = np.repeat(sites, 10, axis=0)
         with warnings.catch_warnings(record=True) as direct_warnings:
             warnings.simplefilter("always")
             model, labels = fit_gmm(coords, k, seed=4)
