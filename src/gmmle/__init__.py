@@ -33,6 +33,7 @@ from .simulate import SbmConfig, adjusted_rand_index, sample_sbm
 from .spectral import (
     EmbedPolicy,
     Embedding,
+    adjacency_embedding_matrix,
     embed,
     normalized_laplacian,
     random_walk_laplacian,
@@ -62,6 +63,7 @@ __all__ = [
     "QcConfig",
     "QcReport",
     "SbmConfig",
+    "adjacency_embedding_matrix",
     "adjusted_rand_index",
     "assign_cluster_types",
     "bic",

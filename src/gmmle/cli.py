@@ -211,13 +211,13 @@ QC_SCHEMA = Schema(
         if key != "qc.enable"
     },
     required=("input.path",),
-    defaults={"input.format": "matrix_market"},
+    defaults={"input.format": PIPELINE_SCHEMA.defaults["input.format"]},
 )
 
 VALIDATE_SCHEMA = Schema(
     converters={
-        "input.path": str,
-        "input.format": _choice("matrix_market", "dense_tsv"),
+        "input.path": PIPELINE_SCHEMA.converters["input.path"],
+        "input.format": PIPELINE_SCHEMA.converters["input.format"],
         "validate.labels_path": str,
         "validate.panels_path": str,
         "validate.denominator": _choice("pooled", "per_type_mean"),
@@ -226,11 +226,11 @@ VALIDATE_SCHEMA = Schema(
         "validate.gate_cluster": int,
         "validate.gate_min_pos": int,
         "validate.gate_max_neg": int,
-        "output.directory": str,
+        "output.directory": PIPELINE_SCHEMA.converters["output.directory"],
     },
     required=("input.path", "validate.labels_path", "validate.panels_path"),
     defaults={
-        "input.format": "matrix_market",
+        "input.format": PIPELINE_SCHEMA.defaults["input.format"],
         "validate.denominator": "pooled",
         "validate.gate_min_pos": 1,
         "validate.gate_max_neg": 0,

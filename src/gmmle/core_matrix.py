@@ -251,7 +251,7 @@ def _index_dtype(n_features: int, n_cells: int, nnz: int):
 
 
 def _csr_from_entries(shape, rows, cols, vals) -> sp.csr_matrix:
-    """Canonical CSR of coordinate entries that repeat no coordinate.
+    """Canonical CSR of MatrixMarket entries that repeat no coordinate.
 
     Zero values are dropped, as they are not counts.  The COO build sums
     duplicates, and with none to sum its result is canonical.
@@ -667,8 +667,8 @@ def read_dense_tsv(path) -> CountMatrix:
     entries are stored.  The body is parsed by an array pass, chunk by
     chunk, which returns a canonical CSR, built by ``_DenseRows`` as the
     simulator's is, or declines; a file it declines is parsed again from
-    the top by the line parser, which gives the same result and is the only
-    path that reports errors, with their line numbers.
+    the top by the line parser, which adds its rows to the same builder and
+    is the only path that reports errors, with their line numbers.
     """
     path = Path(path)
     parsed = _parse_tsv_array(path)
@@ -682,6 +682,14 @@ def read_dense_tsv(path) -> CountMatrix:
 # splits at, and the unit separator, which np.loadtxt strips from a number
 # and int rejects.
 _TSV_ODD_CHARS = "\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029"
+
+
+def _header_cells(header: list[str], n_cells: int) -> list[str] | None:
+    """Cell ids of a TSV header row for ``n_cells`` data columns: all its
+    fields, or all but a leading corner label; None for any other width."""
+    if len(header) == n_cells + 1:
+        return header[1:]
+    return header if len(header) == n_cells else None
 
 
 def _parse_tsv_array(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]] | None:
@@ -711,7 +719,7 @@ def _parse_tsv_array(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]] |
                 return None
             if not feature_ids:  # the first body line sets the width
                 n_cells = lines[0].count("\t")
-                if n_cells == 0 or len(header) not in (n_cells, n_cells + 1):
+                if n_cells == 0 or (cell_ids := _header_cells(header, n_cells)) is None:
                     return None
                 counts = _DenseRows(n_cells)
             if any(line.count("\t") != n_cells for line in lines):
@@ -726,64 +734,56 @@ def _parse_tsv_array(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]] |
             counts.add(table)
     if not feature_ids:
         return None
-    matrix = counts.csr()
-    cell_ids = header[1:] if len(header) == n_cells + 1 else header
-    return matrix, feature_ids, cell_ids
+    return counts.csr(), feature_ids, cell_ids
 
 
 def _parse_tsv_lines(path: Path) -> tuple[sp.csr_matrix, list[str], list[str]]:
-    """Reference parser: one token at a time, errors name their line."""
-    # (line number, text) of every non-blank line, numbered as in the file
-    lines = [
-        (line_no, line)
-        for line_no, line in enumerate(path.read_text().splitlines(), start=1)
-        if line.strip() != ""
-    ]
-    if len(lines) < 2:
-        raise MatrixFormatError(f"{path}: zero dimensions (header or body missing)")
-    header_line_no, header = lines[0][0], lines[0][1].split("\t")
-    body = [(line_no, line.split("\t")) for line_no, line in lines[1:]]
-    width = len(body[0][1])
-    if width < 2:
-        raise MatrixFormatError(f"{path}: zero dimensions (no data columns)")
-    n_cells = width - 1
-    if len(header) == n_cells + 1:
-        cell_ids = header[1:]
-    elif len(header) == n_cells:
-        cell_ids = header
-    else:
-        raise MatrixFormatError(
-            f"{path} line {header_line_no}: header has {len(header)} fields "
-            f"for {n_cells} data columns"
-        )
-
+    """Reference parser: one line at a time, errors name their line."""
+    header = cell_ids = None
     feature_ids = []
-    rows, cols, vals = [], [], []
-    for offset, (line_no, parts) in enumerate(body):
-        if len(parts) != width:
-            raise MatrixFormatError(
-                f"{path} line {line_no}: ragged row ({len(parts)} fields, expected {width})"
-            )
-        feature_ids.append(parts[0])
-        for j, token in enumerate(parts[1:]):
-            try:
-                value = int(token)
-            except ValueError:
+    with path.open() as handle:
+        # the lines of text.splitlines(), as every piece but the last ends in "\n"
+        lines = (line for piece in handle for line in piece.splitlines())
+        for line_no, line in enumerate(lines, start=1):
+            if line.strip() == "":
+                continue
+            if header is None:
+                header_line_no, header = line_no, line.split("\t")
+                continue
+            parts = line.split("\t")
+            if cell_ids is None:  # the first body row sets the width
+                width = len(parts)
+                if width < 2:
+                    raise MatrixFormatError(f"{path}: zero dimensions (no data columns)")
+                cell_ids = _header_cells(header, width - 1)
+                if cell_ids is None:
+                    raise MatrixFormatError(
+                        f"{path} line {header_line_no}: header has {len(header)} fields "
+                        f"for {width - 1} data columns"
+                    )
+                counts = _DenseRows(width - 1)
+            if len(parts) != width:
                 raise MatrixFormatError(
-                    f"{path} line {line_no}: non-integer token {token!r}"
-                ) from None
-            if value < 0:
-                raise MatrixFormatError(
-                    f"{path} line {line_no}: negative count {token}"
+                    f"{path} line {line_no}: ragged row ({len(parts)} fields, expected {width})"
                 )
-            if value > _INT64_MAX:
-                raise MatrixFormatError(
-                    f"{path} line {line_no}: count {token} does not fit in int64"
-                )
-            if value:
-                rows.append(offset)
-                cols.append(j)
-                vals.append(value)
-    rows, cols, vals = (np.array(x, dtype=np.int64) for x in (rows, cols, vals))
-    matrix = _csr_from_entries((len(feature_ids), n_cells), rows, cols, vals)
-    return matrix, feature_ids, cell_ids
+            feature_ids.append(parts[0])
+            row = []
+            for token in parts[1:]:
+                try:
+                    value = int(token)
+                except ValueError:
+                    raise MatrixFormatError(
+                        f"{path} line {line_no}: non-integer token {token!r}"
+                    ) from None
+                if value < 0:
+                    raise MatrixFormatError(f"{path} line {line_no}: negative count {token}")
+                if value > _INT64_MAX:
+                    raise MatrixFormatError(
+                        f"{path} line {line_no}: count {token} does not fit in int64"
+                    )
+                row.append(value)
+            counts.add(np.array([row], dtype=np.int64))
+    if cell_ids is None:
+        raise MatrixFormatError(f"{path}: zero dimensions (header or body missing)")
+    return counts.csr(), feature_ids, cell_ids
+

@@ -18,6 +18,7 @@ from gmmle.cli import (
 )
 from gmmle.community import CellGraph, exact_knn, knn_graph
 from gmmle.simulate import adjusted_rand_index
+from test_tsv_reader import write_dense_tsv
 
 
 def write_config(tmp_path, name, text):
@@ -699,8 +700,35 @@ class TestPipelineCommand:
         assert "rss_mb" not in metrics and "peak_rss_mb" not in metrics
         assert list(metrics)[-1] == "timings_sec"
 
+    def test_dense_tsv_input_writes_the_matrix_market_artifacts(self, tmp_path, monkeypatch):
+        """The demo draw read as MatrixMarket and as a dense TSV with the
+        same ids: the artifacts do not depend on the input format."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(CONFIGS / "sbm_demo.conf")]) == 0
+        counts = core_matrix.read_matrix_market("out/sim/counts.mtx")
+        write_dense_tsv(counts, tmp_path / "demo.tsv")
+        settings = parse_config_text((CONFIGS / "pipeline_demo.conf").read_text())
+        for name, path, fmt in (("mtx", "out/sim/counts.mtx", "matrix_market"),
+                                ("tsv", "demo.tsv", "dense_tsv")):
+            settings.update({"input.path": path, "input.format": fmt})
+            text = "".join(f"{key} = {value}\n" for key, value in settings.items())
+            conf = write_config(tmp_path, f"{name}.conf", text)
+            assert main(["pipeline", "--config", conf, "--out", name]) == 0
+        for artifact in ("labels.tsv", "embedding.tsv", "embedding.json", "layout.tsv",
+                         "model.json", "qc_report.json"):
+            assert (tmp_path / "tsv" / artifact).read_bytes() == (
+                tmp_path / "mtx" / artifact
+            ).read_bytes(), artifact
+        metrics = []
+        for name in ("mtx", "tsv"):
+            run = json.loads((tmp_path / name / "metrics.json").read_text())
+            metrics.append({k: v for k, v in run.items()
+                            if k not in ("timings_sec", "peak_rss_mb", "rss_mb")})
+        assert metrics[0] == metrics[1]
+
 
 REPO = Path(__file__).resolve().parent.parent
+CONFIGS = REPO / "configs"
 
 
 class TestTracedPipeline:

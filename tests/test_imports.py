@@ -4,16 +4,24 @@ scipy is used only for sparse matrices.  scipy.linalg and scipy.special take
 ~0.2 s and ~10 MB to load, and scipy.spatial is not needed by any stage, so
 neither importing the CLI, nor a mixture fit, nor a whole BIC-selected GMM
 pipeline run may load any of them.
+
+The package exports every function and class that README "Library use"
+names, so each imports from `gmmle` as the section's examples do.
 """
 
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import gmmle
 from gmmle.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 UNLOADED = '("scipy.linalg", "scipy.special", "scipy.spatial")'
 
@@ -89,3 +97,29 @@ def test_bic_gmm_pipeline_leaves_heavy_scipy_modules_unloaded(tmp_path):
     )
     run_child(PIPELINE_CHILD, str(pipe_conf))
     assert (tmp_path / "run" / "model.json").exists()
+
+
+def library_use_names():
+    """The identifiers in README "Library use"'s code blocks and inline
+    code, leaving out attributes (``core_matrix.entry_blocks``)."""
+    section = README.read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    inline = re.findall(r"`([^`\n]+)`", re.sub(r"```python\n.*?```", "", section, flags=re.S))
+    return set(re.findall(r"(?<![\w.])[A-Za-z_]\w*", "\n".join(blocks + inline)))
+
+
+def test_every_library_use_name_imports_from_gmmle():
+    defined = {}  # public function or class name -> the submodule defining it
+    for info in pkgutil.iter_modules(gmmle.__path__):
+        module = importlib.import_module(f"gmmle.{info.name}")
+        for name, value in vars(module).items():
+            if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__:
+                defined[name] = value
+    used = library_use_names() & set(defined)
+    # the section's examples and the three spectral matrices it documents
+    assert {"sample_sbm", "louvain", "normalized_laplacian", "random_walk_laplacian",
+            "adjacency_embedding_matrix"} <= used
+    namespace = {}
+    exec(f"from gmmle import {', '.join(sorted(used))}", namespace)
+    assert all(namespace[name] is defined[name] for name in used)
+    assert used <= set(gmmle.__all__)

@@ -11,13 +11,18 @@ rates drawn by the multinomial sampler with 500 trials per cell
 (``simulate-multinomial``), and ``configs/sbm_demo.conf``
 (``simulate-demo``).  The two trees must write the same ``counts.mtx``,
 id sidecars, ``truth_cells.tsv`` and ``truth_genes.tsv``, byte for byte.
-PARENT_SRC's draws are the inputs of six more cases, each run by both
-trees.  Four run ``gmmle pipeline``:
+PARENT_SRC's draws are the inputs of ten more cases, each run by both
+trees.  Eight run ``gmmle pipeline``:
 
 - ``louvain-tall`` and ``gmm-bic-tall``: the benchmark's two workloads;
 - ``qc-biting``: louvain-tall with QC thresholds that remove features and
   cells, so the QC statistics decide the output;
-- ``pipeline-demo``: ``configs/pipeline_demo.conf`` as it stands.
+- ``pipeline-demo``: ``configs/pipeline_demo.conf`` as it stands;
+- ``demo-kmeans``, ``demo-random-walk``, ``demo-adjacency`` and
+  ``demo-dense-tsv``: the demo config with the settings of
+  ``DEMO_VARIANTS``: k-means with ``d_plus_one`` components, the two
+  other spectral variants, and the demo draw read as a dense TSV with a
+  corner label.
 
 ``qc-command`` runs ``gmmle qc`` on the benchmark's input with the
 qc-biting thresholds.  ``validate-command`` runs ``gmmle validate`` on the
@@ -45,6 +50,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -77,7 +84,16 @@ COMMAND_FILES = {
                    "filtered.cells.txt"),
     "validate-command": ("cluster_types.tsv", "marker_ratios.tsv", "gated_cells.tsv"),
 }
-CASES = ("louvain-tall", "gmm-bic-tall", "qc-biting", "pipeline-demo", *COMMAND_FILES)
+# Pipeline cases on the demo draw: configs/pipeline_demo.conf with these
+# settings changed.  Paths are relative to the work directory.
+DEMO_VARIANTS = {
+    "demo-kmeans": {"cluster.method": "kmeans", "cluster.k_strategy": "d_plus_one"},
+    "demo-random-walk": {"spectral.variant": "random_walk"},
+    "demo-adjacency": {"spectral.variant": "adjacency"},
+    "demo-dense-tsv": {"input.format": "dense_tsv", "input.path": "demo.tsv"},
+}
+CASES = ("louvain-tall", "gmm-bic-tall", "qc-biting", "pipeline-demo", *DEMO_VARIANTS,
+         *COMMAND_FILES)
 # Each simulator case: its config and its output directory under a tree's
 # simulation root; the other cases read the parent's draws there.
 SIMULATIONS = {
@@ -134,6 +150,29 @@ def write_panels(truth_genes: Path, path: Path) -> list[list[str]]:
     return genes
 
 
+def write_dense_tsv(mtx: Path, path: Path) -> None:
+    """Write a MatrixMarket count file written by ``gmmle simulate``, with
+    its id sidecars, as a dense TSV whose header starts with a corner
+    label."""
+    stem = mtx.with_suffix("")
+    features, cells = ((stem.parent / f"{stem.name}.{kind}.txt").read_text().splitlines()
+                       for kind in ("features", "cells"))
+    rows, cols, values = np.loadtxt(mtx, dtype=np.int64, skiprows=2, ndmin=2).T
+    dense = np.zeros((len(features), len(cells)), dtype=np.int64)
+    dense[rows - 1, cols - 1] = values
+    lines = ["\t".join(["gene", *cells])]
+    lines += ["\t".join([feature, *map(str, row)])
+              for feature, row in zip(features, dense.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def config_settings(path: Path) -> dict[str, str]:
+    """The ``key = value`` settings of a config file."""
+    lines = path.read_text().splitlines()
+    pairs = (line.split("=", 1) for line in lines if line.strip() and not line.startswith("#"))
+    return {key.strip(): value.strip() for key, value in pairs}
+
+
 def make_inputs(work: Path) -> dict[str, tuple[str, Path]]:
     """The command and config of each case, reading the draws under
     ``work``; the demo config reads ``out/sim/counts.mtx`` relative to
@@ -150,11 +189,16 @@ def make_inputs(work: Path) -> dict[str, tuple[str, Path]]:
         {**pipeline, **run.WORKLOADS["louvain-tall"].settings, **QC_BITING},
     ))
     cases["pipeline-demo"] = ("pipeline", CONFIGS / "pipeline_demo.conf")
+    demo_settings = config_settings(CONFIGS / "pipeline_demo.conf")
+    for name, settings in DEMO_VARIANTS.items():
+        cases[name] = ("pipeline", write_config(work / f"{name}.conf",
+                                                {**demo_settings, **settings}))
     qc_settings = {k: v for k, v in run.COMMON_SETTINGS.items() if k.startswith("qc.")}
     cases["qc-command"] = ("qc", write_config(
         work / "qc-command.conf", {**base, **qc_settings, **QC_BITING}
     ))
     demo = work / "out" / "sim"
+    write_dense_tsv(demo / "counts.mtx", work / "demo.tsv")
     genes = write_panels(demo / "truth_genes.tsv", work / "panels.tsv")
     cases["validate-command"] = ("validate", write_config(work / "validate-command.conf", {
         "input.path": str(demo / "counts.mtx"),
