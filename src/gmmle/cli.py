@@ -23,6 +23,7 @@ import math
 import sys
 import time
 import warnings
+from collections import ChainMap
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -118,20 +119,21 @@ class Schema:
     required: tuple[str, ...] = ()
     defaults: dict[str, Any] = field(default_factory=dict)
 
-    def apply(self, raw: dict[str, str]) -> dict[str, Any]:
+    def apply(self, raw: dict[str, str]) -> ChainMap[str, Any]:
+        """The converted settings over the defaults; ``maps[0]`` holds the file's."""
         unknown = set(raw) - set(self.converters)
         if unknown:
             raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
         missing = [key for key in self.required if key not in raw]
         if missing:
             raise ConfigError(f"missing required config key(s): {missing}")
-        values = dict(self.defaults)
+        values = {}
         for key, raw_value in raw.items():
             try:
                 values[key] = self.converters[key](raw_value)
             except ValueError as err:
                 raise ConfigError(f"config key {key!r}: {err}") from None
-        return values
+        return ChainMap(values, self.defaults)
 
 
 PIPELINE_SCHEMA = Schema(
@@ -153,7 +155,7 @@ PIPELINE_SCHEMA = Schema(
         "spectral.variant": _choice("normalized", "random_walk", "adjacency"),
         "spectral.energy_threshold": float,
         "spectral.drop_first": _to_bool,
-        "spectral.scaling": _choice("none", "sqrt", "linear"),
+        "spectral.scaling": str,
         "spectral.seed": int,
         "cluster.method": _choice("gmm", "kmeans", "louvain"),
         "cluster.k_strategy": _choice("fixed", "bic", "d_plus_one"),
@@ -194,12 +196,11 @@ SIMULATE_SCHEMA = Schema(
         "sbm.gene_block_sizes": _to_int_list,
         "sbm.cell_block_sizes": _to_int_list,
         "sbm.seed": int,
-        "sbm.mode": _choice("poisson", "multinomial"),
+        "sbm.mode": str,
         "sbm.cell_total": int,
         "output.directory": str,
     },
     required=("sbm.rates", "sbm.gene_block_sizes", "sbm.cell_block_sizes"),
-    defaults={"sbm.seed": 0, "sbm.mode": "poisson", "sbm.cell_total": None},
 )
 
 QC_SCHEMA = Schema(
@@ -262,8 +263,18 @@ def _check_at_least_one(values: dict[str, Any], keys: list[str]) -> None:
             raise ConfigError(f"config key {key} must be >= 1, got {values[key]!r}")
 
 
+# The cluster keys Louvain and each mixture K strategy read: only these are
+# range-checked, and a config file that sets a listed key elsewhere is refused.
+CLUSTER_KEYS_READ = {
+    "cluster.method=louvain": ("cluster.resolution",),
+    "cluster.k_strategy=fixed": ("cluster.k_strategy", "cluster.k"),
+    "cluster.k_strategy=bic": ("cluster.k_strategy", "cluster.k_range"),
+    "cluster.k_strategy=d_plus_one": ("cluster.k_strategy",),
+}
+
+
 def build_stage_configs(
-    values: dict[str, Any],
+    values: ChainMap[str, Any],
 ) -> tuple[qc.QcConfig | None, spectral.EmbedPolicy, layout.LayoutParams | None]:
     """Check the settings of every stage the config enables and build the
     (QC config, embed policy, layout params) triple, None for a disabled
@@ -273,28 +284,28 @@ def build_stage_configs(
     qc_config = _stage_config(qc.QcConfig, values, "qc") if values["qc.enable"] else None
     policy = _stage_config(spectral.EmbedPolicy, values, "spectral")
 
-    strategy = values["cluster.k_strategy"]
+    method, strategy = values["cluster.method"], values["cluster.k_strategy"]
     if strategy == "bic" and "cluster.k_range" not in values:
         raise ConfigError("cluster.k_strategy=bic needs cluster.k_range")
-    if strategy == "bic" and values["cluster.method"] != "gmm":
+    if strategy == "bic" and method != "gmm":
         raise ConfigError("cluster.k_strategy=bic requires cluster.method=gmm")
-    if strategy == "d_plus_one" and values["cluster.method"] == "louvain":
+    if strategy == "d_plus_one" and method == "louvain":
         raise ConfigError("cluster.k_strategy=d_plus_one requires cluster.method=gmm or kmeans")
+    setting = "cluster.method=louvain" if method == "louvain" else f"cluster.k_strategy={strategy}"
+    read = CLUSTER_KEYS_READ[setting]
     at_least_one = ["cluster.knn_k"]
     if values["features.enable"]:
         at_least_one.append("features.top_k")
-    if strategy == "fixed" and values["cluster.method"] != "louvain":
+    if "cluster.k" in read:
         at_least_one.append("cluster.k")
     _check_at_least_one(values, at_least_one)
-    if strategy == "bic" and min(values["cluster.k_range"]) < 1:
+    if "cluster.k_range" in read and min(values["cluster.k_range"]) < 1:
         raise ConfigError(
             "config key cluster.k_range must hold values >= 1, "
             f"got {values['cluster.k_range']!r}"
         )
     resolution = values["cluster.resolution"]
-    if values["cluster.method"] == "louvain" and not (
-        math.isfinite(resolution) and resolution > 0
-    ):
+    if "cluster.resolution" in read and not (math.isfinite(resolution) and resolution > 0):
         raise ConfigError(
             f"config key cluster.resolution must be finite and > 0, got {resolution!r}"
         )
@@ -303,6 +314,9 @@ def build_stage_configs(
     if values["layout.enable"]:
         _check_at_least_one(values, ["layout.n_neighbors"])
         layout_params = _stage_config(layout.LayoutParams, values, "layout")
+    for key in values.maps[0]:
+        if key not in read and any(key in keys for keys in CLUSTER_KEYS_READ.values()):
+            raise ConfigError(f"config key {key} is not read with {setting}; remove it")
     return qc_config, policy, layout_params
 
 
@@ -451,7 +465,7 @@ def _stage(name: str, record: dict[str, dict[str, float]], warned: list[dict[str
             record[key][name] = value
 
 
-def run_pipeline(values: dict[str, Any], out_dir: Path, seed_override: int | None) -> dict:
+def run_pipeline(values: ChainMap[str, Any], out_dir: Path, seed_override: int | None) -> dict:
     """Execute the staged pipeline; returns the metrics payload.
 
     A rejected setting raises ConfigError before ``out_dir`` is created.

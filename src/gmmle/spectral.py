@@ -126,12 +126,15 @@ def _orient_signs(u: np.ndarray, v: np.ndarray) -> None:
             u[:, i] = -u[:, i]
 
 
-def _subspace_svd(matrix, n_components, seed, max_iter, accept):
+def _subspace_svd(matrix, n_components, seed, max_iter, tol, threshold=0.0, frob_sq=1.0):
     """Randomized block subspace iteration for the top singular triplets.
 
     Returns (u, sigma, v, residuals, n_iterations) where residuals[i] is
-    ``||A v_i - sigma_i u_i||``.  ``accept(sigma, residuals)`` decides
-    convergence; on cap overrun the caller receives the best iterate seen.
+    ``||A v_i - sigma_i u_i||``.  It has converged once each residual is at
+    most tol * sigma_1, or its component is provably below the share
+    ``threshold``: (sigma_i + residual_i)^2 / frob_sq < threshold, so it
+    needs no further refinement.  On cap overrun it raises
+    SvdConvergenceError with the best iterate seen.
     """
     p, n = matrix.shape
     rank_cap = min(p, n)
@@ -152,7 +155,8 @@ def _subspace_svd(matrix, n_components, seed, max_iter, accept):
         res_norms = np.linalg.norm(residual, axis=0)
         if best is None or res_norms.max() < best[3].max():
             best = (u, s, v, res_norms, iteration)
-        if accept(s, res_norms):
+        tight = res_norms <= tol * s[0]
+        if s[0] <= 0.0 or np.all(tight | ((s + res_norms) ** 2 / frob_sq < threshold)):
             return u, s, v, res_norms, iteration
         right, _ = np.linalg.qr(tall)
         left, _ = np.linalg.qr(matrix @ right)
@@ -189,14 +193,7 @@ def truncated_svd(
     if not tol >= 0.0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     _require_finite(matrix)
-
-    def accept(sigma, residuals):
-        top = sigma[0]
-        if top <= 0.0:
-            return True
-        return bool(np.all(residuals <= tol * top))
-
-    u, s, v, _, _ = _subspace_svd(matrix, k, seed, max_iter, accept)
+    u, s, v, _, _ = _subspace_svd(matrix, k, seed, max_iter, tol)
     _orient_signs(u, v)
     return u, s, v
 
@@ -252,20 +249,11 @@ def embed(matrix: sp.csr_matrix, policy: EmbedPolicy | None = None) -> Embedding
     if frob_sq <= 0.0:
         raise ValueError("matrix has no entries")
     threshold = policy.energy_threshold
-
-    def accept(sigma, residuals):
-        top = sigma[0]
-        if top <= 0.0:
-            return True
-        tight = residuals <= _SVD_TOL * top
-        upper = (sigma + residuals) ** 2 / frob_sq
-        # components that are provably below threshold need no further
-        # refinement; everything else must meet the residual tolerance
-        return bool(np.all(tight | (upper < threshold)))
-
     m = min(_START_COMPONENTS, rank_cap)
     while True:
-        u, sigma, v, _, _ = _subspace_svd(matrix, m, policy.seed, _MAX_ITER, accept)
+        u, sigma, v, _, _ = _subspace_svd(
+            matrix, m, policy.seed, _MAX_ITER, _SVD_TOL, threshold, frob_sq
+        )
         shares = sigma**2 / frob_sq
         if shares[-1] < threshold or m == rank_cap:
             break

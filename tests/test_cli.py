@@ -52,6 +52,39 @@ layout.epochs = 60
 output.directory = {out}
 """
 
+MIXTURE_LINES = "cluster.method = gmm\ncluster.k_strategy = fixed\ncluster.k = 3"
+
+# Each clustering setting: its method line, the setting a refusal names, the
+# lines of the cluster keys it reads, and those of the keys it never reads.
+CLUSTER_SETTINGS = {
+    "louvain": ("cluster.method = louvain", "cluster.method=louvain",
+                ["cluster.resolution = 0.5"],
+                ["cluster.k_strategy = fixed", "cluster.k = 3", "cluster.k_range = 2:4"]),
+    **{
+        f"{method}-fixed": (f"cluster.method = {method}", "cluster.k_strategy=fixed",
+                            ["cluster.k_strategy = fixed", "cluster.k = 3"],
+                            ["cluster.k_range = 2:4", "cluster.resolution = 0.5"])
+        for method in ("gmm", "kmeans")
+    },
+    "gmm-bic": ("cluster.method = gmm", "cluster.k_strategy=bic",
+                ["cluster.k_strategy = bic", "cluster.k_range = 2:4"],
+                ["cluster.k = 3", "cluster.resolution = 0.5"]),
+    **{
+        f"{method}-d-plus-one": (f"cluster.method = {method}", "cluster.k_strategy=d_plus_one",
+                                 ["cluster.k_strategy = d_plus_one"],
+                                 ["cluster.k = 3", "cluster.k_range = 2:4",
+                                  "cluster.resolution = 0.5"])
+        for method in ("gmm", "kmeans")
+    },
+}
+# (id, cluster lines, message) of each key a setting refuses: the setting's
+# own lines plus one key it never reads
+REFUSED_CLUSTER_KEYS = [
+    (f"{name}-sets-{line.split(' =')[0]}", "\n".join([method, *read, line]),
+     f"config key {line.split(' =')[0]} is not read with {setting}")
+    for name, (method, setting, read, unread) in CLUSTER_SETTINGS.items() for line in unread
+]
+
 
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
@@ -101,6 +134,15 @@ class TestConfigParsing:
     def test_comments_and_blanks_ignored(self):
         raw = parse_config_text("# heading\n\ninput.path = x\n")
         assert raw == {"input.path": "x"}
+
+    @pytest.mark.parametrize("name", CLUSTER_SETTINGS)
+    def test_every_cluster_key_read_is_accepted(self, name):
+        method, _, read, unread = CLUSTER_SETTINGS[name]
+        assert {line.split(" =")[0] for line in read + unread} == {
+            "cluster.k_strategy", "cluster.k", "cluster.k_range", "cluster.resolution",
+        }
+        text = "\n".join(["input.path = x", method, *read]) + "\n"
+        build_stage_configs(PIPELINE_SCHEMA.apply(parse_config_text(text)))
 
     def test_defaults_mirror_documented_values(self):
         """Each default in README's key table is the value a config holding
@@ -158,7 +200,9 @@ class TestSimulateCommand:
          "config key sbm.cell_total applies only to mode multinomial"),
         ("0.5,0.5,5", "0.5,0.5,700.5",
          "config key sbm.rates entry (gene block 2, cell block 2) = 700.5 is above 700"),
-    ], ids=["cell-total-in-poisson-mode", "rate-above-700"])
+        ("sbm.seed = 0", "sbm.seed = 0\nsbm.mode = binomial",
+         "config key sbm.mode must be poisson or multinomial, got 'binomial'"),
+    ], ids=["cell-total-in-poisson-mode", "rate-above-700", "mode-unknown"])
     def test_rejected_setting_creates_no_out_dir(self, tmp_path, capsys, old, new, message):
         text = SIM_CONF.format(out=tmp_path / "data")
         assert old in text
@@ -328,14 +372,21 @@ class TestPipelineCommand:
         ("counts.mtx", "nope.mtx", "input.path does not exist"),
         ("qc.max_mito_share = none", "qc.max_mito_share = 0.1\nqc.mito_prefix =",
          "config key qc.mito_prefix must not be empty"),
+        (
+            "features.top_k = 120",
+            "features.top_k = 120\nspectral.scaling = cubic",
+            "config key spectral.scaling must be none, sqrt or linear, got 'cubic'",
+        ),
+    ] + [
+        (MIXTURE_LINES, lines, message) for _, lines, message in REFUSED_CLUSTER_KEYS
     ], ids=[
         "layout-epochs", "bic-without-range", "bic-without-gmm", "d-plus-one-louvain",
         "qc-top-share",
         "energy-zero", "energy-above-one", "top-k", "cluster-k", "knn-k", "k-range",
         "k-range-empty", "k-range-empty-list",
         "resolution-nan", "resolution-inf", "resolution-zero", "resolution-negative",
-        "missing-input", "mito-prefix-empty",
-    ])
+        "missing-input", "mito-prefix-empty", "scaling-unknown",
+    ] + [case_id for case_id, _, _ in REFUSED_CLUSTER_KEYS])
     def test_rejected_config_creates_no_out_dir(
         self, sim_dir, tmp_path, capsys, old, new, message
     ):
@@ -521,7 +572,7 @@ class TestPipelineCommand:
         out = tmp_path / "louv"
         conf_text = (
             PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
-            .replace("cluster.method = gmm", "cluster.method = louvain")
+            .replace(MIXTURE_LINES, "cluster.method = louvain")
             .replace("layout.enable = true", "layout.enable = false")
             + "cluster.resolution = 0.5\n"
         )
@@ -554,7 +605,7 @@ class TestPipelineCommand:
         out = tmp_path / "one"
         conf_text = (
             PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
-            .replace("cluster.method = gmm", "cluster.method = louvain")
+            .replace(MIXTURE_LINES, "cluster.method = louvain")
             + f"cluster.knn_k = 20\nlayout.n_neighbors = {n_neighbors}\n"
         )
         conf = write_config(tmp_path, "one.conf", conf_text)
@@ -572,7 +623,7 @@ class TestPipelineCommand:
         conf = write_config(
             tmp_path, "dp1.conf",
             PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=out)
-            .replace("cluster.k_strategy = fixed", "cluster.k_strategy = d_plus_one")
+            .replace(MIXTURE_LINES, "cluster.method = gmm\ncluster.k_strategy = d_plus_one")
             .replace("layout.enable = true", "layout.enable = false"),
         )
         assert main(["pipeline", "--config", conf]) == 0
@@ -751,7 +802,7 @@ class TestTracedPipeline:
 
     def test_louvain_with_layout(self, sim_dir, tmp_path):
         names = self.traced_spans(sim_dir, tmp_path, [
-            ("cluster.method = gmm", "cluster.method = louvain\ncluster.resolution = 0.5"),
+            (MIXTURE_LINES, "cluster.method = louvain\ncluster.resolution = 0.5"),
         ])
         assert {"community.knn_graph", "community.louvain_trace",
                 "layout.fuzzy_graph"} <= names

@@ -11,18 +11,19 @@ rates drawn by the multinomial sampler with 500 trials per cell
 (``simulate-multinomial``), and ``configs/sbm_demo.conf``
 (``simulate-demo``).  The two trees must write the same ``counts.mtx``,
 id sidecars, ``truth_cells.tsv`` and ``truth_genes.tsv``, byte for byte.
-PARENT_SRC's draws are the inputs of ten more cases, each run by both
-trees.  Eight run ``gmmle pipeline``:
+PARENT_SRC's draws are the inputs of eleven more cases, each run by both
+trees.  Nine run ``gmmle pipeline``:
 
 - ``louvain-tall`` and ``gmm-bic-tall``: the benchmark's two workloads;
 - ``qc-biting``: louvain-tall with QC thresholds that remove features and
   cells, so the QC statistics decide the output;
 - ``pipeline-demo``: ``configs/pipeline_demo.conf`` as it stands;
-- ``demo-kmeans``, ``demo-random-walk``, ``demo-adjacency`` and
-  ``demo-dense-tsv``: the demo config with the settings of
-  ``DEMO_VARIANTS``: k-means with ``d_plus_one`` components, the two
-  other spectral variants, and the demo draw read as a dense TSV with a
-  corner label.
+- ``demo-kmeans``, ``demo-louvain``, ``demo-random-walk``,
+  ``demo-adjacency`` and ``demo-dense-tsv``: the demo config with the
+  settings of ``DEMO_VARIANTS``, where a value of None drops the key:
+  k-means with ``d_plus_one`` components, Louvain at resolution 0.5, the
+  two other spectral variants, and the demo draw read as a dense TSV with
+  a corner label.
 
 ``qc-command`` runs ``gmmle qc`` on the benchmark's input with the
 qc-biting thresholds.  ``validate-command`` runs ``gmmle validate`` on the
@@ -85,9 +86,14 @@ COMMAND_FILES = {
     "validate-command": ("cluster_types.tsv", "marker_ratios.tsv", "gated_cells.tsv"),
 }
 # Pipeline cases on the demo draw: configs/pipeline_demo.conf with these
-# settings changed.  Paths are relative to the work directory.
+# settings changed, and those set to None left out, since the pipeline
+# refuses a cluster key the chosen method and strategy do not read.  Paths
+# are relative to the work directory.
 DEMO_VARIANTS = {
-    "demo-kmeans": {"cluster.method": "kmeans", "cluster.k_strategy": "d_plus_one"},
+    "demo-kmeans": {"cluster.method": "kmeans", "cluster.k_strategy": "d_plus_one",
+                    "cluster.k": None},
+    "demo-louvain": {"cluster.method": "louvain", "cluster.resolution": "0.5",
+                     "cluster.k_strategy": None, "cluster.k": None},
     "demo-random-walk": {"spectral.variant": "random_walk"},
     "demo-adjacency": {"spectral.variant": "adjacency"},
     "demo-dense-tsv": {"input.format": "dense_tsv", "input.path": "demo.tsv"},
@@ -190,9 +196,10 @@ def make_inputs(work: Path) -> dict[str, tuple[str, Path]]:
     ))
     cases["pipeline-demo"] = ("pipeline", CONFIGS / "pipeline_demo.conf")
     demo_settings = config_settings(CONFIGS / "pipeline_demo.conf")
-    for name, settings in DEMO_VARIANTS.items():
-        cases[name] = ("pipeline", write_config(work / f"{name}.conf",
-                                                {**demo_settings, **settings}))
+    for name, variant in DEMO_VARIANTS.items():
+        settings = {key: value for key, value in {**demo_settings, **variant}.items()
+                    if value is not None}
+        cases[name] = ("pipeline", write_config(work / f"{name}.conf", settings))
     qc_settings = {k: v for k, v in run.COMMON_SETTINGS.items() if k.startswith("qc.")}
     cases["qc-command"] = ("qc", write_config(
         work / "qc-command.conf", {**base, **qc_settings, **QC_BITING}
