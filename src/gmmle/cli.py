@@ -26,7 +26,7 @@ import warnings
 from collections import ChainMap
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, get_type_hints
 
 import numpy as np
 
@@ -136,27 +136,37 @@ class Schema:
         return ChainMap(values, self.defaults)
 
 
+# The converter of each stage field type; a field of another type fails at import.
+_FIELD_CONVERTERS = {
+    int: int, float: float, str: str, bool: _to_bool, float | None: _to_optional_share,
+    int | None: int, tuple[str, ...]: _to_str_list, tuple[int, ...]: _to_int_list,
+    np.ndarray: _to_rates,
+}
+
+# The stage dataclass each config section builds; its fields are the section's keys.
+STAGE_CLASSES = {"qc": qc.QcConfig, "spectral": spectral.EmbedPolicy,
+                 "layout": layout.LayoutParams, "sbm": simulate.SbmConfig}
+
+
+def _stage_keys(section: str) -> dict[str, Callable[[str], Any]]:
+    """The ``<section>.<field>`` key of each field of the section's class, in
+    field order, with the converter of the field's type."""
+    cls = STAGE_CLASSES[section]
+    hints = get_type_hints(cls)
+    return {f"{section}.{f.name}": _FIELD_CONVERTERS[hints[f.name]] for f in fields(cls)}
+
+
+_INPUT_KEYS = {"input.path": str, "input.format": _choice("matrix_market", "dense_tsv")}
+
 PIPELINE_SCHEMA = Schema(
     converters={
-        "input.path": str,
-        "input.format": _choice("matrix_market", "dense_tsv"),
+        **_INPUT_KEYS,
         "qc.enable": _to_bool,
-        "qc.min_cells_per_feature": int,
-        "qc.min_features_per_cell": int,
-        "qc.max_top_share": float,
-        "qc.top_share_exclude": _to_str_list,
-        "qc.max_mito_share": _to_optional_share,
-        "qc.mito_prefix": str,
-        "qc.max_ribo_share": _to_optional_share,
-        "qc.ribo_prefixes": _to_str_list,
-        "qc.cell_stats_on_raw": _to_bool,
+        **_stage_keys("qc"),
         "features.enable": _to_bool,
         "features.top_k": int,
         "spectral.variant": _choice("normalized", "random_walk", "adjacency"),
-        "spectral.energy_threshold": float,
-        "spectral.drop_first": _to_bool,
-        "spectral.scaling": str,
-        "spectral.seed": int,
+        **_stage_keys("spectral"),
         "cluster.method": _choice("gmm", "kmeans", "louvain"),
         "cluster.k_strategy": _choice("fixed", "bic", "d_plus_one"),
         "cluster.k": int,
@@ -166,8 +176,7 @@ PIPELINE_SCHEMA = Schema(
         "cluster.resolution": float,
         "layout.enable": _to_bool,
         "layout.n_neighbors": int,
-        "layout.epochs": int,
-        "layout.negative_samples": int,
+        **_stage_keys("layout"),
         "layout.seed": int,
         "output.directory": str,
     },
@@ -191,34 +200,20 @@ PIPELINE_SCHEMA = Schema(
 )
 
 SIMULATE_SCHEMA = Schema(
-    converters={
-        "sbm.rates": _to_rates,
-        "sbm.gene_block_sizes": _to_int_list,
-        "sbm.cell_block_sizes": _to_int_list,
-        "sbm.seed": int,
-        "sbm.mode": str,
-        "sbm.cell_total": int,
-        "output.directory": str,
-    },
+    converters={**_stage_keys("sbm"), "output.directory": str},
     required=("sbm.rates", "sbm.gene_block_sizes", "sbm.cell_block_sizes"),
 )
 
+# `gmmle qc` always filters, so it has no qc.enable
 QC_SCHEMA = Schema(
-    converters={
-        key: conv
-        for key, conv in PIPELINE_SCHEMA.converters.items()
-        if key.startswith(("input.", "qc.")) or key == "output.directory"
-        # qc.enable switches the pipeline's QC stage; `gmmle qc` always filters
-        if key != "qc.enable"
-    },
+    converters={**_INPUT_KEYS, **_stage_keys("qc"), "output.directory": str},
     required=("input.path",),
     defaults={"input.format": PIPELINE_SCHEMA.defaults["input.format"]},
 )
 
 VALIDATE_SCHEMA = Schema(
     converters={
-        "input.path": PIPELINE_SCHEMA.converters["input.path"],
-        "input.format": PIPELINE_SCHEMA.converters["input.format"],
+        **_INPUT_KEYS,
         "validate.labels_path": str,
         "validate.panels_path": str,
         "validate.denominator": _choice("pooled", "per_type_mean"),
@@ -227,7 +222,7 @@ VALIDATE_SCHEMA = Schema(
         "validate.gate_cluster": int,
         "validate.gate_min_pos": int,
         "validate.gate_max_neg": int,
-        "output.directory": PIPELINE_SCHEMA.converters["output.directory"],
+        "output.directory": str,
     },
     required=("input.path", "validate.labels_path", "validate.panels_path"),
     defaults={
@@ -239,18 +234,16 @@ VALIDATE_SCHEMA = Schema(
 )
 
 
-def _stage_config(cls, values: dict[str, Any], section: str):
-    """``cls`` built from the ``<section>.*`` keys present in ``values``.
+def _stage_config(section: str, values: dict[str, Any]):
+    """The section's stage class built from its keys present in ``values``.
 
     A field without a key keeps its dataclass default.  The stage
     dataclasses start each range error with the field name, so the
     ConfigError names the key.
     """
-    kwargs = {}
-    for f in fields(cls):
-        key = f"{section}.{f.name}"
-        if key in values:
-            kwargs[f.name] = values[key]
+    cls = STAGE_CLASSES[section]
+    keys = {f.name: f"{section}.{f.name}" for f in fields(cls)}
+    kwargs = {name: values[key] for name, key in keys.items() if key in values}
     try:
         return cls(**kwargs)
     except ValueError as err:
@@ -281,8 +274,8 @@ def build_stage_configs(
     stage; raises ConfigError naming the key.  Needs no I/O, so callers run
     it before creating a directory or reading input.
     """
-    qc_config = _stage_config(qc.QcConfig, values, "qc") if values["qc.enable"] else None
-    policy = _stage_config(spectral.EmbedPolicy, values, "spectral")
+    qc_config = _stage_config("qc", values) if values["qc.enable"] else None
+    policy = _stage_config("spectral", values)
 
     method, strategy = values["cluster.method"], values["cluster.k_strategy"]
     if strategy == "bic" and "cluster.k_range" not in values:
@@ -313,7 +306,7 @@ def build_stage_configs(
     layout_params = None
     if values["layout.enable"]:
         _check_at_least_one(values, ["layout.n_neighbors"])
-        layout_params = _stage_config(layout.LayoutParams, values, "layout")
+        layout_params = _stage_config("layout", values)
     for key in values.maps[0]:
         if key not in read and any(key in keys for keys in CLUSTER_KEYS_READ.values()):
             raise ConfigError(f"config key {key} is not read with {setting}; remove it")
@@ -619,7 +612,7 @@ def cmd_simulate(args) -> int:
     values = SIMULATE_SCHEMA.apply(parse_config_text(Path(args.config).read_text()))
     if args.seed is not None:
         values["sbm.seed"] = args.seed
-    config = _stage_config(simulate.SbmConfig, values, "sbm")
+    config = _stage_config("sbm", values)
     out_dir = _resolve_out_dir(values, args.out)
     sample = simulate.sample_sbm(config)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -727,7 +720,7 @@ def cmd_scatter(args) -> int:
 
 def cmd_qc(args) -> int:
     values = QC_SCHEMA.apply(parse_config_text(Path(args.config).read_text()))
-    qc_config = _stage_config(qc.QcConfig, values, "qc")
+    qc_config = _stage_config("qc", values)
     input_path = _input_path(values)
     out_dir = _resolve_out_dir(values, args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -739,9 +732,16 @@ def cmd_qc(args) -> int:
 
 def cmd_validate(args) -> int:
     values = VALIDATE_SCHEMA.apply(parse_config_text(Path(args.config).read_text()))
-    gating = "validate.gate_positive" in values or "validate.gate_negative" in values
+    pos, neg = "validate.gate_positive", "validate.gate_negative"
+    gating = pos in values or neg in values
     if gating and "validate.gate_cluster" not in values:
         raise ConfigError("gating needs validate.gate_cluster")
+    # a gating key acts only beside the marker list(s) named with it
+    for key, *needed in (("validate.gate_cluster", pos, neg), ("validate.gate_min_pos", pos),
+                         ("validate.gate_max_neg", neg)):
+        if key in values.maps[0] and not any(k in values for k in needed):
+            needs = " or ".join(needed)
+            raise ConfigError(f"config key {key} is not read without {needs}; remove it")
     input_path = _input_path(values)
     out_dir = _resolve_out_dir(values, args.out)
     counts = _read_input(input_path, values["input.format"])
@@ -774,8 +774,8 @@ def cmd_validate(args) -> int:
         gated = validate.gate_cells(
             counts,
             cluster_cells,
-            values.get("validate.gate_positive", ()),
-            values.get("validate.gate_negative", ()),
+            values.get(pos, ()),
+            values.get(neg, ()),
             min_pos=values["validate.gate_min_pos"],
             max_neg=values["validate.gate_max_neg"],
         )

@@ -286,7 +286,7 @@ def _one_level(adj: sp.csr_matrix, rng: CounterRng, resolution: float):
     ends with no strict single-node gain left: it ends after a sweep that
     moved nothing (or after 200 rounds of queue plus sweep).
 
-    Returns (labels, moved_any, q_incremental, visits) where q_incremental
+    Returns (labels, q_incremental, visits) where q_incremental
     is the level's modularity maintained through per-move bookkeeping;
     aggregation preserves Q, so at resolution 1 this must equal
     modularity() of the composed flat labels up to rounding (asserted by
@@ -349,7 +349,6 @@ def _one_level(adj: sp.csr_matrix, rng: CounterRng, resolution: float):
                 queue.append(other)
         return True
 
-    moved_any = False
     visits = 0
     # the round cap is a safety valve; strict-improvement moves terminate
     # long before
@@ -357,7 +356,7 @@ def _one_level(adj: sp.csr_matrix, rng: CounterRng, resolution: float):
         while queue:
             node = queue.popleft()
             queued[node] = False
-            moved_any |= visit(node)
+            visit(node)
             visits += 1
         moved_in_sweep = False
         for node in order:
@@ -365,7 +364,6 @@ def _one_level(adj: sp.csr_matrix, rng: CounterRng, resolution: float):
         visits += n
         if not moved_in_sweep:
             break
-        moved_any = True
 
     q_incremental = float(
         np.array(internal).sum() / total_weight
@@ -373,14 +371,15 @@ def _one_level(adj: sp.csr_matrix, rng: CounterRng, resolution: float):
     )
     # renumber to consecutive ids in sorted order of the surviving ids
     _, renumbered = np.unique(community, return_inverse=True)
-    return renumbered, moved_any, q_incremental, visits
+    return renumbered, q_incremental, visits
 
 
 def louvain_trace(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> LouvainResult:
     """Louvain with per-level flat modularity and node visits recorded.
 
     ``resolution`` must be finite and > 0.  Each level's move phase follows
-    the work queue described in ``_one_level``.
+    the work queue described in ``_one_level``.  The levels stop at the first
+    move phase that moves no node, which leaves each node a community of its own.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution!r}")
@@ -393,16 +392,16 @@ def louvain_trace(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> L
     level_labels = []
     level_visits = []
     while True:
-        labels, moved, q_incremental, visits = _one_level(adj, rng, resolution)
+        labels, q_incremental, visits = _one_level(adj, rng, resolution)
         level_visits.append(visits)
-        if not moved:
+        # a move joins a non-empty community and the first one empties a
+        # singleton, so the count stays at n exactly when no node moved
+        n_comms = labels.max() + 1
+        if n_comms == adj.shape[0]:
             break
         flat = labels[flat]
         trace.append(q_incremental)
         level_labels.append(flat.copy())
-        n_comms = labels.max() + 1
-        if n_comms == adj.shape[0]:
-            break
         # P: node-to-community indicator; P^T A P sums weight between and
         # within communities (the diagonal collects both orientations)
         members = sp.csr_matrix(

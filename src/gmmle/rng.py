@@ -41,6 +41,7 @@ counts are ``np.searchsorted(table, u, side="left")`` on every input.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -169,6 +170,13 @@ def poisson_invert(
     return counts
 
 
+def _shape_and_count(size) -> tuple[tuple[int, ...], int]:
+    """``size``, an integer (numpy's too) or a sequence of them, as a shape
+    of Python ints, and that shape's element count."""
+    shape = (operator.index(size),) if np.ndim(size) == 0 else tuple(map(operator.index, size))
+    return shape, math.prod(shape)
+
+
 class CounterRng:
     """Counter-mode SplitMix64 stream.
 
@@ -207,8 +215,7 @@ class CounterRng:
         """Uniform float64 in [0, 1) using the top 53 bits."""
         if size is None:
             return float(self.uint64(1)[0] >> _U(11)) * 2.0 ** -53
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        n = int(np.prod(shape)) if shape else 1
+        shape, n = _shape_and_count(size)
         return _unit_float(self.uint64(n)).reshape(shape)
 
     def integers(self, bound: int, size: int | tuple[int, ...] | None = None):
@@ -220,8 +227,7 @@ class CounterRng:
             raise ValueError("bound must be positive")
         if size is None:
             return int(self.uint64(1)[0] % _U(bound))
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        n = int(np.prod(shape)) if shape else 1
+        shape, n = _shape_and_count(size)
         raw = self.uint64(n)
         # raw - (raw // bound) * bound is raw % bound; numpy divides by a
         # scalar through libdivide, several times faster than its uint64 %
@@ -238,8 +244,7 @@ class CounterRng:
 
     def normal(self, size: int | tuple[int, ...]) -> np.ndarray:
         """Standard normals via Box-Muller; consumes 2*ceil(n/2) counters."""
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        n = int(np.prod(shape)) if shape else 1
+        shape, n = _shape_and_count(size)
         half = (n + 1) // 2
         u1 = self.random(half)
         u2 = self.random(half)

@@ -5,7 +5,7 @@ import stat
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -1132,6 +1132,45 @@ class TestValidateCommand:
         assert "gating needs validate.gate_cluster" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
 
+    @pytest.mark.parametrize("gating, message", [
+        ("validate.gate_cluster = 0\n",
+         "config key validate.gate_cluster is not read without "
+         "validate.gate_positive or validate.gate_negative; remove it"),
+        ("validate.gate_cluster = 0\nvalidate.gate_max_neg = 1\n",
+         "config key validate.gate_cluster is not read without "
+         "validate.gate_positive or validate.gate_negative; remove it"),
+        ("validate.gate_min_pos = 5\n",
+         "config key validate.gate_min_pos is not read without validate.gate_positive"),
+        ("validate.gate_negative = b1\nvalidate.gate_cluster = 0\nvalidate.gate_min_pos = 5\n",
+         "config key validate.gate_min_pos is not read without validate.gate_positive"),
+        ("validate.gate_positive = a1\nvalidate.gate_cluster = 0\nvalidate.gate_max_neg = 2\n",
+         "config key validate.gate_max_neg is not read without validate.gate_negative"),
+        ("validate.gate_positive = a1\nvalidate.gate_max_neg = 1\n",
+         "gating needs validate.gate_cluster"),
+    ], ids=["cluster-alone", "cluster-with-max-neg", "min-pos-alone",
+            "min-pos-without-positive", "max-neg-without-negative", "cluster-missing-first"])
+    def test_unread_gating_key_creates_no_out_dir(self, tmp_path, capsys, gating, message):
+        """Refused before any I/O: the missing matrix is never looked for."""
+        conf = self.write_inputs(tmp_path, gating)
+        (tmp_path / "m.mtx").unlink()
+        assert main(["validate", "--config", conf]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("gating, gated", [
+        ("validate.gate_cluster = 0\nvalidate.gate_positive = a1\nvalidate.gate_min_pos = 6\n",
+         ["x"]),
+        ("validate.gate_cluster = 1\nvalidate.gate_negative = b1\nvalidate.gate_max_neg = 6\n",
+         ["z"]),
+        ("validate.gate_cluster = 0\nvalidate.gate_positive = a1\nvalidate.gate_negative = b1\n"
+         "validate.gate_min_pos = 6\nvalidate.gate_max_neg = 0\n", ["x"]),
+    ], ids=["min-pos", "max-neg", "both"])
+    def test_gating_keys_accepted_where_read(self, tmp_path, gating, gated):
+        conf = self.write_inputs(tmp_path, gating)
+        assert main(["validate", "--config", conf]) == 0
+        rows = (tmp_path / "v" / "gated_cells.tsv").read_text().splitlines()
+        assert rows == ["cell_id", *gated]
+
     def test_missing_input_creates_no_out_dir(self, tmp_path, capsys):
         conf = self.write_inputs(tmp_path, "")
         (tmp_path / "m.mtx").unlink()
@@ -1220,8 +1259,7 @@ class TestValidateCommand:
 
 
 # stage dataclass of each config section whose defaults live on the class
-_STAGE_CLASSES = {"qc": qc.QcConfig, "spectral": spectral.EmbedPolicy,
-                  "layout": layout.LayoutParams}
+_STAGE_CLASSES = cli.STAGE_CLASSES
 
 
 def _effective_default(key):
@@ -1266,3 +1304,49 @@ class TestReadmeConfigTable:
                 assert default.startswith("`") and default.endswith("`"), key
                 literal = default.strip("`")
                 assert PIPELINE_SCHEMA.converters[key](literal) == effective, key
+
+
+# the converter of each stage field annotation, as the schemas once wrote
+# them out key by key
+ANNOTATION_CONVERTERS = {
+    "int": int, "float": float, "str": str, "bool": cli._to_bool,
+    "float | None": cli._to_optional_share, "int | None": int,
+    "tuple[str, ...]": cli._to_str_list, "tuple[int, ...]": cli._to_int_list,
+    "np.ndarray": cli._to_rates,
+}
+
+# (schema, section, keys of the section that are no field of its class)
+STAGE_SECTIONS = [
+    ("PIPELINE_SCHEMA", "qc", ["qc.enable"]),
+    ("QC_SCHEMA", "qc", []),
+    ("PIPELINE_SCHEMA", "spectral", ["spectral.variant"]),
+    ("PIPELINE_SCHEMA", "layout", ["layout.enable", "layout.n_neighbors", "layout.seed"]),
+    ("SIMULATE_SCHEMA", "sbm", []),
+]
+
+
+class TestStageKeys:
+    def test_every_stage_section_is_checked(self):
+        assert {section for _, section, _ in STAGE_SECTIONS} == set(cli.STAGE_CLASSES)
+
+    @pytest.mark.parametrize("schema, section, hand_kept", STAGE_SECTIONS,
+                             ids=[f"{name}-{section}" for name, section, _ in STAGE_SECTIONS])
+    def test_section_keys_are_the_class_fields(self, schema, section, hand_kept):
+        """The section's keys are its class's fields, in field order, plus
+        the hand-kept ones; each field key converts by its annotation."""
+        converters = getattr(cli, schema).converters
+        annotations = {f"{section}.{f.name}": f.type for f in fields(cli.STAGE_CLASSES[section])}
+        in_section = [key for key in converters if key.split(".", 1)[0] == section]
+        assert [key for key in in_section if key not in hand_kept] == list(annotations)
+        assert sorted(set(in_section) - set(annotations)) == sorted(hand_kept)
+        for key, annotation in annotations.items():
+            assert converters[key] is ANNOTATION_CONVERTERS[annotation], key
+
+    def test_a_field_type_without_converter_is_refused(self, monkeypatch):
+        @dataclass(frozen=True)
+        class Weights:
+            values: list[float]
+
+        monkeypatch.setitem(cli.STAGE_CLASSES, "weights", Weights)
+        with pytest.raises(KeyError):
+            cli._stage_keys("weights")

@@ -85,6 +85,31 @@ def test_counter_continuation():
     assert a + b == CounterRng(7).uint64(10).tolist()
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rng, size: rng.random(size),
+    lambda rng, size: rng.integers(5, size),
+    lambda rng, size: rng.normal(size),
+], ids=["random", "integers", "normal"])
+@pytest.mark.parametrize("size, numpy_size", [
+    (3, np.int64(3)),
+    (7, np.uint8(7)),
+    ((2, 3), (np.int64(2), np.intp(3))),
+    ((2, 3), np.array([2, 3])),
+    ((), ()),
+], ids=["int64", "uint8", "tuple-of-numpy", "array", "empty-shape"])
+def test_numpy_integer_size_draws_like_int_size(draw, size, numpy_size):
+    """A numpy-integer size draws the same values in the same shape, and
+    leaves the counter a Python int at the same count."""
+    want_rng, got_rng = CounterRng(5), CounterRng(5)
+    want, got = draw(want_rng, size), draw(got_rng, numpy_size)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert type(got_rng.counter) is int
+    assert got_rng.counter == want_rng.counter
+    assert draw(got_rng, 4).tobytes() == draw(want_rng, 4).tobytes()
+
+
 def test_derive_is_keyed_not_counted():
     root = CounterRng(3)
     child = root.derive(4)
