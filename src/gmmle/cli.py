@@ -742,6 +742,11 @@ def cmd_validate(args) -> int:
         if key in values.maps[0] and not any(k in values for k in needed):
             needs = " or ".join(needed)
             raise ConfigError(f"config key {key} is not read without {needs}; remove it")
+    # counts are whole numbers, so min_pos 0 passes every cell and max_neg -1 none
+    _check_at_least_one(values, ["validate.gate_min_pos"])
+    max_neg = values["validate.gate_max_neg"]
+    if max_neg < 0:
+        raise ConfigError(f"config key validate.gate_max_neg must be >= 0, got {max_neg!r}")
     input_path = _input_path(values)
     out_dir = _resolve_out_dir(values, args.out)
     counts = _read_input(input_path, values["input.format"])

@@ -88,7 +88,7 @@ def _plus_plus_centers(points: np.ndarray, n_clusters: int, rng: CounterRng) -> 
     n = points.shape[0]
     centers = np.empty((n_clusters, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    dist_sq = ((points - centers[0]) ** 2).sum(axis=1)
+    dist_sq = _all_pairs_dist_sq(points, centers[:1])[:, 0]
     for t in range(1, n_clusters):
         total = dist_sq.sum()
         if total <= 0.0:
@@ -99,7 +99,7 @@ def _plus_plus_centers(points: np.ndarray, n_clusters: int, rng: CounterRng) -> 
         idx = int(np.searchsorted(np.cumsum(dist_sq), draw, side="right"))
         idx = min(idx, n - 1)
         centers[t] = points[idx]
-        dist_sq = np.minimum(dist_sq, ((points - centers[t]) ** 2).sum(axis=1))
+        dist_sq = np.minimum(dist_sq, _all_pairs_dist_sq(points, centers[t:t + 1])[:, 0])
     return centers
 
 

@@ -82,10 +82,10 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _output_offsets(start: int, size: int) -> np.ndarray:
-    """``(i + 1) * GAMMA`` for outputs i = start .. start + size - 1."""
+def _offsets(gamma: int, start: int, size: int) -> np.ndarray:
+    """``(i + 1) * gamma`` for i = start .. start + size - 1."""
     offsets = np.arange(start + 1, start + size + 1, dtype=np.uint64)
-    offsets *= _U(GAMMA)
+    offsets *= _U(gamma)
     return offsets
 
 
@@ -95,7 +95,7 @@ def keyed_random(keys: np.ndarray, start: int, size: int) -> np.ndarray:
     (size, keys.size) array: column j holds stream j's outputs, so entry
     (i, j) is output ``start + i`` of ``CounterRng(0, _key=keys[j])``.
     """
-    return _unit_float(_mix64_array(_output_offsets(start, size)[:, None] + keys))
+    return _unit_float(_mix64_array(_offsets(GAMMA, start, size)[:, None] + keys))
 
 
 def _unit_float(raw: np.ndarray) -> np.ndarray:
@@ -172,17 +172,19 @@ def poisson_invert(
 
 def _shape_and_count(size) -> tuple[tuple[int, ...], int]:
     """``size``, an integer (numpy's too) or a sequence of them, as a shape
-    of Python ints, and that shape's element count."""
+    of Python ints, none negative, and that shape's element count."""
     shape = (operator.index(size),) if np.ndim(size) == 0 else tuple(map(operator.index, size))
+    if any(length < 0 for length in shape):
+        raise ValueError(f"size must not be negative, got {size}")
     return shape, math.prod(shape)
 
 
 class CounterRng:
     """Counter-mode SplitMix64 stream.
 
-    The object is a thin (key, counter) pair; all draws advance the counter
-    by a count that depends only on the requested sizes, so interleaving of
-    value-dependent logic can never perturb the stream.
+    The object is a thin (key, counter) pair; every draw goes through
+    :meth:`uint64`, which advances the counter by the requested size's
+    element count, so value-dependent logic can never perturb the stream.
     """
 
     __slots__ = ("key", "counter")
@@ -199,24 +201,23 @@ class CounterRng:
     def derive_keys(self, first: int, count: int) -> np.ndarray:
         """Keys of ``count`` child streams as a uint64 array: entry r is
         ``self.derive(first + r).key``; does not advance self."""
-        ids = np.arange(first + 1, first + count + 1, dtype=np.uint64)
-        ids *= _U(DERIVE_GAMMA)
+        ids = _offsets(DERIVE_GAMMA, first, count)
         ids += _U(self.key)
         return _mix64_array(ids)
 
-    def uint64(self, n: int) -> np.ndarray:
-        n = int(n)
-        counters = _output_offsets(self.counter, n)
+    def uint64(self, size: int | tuple[int, ...]) -> np.ndarray:
+        shape, n = _shape_and_count(size)
+        counters = _offsets(GAMMA, self.counter, n)
         self.counter += n
         counters += _U(self.key)
-        return _mix64_array(counters)
+        return _mix64_array(counters).reshape(shape)
 
     def random(self, size: int | tuple[int, ...] | None = None) -> float | np.ndarray:
         """Uniform float64 in [0, 1) using the top 53 bits."""
         if size is None:
-            return float(self.uint64(1)[0] >> _U(11)) * 2.0 ** -53
-        shape, n = _shape_and_count(size)
-        return _unit_float(self.uint64(n)).reshape(shape)
+            return float(self.random(1)[0])
+        raw = self.uint64(size)
+        return _unit_float(raw.ravel()).reshape(raw.shape)  # 1-d: shape () stays an array
 
     def integers(self, bound: int, size: int | tuple[int, ...] | None = None):
         """Uniform integers in [0, bound) by 64-bit modulo.
@@ -226,28 +227,27 @@ class CounterRng:
         if bound <= 0:
             raise ValueError("bound must be positive")
         if size is None:
-            return int(self.uint64(1)[0] % _U(bound))
-        shape, n = _shape_and_count(size)
-        raw = self.uint64(n)
-        # raw - (raw // bound) * bound is raw % bound; numpy divides by a
+            return int(self.integers(bound, 1)[0])
+        raw = self.uint64(size)
+        flat = raw.ravel()  # a 1-d view even for shape (), so out= works and writes raw
+        # flat - (flat // bound) * bound is flat % bound; numpy divides by a
         # scalar through libdivide, several times faster than its uint64 %
         divisor = _U(bound)
-        quotient = np.floor_divide(raw, divisor)
+        quotient = np.floor_divide(flat, divisor)
         np.multiply(quotient, divisor, out=quotient)
-        np.subtract(raw, quotient, out=raw)
+        np.subtract(flat, quotient, out=flat)
         # the same bits astype(np.int64) gives, without the copy
-        return raw.view(np.int64).reshape(shape)
+        return raw.view(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic shuffle of range(n) by sorting random 64-bit keys."""
-        return np.argsort(self.uint64(n), kind="stable")
+        return np.argsort(self.uint64((n,)), kind="stable")
 
     def normal(self, size: int | tuple[int, ...]) -> np.ndarray:
         """Standard normals via Box-Muller; consumes 2*ceil(n/2) counters."""
         shape, n = _shape_and_count(size)
         half = (n + 1) // 2
-        u1 = self.random(half)
-        u2 = self.random(half)
+        u1, u2 = self.random((2, half))
         radius = np.sqrt(-2.0 * np.log1p(-u1))  # u1 < 1 so log1p(-u1) is finite
         angle = (2.0 * math.pi) * u2
         out = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]

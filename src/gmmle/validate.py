@@ -141,8 +141,14 @@ def gate_cells(
     count <= max_neg for EVERY negative marker.
 
     Marker ids must resolve against the matrix; raising min_pos can only
-    shrink the result.
+    shrink the result.  Counts are whole and non-negative, so ``min_pos``
+    must be >= 1 and ``max_neg`` >= 0: below that a threshold passes every
+    cell or none.
     """
+    if min_pos < 1:
+        raise ValueError(f"min_pos must be >= 1, got {min_pos}")
+    if max_neg < 0:
+        raise ValueError(f"max_neg must be >= 0, got {max_neg}")
     cells = np.asarray(cell_indices, dtype=np.int64)
     index = {fid: i for i, fid in enumerate(counts.feature_ids)}
     missing = [m for m in list(positive) + list(negative) if m not in index]

@@ -1147,8 +1147,15 @@ class TestValidateCommand:
          "config key validate.gate_max_neg is not read without validate.gate_negative"),
         ("validate.gate_positive = a1\nvalidate.gate_max_neg = 1\n",
          "gating needs validate.gate_cluster"),
+        ("validate.gate_positive = a1\nvalidate.gate_cluster = 0\nvalidate.gate_min_pos = 0\n",
+         "config key validate.gate_min_pos must be >= 1, got 0"),
+        ("validate.gate_negative = b1\nvalidate.gate_cluster = 0\nvalidate.gate_max_neg = -1\n",
+         "config key validate.gate_max_neg must be >= 0, got -1"),
+        ("validate.gate_negative = b1\nvalidate.gate_cluster = 0\nvalidate.gate_min_pos = 0\n",
+         "config key validate.gate_min_pos is not read without validate.gate_positive"),
     ], ids=["cluster-alone", "cluster-with-max-neg", "min-pos-alone",
-            "min-pos-without-positive", "max-neg-without-negative", "cluster-missing-first"])
+            "min-pos-without-positive", "max-neg-without-negative", "cluster-missing-first",
+            "min-pos-zero", "max-neg-negative", "unread-before-range"])
     def test_unread_gating_key_creates_no_out_dir(self, tmp_path, capsys, gating, message):
         """Refused before any I/O: the missing matrix is never looked for."""
         conf = self.write_inputs(tmp_path, gating)

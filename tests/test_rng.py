@@ -110,6 +110,57 @@ def test_numpy_integer_size_draws_like_int_size(draw, size, numpy_size):
     assert draw(got_rng, 4).tobytes() == draw(want_rng, 4).tobytes()
 
 
+def test_negative_size_does_not_move_the_counter_back():
+    rng = CounterRng(0)
+    rng.random(2)
+    with pytest.raises(ValueError, match="size must not be negative, got -1"):
+        rng.random(-1)
+    assert rng.random(1)[0] == CounterRng(0).random(3)[2]
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng, size: rng.uint64(size),
+    lambda rng, size: rng.random(size),
+    lambda rng, size: rng.integers(5, size),
+    lambda rng, size: rng.normal(size),
+], ids=["uint64", "random", "integers", "normal"])
+@pytest.mark.parametrize("size", [-1, (2, -1)], ids=["negative", "negative-in-shape"])
+def test_negative_size_raises_and_leaves_the_counter(draw, size):
+    rng = CounterRng(5)
+    rng.uint64(3)
+    with pytest.raises(ValueError, match="size must not be negative"):
+        draw(rng, size)
+    assert rng.counter == 3
+
+
+@pytest.mark.parametrize("draw, size, error", [
+    ("uint64", 2.7, TypeError),
+    ("permutation", 2.7, TypeError),
+    ("permutation", -1, ValueError),
+    ("permutation", (2, -1), TypeError),
+    ("permutation", (2, 3), TypeError),
+], ids=["uint64-float", "permutation-float", "permutation-negative",
+        "permutation-negative-in-shape", "permutation-shape"])
+def test_size_refused_before_the_counter_moves(draw, size, error):
+    """uint64 takes an integer or a shape of them; permutation one length."""
+    rng = CounterRng(5)
+    with pytest.raises(error):
+        getattr(rng, draw)(size)
+    assert rng.counter == 0
+
+
+def test_sizeless_draws_are_the_first_value_of_a_size_one_draw():
+    rng = CounterRng(8)
+    u = rng.random()
+    assert type(u) is float and rng.counter == 1
+    assert u == CounterRng(8).random(1)[0]
+    k = rng.integers(7)
+    assert type(k) is int and rng.counter == 2
+    want = CounterRng(8)
+    want.uint64(1)
+    assert k == want.integers(7, 1)[0]
+
+
 def test_derive_is_keyed_not_counted():
     root = CounterRng(3)
     child = root.derive(4)

@@ -231,6 +231,17 @@ class TestGateCells:
         got = gate_cells(cm, np.array([1, 2, 3]), ["KLF17"], [])
         assert got.tolist() == [1, 2, 3]
 
+    @pytest.mark.parametrize("thresholds, message", [
+        ({"min_pos": 0}, "min_pos must be >= 1, got 0"),
+        ({"min_pos": -2}, "min_pos must be >= 1, got -2"),
+        ({"max_neg": -1}, "max_neg must be >= 0, got -1"),
+    ], ids=["min-pos-zero", "min-pos-negative", "max-neg-negative"])
+    def test_thresholds_that_cannot_act_rejected(self, thresholds, message):
+        """min_pos 0 would pass every cell and max_neg -1 none."""
+        cm = self.gate_fixture()
+        with pytest.raises(ValueError, match=message):
+            gate_cells(cm, np.arange(4), ["NANOG"], ["GATA3"], **thresholds)
+
 
 def test_panels_from_tsv_order_and_grouping():
     text = "A\ta1\nB\tb1\nA\ta2\n\n# comment\nB\tb2\n"
