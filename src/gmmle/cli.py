@@ -561,7 +561,8 @@ def run_pipeline(values: ChainMap[str, Any], out_dir: Path, seed_override: int |
                 if strategy == "bic":
                     cluster_info["bic_table"] = [
                         {"k": row.n_clusters, "log_likelihood": row.log_likelihood,
-                         "bic": row.bic}
+                         "bic": row.bic, "converged": row.converged,
+                         "n_iterations": row.n_iterations}
                         for row in selection.diagnostics
                     ]
                 chosen = next(row for row in selection.diagnostics

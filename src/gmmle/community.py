@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._checks import require_int
+from ._checks import require_int, require_labels
 from .mixture import ClusterLabels
 from .rng import CounterRng
 
@@ -234,23 +234,29 @@ def _community_sums(graph: CellGraph, labels: np.ndarray):
     return internal, comm_degree, total_weight
 
 
-def modularity(graph: CellGraph, labels: ClusterLabels) -> float:
-    """Observed-minus-expected within-cluster weight share."""
-    lab = labels.labels if isinstance(labels, ClusterLabels) else np.asarray(labels)
-    if lab.size != graph.n:
-        raise ValueError(f"{lab.size} labels for {graph.n} nodes")
-    internal, comm_degree, total_weight = _community_sums(graph, lab)
+def _modularity(graph: CellGraph, labels: np.ndarray, resolution: float) -> float:
+    """Observed share minus ``resolution`` times the expected share."""
+    internal, comm_degree, total_weight = _community_sums(graph, labels)
     if total_weight <= 0.0:
         raise ValueError("graph has no edge weight")
     observed = 2.0 * internal.sum() / total_weight
-    expected = float((comm_degree**2).sum()) / (total_weight * total_weight)
+    expected = resolution * float((comm_degree**2).sum()) / (total_weight * total_weight)
     return observed - expected
+
+
+def modularity(graph: CellGraph, labels: ClusterLabels) -> float:
+    """Observed-minus-expected within-cluster weight share; a raw label
+    array is taken by the rule of ``ClusterLabels``."""
+    lab = labels.labels if isinstance(labels, ClusterLabels) else require_labels(labels)
+    if lab.size != graph.n:
+        raise ValueError(f"{lab.size} labels for {graph.n} nodes")
+    return _modularity(graph, lab, 1.0)
 
 
 @dataclass(frozen=True)
 class LouvainResult:
     labels: ClusterLabels
-    level_modularity: tuple[float, ...]  # incrementally maintained Q per level
+    level_modularity: tuple[float, ...]  # Q at the run's resolution per level
     level_labels: tuple[np.ndarray, ...] = ()  # flat labels at each level end
     # node visits of every move phase run, including a last one that moved
     # nothing
@@ -286,26 +292,21 @@ def _one_level(adj: sp.csr_matrix, rng: CounterRng, resolution: float):
     ends with no strict single-node gain left: it ends after a sweep that
     moved nothing (or after 200 rounds of queue plus sweep).
 
-    Returns (labels, q_incremental, visits) where q_incremental
-    is the level's modularity maintained through per-move bookkeeping;
-    aggregation preserves Q, so at resolution 1 this must equal
-    modularity() of the composed flat labels up to rounding (asserted by
-    the test suite), and visits counts the node visits made.
+    A visit reads and updates only the community of each node and the
+    degree total of each community.  Returns (labels, visits): the
+    communities renumbered to consecutive ids, and the node visits made.
     """
     n = adj.shape[0]
     adj.sort_indices()
     degree = np.asarray(adj.sum(axis=1)).ravel()
-    self_loops = adj.diagonal()
     total_weight = float(degree.sum())
     two_res = 2.0 * resolution
     ww = total_weight * total_weight
     # the move loop is scalar code: plain lists index faster than arrays
     indptr, indices, weights = adj.indptr.tolist(), adj.indices.tolist(), adj.data.tolist()
-    degree_of, self_of = degree.tolist(), self_loops.tolist()
+    degree_of = degree.tolist()
     community = list(range(n))
     comm_degree = degree.tolist()
-    # internal[c]: full double-sum of weight inside c, incl. self-loops
-    internal = self_loops.tolist()
     order = rng.permutation(n).tolist()
     queue = deque(order)
     queued = [True] * n
@@ -314,7 +315,6 @@ def _one_level(adj: sp.csr_matrix, rng: CounterRng, resolution: float):
         """Move ``node`` to its best community; True if it left home."""
         home = community[node]
         k_node = degree_of[node]
-        self_node = self_of[node]
         start, stop = indptr[node], indptr[node + 1]
         link = {}
         for other, weight in zip(indices[start:stop], weights[start:stop]):
@@ -323,7 +323,6 @@ def _one_level(adj: sp.csr_matrix, rng: CounterRng, resolution: float):
                 link[comm] = link.get(comm, 0.0) + weight
 
         comm_degree[home] -= k_node
-        internal[home] -= 2.0 * link.get(home, 0.0) + self_node
 
         # gain of joining community c, relative to staying isolated; strict
         # improvement only, so an exact tie keeps the home community (no
@@ -339,7 +338,6 @@ def _one_level(adj: sp.csr_matrix, rng: CounterRng, resolution: float):
                 best_comm, best_gain = comm, gain
 
         comm_degree[best_comm] += k_node
-        internal[best_comm] += 2.0 * link.get(best_comm, 0.0) + self_node
         if best_comm == home:
             return False
         community[node] = best_comm
@@ -365,13 +363,9 @@ def _one_level(adj: sp.csr_matrix, rng: CounterRng, resolution: float):
         if not moved_in_sweep:
             break
 
-    q_incremental = float(
-        np.array(internal).sum() / total_weight
-        - resolution * (np.array(comm_degree) ** 2).sum() / ww
-    )
     # renumber to consecutive ids in sorted order of the surviving ids
     _, renumbered = np.unique(community, return_inverse=True)
-    return renumbered, q_incremental, visits
+    return renumbered, visits
 
 
 def louvain_trace(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> LouvainResult:
@@ -380,6 +374,8 @@ def louvain_trace(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> L
     ``resolution`` must be finite and > 0.  Each level's move phase follows
     the work queue described in ``_one_level``.  The levels stop at the first
     move phase that moves no node, which leaves each node a community of its own.
+    A level's Q is ``modularity`` of the flat labels at its end, with the
+    expected share scaled by ``resolution``.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution!r}")
@@ -392,7 +388,7 @@ def louvain_trace(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> L
     level_labels = []
     level_visits = []
     while True:
-        labels, q_incremental, visits = _one_level(adj, rng, resolution)
+        labels, visits = _one_level(adj, rng, resolution)
         level_visits.append(visits)
         # a move joins a non-empty community and the first one empties a
         # singleton, so the count stays at n exactly when no node moved
@@ -400,7 +396,7 @@ def louvain_trace(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> L
         if n_comms == adj.shape[0]:
             break
         flat = labels[flat]
-        trace.append(q_incremental)
+        trace.append(float(_modularity(graph, flat, resolution)))
         level_labels.append(flat.copy())
         # P: node-to-community indicator; P^T A P sums weight between and
         # within communities (the diagonal collects both orientations)

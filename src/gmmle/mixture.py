@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import require_int
+from ._checks import require_int, require_labels
 from .rng import CounterRng
 
 
@@ -26,11 +26,12 @@ class ClusterLabels:
     n_clusters: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = require_labels(self.labels)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "n_clusters", require_int(self.n_clusters, "n_clusters"))
         if labels.size == 0:
             raise ValueError("empty labeling")
-        if labels.min() < 0 or labels.max() >= self.n_clusters:
+        if labels.max() >= self.n_clusters:
             raise ValueError("labels out of range")
 
     def __len__(self) -> int:
@@ -79,6 +80,8 @@ def _as_points(coords) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
         raise ValueError("coordinates must be a non-empty n x d array")
+    if not np.isfinite(pts).all():
+        raise ValueError("coordinates must be finite")
     return pts
 
 
@@ -315,6 +318,9 @@ class KDiagnostic:
     n_clusters: int
     log_likelihood: float
     bic: float
+    # of the winning restart: whether EM converged before its iteration cap
+    converged: bool
+    n_iterations: int
 
 
 @dataclass(frozen=True)
@@ -329,9 +335,10 @@ def select_k(coords, k_values, seed: int = 0) -> KSelection:
     """Fit a mixture at each K of k_values with ``fit_gmm`` and choose the
     argmin BIC (ties to the smaller K).
 
-    A (K, logL, BIC) diagnostics row is returned for every fitted K,
-    together with the chosen K's fitted model and labels.  A single K
-    gives exactly ``fit_gmm``'s fit, so a fixed K is selected from one.
+    A (K, logL, BIC, converged, EM iterations) diagnostics row is returned
+    for every fitted K, together with the chosen K's fitted model and
+    labels.  A single K gives exactly ``fit_gmm``'s fit, so a fixed K is
+    selected from one.
     """
     points = _as_points(coords)
     n = points.shape[0]
@@ -343,7 +350,9 @@ def select_k(coords, k_values, seed: int = 0) -> KSelection:
     for k in sorted({require_int(k, "k_values") for k in k_values}):
         fits[k] = fit_gmm(points, k, seed=seed)
         model = fits[k][0]
-        diagnostics.append(KDiagnostic(k, model.log_likelihood, bic(model, n)))
+        diagnostics.append(KDiagnostic(
+            k, model.log_likelihood, bic(model, n), model.converged, model.n_iterations
+        ))
 
     best = min(diagnostics, key=lambda row: (row.bic, row.n_clusters))
     return KSelection(best.n_clusters, tuple(diagnostics), *fits[best.n_clusters])

@@ -454,6 +454,36 @@ class TestPipelineCommand:
                        "the mixture is returned as the cap left it",
         }]
 
+    @pytest.mark.parametrize("cap", [None, 1])
+    def test_bic_table_reports_whether_each_fit_converged(
+        self, sim_dir, tmp_path, monkeypatch, cap
+    ):
+        if cap is not None:
+            monkeypatch.setattr(mixture, "_EM_MAX_ITER", cap)
+        conf = write_config(
+            tmp_path, "bic.conf",
+            PIPE_CONF.format(mtx=sim_dir / "counts.mtx", out=tmp_path / "run")
+            .replace("layout.enable = true", "layout.enable = false")
+            .replace("cluster.k_strategy = fixed\ncluster.k = 3",
+                     "cluster.k_strategy = bic\ncluster.k_range = 2:3"),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["pipeline", "--config", conf]) == 0
+        rows = json.loads((tmp_path / "run" / "metrics.json").read_text())["stages"]["cluster"][
+            "bic_table"
+        ]
+        assert [list(row) for row in rows] == [
+            ["k", "log_likelihood", "bic", "converged", "n_iterations"]
+        ] * 2
+        assert [row["k"] for row in rows] == [2, 3]
+        if cap is None:
+            assert all(row["converged"] and row["n_iterations"] >= 2 for row in rows)
+            assert caught == []
+        else:
+            assert all(not row["converged"] and row["n_iterations"] == 1 for row in rows)
+            assert len(caught) == 2
+
     def test_stage_warning_reissued_with_stage_name_on_failure(
         self, sim_dir, tmp_path, monkeypatch
     ):

@@ -12,6 +12,7 @@ from gmmle.community import (
     louvain_trace,
     modularity,
 )
+from gmmle.layout import fuzzy_graph
 from gmmle.mixture import ClusterLabels
 from gmmle.rng import CounterRng
 
@@ -244,6 +245,26 @@ class TestLouvain:
         assert result.level_modularity[-1] == pytest.approx(
             modularity(graph, result.labels), abs=1e-10
         )
+
+        # on real-valued weights too, each level's Q is modularity's own
+        # value, bit for bit at resolution 1, and at resolution 0.5 the same
+        # sums with the expected share halved
+        rng = CounterRng(3)
+        centers = 6.0 * rng.normal((5, 4))
+        points = np.vstack([c + rng.normal((100, 4)) for c in centers])
+        fuzzy = fuzzy_graph(*exact_knn(points, 15))
+        result = louvain_trace(fuzzy, seed=3)
+        assert len(result.level_modularity) >= 2
+        for q, flat in zip(result.level_modularity, result.level_labels):
+            assert type(q) is float
+            assert q == modularity(fuzzy, ClusterLabels(flat, int(flat.max()) + 1))
+        result = louvain_trace(fuzzy, seed=3, resolution=0.5)
+        assert len(result.level_modularity) >= 2
+        for q, flat in zip(result.level_modularity, result.level_labels):
+            internal, comm_degree, total_weight = _community_sums(fuzzy, flat)
+            observed = 2.0 * internal.sum() / total_weight
+            expected = float((comm_degree**2).sum()) / (total_weight * total_weight)
+            assert q == observed - 0.5 * expected
 
     def test_deterministic(self):
         graph = graph_from_edges(6, TRIANGLES + [(2, 3)])

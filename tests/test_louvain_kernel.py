@@ -1,6 +1,8 @@
 """Louvain over sparse level adjacencies, checked against a list-of-dicts
 level graph: same labels and per-level labels, the same node visits, and
-the same incrementally maintained modularity.
+the same per-level modularity.  The kernel takes each level's Q from the
+sums ``modularity`` uses, over the flat labels; the reference keeps its Q
+through per-move bookkeeping, as an independent oracle.
 
 The reference runs the same queue schedule as the kernel; the sweep
 schedule the kernel used before it is kept as ``sweep_one_level``, to show
@@ -10,8 +12,8 @@ node move strictly improves modularity at the end of any level.
 
 The modularity is bit for bit equal where every partial sum of edge weights
 is exact (unit or dyadic weights, as the pipeline's kNN graph has).  On
-general real weights the sparse aggregation and row sums add the same terms
-in another order, so there it agrees to rounding only."""
+general real weights the two add the same terms in another order, so there
+it agrees to rounding only."""
 
 from collections import deque
 
