@@ -12,6 +12,17 @@ def require_int(value, name: str) -> int:
     return int(value)
 
 
+def require_integral(values: np.ndarray, name: str) -> None:
+    """ValueError naming ``name`` and the first float value an int64 cast
+    would change (non-finite, fractional or too large); ints and bools pass."""
+    if values.dtype.kind in "biu":
+        return
+    exact = (np.abs(values) < 2.0**63) & (np.floor(values) == values)
+    if not exact.all():
+        bad = float(values[np.argmin(exact)])
+        raise ValueError(f"{name} must be finite integers, got {bad!r}")
+
+
 def require_labels(values) -> np.ndarray:
     """``values`` as a 1-D int64 array of non-negative labels.
 
@@ -22,13 +33,9 @@ def require_labels(values) -> np.ndarray:
     labels = np.asarray(values)
     if labels.ndim != 1:
         raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.dtype.kind == "f":
-        exact = (np.abs(labels) < 2.0**63) & (np.floor(labels) == labels)
-        if not exact.all():
-            bad = float(labels[np.argmin(exact)])
-            raise ValueError(f"labels must be finite integers, got {bad!r}")
-    elif labels.dtype.kind not in "iu":
+    if labels.dtype.kind not in "fiu":
         raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    require_integral(labels, "labels")
     labels = labels.astype(np.int64, copy=False)
     if (labels < 0).any():
         raise ValueError(f"labels must be non-negative, got {int(labels.min())}")

@@ -517,6 +517,14 @@ def run_pipeline(values: ChainMap[str, Any], out_dir: Path, seed_override: int |
         del counts
         embedding = spectral.embed(lap, policy)
         del lap
+        # the layout starts from the first two coordinates; two populations
+        # leave one once the leading component is dropped
+        if layout_params is not None and embedding.dimension < 2:
+            raise ValueError(
+                "the 2-D layout needs at least 2 embedding dimensions, got "
+                f"{embedding.dimension}; set layout.enable = false, or lower "
+                "spectral.energy_threshold to retain more components"
+            )
         write_atomic(out_dir / "embedding.tsv", _coordinates_tsv(cell_ids, embedding.coords))
         write_atomic(out_dir / "embedding.json", _json(_embedding_payload(embedding)))
         metrics["stages"]["spectral"] = {

@@ -17,14 +17,11 @@ from typing import Iterable
 import numpy as np
 import scipy.sparse as sp
 
+from ._checks import require_integral
+
 
 class MatrixFormatError(ValueError):
     """Malformed matrix file; message carries the offending line number."""
-
-
-def _check_unique(ids, kind: str):
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"{kind} ids are not unique")
 
 
 def _checked_ids(shape, feature_ids, cell_ids) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -36,8 +33,11 @@ def _checked_ids(shape, feature_ids, cell_ids) -> tuple[tuple[str, ...], tuple[s
         raise ValueError(f"{len(feature_ids)} feature ids for {n_features} rows")
     if len(cell_ids) != n_cells:
         raise ValueError(f"{len(cell_ids)} cell ids for {n_cells} columns")
-    _check_unique(feature_ids, "feature")
-    _check_unique(cell_ids, "cell")
+    for kind, ids in (("feature", feature_ids), ("cell", cell_ids)):
+        position = {}
+        for at, i in enumerate(ids, 1):
+            if (first := position.setdefault(i, at)) != at:
+                raise ValueError(f"{kind} ids are not unique: {i!r} at positions {first} and {at}")
     return feature_ids, cell_ids
 
 
@@ -52,12 +52,7 @@ class CountMatrix:
 
     def __init__(self, matrix: sp.spmatrix, feature_ids, cell_ids):
         csr = sp.csr_matrix(matrix, copy=True)
-        if csr.dtype.kind not in "biu":
-            # values the int64 cast would change: non-finite, fractional, too large
-            exact = (np.abs(csr.data) < 2.0**63) & (np.floor(csr.data) == csr.data)
-            if not exact.all():
-                bad = float(csr.data[np.argmin(exact)])
-                raise ValueError(f"counts must be finite integers, got {bad!r}")
+        require_integral(csr.data, "counts")
         csr = csr.astype(np.int64, copy=False)
         csr.sum_duplicates()
         csr.eliminate_zeros()
@@ -234,9 +229,6 @@ def read_matrix_market(path) -> CountMatrix:
     return CountMatrix._from_canonical(matrix, feature_ids, cell_ids)
 
 
-# Largest count the array pass accepts: up to 2**53 every integer is a
-# float64, so the line parser's round(float(token)) gives the token's value.
-_EXACT_FLOAT_INT = 2**53
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 # Characters of text read per chunk by the array passes.  A chunk's text,
@@ -402,10 +394,10 @@ def _parse_mm_array(path: Path) -> sp.csr_matrix | None:
     """Canonical count CSR of the body, parsed chunk by chunk into
     nnz-length arrays, or None when the line parser must decide.
 
-    On plain ASCII ``np.loadtxt`` reads digit integers only, a subset of
-    what the line parser's ``int``/``float`` accept, so whatever it rejects
-    (comments, reals, ``1_0``, ragged rows) goes to the line parser, as does
-    any chunk with a non-ASCII character.  While the entries
+    On plain ASCII ``np.loadtxt`` reads digit integers only, each as the
+    line parser's ``int`` does, so the pass declines whatever it rejects
+    (comments, reals, ``1_0``, ragged rows, values beyond int64), any chunk
+    with a non-ASCII character and any negative value.  While the entries
     run in strictly increasing row-major order only per-row counts are
     kept, and they become the CSR's ``indptr`` (strict order rules out
     duplicates).  From the first entry out of that order on, rows are
@@ -436,7 +428,7 @@ def _parse_mm_array(path: Path) -> sp.csr_matrix | None:
             if (
                 r.min() < 0 or r.max() >= n_features
                 or c.min() < 0 or c.max() >= n_cells
-                or v.min() < 0 or v.max() > _EXACT_FLOAT_INT
+                or v.min() < 0
             ):
                 return None
             if rows is None and _continues_row_major(last, r, c):
@@ -502,23 +494,23 @@ def _parse_mm_lines(path: Path) -> sp.csr_matrix:
                 raise MatrixFormatError(
                     f"{path} line {line_no}: non-integer index"
                 ) from None
+            token = parts[2]
+            # read exactly by int; only a token int rejects, a real such as
+            # 2.9999999999, is read as the float64 it denotes and rounded
             try:
-                raw = float(parts[2])
-                value = round(raw)  # ValueError on nan, OverflowError on inf
-            except (ValueError, OverflowError):
-                value = None
+                value = raw = int(token)
+            except ValueError:
+                try:
+                    raw = float(token)
+                    value = round(raw)  # ValueError on nan, OverflowError on inf
+                except (ValueError, OverflowError):
+                    value = None
             if value is None or value > _INT64_MAX:
-                raise MatrixFormatError(
-                    f"{path} line {line_no}: unreadable value {parts[2]!r}"
-                )
+                raise MatrixFormatError(f"{path} line {line_no}: unreadable value {token!r}")
             if abs(raw - value) > 1e-9:
-                raise MatrixFormatError(
-                    f"{path} line {line_no}: non-integral value {parts[2]}"
-                )
+                raise MatrixFormatError(f"{path} line {line_no}: non-integral value {token}")
             if value < 0:
-                raise MatrixFormatError(
-                    f"{path} line {line_no}: negative count {parts[2]}"
-                )
+                raise MatrixFormatError(f"{path} line {line_no}: negative count {token}")
             if not (1 <= i <= n_features) or not (1 <= j <= n_cells):
                 raise MatrixFormatError(
                     f"{path} line {line_no}: index ({i}, {j}) outside "
@@ -642,9 +634,9 @@ def write_matrix_market(counts: CountMatrix, path) -> None:
     other; the set is not, so a failure on a sidecar can leave the new
     ``.mtx`` beside the old id files.
 
-    A matrix that ``read_matrix_market`` could not read back is refused
-    with ValueError before any file is created: one with no rows or no
-    columns, or one with an id that is empty or holds a line break.
+    Every int64 count reads back as written.  A matrix the reader could
+    not read back is refused with ValueError before any file is created:
+    one with no rows or no columns, or an id empty or holding a line break.
     """
     if 0 in counts.shape:
         raise ValueError(

@@ -213,12 +213,14 @@ def _fit_gmm_once(points: np.ndarray, n_components: int, seed: int):
     overall_scale = float(np.trace(np.cov(points.T, bias=True).reshape(d, d)) / d) or 1.0
 
     weights = np.empty(n_components)
-    means = np.empty((n_components, d))
+    # k-means' centroids are the means of its final clusters, computed as
+    # points[labels == k].mean(axis=0); a re-seeded one-point cluster's
+    # centroid is its point, which is that mean too
+    means = km.centroids
     covariances = np.empty((n_components, d, d))
     for k in range(n_components):
         member = points[km.labels.labels == k]
         weights[k] = member.shape[0] / n
-        means[k] = member.mean(axis=0)
         centered = member - means[k]
         covariances[k] = _regularized_covariance(
             centered.T @ centered / member.shape[0], overall_scale

@@ -673,6 +673,28 @@ class TestPipelineCommand:
         assert "mean <= 1 or zero variance" in message
         assert "features.enable = false" in message
 
+    def test_two_populations_with_layout_fail_at_spectral_stage(self, tmp_path):
+        """Two blocks embed in 1 dimension once the leading component is
+        dropped; the layout needs 2, so the run stops before the search."""
+        sim_conf = write_config(tmp_path, "two.conf", (
+            "sbm.rates = 5,0.5; 0.5,5\nsbm.gene_block_sizes = 40,40\n"
+            f"sbm.cell_block_sizes = 50,50\nsbm.seed = 0\noutput.directory = {tmp_path / 'sim'}\n"
+        ))
+        assert main(["simulate", "--config", sim_conf]) == 0
+        out = tmp_path / "out"
+        values = PIPELINE_SCHEMA.apply(parse_config_text(
+            PIPE_CONF.format(mtx=tmp_path / "sim" / "counts.mtx", out=out)
+            .replace("features.top_k = 120", "features.top_k = 60")
+        ))
+        with pytest.raises(StageError) as caught:
+            run_pipeline(values, out, None)
+        assert caught.value.stage == "spectral"
+        message = str(caught.value)
+        assert "the 2-D layout needs at least 2 embedding dimensions, got 1" in message
+        assert "layout.enable = false" in message
+        assert "spectral.energy_threshold" in message
+        assert sorted(p.name for p in out.iterdir()) == ["qc_report.json"]
+
     # the first library call of each stage, in run order
     @pytest.mark.parametrize("stage, module, name", [
         ("ingest", core_matrix, "read_matrix_market"),

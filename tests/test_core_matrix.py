@@ -150,6 +150,19 @@ class TestMatrixMarket:
         assert cm.feature_ids == ("GENE1", "GENE2")
         assert cm.cell_ids == ("A", "B")
 
+    def test_repeated_sidecar_id_named(self, tmp_path):
+        write(tmp_path, "m.features.txt", "GENE1\nGENE2\n")
+        write(tmp_path, "m.cells.txt", "A\nB\nC\nB\n")
+        path = write(
+            tmp_path,
+            "m.mtx",
+            "%%MatrixMarket matrix coordinate integer general\n2 4 1\n1 1 5\n",
+        )
+        with pytest.raises(
+            ValueError, match=r"^cell ids are not unique: 'B' at positions 2 and 4$"
+        ):
+            read_matrix_market(path)
+
     def test_round_trip(self, tmp_path):
         cm = CountMatrix.from_dense(
             [[0, 3, 0], [7, 0, 1]], feature_ids=["x", "y"], cell_ids=["a", "b", "c"]
@@ -466,6 +479,13 @@ class TestDenseTsv:
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "m.tsv", "id\tA\tB\ng1\t1\n")
         with pytest.raises(MatrixFormatError, match="ragged"):
+            read_dense_tsv(path)
+
+    def test_repeated_feature_row_named(self, tmp_path):
+        path = write(tmp_path, "m.tsv", "id\tA\tB\ng1\t0\t1\ng2\t2\t0\ng1\t3\t3\n")
+        with pytest.raises(
+            ValueError, match=r"^feature ids are not unique: 'g1' at positions 1 and 3$"
+        ):
             read_dense_tsv(path)
 
     def test_agrees_with_matrix_market(self, tmp_path):

@@ -165,7 +165,7 @@ def test_unusual_bodies_cover_both_outcomes(tmp_path):
 
 TOKENS = [
     "1", "2", "3", "0", "00", "-1", "+1", "-0", "1_0", "3.0", "2.5", "1e0",
-    "%", "#", "nan", "1e19", "٣", str(2**53 + 1), str(2**63),
+    "%", "#", "nan", "1e19", "٣", str(2**53 + 1), str(2**62 + 1), str(2**63 - 1), str(2**63),
 ]
 
 
@@ -266,6 +266,25 @@ def test_simulated_matrix_round_trip(tmp_path):
     assert counter.calls == 0
     assert np.array_equal(again.to_dense(), dense)
     assert again.feature_ids == cm.feature_ids and again.cell_ids == cm.cell_ids
+
+
+@pytest.mark.parametrize("big", [2**53 + 1, 2**62 + 1, 2**63 - 1])
+@pytest.mark.parametrize("comment", [False, True])
+def test_written_int64_counts_read_back_exactly(tmp_path, big, comment):
+    """Counts beyond 2**53, where a float64 would round them, read back as
+    written by the array pass and, with a comment line in the body, by the
+    line parser."""
+    dense = np.array([[big, 0, 1], [0, big - 1, 2**53]], dtype=np.int64)
+    path = tmp_path / "big.mtx"
+    core_matrix.write_matrix_market(core_matrix.CountMatrix.from_dense(dense), path)
+    if comment:
+        header, size, *entries = path.read_text().splitlines(keepends=True)
+        path.write_text("".join([header, size, "% a comment\n", *entries]))
+    with LineParserCalls() as counter:
+        again = read_matrix_market(path)
+    assert counter.calls == int(comment)
+    assert again.csr().data.tolist() == dense[dense > 0].tolist()
+    assert np.array_equal(again.to_dense(), dense)
 
 
 def block_counts(n_features=300, n_cells=2500, n_blocks=5, seed=5):
