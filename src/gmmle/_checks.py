@@ -5,16 +5,27 @@ import numbers
 import numpy as np
 
 
-def require_int(value, name: str) -> int:
-    """``value`` as an int; ValueError naming ``name`` unless it is an integer (not a bool)."""
+def require_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """``value``, an integer (numpy's too; a float, str or bool is refused,
+    never truncated), as an int; else ValueError naming ``name``, as when it
+    lies out of range: ``"{name} must be >= {low}, got {value!r}"`` with
+    ``low`` alone, ``"{name}={value} outside [{low}, {high}]"`` with both."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name}={value} outside [{low}, {high}]")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return value
 
 
 def require_integral(values: np.ndarray, name: str) -> None:
-    """ValueError naming ``name`` and the first float value an int64 cast
-    would change (non-finite, fractional or too large); ints and bools pass."""
+    """ValueError naming ``name`` and a value an int64 cast would change:
+    the first float that is non-finite, fractional or too large, or the
+    largest unsigned integer if it is above 2**63 - 1; signed ints and bools pass."""
+    if values.dtype.kind == "u" and values.size and values.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{name} must be at most 2**63 - 1, got {int(values.max())}")
     if values.dtype.kind in "biu":
         return
     exact = (np.abs(values) < 2.0**63) & (np.floor(values) == values)

@@ -150,13 +150,11 @@ def exact_knn(coords, k: int) -> tuple[np.ndarray, np.ndarray]:
     distance, duplicates) is ranked by a scan of all points.  So the
     result does not depend on the block size.
     """
-    require_int(k, "k")
     points = np.asarray(coords, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("coordinates must be n x d")
     n, d = points.shape
-    if not (1 <= k < n):
-        raise ValueError(f"k={k} outside [1, {n - 1}]")
+    require_int(k, "k", 1, n - 1)
     if not np.isfinite(points).all():
         raise ValueError("coordinates must be finite")
 
@@ -379,10 +377,10 @@ def louvain_trace(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> L
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and > 0, got {resolution!r}")
+    rng = CounterRng(seed)
     adj = _adjacency(graph)
     if adj.nnz == 0:
         return LouvainResult(ClusterLabels(np.arange(graph.n), graph.n), (), ())
-    rng = CounterRng(seed)
     flat = np.arange(graph.n)
     trace = []
     level_labels = []

@@ -74,9 +74,7 @@ def select_top_k(scores: np.ndarray, k: int) -> np.ndarray:
     features have finite scores, all finite ones are selected and a warning
     is emitted.  If none has a finite score, ValueError is raised.
     """
-    require_int(k, "k")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    require_int(k, "k", low=1)
     values = np.asarray(scores["score"], dtype=np.float64)
     finite = np.isfinite(values)
     order = np.argsort(-values, kind="stable")  # stable: ties by lower index

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import require_int
 from .community import CellGraph, _symmetrized
 from .rng import CounterRng
 
@@ -71,12 +72,8 @@ class LayoutParams:
     negative_samples: int = 5
 
     def __post_init__(self):
-        for name, valid, rule in (
-            ("epochs", self.epochs >= 1, ">= 1"),
-            ("negative_samples", self.negative_samples >= 0, ">= 0"),
-        ):
-            if not valid:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        require_int(self.epochs, "epochs", low=1)
+        require_int(self.negative_samples, "negative_samples", low=0)
 
 
 @dataclass(frozen=True)
@@ -245,6 +242,7 @@ def optimize_layout(
     fixed kick apart; the anchor sampling itself gets no push.
     """
     params = params or LayoutParams()
+    rng = CounterRng(seed)
     # C order, so that each row is one complex element of the view below
     coords = np.array(init, dtype=np.float64, copy=True, order="C")
     if coords.ndim != 2 or coords.shape != (graph.n, 2):
@@ -265,7 +263,6 @@ def optimize_layout(
     weights = graph.weights[positive]
     epochs_per_sample = weights.max() / weights
     next_due = epochs_per_sample.copy()
-    rng = CounterRng(seed)
     n_neg = params.negative_samples
     z = coords.view(np.complex128)[:, 0]  # x + 1j*y; the epoch writes coords
 

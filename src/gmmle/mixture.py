@@ -114,11 +114,9 @@ def _all_pairs_dist_sq(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 def fit_kmeans(coords, n_clusters: int, seed: int = 0) -> KmeansResult:
     """Lloyd iterations from a k-means++ start until the assignment is a
     fixed point; deterministic for a fixed seed."""
-    require_int(n_clusters, "n_clusters")
     points = _as_points(coords)
     n = points.shape[0]
-    if n_clusters < 1 or n_clusters > n:
-        raise ValueError(f"n_clusters={n_clusters} outside [1, {n}]")
+    require_int(n_clusters, "n_clusters", 1, n)
     rng = CounterRng(seed)
     centers = _plus_plus_centers(points, n_clusters, rng)
 
@@ -277,11 +275,9 @@ def fit_gmm(coords, n_components: int, seed: int = 0) -> tuple[GmmModel, Cluster
     Empty clusters in the final hard assignment are dropped with a warning
     and labels are renumbered.
     """
-    require_int(n_components, "n_components")
     points = _as_points(coords)
-    n = points.shape[0]
-    if n_components < 1 or n_components > n:
-        raise ValueError(f"n_components={n_components} outside [1, {n}]")
+    require_int(n_components, "n_components", 1, points.shape[0])
+    require_int(seed, "seed")  # seed + restart would take a bool as an int
 
     best: tuple[GmmModel, np.ndarray] | None = None
     for restart in range(_N_INIT):
@@ -349,7 +345,7 @@ def select_k(coords, k_values, seed: int = 0) -> KSelection:
 
     diagnostics = []
     fits = {}
-    for k in sorted({require_int(k, "k_values") for k in k_values}):
+    for k in sorted({require_int(k, "k_values", 1, n) for k in k_values}):
         fits[k] = fit_gmm(points, k, seed=seed)
         model = fits[k][0]
         diagnostics.append(KDiagnostic(

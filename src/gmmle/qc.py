@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import require_int
 from .core_matrix import CountMatrix, column_sums, entry_blocks, submatrix
 
 
@@ -38,8 +39,7 @@ class QcConfig:
 
     def __post_init__(self):
         for name in ("min_cells_per_feature", "min_features_per_cell"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            require_int(getattr(self, name), name, low=0)
         for name in ("max_top_share", "max_mito_share", "max_ribo_share"):
             value = getattr(self, name)
             if value is not None and not (0.0 < value <= 1.0):

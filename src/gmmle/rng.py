@@ -45,6 +45,8 @@ import operator
 
 import numpy as np
 
+from ._checks import require_int
+
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 # Distinct odd constant used only for deriving child stream keys.
@@ -190,7 +192,7 @@ class CounterRng:
     __slots__ = ("key", "counter")
 
     def __init__(self, seed: int, _key: int | None = None):
-        self.key = mix64(seed) if _key is None else (_key & MASK64)
+        self.key = mix64(require_int(seed, "seed")) if _key is None else (_key & MASK64)
         self.counter = 0
 
     def derive(self, stream_id: int) -> "CounterRng":
@@ -224,8 +226,7 @@ class CounterRng:
 
         Modulo bias is < bound / 2**64, irrelevant for the bounds used here.
         """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        bound = require_int(bound, "bound", low=1)
         if size is None:
             return int(self.integers(bound, 1)[0])
         raw = self.uint64(size)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import require_int
 from .core_matrix import CountMatrix, _DenseRows
 from .mixture import ClusterLabels
 from .rng import (
@@ -65,8 +66,12 @@ class SbmConfig:
         # each message starts with the field name, so the CLI names the key
         rates = np.asarray(self.rates, dtype=np.float64)
         object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "gene_block_sizes", tuple(int(s) for s in self.gene_block_sizes))
-        object.__setattr__(self, "cell_block_sizes", tuple(int(s) for s in self.cell_block_sizes))
+        for name in ("gene_block_sizes", "cell_block_sizes"):
+            sizes = tuple(require_int(s, name) for s in getattr(self, name))
+            if not sizes or any(s <= 0 for s in sizes):
+                raise ValueError(f"{name} must be one or more positive sizes, got {sizes!r}")
+            object.__setattr__(self, name, sizes)
+        require_int(self.seed, "seed")
         if rates.ndim != 2:
             raise ValueError("rates must be a 2-D block matrix")
         if rates.shape != (len(self.gene_block_sizes), len(self.cell_block_sizes)):
@@ -76,15 +81,10 @@ class SbmConfig:
             )
         if not np.isfinite(rates).all() or (rates < 0).any():
             raise ValueError("rates must be finite and non-negative")
-        for name in ("gene_block_sizes", "cell_block_sizes"):
-            sizes = getattr(self, name)
-            if not sizes or any(s <= 0 for s in sizes):
-                raise ValueError(f"{name} must be one or more positive sizes, got {sizes!r}")
         if self.mode not in ("poisson", "multinomial"):
             raise ValueError(f"mode must be poisson or multinomial, got {self.mode!r}")
         if self.mode == "multinomial":
-            if self.cell_total is None or self.cell_total < 0:
-                raise ValueError("cell_total must be >= 0 in multinomial mode")
+            require_int(self.cell_total, "cell_total", low=0)
             return
         if self.cell_total is not None:
             raise ValueError(

@@ -184,12 +184,8 @@ def truncated_svd(
     ``||L v_i - sigma_i u_i||`` is at most tol * sigma_1.  Deterministic for
     a fixed seed.
     """
-    require_int(k, "k")
-    p, n = matrix.shape
-    if not (1 <= k <= min(p, n)):
-        raise ValueError(f"k={k} outside [1, {min(p, n)}]")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    require_int(k, "k", 1, min(matrix.shape))
+    require_int(max_iter, "max_iter", low=1)
     if not tol >= 0.0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     _require_finite(matrix)
@@ -210,6 +206,7 @@ class EmbedPolicy:
             raise ValueError("energy_threshold must lie in (0, 1)")
         if self.scaling not in ("none", "sqrt", "linear"):
             raise ValueError(f"scaling must be none, sqrt or linear, got {self.scaling!r}")
+        require_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)

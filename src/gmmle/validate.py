@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import require_int
 from .core_matrix import CountMatrix
 from .mixture import ClusterLabels
 
@@ -145,10 +146,8 @@ def gate_cells(
     must be >= 1 and ``max_neg`` >= 0: below that a threshold passes every
     cell or none.
     """
-    if min_pos < 1:
-        raise ValueError(f"min_pos must be >= 1, got {min_pos}")
-    if max_neg < 0:
-        raise ValueError(f"max_neg must be >= 0, got {max_neg}")
+    require_int(min_pos, "min_pos", low=1)
+    require_int(max_neg, "max_neg", low=0)
     cells = np.asarray(cell_indices, dtype=np.int64)
     index = {fid: i for i, fid in enumerate(counts.feature_ids)}
     missing = [m for m in list(positive) + list(negative) if m not in index]

@@ -673,6 +673,34 @@ class TestPipelineCommand:
         assert "mean <= 1 or zero variance" in message
         assert "features.enable = false" in message
 
+    def test_k_range_beyond_the_cell_count_fails_at_cluster_stage_with_no_fit(
+        self, tmp_path, monkeypatch
+    ):
+        """K = 2 .. 24 were fitted before K = 25 failed on 24 cells."""
+        sim_conf = write_config(tmp_path, "tiny.conf", (
+            "sbm.rates = 6,0.5; 0.5,6\nsbm.gene_block_sizes = 10,10\n"
+            f"sbm.cell_block_sizes = 12,12\nsbm.seed = 0\noutput.directory = {tmp_path / 'sim'}\n"
+        ))
+        assert main(["simulate", "--config", sim_conf]) == 0
+        fits = []
+        real_fit = mixture.fit_gmm
+
+        def spy(coords, k, **kwargs):
+            fits.append(k)
+            return real_fit(coords, k, **kwargs)
+
+        monkeypatch.setattr(mixture, "fit_gmm", spy)
+        values = PIPELINE_SCHEMA.apply(parse_config_text(
+            f"input.path = {tmp_path / 'sim' / 'counts.mtx'}\nqc.enable = false\n"
+            "features.enable = false\nlayout.enable = false\ncluster.method = gmm\n"
+            "cluster.k_strategy = bic\ncluster.k_range = 2:25\n"
+        ))
+        with pytest.raises(StageError) as caught:
+            run_pipeline(values, tmp_path / "out", None)
+        assert caught.value.stage == "cluster"
+        assert str(caught.value) == "stage 'cluster': k_values=25 outside [1, 24]"
+        assert fits == []
+
     def test_two_populations_with_layout_fail_at_spectral_stage(self, tmp_path):
         """Two blocks embed in 1 dimension once the leading component is
         dropped; the layout needs 2, so the run stops before the search."""
