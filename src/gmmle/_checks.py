@@ -1,5 +1,6 @@
 """Argument checks shared by the public entry points."""
 
+import math
 import numbers
 
 import numpy as np
@@ -17,6 +18,14 @@ def require_int(value, name: str, low: int | None = None, high: int | None = Non
         raise ValueError(f"{name}={value} outside [{low}, {high}]")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return value
+
+
+def require_positive(value: float, name: str) -> float:
+    """``value`` if it is finite and > 0, else ValueError
+    ``"{name} must be finite and > 0, got {value!r}"``."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     return value
 
 

@@ -24,13 +24,14 @@ import sys
 import time
 import warnings
 from collections import ChainMap
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, get_type_hints
 
 import numpy as np
 
 from . import community, core_matrix, features, layout, mixture, qc, simulate, spectral, validate
+from ._checks import require_int, require_positive
 from .core_matrix import write_atomic
 
 
@@ -113,11 +114,20 @@ def _choice(*allowed: str) -> Callable[[str], str]:
     return convert
 
 
-@dataclass
+# The row mark of a key every config must set.
+REQUIRED = object()
+
+
 class Schema:
-    converters: dict[str, Callable[[str], Any]]
-    required: tuple[str, ...] = ()
-    defaults: dict[str, Any] = field(default_factory=dict)
+    """The keys of one command's config, each declared once as a row: the
+    key's converter, then its default, or REQUIRED, or nothing for a key
+    that is absent unless a config sets it (a stage field keeps the default
+    of its dataclass)."""
+
+    def __init__(self, rows: dict[str, tuple]):
+        self.converters: dict[str, Callable[[str], Any]] = {k: r[0] for k, r in rows.items()}
+        self.required = tuple(k for k, r in rows.items() if r[1:] == (REQUIRED,))
+        self.defaults = {k: r[1] for k, r in rows.items() if r[1:] not in ((), (REQUIRED,))}
 
     def apply(self, raw: dict[str, str]) -> ChainMap[str, Any]:
         """The converted settings over the defaults; ``maps[0]`` holds the file's."""
@@ -148,90 +158,61 @@ STAGE_CLASSES = {"qc": qc.QcConfig, "spectral": spectral.EmbedPolicy,
                  "layout": layout.LayoutParams, "sbm": simulate.SbmConfig}
 
 
-def _stage_keys(section: str) -> dict[str, Callable[[str], Any]]:
-    """The ``<section>.<field>`` key of each field of the section's class, in
-    field order, with the converter of the field's type."""
+def _stage_keys(section: str) -> dict[str, tuple]:
+    """The ``<section>.<field>`` row of each field of the section's class, in
+    field order: the converter of the field's type, and REQUIRED for a field
+    without a default."""
     cls = STAGE_CLASSES[section]
     hints = get_type_hints(cls)
-    return {f"{section}.{f.name}": _FIELD_CONVERTERS[hints[f.name]] for f in fields(cls)}
+    return {
+        f"{section}.{f.name}": (_FIELD_CONVERTERS[hints[f.name]],)
+        + ((REQUIRED,) if f.default is MISSING and f.default_factory is MISSING else ())
+        for f in fields(cls)
+    }
 
 
-_INPUT_KEYS = {"input.path": str, "input.format": _choice("matrix_market", "dense_tsv")}
+_INPUT_KEYS = {"input.path": (str, REQUIRED),
+               "input.format": (_choice("matrix_market", "dense_tsv"), "matrix_market")}
 
-PIPELINE_SCHEMA = Schema(
-    converters={
-        **_INPUT_KEYS,
-        "qc.enable": _to_bool,
-        **_stage_keys("qc"),
-        "features.enable": _to_bool,
-        "features.top_k": int,
-        "spectral.variant": _choice("normalized", "random_walk", "adjacency"),
-        **_stage_keys("spectral"),
-        "cluster.method": _choice("gmm", "kmeans", "louvain"),
-        "cluster.k_strategy": _choice("fixed", "bic", "d_plus_one"),
-        "cluster.k": int,
-        "cluster.k_range": _to_k_range,
-        "cluster.seed": int,
-        "cluster.knn_k": int,
-        "cluster.resolution": float,
-        "layout.enable": _to_bool,
-        "layout.n_neighbors": int,
-        **_stage_keys("layout"),
-        "layout.seed": int,
-        "output.directory": str,
-    },
-    required=("input.path",),
-    defaults={
-        "input.format": "matrix_market",
-        "qc.enable": True,
-        "features.enable": True,
-        "features.top_k": 2000,
-        "spectral.variant": "normalized",
-        "cluster.method": "gmm",
-        "cluster.k_strategy": "fixed",
-        "cluster.k": 8,
-        "cluster.seed": 0,
-        "cluster.knn_k": 20,
-        "cluster.resolution": 1.0,
-        "layout.enable": True,
-        "layout.n_neighbors": 15,
-        "layout.seed": 0,
-    },
-)
+PIPELINE_SCHEMA = Schema({
+    **_INPUT_KEYS,
+    "qc.enable": (_to_bool, True),
+    **_stage_keys("qc"),
+    "features.enable": (_to_bool, True),
+    "features.top_k": (int, 2000),
+    "spectral.variant": (_choice("normalized", "random_walk", "adjacency"), "normalized"),
+    **_stage_keys("spectral"),
+    "cluster.method": (_choice("gmm", "kmeans", "louvain"), "gmm"),
+    "cluster.k_strategy": (_choice("fixed", "bic", "d_plus_one"), "fixed"),
+    "cluster.k": (int, 8),
+    "cluster.k_range": (_to_k_range,),
+    "cluster.seed": (int, 0),
+    "cluster.knn_k": (int, 20),
+    "cluster.resolution": (float, 1.0),
+    "layout.enable": (_to_bool, True),
+    "layout.n_neighbors": (int, 15),
+    **_stage_keys("layout"),
+    "layout.seed": (int, 0),
+    "output.directory": (str,),
+})
 
-SIMULATE_SCHEMA = Schema(
-    converters={**_stage_keys("sbm"), "output.directory": str},
-    required=("sbm.rates", "sbm.gene_block_sizes", "sbm.cell_block_sizes"),
-)
+SIMULATE_SCHEMA = Schema({**_stage_keys("sbm"), "output.directory": (str,)})
 
 # `gmmle qc` always filters, so it has no qc.enable
-QC_SCHEMA = Schema(
-    converters={**_INPUT_KEYS, **_stage_keys("qc"), "output.directory": str},
-    required=("input.path",),
-    defaults={"input.format": PIPELINE_SCHEMA.defaults["input.format"]},
-)
+QC_SCHEMA = Schema({**_INPUT_KEYS, **_stage_keys("qc"), "output.directory": (str,)})
 
-VALIDATE_SCHEMA = Schema(
-    converters={
-        **_INPUT_KEYS,
-        "validate.labels_path": str,
-        "validate.panels_path": str,
-        "validate.denominator": _choice("pooled", "per_type_mean"),
-        "validate.gate_positive": _to_str_list,
-        "validate.gate_negative": _to_str_list,
-        "validate.gate_cluster": int,
-        "validate.gate_min_pos": int,
-        "validate.gate_max_neg": int,
-        "output.directory": str,
-    },
-    required=("input.path", "validate.labels_path", "validate.panels_path"),
-    defaults={
-        "input.format": PIPELINE_SCHEMA.defaults["input.format"],
-        "validate.denominator": "pooled",
-        "validate.gate_min_pos": 1,
-        "validate.gate_max_neg": 0,
-    },
-)
+VALIDATE_SCHEMA = Schema({
+    **_INPUT_KEYS,
+    "validate.labels_path": (str, REQUIRED),
+    "validate.panels_path": (str, REQUIRED),
+    "validate.denominator": (_choice("pooled", "per_type_mean"), "pooled"),
+    "validate.gate_positive": (_to_str_list,),
+    "validate.gate_negative": (_to_str_list,),
+    "validate.gate_cluster": (int,),
+    "validate.gate_min_pos": (int, 1),
+    "validate.gate_max_neg": (int, 0),
+    "output.directory": (str,),
+})
 
 
 def _stage_config(section: str, values: dict[str, Any]):
@@ -250,10 +231,13 @@ def _stage_config(section: str, values: dict[str, Any]):
         raise ConfigError(f"config key {section}.{err}") from None
 
 
-def _check_at_least_one(values: dict[str, Any], keys: list[str]) -> None:
-    for key in keys:
-        if values[key] < 1:
-            raise ConfigError(f"config key {key} must be >= 1, got {values[key]!r}")
+def _check_key(values: dict[str, Any], key: str, rule: Callable[..., Any], **bounds) -> None:
+    """The library's argument ``rule`` on ``values[key]``, named ``config
+    key <key>``; its ValueError is re-raised as ConfigError."""
+    try:
+        rule(values[key], f"config key {key}", **bounds)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 # The cluster keys Louvain and each mixture K strategy read: only these are
@@ -286,26 +270,22 @@ def build_stage_configs(
         raise ConfigError("cluster.k_strategy=d_plus_one requires cluster.method=gmm or kmeans")
     setting = "cluster.method=louvain" if method == "louvain" else f"cluster.k_strategy={strategy}"
     read = CLUSTER_KEYS_READ[setting]
-    at_least_one = ["cluster.knn_k"]
+    _check_key(values, "cluster.knn_k", require_int, low=1)
     if values["features.enable"]:
-        at_least_one.append("features.top_k")
+        _check_key(values, "features.top_k", require_int, low=1)
     if "cluster.k" in read:
-        at_least_one.append("cluster.k")
-    _check_at_least_one(values, at_least_one)
+        _check_key(values, "cluster.k", require_int, low=1)
     if "cluster.k_range" in read and min(values["cluster.k_range"]) < 1:
         raise ConfigError(
             "config key cluster.k_range must hold values >= 1, "
             f"got {values['cluster.k_range']!r}"
         )
-    resolution = values["cluster.resolution"]
-    if "cluster.resolution" in read and not (math.isfinite(resolution) and resolution > 0):
-        raise ConfigError(
-            f"config key cluster.resolution must be finite and > 0, got {resolution!r}"
-        )
+    if "cluster.resolution" in read:
+        _check_key(values, "cluster.resolution", require_positive)
 
     layout_params = None
     if values["layout.enable"]:
-        _check_at_least_one(values, ["layout.n_neighbors"])
+        _check_key(values, "layout.n_neighbors", require_int, low=1)
         layout_params = _stage_config("layout", values)
     for key in values.maps[0]:
         if key not in read and any(key in keys for keys in CLUSTER_KEYS_READ.values()):
@@ -752,10 +732,8 @@ def cmd_validate(args) -> int:
             needs = " or ".join(needed)
             raise ConfigError(f"config key {key} is not read without {needs}; remove it")
     # counts are whole numbers, so min_pos 0 passes every cell and max_neg -1 none
-    _check_at_least_one(values, ["validate.gate_min_pos"])
-    max_neg = values["validate.gate_max_neg"]
-    if max_neg < 0:
-        raise ConfigError(f"config key validate.gate_max_neg must be >= 0, got {max_neg!r}")
+    _check_key(values, "validate.gate_min_pos", require_int, low=1)
+    _check_key(values, "validate.gate_max_neg", require_int, low=0)
     input_path = _input_path(values)
     out_dir = _resolve_out_dir(values, args.out)
     counts = _read_input(input_path, values["input.format"])

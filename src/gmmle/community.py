@@ -23,14 +23,13 @@ likelihood-based clustering, not a replica of any particular toolchain.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._checks import require_int, require_labels
+from ._checks import require_int, require_labels, require_positive
 from .mixture import ClusterLabels
 from .rng import CounterRng
 
@@ -375,8 +374,7 @@ def louvain_trace(graph: CellGraph, seed: int = 0, resolution: float = 1.0) -> L
     A level's Q is ``modularity`` of the flat labels at its end, with the
     expected share scaled by ``resolution``.
     """
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be finite and > 0, got {resolution!r}")
+    require_positive(resolution, "resolution")
     rng = CounterRng(seed)
     adj = _adjacency(graph)
     if adj.nnz == 0:

@@ -15,7 +15,8 @@ finalizer (all arithmetic modulo 2**64):
 
 Independent streams for parallel work are derived by re-keying
 (:meth:`CounterRng.derive`), never by splitting counter ranges.  Child
-``j`` of a stream with key ``key`` has the key
+``j`` (an integer, 0 <= j < 2**64 - 1) of a stream with key ``key`` has
+the key
 
     key_j = mix64((key + (j + 1) * DERIVE_GAMMA) mod 2**64)
 
@@ -196,13 +197,18 @@ class CounterRng:
         self.counter = 0
 
     def derive(self, stream_id: int) -> "CounterRng":
-        """Child stream with an independent key; does not advance self."""
-        child_key = mix64((self.key + (stream_id + 1) * DERIVE_GAMMA) & MASK64)
-        return CounterRng(0, _key=child_key)
+        """Child stream keyed by ``derive_keys(stream_id, 1)``; does not
+        advance self."""
+        return CounterRng(0, _key=int(self.derive_keys(stream_id, 1)[0]))
 
     def derive_keys(self, first: int, count: int) -> np.ndarray:
-        """Keys of ``count`` child streams as a uint64 array: entry r is
-        ``self.derive(first + r).key``; does not advance self."""
+        """Keys of child streams ``first`` .. ``first + count - 1`` as a
+        uint64 array: entry r is ``self.derive(first + r).key``; does not
+        advance self.  ``first`` and ``count`` must be integers with
+        ``count >= 0``, ``first >= 0`` and ``first + count < 2**64``; else
+        ValueError naming ``count`` or ``stream_id`` (for ``first``)."""
+        count = require_int(count, "count", low=0)
+        first = require_int(first, "stream_id", 0, MASK64 - count)
         ids = _offsets(DERIVE_GAMMA, first, count)
         ids += _U(self.key)
         return _mix64_array(ids)

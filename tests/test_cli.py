@@ -1345,6 +1345,41 @@ class TestValidateCommand:
             assert sorted(contexts) == ["panel 'A'", "panel 'A'", "panel 'B'", "panel 'B'"]
 
 
+# Each bound the CLI checks by a library rule before any I/O: the command,
+# the settings over a config of absent files, and the whole message.
+LIBRARY_BOUNDS = [
+    ("pipeline", {"cluster.knn_k": "0"}, "config key cluster.knn_k must be >= 1, got 0"),
+    ("pipeline", {"features.top_k": "0"}, "config key features.top_k must be >= 1, got 0"),
+    ("pipeline", {"cluster.k": "0"}, "config key cluster.k must be >= 1, got 0"),
+    ("pipeline", {"layout.n_neighbors": "0"},
+     "config key layout.n_neighbors must be >= 1, got 0"),
+    ("pipeline", {"cluster.method": "louvain", "cluster.resolution": "-1"},
+     "config key cluster.resolution must be finite and > 0, got -1.0"),
+    ("validate", {"validate.gate_positive": "a1", "validate.gate_cluster": "0",
+                  "validate.gate_min_pos": "0"},
+     "config key validate.gate_min_pos must be >= 1, got 0"),
+    ("validate", {"validate.gate_negative": "b1", "validate.gate_cluster": "0",
+                  "validate.gate_max_neg": "-1"},
+     "config key validate.gate_max_neg must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("command, settings, message", LIBRARY_BOUNDS, ids=[
+    "knn-k", "top-k", "k", "n-neighbors", "resolution", "gate-min-pos", "gate-max-neg",
+])
+def test_library_bound_refused_before_any_io(tmp_path, capsys, command, settings, message):
+    """The whole message, and no output directory: no input is looked for."""
+    config = {"input.path": tmp_path / "absent.mtx", "output.directory": tmp_path / "out"}
+    if command == "validate":
+        config["validate.labels_path"] = tmp_path / "absent_labels.tsv"
+        config["validate.panels_path"] = tmp_path / "absent_panels.tsv"
+    config.update(settings)
+    text = "".join(f"{key} = {value}\n" for key, value in config.items())
+    assert main([command, "--config", write_config(tmp_path, "bound.conf", text)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # stage dataclass of each config section whose defaults live on the class
 _STAGE_CLASSES = cli.STAGE_CLASSES
 

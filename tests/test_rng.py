@@ -358,3 +358,31 @@ def test_derive_random_wraps_like_the_reference():
         key = _mix64_reference((MASK64 - 5 + (2**40 + r + 1) * DERIVE_GAMMA) & MASK64)
         raw = [_mix64_reference((key + (i + 1) * GAMMA) & MASK64) for i in range(4)]
         assert block[:, r].tolist() == [(v >> 11) * 2.0**-53 for v in raw]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda rng: rng.derive(2.5), "stream_id must be an integer, got 2.5"),
+    (lambda rng: rng.derive(True), "stream_id must be an integer, got True"),
+    (lambda rng: rng.derive(-1), "stream_id=-1 outside [0, 18446744073709551614]"),
+    (lambda rng: rng.derive_keys(0, 2.5), "count must be an integer, got 2.5"),
+    (lambda rng: rng.derive_keys(0.5, 2), "stream_id must be an integer, got 0.5"),
+    (lambda rng: rng.derive_keys(0, -1), "count must be >= 0, got -1"),
+    (lambda rng: rng.derive_keys(2**64 - 2, 2),
+     "stream_id=18446744073709551614 outside [0, 18446744073709551613]"),
+], ids=["derive-float", "derive-bool", "derive-negative", "keys-float-count",
+        "keys-float-first", "keys-negative-count", "keys-past-2**64"])
+def test_derive_refuses_what_is_no_stream_id(call, message):
+    root = CounterRng(5)
+    with pytest.raises(ValueError) as caught:
+        call(root)
+    assert str(caught.value) == message
+    assert root.counter == 0
+
+
+def test_derive_reaches_the_last_stream_id():
+    # the last id below 2**64 - 1 keeps (id + 1) * DERIVE_GAMMA in uint64
+    root = CounterRng(5)
+    last = 2**64 - 2
+    expected = _mix64_reference((root.key + (last + 1) * DERIVE_GAMMA) & MASK64)
+    assert root.derive(last).key == expected
+    assert root.derive_keys(last - 1, 2).tolist() == [root.derive(last - 1).key, expected]
